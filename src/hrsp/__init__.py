@@ -7,19 +7,19 @@ __version__ = "0.1.0"
 from .linalg import (DEFAULT_LAYOUT, QubitLayout, dagger, kron, partial_trace,
                      projector, psd_sqrt)
 from .noise import (KrausSet, NoiseScenario, amplitude_damping, apply_channel,
-                    kraus_set, phase_damping)
+                    kraus_set, party_kraus_stack, phase_damping)
 from .pipeline import (BranchProbabilityError, FidelitySample, PipelineConfig,
-                       SweepResult, apply_correction, collapse_and_normalize,
-                       default_config, default_grid, fidelity,
-                       pure_target_fidelity, reduce_to_receiver, run_eta, sweep)
+                       SweepResult, apply_correction, default_config,
+                       default_grid, fidelity, pure_target_fidelity,
+                       receiver_state, run_eta, sweep)
 from .protocol import (CORRECTION_TABLES, CorrectionRule, GateToken,
                        MeasurementScenario, build_measurement_operator,
                        correction_unitary, derive_receiver_table,
                        format_table_report, noiseless_fidelity,
                        oracle_find_correction, parse_gate_string, scenario_for,
                        token_unitary, verify_table)
-from .states import (TargetSpec, ZetaBasis, brown_state, extend_with_ancillas,
-                     protocol_state, target_state, verify_factorization,
-                     zeta_basis)
+from .states import (TargetSpec, ZetaBasis, branch_amplitudes, brown_state,
+                     extend_with_ancillas, protocol_state, target_state,
+                     verify_factorization, zeta_basis)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

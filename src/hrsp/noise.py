@@ -120,12 +120,25 @@ def apply_channel(rho: np.ndarray, scenario: NoiseScenario) -> np.ndarray:
         out += a @ rho @ a.conj().T
 
     if scenario.correlated:
-        deficit = float(np.trace(rho).real - np.trace(out).real)
-        if deficit > TRACE_DEFICIT_WARN:
-            # constant message so the default warning filter shows it once
-            warnings.warn(
-                "the correlated channel ties one Kraus index to both qubits "
-                "of a receiver and is not trace preserving; the lost weight "
-                "is restored at post-measurement normalization",
-                TraceDeficitWarning, stacklevel=2)
+        warn_trace_deficit(float(np.trace(rho).real - np.trace(out).real))
     return out
+
+
+def party_kraus_stack(kraus: KrausSet, correlated: bool = True) -> np.ndarray:
+    """Kraus operators on one receiver's qubit pair, stacked on axis 0:
+    K_i (x) K_i when correlated, K_i (x) K_j over all pairs otherwise. On
+    every receiver pair the stack is the channel of apply_channel."""
+    k = np.stack(kraus.operators)
+    return np.einsum("iab,icd->iacbd" if correlated else "iab,jcd->ijacbd",
+                     k, k).reshape(-1, 4, 4)
+
+
+def warn_trace_deficit(deficit: float) -> None:
+    """Warn when a channel output lost more than TRACE_DEFICIT_WARN of trace."""
+    if deficit > TRACE_DEFICIT_WARN:
+        # constant message, reported at the measuring function's caller: shown once
+        warnings.warn(
+            "the correlated channel ties one Kraus index to both qubits "
+            "of a receiver and is not trace preserving; the lost weight "
+            "is restored at post-measurement normalization",
+            TraceDeficitWarning, stacklevel=3)

@@ -1,9 +1,11 @@
-"""End-to-end noisy protocol runs: collapse, reduce, correct, score.
+"""End-to-end noisy protocol runs: contract, normalize, correct, score.
 
-One grid point is: evolve rho = |Psi><Psi| through the correlated channel,
-project with the scenario's measurement operator, renormalize, trace down
-to the receiver's two qubits, conjugate with the row's correction, and take
-F = Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) against rho0 = |xi><xi|.
+One grid point contracts |Psi> with the sender's bra, the per-party Kraus
+stack and the collaborators' bras into W (states.branch_amplitudes), then
+corrects rho = W^T W* / p, p = Tr W^T W* being the branch probability, and
+scores F = Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) against rho0 = |xi><xi|.
+The dense route (noise.apply_channel, protocol.build_measurement_operator,
+linalg.partial_trace) stays public as the reference the tests compare with.
 
 Bob's scenarios condition on a computational collaborator outcome whose
 probability vanishes identically at eta = 1 (every damping path annihilates
@@ -18,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_LAYOUT, QubitLayout, partial_trace, projector, psd_sqrt
-from .noise import NOISE_KINDS, NoiseScenario, apply_channel, kraus_set
-from .protocol import (CORRECTION_TABLES, CorrectionRule,
-                       build_measurement_operator, derive_receiver_table,
-                       scenario_for)
-from .states import TargetSpec, protocol_state, target_state
+from .linalg import projector, psd_sqrt
+from .noise import NOISE_KINDS, kraus_set, party_kraus_stack, warn_trace_deficit
+from .protocol import CORRECTION_TABLES, CorrectionRule, derive_receiver_table
+from .states import TargetSpec, branch_amplitudes, channel_trace, target_state
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
 EXTENSION_PROBABILITY = 1e-10
@@ -32,24 +32,6 @@ EIGENVALUE_FLOOR = 1e-13
 
 class BranchProbabilityError(ValueError):
     """Conditioning on an outcome whose probability is numerically zero."""
-
-
-def collapse_and_normalize(rho_noisy: np.ndarray, u: np.ndarray,
-                           label: str = "scenario") -> np.ndarray:
-    """U rho U^dag / Tr(U rho U^dag); rejects vanishing branch probability."""
-    collapsed = u @ rho_noisy @ u.conj().T
-    p = float(np.trace(collapsed).real)
-    if p <= BRANCH_PROBABILITY_FLOOR:
-        raise BranchProbabilityError(
-            f"{label}: branch probability {p:.3e} is below "
-            f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
-    return collapsed / p
-
-
-def reduce_to_receiver(rho_norm: np.ndarray, receiver: str,
-                       layout: QubitLayout = DEFAULT_LAYOUT) -> np.ndarray:
-    """Trace out everything but the receiver's pair."""
-    return partial_trace(rho_norm, layout.complement(receiver))
 
 
 def apply_correction(rho_recv: np.ndarray, correction) -> np.ndarray:
@@ -147,41 +129,29 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
     return tuple(round(i * step, 10) for i in range(n + 1))
 
 
-_NOISY_STATE_CACHE: dict[tuple[str, float, bool], np.ndarray] = {}
-
-
-def noisy_protocol_state(noise_kind: str, eta: float,
-                         correlated: bool = True) -> np.ndarray:
-    """Channel output for rho = |Psi><Psi|, cached: it is row independent."""
-    key = (noise_kind, float(eta), correlated)
-    if key not in _NOISY_STATE_CACHE:
-        scenario = NoiseScenario(kraus=kraus_set(noise_kind, eta),
-                                 correlated=correlated)
-        out = apply_channel(projector(protocol_state()), scenario)
-        out.setflags(write=False)
-        _NOISY_STATE_CACHE[key] = out
-    return _NOISY_STATE_CACHE[key]
+def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
+    """The receiver's normalized state on the config's branch at one eta,
+    before correction, and the branch probability."""
+    rule = config.rule()
+    kraus = party_kraus_stack(kraus_set(config.noise_kind, eta), config.correlated)
+    warn_trace_deficit(1.0 - channel_trace(kraus))
+    w = branch_amplitudes(config.receiver, rule.sender_outcome,
+                          rule.collaborator_outcomes, config.spec,
+                          kraus).reshape(-1, 4)
+    rho = w.T @ w.conj()
+    p = float(np.trace(rho).real)
+    if p <= BRANCH_PROBABILITY_FLOOR:
+        raise BranchProbabilityError(
+            f"{config.noise_kind} eta={eta:g} {config.receiver} table {config.table} "
+            f"row {config.row}: branch probability {p:.3e} is below "
+            f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
+    return rho / p, p
 
 
 def _evaluate(config: PipelineConfig, eta: float):
     """Run the full chain at one eta; returns (F, shortcut F, probability)."""
-    rho_noisy = noisy_protocol_state(config.noise_kind, eta, config.correlated)
-
-    rule = config.rule()
-    u = build_measurement_operator(
-        scenario_for(config.receiver, rule.sender_outcome,
-                     rule.collaborator_outcomes, config.spec))
-    label = (f"{config.noise_kind} eta={eta:g} {config.receiver} "
-             f"table {config.table} row {config.row}")
-    collapsed = u @ rho_noisy @ u.conj().T
-    p = float(np.trace(collapsed).real)
-    if p <= BRANCH_PROBABILITY_FLOOR:
-        raise BranchProbabilityError(
-            f"{label}: branch probability {p:.3e} is below "
-            f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
-    rho_norm = collapsed / p
-    rho_recv = reduce_to_receiver(rho_norm, config.receiver)
-    rho_n = apply_correction(rho_recv, rule)
+    rho_recv, p = receiver_state(config, eta)
+    rho_n = apply_correction(rho_recv, config.rule())
     rho0 = projector(target_state(config.spec))
     return fidelity(rho0, rho_n), pure_target_fidelity(config.spec, rho_n), p
 

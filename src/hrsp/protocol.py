@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import DEFAULT_LAYOUT, H, I2, X, Y, Z, kron, projector
-from .states import (TargetSpec, basis_ket, hadamard_ket, protocol_state,
-                     target_state, zeta_basis)
+from .states import (TargetSpec, branch_amplitudes, outcome_kets,
+                     target_state)
 
 FIDELITY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
@@ -242,23 +242,10 @@ def scenario_for(receiver: str, sender_outcome: str,
                  collaborator_outcomes: tuple[str, ...],
                  spec: TargetSpec) -> MeasurementScenario:
     """Scenario for one table row at the given target parameters."""
-    zb = zeta_basis(spec)
-    zvec = zb.zeta1 if sender_outcome == "zeta1" else zb.zeta2
+    zvec, kets = outcome_kets(receiver, sender_outcome, collaborator_outcomes,
+                              spec)
     zproj = projector(zvec / np.linalg.norm(zvec))
-    if receiver == "bob":
-        (shared,) = collaborator_outcomes
-        collab = {"charlie": projector(basis_ket(shared)),
-                  "david": projector(basis_ket(shared))}
-    elif receiver == "david":
-        b_label, c_label = collaborator_outcomes
-        collab = {"bob": projector(hadamard_ket(b_label)),
-                  "charlie": projector(hadamard_ket(c_label))}
-    elif receiver == "charlie":
-        b_label, d_label = collaborator_outcomes
-        collab = {"bob": projector(hadamard_ket(b_label)),
-                  "david": projector(hadamard_ket(d_label))}
-    else:
-        raise ValueError(f"unknown receiver {receiver!r}")
+    collab = {party: projector(ket) for party, ket in kets.items()}
     return MeasurementScenario(receiver=receiver, sender_projector=zproj,
                                collaborator_projectors=collab)
 
@@ -284,26 +271,9 @@ def build_measurement_operator(scenario: MeasurementScenario,
 def branch_vector(receiver: str, sender_outcome: str,
                   collaborator_outcomes: tuple[str, ...],
                   spec: TargetSpec):
-    """Receiver's collapsed (normalized) two-qubit state and its probability.
-
-    Pure-state shortcut of the full collapse pipeline at zero noise; the
-    density-matrix route must agree with it.
-    """
-    psi = protocol_state().reshape(2, 4, 4, 4)
-    zb = zeta_basis(spec)
-    zvec = zb.zeta1 if sender_outcome == "zeta1" else zb.zeta2
-    if receiver == "bob":
-        (shared,) = collaborator_outcomes
-        c = basis_ket(shared)
-        v = np.einsum("a,c,d,abcd->b", zvec.conj(), c.conj(), c.conj(), psi)
-    elif receiver == "david":
-        b, c = hadamard_ket(collaborator_outcomes[0]), hadamard_ket(collaborator_outcomes[1])
-        v = np.einsum("a,b,c,abcd->d", zvec.conj(), b.conj(), c.conj(), psi)
-    elif receiver == "charlie":
-        b, d = hadamard_ket(collaborator_outcomes[0]), hadamard_ket(collaborator_outcomes[1])
-        v = np.einsum("a,b,d,abcd->c", zvec.conj(), b.conj(), d.conj(), psi)
-    else:
-        raise ValueError(f"unknown receiver {receiver!r}")
+    """Receiver's collapsed (normalized) two-qubit state and its probability:
+    the noiseless case of states.branch_amplitudes."""
+    v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes, spec)
     prob = float(np.linalg.norm(v) ** 2)
     if prob < 1e-12:
         raise ValueError("outcome branch has vanishing probability")

@@ -122,6 +122,57 @@ def zeta_basis(spec: TargetSpec) -> ZetaBasis:
     return ZetaBasis(zeta1=z1, zeta2=z2)
 
 
+def outcome_kets(receiver: str, sender_outcome: str,
+                 collaborator_outcomes: tuple[str, ...], spec: TargetSpec):
+    """The sender's zeta vector and {collaborator: ket}, in qubit order: the
+    states one outcome projects the non-receiver parties onto."""
+    zb = zeta_basis(spec)
+    zvec = zb.zeta1 if sender_outcome == "zeta1" else zb.zeta2
+    if receiver == "bob":
+        (shared,) = collaborator_outcomes
+        return zvec, {"charlie": basis_ket(shared), "david": basis_ket(shared)}
+    if receiver not in ("charlie", "david"):
+        raise ValueError(f"unknown receiver {receiver!r}")
+    # the other two receivers, in qubit order, measured in the Hadamard basis
+    others = (p for p in ("bob", "charlie", "david") if p != receiver)
+    return zvec, dict(zip(others, map(hadamard_ket, collaborator_outcomes),
+                          strict=True))
+
+
+#: psi axis of the receiver, then of its collaborators in qubit order
+_AXES = {"bob": "bcd", "charlie": "cbd", "david": "dbc"}
+
+
+def branch_amplitudes(receiver: str, sender_outcome: str,
+                      collaborator_outcomes: tuple[str, ...], spec: TargetSpec,
+                      kraus: np.ndarray | None = None) -> np.ndarray:
+    """Unnormalized receiver amplitudes of one outcome, after the channel.
+
+    kraus[k] is a 4x4 operator on every receiver pair (noise.party_kraus_stack).
+    For collaborators projected onto |x>, |y> and receiver R, W[k_X, k_Y, k_R]
+    = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so the receiver's
+    state is rho = W^T W* (W flattened to (-1, 4)) and its trace is the branch
+    probability. Without kraus (no noise) W is one 4-vector.
+    """
+    zvec, collab = outcome_kets(receiver, sender_outcome, collaborator_outcomes, spec)
+    r, x, y = _AXES[receiver]
+    bx, by = (ket.conj() for ket in collab.values())
+    psi = protocol_state().reshape(2, 4, 4, 4)
+    if kraus is None:
+        return np.einsum(f"a,{x},{y},abcd->{r}", zvec.conj(), bx, by, psi)
+    fx, fy = (np.einsum("o,koi->ki", bra, kraus) for bra in (bx, by))
+    w = np.einsum(f"a,k{x},l{y},abcd->kl{r}", zvec.conj(), fx, fy, psi)
+    return np.einsum("klr,mRr->klmR", w, kraus)
+
+
+def channel_trace(kraus: np.ndarray) -> float:
+    """Trace of the channel output for |Psi><Psi| with the stack on every
+    receiver pair: <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k."""
+    m = np.einsum("kji,kjl->il", kraus.conj(), kraus)
+    psi = protocol_state().reshape(2, 64)
+    return float(np.vdot(psi, psi @ kron(m, m, m).T).real)
+
+
 # --------------------------------------------------------------------------
 # Published factorizations of the resource state, kept verbatim as data so
 # they can be reassembled and checked against protocol_state().
@@ -248,29 +299,24 @@ def _reassemble(variant: str, spec: TargetSpec) -> np.ndarray:
 
 def _line_reports(variant: str, spec: TargetSpec) -> tuple[LineReport, ...]:
     """Per-line diff between published content and the projected true branch."""
-    psi = protocol_state().reshape(2, 4, 4, 4)
-    zb = zeta_basis(spec)
+    expansion, scale, basis = {
+        "bob": (BOB_EXPANSION, 2 * np.sqrt(2), "computational"),
+        "david": (DAVID_EXPANSION, 4 * np.sqrt(2), "hadamard")}[variant]
     reports = []
-    for outcome, zvec in (("zeta1", zb.zeta1), ("zeta2", zb.zeta2)):
-        for i, line in enumerate(BOB_EXPANSION[outcome] if variant == "bob"
-                                 else DAVID_EXPANSION[outcome], start=1):
+    for outcome in ("zeta1", "zeta2"):
+        for i, line in enumerate(expansion[outcome], start=1):
             if variant == "bob":
-                sign, bparts, cl, dl = line
-                cvec, dvec = basis_ket(cl), basis_ket(dl)
-                true = np.einsum("a,c,d,abcd->b", zvec.conj(), cvec.conj(),
-                                 dvec.conj(), psi) * 2 * np.sqrt(2)
-                published = sign * _combo(bparts, spec, "computational")
-                labels = (cl, dl)
+                # every published line gives Charlie and David one label
+                sign, parts, *labels = line
+                outcomes = labels[:1]
             else:
-                sign, bl, cl, dparts = line
-                bvec, cvec = hadamard_ket(bl), hadamard_ket(cl)
-                true = np.einsum("a,b,c,abcd->d", zvec.conj(), bvec.conj(),
-                                 cvec.conj(), psi) * 4 * np.sqrt(2)
-                published = sign * _combo(dparts, spec, "hadamard")
-                labels = (bl, cl)
+                sign, *labels, parts = line
+                outcomes = labels
+            true = branch_amplitudes(variant, outcome, tuple(outcomes), spec)
+            published = sign * _combo(parts, spec, basis)
             reports.append(LineReport(
-                sender_outcome=outcome, line_index=i, outcome_labels=labels,
-                max_diff=float(np.max(np.abs(true - published)))))
+                sender_outcome=outcome, line_index=i, outcome_labels=tuple(labels),
+                max_diff=float(np.max(np.abs(true * scale - published)))))
     return tuple(reports)
 
 

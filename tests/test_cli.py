@@ -1,6 +1,9 @@
+import warnings
+
 import pytest
 
 from hrsp.cli import main
+from hrsp.noise import TraceDeficitWarning
 
 
 def run_cli(argv, capsys):
@@ -55,7 +58,17 @@ class TestSweep:
         assert len(lines) == 12
         assert lines[1] == "ad,bob,I,1,0,1.000000"
         assert lines[10] == "ad,bob,I,1,0.9,0.887401"
+        assert lines[11] == "ad,bob,I,1,1,0.714142"
         assert "continuous extension" in out
+        assert "evaluated at eta=0.9999]" in out
+
+    def test_pd_bob_boundary_extension(self, tmp_path, capsys):
+        out_path = tmp_path / "pd_bob.csv"
+        code, out, _ = run_cli(["sweep", "--noise", "pd", "--out",
+                                str(out_path)], capsys)
+        assert code == 0
+        assert out_path.read_text().splitlines()[11] == "pd,bob,I,1,1,0.707179"
+        assert "evaluated at eta=0.99]" in out
 
     def test_pd_david_last_value(self, tmp_path, capsys):
         out_path = tmp_path / "pd_david.csv"
@@ -106,3 +119,13 @@ class TestSweep:
                                 str(tmp_path / "u.csv")], capsys)
         assert code == 0
         assert "uncorrelated baseline" in out
+
+    def test_correlated_sweep_warns_trace_deficit(self, tmp_path):
+        with pytest.warns(TraceDeficitWarning):
+            main(["sweep", "--step", "0.5", "--out", str(tmp_path / "c.csv")])
+
+    def test_uncorrelated_sweep_does_not_warn(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TraceDeficitWarning)
+            assert main(["sweep", "--step", "0.5", "--uncorrelated-noise",
+                         "--out", str(tmp_path / "u.csv")]) == 0

@@ -1,75 +1,114 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hrsp.linalg import partial_trace, projector
-from hrsp.noise import NoiseScenario, amplitude_damping, apply_channel
-from hrsp.pipeline import (BranchProbabilityError, PipelineConfig,
-                           apply_correction, collapse_and_normalize,
-                           default_config, default_grid, fidelity,
-                           noisy_protocol_state, pure_target_fidelity,
-                           reduce_to_receiver, run_eta, sweep)
-from hrsp.protocol import (CORRECTION_TABLES, build_measurement_operator,
-                           scenario_for)
-from hrsp.states import TargetSpec, protocol_state, target_state
+from hrsp.linalg import DEFAULT_LAYOUT, partial_trace, projector
+from hrsp.noise import (NoiseScenario, amplitude_damping, apply_channel,
+                        kraus_set, party_kraus_stack)
+from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, BranchProbabilityError,
+                           PipelineConfig, apply_correction, default_config,
+                           default_grid, fidelity, pure_target_fidelity,
+                           receiver_state, run_eta, sweep)
+from hrsp.protocol import (CORRECTION_TABLES, TABLE_RECEIVER,
+                           build_measurement_operator, scenario_for)
+from hrsp.states import (TargetSpec, branch_amplitudes, protocol_state,
+                         target_state)
 
 from reference_data import CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
+#: (table, row, receiver) of every published row and Charlie's derived rows
+ALL_ROWS = ([(t, r, TABLE_RECEIVER[t]) for t in ("I", "II", "III")
+             for r in range(1, len(CORRECTION_TABLES[t]) + 1)]
+            + [("oracle", r, "charlie") for r in range(1, 33)])
 
-def row1_operator(spec=BALANCED):
-    return build_measurement_operator(scenario_for("bob", "zeta1", ("01",), spec))
+
+def row1_config():
+    return PipelineConfig("ad", "bob", "I", 1, BALANCED, (0.0,))
+
+
+@lru_cache(maxsize=8)
+def dense_channel(noise, eta, correlated):
+    return apply_channel(projector(protocol_state()),
+                         NoiseScenario(kraus=kraus_set(noise, eta),
+                                       correlated=correlated))
+
+
+def dense_receiver_state(config, rho):
+    """Reference chain: partial_trace(U rho U^dag) onto the receiver, not
+    normalized, with U the row's 128x128 measurement operator."""
+    rule = config.rule()
+    u = build_measurement_operator(
+        scenario_for(config.receiver, rule.sender_outcome,
+                     rule.collaborator_outcomes, config.spec))
+    return partial_trace(u @ rho @ u.conj().T,
+                         DEFAULT_LAYOUT.complement(config.receiver))
+
+
+def assert_matches_dense_chain(config, eta):
+    want = dense_receiver_state(
+        config, dense_channel(config.noise_kind, eta, config.correlated))
+    p_want = float(np.trace(want).real)
+    if p_want <= BRANCH_PROBABILITY_FLOOR:
+        with pytest.raises(BranchProbabilityError, match="branch probability"):
+            receiver_state(config, eta)
+        return
+    rho, p = receiver_state(config, eta)
+    assert abs(p - p_want) < 1e-12
+    # compared before normalization, where both routes are well conditioned
+    assert np.max(np.abs(rho * p - want)) < 1e-12
 
 
 class TestCollapse:
-    def test_identity_projector_normalizes(self):
-        rho = 0.3 * projector(protocol_state())
-        got = collapse_and_normalize(rho, np.eye(128, dtype=complex))
-        assert np.isclose(np.trace(got).real, 1.0, atol=1e-12)
-        assert np.max(np.abs(got - rho / 0.3)) < 1e-12
-
     def test_noiseless_branch_is_pure(self):
-        rho = projector(protocol_state())
-        got = collapse_and_normalize(rho, row1_operator())
-        assert np.isclose(np.trace(got @ got).real, 1.0, atol=1e-10)
+        rho, _ = receiver_state(row1_config(), 0.0)
+        assert np.isclose(np.trace(rho @ rho).real, 1.0, atol=1e-10)
 
     def test_full_damping_branch_rejected_with_diagnostic(self):
-        rho_noisy = apply_channel(projector(protocol_state()),
-                                  NoiseScenario(kraus=amplitude_damping(1.0)))
         with pytest.raises(BranchProbabilityError, match="branch probability"):
-            collapse_and_normalize(rho_noisy, row1_operator(), label="ad eta=1")
+            receiver_state(row1_config(), 1.0)
 
     def test_full_damping_branch_probability_matches_oracle(self):
         # direct evaluation: at eta=1 the channel leaves only |1000000>,
         # which the collaborator projector annihilates
         rho_noisy = apply_channel(projector(protocol_state()),
                                   NoiseScenario(kraus=amplitude_damping(1.0)))
-        u = row1_operator()
+        u = build_measurement_operator(
+            scenario_for("bob", "zeta1", ("01",), BALANCED))
         p = float(np.trace(u @ rho_noisy @ u.conj().T).real)
         assert abs(p) < 1e-15
+        w = branch_amplitudes("bob", "zeta1", ("01",), BALANCED,
+                              party_kraus_stack(amplitude_damping(1.0)))
+        assert np.vdot(w, w).real < 1e-15
 
 
 class TestReduce:
     def test_bob_traces_the_complement(self):
-        rho = collapse_and_normalize(projector(protocol_state()),
-                                     row1_operator())
-        got = reduce_to_receiver(rho, "bob")
-        want = partial_trace(rho, [0, 3, 4, 5, 6])
-        assert np.max(np.abs(got - want)) < 1e-14
+        got, _ = receiver_state(row1_config(), 0.0)
+        rho = projector(protocol_state())
+        u = build_measurement_operator(
+            scenario_for("bob", "zeta1", ("01",), BALANCED))
+        want = partial_trace(u @ rho @ u.conj().T, [0, 3, 4, 5, 6])
+        assert np.max(np.abs(got - want / np.trace(want).real)) < 1e-14
         assert got.shape == (4, 4)
         assert np.isclose(np.trace(got).real, 1.0, atol=1e-12)
 
     def test_david_traces_the_complement(self):
+        config = PipelineConfig("pd", "david", "II", 1, BALANCED, (0.0,))
+        got, _ = receiver_state(config, 0.0)
         rho = projector(protocol_state())
-        got = reduce_to_receiver(rho, "david")
-        want = partial_trace(rho, [0, 1, 2, 3, 4])
-        assert np.max(np.abs(got - want)) < 1e-14
+        u = build_measurement_operator(
+            scenario_for("david", "zeta1", ("++", "++"), BALANCED))
+        want = partial_trace(u @ rho @ u.conj().T, [0, 1, 2, 3, 4])
+        assert np.max(np.abs(got - want / np.trace(want).real)) < 1e-14
 
     def test_noiseless_reduction_is_rotated_target(self):
         # inverting the correction on the reduced state recovers the branch
-        rho = collapse_and_normalize(projector(protocol_state()),
-                                     row1_operator())
-        reduced = reduce_to_receiver(rho, "bob")
+        reduced, _ = receiver_state(row1_config(), 0.0)
         o = CORRECTION_TABLES["I"][0].unitary()
         rho0 = projector(target_state(BALANCED))
         assert np.max(np.abs(reduced - o.conj().T @ rho0 @ o)) < 1e-10
@@ -82,23 +121,60 @@ class TestCorrectionStage:
 
     def test_noiseless_rows_recover_target(self):
         rho0 = projector(target_state(BALANCED))
-        for rule in CORRECTION_TABLES["I"]:
-            u = build_measurement_operator(
-                scenario_for("bob", rule.sender_outcome,
-                             rule.collaborator_outcomes, BALANCED))
-            rho = collapse_and_normalize(projector(protocol_state()), u)
-            got = apply_correction(reduce_to_receiver(rho, "bob"), rule)
+        for row, rule in enumerate(CORRECTION_TABLES["I"], start=1):
+            config = PipelineConfig("ad", "bob", "I", row, BALANCED, (0.0,))
+            rho, _ = receiver_state(config, 0.0)
+            got = apply_correction(rho, rule)
             assert np.max(np.abs(got - rho0)) < 1e-10
 
     def test_phase_related_rules_agree(self):
         from hrsp.protocol import parse_gate_string, correction_unitary
-        rho = reduce_to_receiver(
-            collapse_and_normalize(projector(protocol_state()),
-                                   row1_operator()), "bob")
+        rho, _ = receiver_state(row1_config(), 0.0)
         a = correction_unitary(parse_gate_string("iY1 X1 CX2-1"))
         b = correction_unitary(parse_gate_string("-iY1 X1 CX2-1"))
         assert np.max(np.abs(apply_correction(rho, a)
                              - apply_correction(rho, b))) < 1e-14
+
+
+#: real targets on the whole unit circle, the axes included
+TARGETS = st.one_of(
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]),
+    st.floats(0.0, 2 * np.pi).map(lambda t: (np.cos(t), np.sin(t))))
+ETAS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestKernelOracle:
+    """The contraction against the dense 128x128 chain, which shares no
+    code with it beyond the outcome states."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(row=st.sampled_from(ALL_ROWS), noise=st.sampled_from(["ad", "pd"]),
+           eta=ETAS, target=TARGETS)
+    @example(row=("I", 1, "bob"), noise="ad", eta=1.0, target=(0.0, 1.0))
+    @example(row=("II", 5, "david"), noise="pd", eta=0.0, target=(1.0, 0.0))
+    def test_correlated_matches_dense_chain(self, row, noise, eta, target):
+        table, number, receiver = row
+        config = PipelineConfig(noise, receiver, table, number,
+                                TargetSpec(*target), (eta,))
+        assert_matches_dense_chain(config, eta)
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(row=st.sampled_from(ALL_ROWS), noise=st.sampled_from(["ad", "pd"]),
+           eta=ETAS, target=TARGETS)
+    def test_uncorrelated_matches_dense_chain(self, row, noise, eta, target):
+        table, number, receiver = row
+        config = PipelineConfig(noise, receiver, table, number,
+                                TargetSpec(*target), (eta,), correlated=False)
+        assert_matches_dense_chain(config, eta)
+
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    def test_noise_acts_alike_on_every_row(self, noise):
+        # one dense channel output serves all 72 rows: the noise does not
+        # depend on which branch is read out afterwards
+        for table, row, receiver in ALL_ROWS:
+            config = PipelineConfig(noise, receiver, table, row,
+                                    TargetSpec(0.6, 0.8), (0.6,))
+            assert_matches_dense_chain(config, 0.6)
 
 
 class TestFidelity:
@@ -158,11 +234,6 @@ class TestSweep:
         david = run_eta(default_config("ad", "david"), 0.0)
         assert np.isclose(bob.branch_probability, 1 / 8, atol=1e-12)
         assert np.isclose(david.branch_probability, 1 / 32, atol=1e-12)
-
-    def test_noisy_state_cache_row_invariance(self):
-        a = noisy_protocol_state("pd", 0.3)
-        b = noisy_protocol_state("pd", 0.3)
-        assert a is b
 
     def test_uncorrelated_baseline_differs(self):
         sample = run_eta(default_config("ad", "bob", correlated=False), 0.9)
