@@ -4,10 +4,9 @@ amplitude- and phase-damping noise."""
 
 __version__ = "0.1.0"
 
-from .linalg import (DEFAULT_LAYOUT, QubitLayout, dagger, kron, partial_trace,
-                     projector, psd_sqrt)
-from .noise import (KrausSet, NoiseScenario, amplitude_damping, apply_channel,
-                    kraus_set, party_kraus_stack, phase_damping)
+from .linalg import PARTY_QUBITS, kron, partial_trace, projector, psd_sqrt
+from .noise import (KrausSet, amplitude_damping, apply_channel, kraus_set,
+                    party_kraus_stack, phase_damping)
 from .pipeline import (BranchProbabilityError, FidelitySample, PipelineConfig,
                        SweepResult, apply_correction, default_config,
                        default_grid, fidelity, pure_target_fidelity,

@@ -51,7 +51,7 @@ def _cmd_verify_factorization(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
-    print(format_table_report(include_charlie=True))
+    print(format_table_report())
     table_one = verify_table("I")
     bad = [rv for rv in table_one if rv.verdict == "mismatch"]
     if bad:

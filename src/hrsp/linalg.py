@@ -7,8 +7,6 @@ significant bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
@@ -31,10 +29,6 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def projector(v: np.ndarray) -> np.ndarray:
     """|v><v| for a 1-D state vector."""
     v = np.asarray(v, dtype=complex)
@@ -53,40 +47,12 @@ def num_qubits_of(dim: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class QubitLayout:
-    """Assignment of qubit indices to parties.
-
-    The assignment must be a partition of range(total_qubits): every index
-    appears in exactly one party's tuple.
-    """
-
-    total_qubits: int
-    parties: dict[str, tuple[int, ...]] = field(hash=False)
-
-    def __post_init__(self):
-        seen = sorted(q for qs in self.parties.values() for q in qs)
-        if seen != list(range(self.total_qubits)):
-            raise ValueError(
-                f"party assignment {self.parties} is not a partition of "
-                f"0..{self.total_qubits - 1}")
-
-    def qubits_of(self, party: str) -> tuple[int, ...]:
-        return self.parties[party]
-
-    def complement(self, party: str) -> tuple[int, ...]:
-        keep = set(self.parties[party])
-        return tuple(q for q in range(self.total_qubits) if q not in keep)
+#: qubits of each party, in qubit order: Alice keeps qubit 0; pairs (1,2),
+#: (3,4), (5,6) travel to Bob, Charlie, David.
+PARTY_QUBITS = {"alice": (0,), "bob": (1, 2), "charlie": (3, 4), "david": (5, 6)}
 
 
-#: Alice keeps qubit 0; pairs (1,2), (3,4), (5,6) travel to Bob, Charlie, David.
-DEFAULT_LAYOUT = QubitLayout(
-    total_qubits=7,
-    parties={"alice": (0,), "bob": (1, 2), "charlie": (3, 4), "david": (5, 6)},
-)
-
-
-def partial_trace(rho: np.ndarray, traced_qubits, num_qubits: int | None = None) -> np.ndarray:
+def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
     """Trace out the given qubits of a multi-qubit density matrix.
 
     The remaining qubits keep their relative order. Implemented by index
@@ -97,9 +63,6 @@ def partial_trace(rho: np.ndarray, traced_qubits, num_qubits: int | None = None)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     n = num_qubits_of(rho.shape[0])
-    if num_qubits is not None and num_qubits != n:
-        raise ValueError(
-            f"matrix of dimension {rho.shape[0]} does not hold {num_qubits} qubits")
     traced = sorted(set(traced_qubits))
     if traced and (traced[0] < 0 or traced[-1] >= n):
         raise ValueError(f"traced qubits {traced} out of range for {n} qubits")
@@ -113,27 +76,22 @@ def partial_trace(rho: np.ndarray, traced_qubits, num_qubits: int | None = None)
     return np.einsum("abcb->ac", t)
 
 
-def hermitian_eigensystem(h: np.ndarray, tol: float = HERMITICITY_TOL):
+def hermitian_eigensystem(h: np.ndarray):
     """Eigenvalues and eigenvectors of a Hermitian matrix, validated first."""
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigh((h + h.conj().T) / 2)
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    w, _ = hermitian_eigensystem(h)
-    return float(w[0])
-
-
-def psd_sqrt(h: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root S of h with S @ S == h.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is
-    rejected as non-PSD.
+    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything below
+    -PSD_TOL is rejected as non-PSD.
     """
     w, v = hermitian_eigensystem(h)
-    if w[0] < -tol:
+    if w[0] < -PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T

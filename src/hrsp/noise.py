@@ -13,15 +13,13 @@ model and does not reproduce the reference fidelity curves.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_LAYOUT, I2, QubitLayout, kron
+from .linalg import I2, PARTY_QUBITS, kron
 
-COMPLETENESS_TOL = 1e-12
 TRACE_DEFICIT_WARN = 1e-9
 
 NOISE_KINDS = ("ad", "pd")
@@ -77,49 +75,31 @@ def kraus_set(kind: str, eta: float) -> KrausSet:
     raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseScenario:
-    """Which Kraus set hits which parties, and how indices are tied."""
+def apply_channel(rho: np.ndarray, kraus: KrausSet,
+                  correlated: bool = True) -> np.ndarray:
+    """Evolve a seven-qubit rho under the noise on every receiver qubit.
 
-    kraus: KrausSet
-    layout: QubitLayout = DEFAULT_LAYOUT
-    noisy_parties: tuple[str, ...] = ("bob", "charlie", "david")
-    correlated: bool = True
-
-    def __post_init__(self):
-        if "alice" in self.noisy_parties:
-            raise ValueError("the sender's retained qubit is never noisy")
-
-
-def apply_channel(rho: np.ndarray, scenario: NoiseScenario) -> np.ndarray:
-    """Evolve rho under the scenario's noise.
-
-    Correlated mode: one Kraus index per noisy party, applied to both of its
-    qubits. Uncorrelated mode: an independent index on every noisy qubit
-    (an ordinary product channel, trace preserving).
+    Correlated mode: one Kraus index per receiver, applied to both of its
+    qubits. Uncorrelated mode: an independent index on every receiver qubit
+    (an ordinary product channel, trace preserving). Either channel is a
+    product over slots (a receiver pair, or one receiver qubit), so each
+    slot's Kraus sum is applied in turn as dense 128x128 terms.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = 2 ** scenario.layout.total_qubits
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} density matrix, got {rho.shape}")
+    n = sum(map(len, PARTY_QUBITS.values()))
+    if rho.shape != (2 ** n, 2 ** n):
+        raise ValueError(f"expected a {2 ** n}x{2 ** n} density matrix, "
+                         f"got {rho.shape}")
 
-    ops = scenario.kraus.operators
-    if scenario.correlated:
-        slots = [scenario.layout.qubits_of(p) for p in scenario.noisy_parties]
-    else:
-        slots = [(q,) for p in scenario.noisy_parties
-                 for q in scenario.layout.qubits_of(p)]
+    pairs = [qs for party, qs in PARTY_QUBITS.items() if party != "alice"]
+    slots = pairs if correlated else [(q,) for qs in pairs for q in qs]
+    out = rho
+    for slot in slots:
+        terms = [kron(*(k if q in slot else I2 for q in range(n)))
+                 for k in kraus.operators]
+        out = sum(a @ out @ a.conj().T for a in terms)
 
-    out = np.zeros_like(rho)
-    for assignment in itertools.product(range(len(ops)), repeat=len(slots)):
-        factors = [I2] * scenario.layout.total_qubits
-        for slot, idx in zip(slots, assignment):
-            for q in slot:
-                factors[q] = ops[idx]
-        a = kron(*factors)
-        out += a @ rho @ a.conj().T
-
-    if scenario.correlated:
+    if correlated:
         warn_trace_deficit(float(np.trace(rho).real - np.trace(out).real))
     return out
 

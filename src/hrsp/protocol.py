@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DEFAULT_LAYOUT, H, I2, X, Y, Z, kron, projector
+from .linalg import PARTY_QUBITS, H, I2, X, Y, Z, kron, projector
 from .states import (TargetSpec, branch_amplitudes, outcome_kets,
                      target_state)
 
@@ -250,12 +250,10 @@ def scenario_for(receiver: str, sender_outcome: str,
                                collaborator_projectors=collab)
 
 
-def build_measurement_operator(scenario: MeasurementScenario,
-                               layout=DEFAULT_LAYOUT) -> np.ndarray:
+def build_measurement_operator(scenario: MeasurementScenario) -> np.ndarray:
     """Assemble U as the qubit-ordered tensor product of party blocks."""
     blocks = []
-    ordered = sorted(layout.parties.items(), key=lambda kv: min(kv[1]))
-    for party, qubits in ordered:
+    for party, qubits in PARTY_QUBITS.items():
         if party == "alice":
             blocks.append(scenario.sender_projector)
         elif party == scenario.receiver:
@@ -302,8 +300,7 @@ class OracleSearchError(RuntimeError):
 
 
 def oracle_find_correction(receiver: str, sender_outcome: str,
-                           collaborator_outcomes: tuple[str, ...],
-                           max_depth: int = ORACLE_MAX_DEPTH) -> CorrectionRule:
+                           collaborator_outcomes: tuple[str, ...]) -> CorrectionRule:
     """Exhaustively derive the correction for one outcome.
 
     Enumerates token sequences in order of length, lexicographic by the
@@ -319,7 +316,7 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
 
     n = len(_ORACLE_MATRICES)
     vectors = [b[None, :] for b, _ in pairs]
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, ORACLE_MAX_DEPTH + 1):
         # row i*n + j extends sequence i with vocabulary token j, so row
         # order stays lexicographic with the first-applied token outermost
         vectors = [np.stack([v @ m.T for m in _ORACLE_MATRICES], axis=1)
@@ -338,7 +335,7 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
                                   collaborator_outcomes=collaborator_outcomes,
                                   gates=gates, source="oracle")
     raise OracleSearchError(
-        f"no correction up to depth {max_depth} for {receiver} "
+        f"no correction up to depth {ORACLE_MAX_DEPTH} for {receiver} "
         f"{sender_outcome} {collaborator_outcomes}")
 
 
@@ -448,21 +445,20 @@ def derive_receiver_table(receiver: str = "charlie") -> tuple[CorrectionRule, ..
     return tuple(rules)
 
 
-def format_table_report(include_charlie: bool = True) -> str:
-    """Structured text report: one line per table row, plus derived rows."""
+def format_table_report() -> str:
+    """Structured text report: one line per table row, plus Charlie's
+    derived rows."""
     lines = [" table row  sender collab  published rule            "
              "noiseless fidelity          oracle rule            distance verdict"]
     for table_id in ("I", "II", "III"):
         for rv in verify_table(table_id):
             lines.append(rv.line())
-    if include_charlie:
-        lines.append("derived correction table for receiver charlie "
-                     "(oracle, 16 rows per sender outcome):")
-        for rule in derive_receiver_table("charlie"):
-            fids = tuple(noiseless_fidelity(rule, spec)
-                         for spec in ORACLE_POINTS)
-            lines.append(
-                f"oracle      {rule.sender_outcome:5s} "
-                f"{'|'.join(rule.collaborator_outcomes):7s} "
-                f"{rule.gate_string:26s} F=({fids[0]:.6f},{fids[1]:.6f})")
+    lines.append("derived correction table for receiver charlie "
+                 "(oracle, 16 rows per sender outcome):")
+    for rule in derive_receiver_table("charlie"):
+        fids = tuple(noiseless_fidelity(rule, spec) for spec in ORACLE_POINTS)
+        lines.append(
+            f"oracle      {rule.sender_outcome:5s} "
+            f"{'|'.join(rule.collaborator_outcomes):7s} "
+            f"{rule.gate_string:26s} F=({fids[0]:.6f},{fids[1]:.6f})")
     return "\n".join(lines)

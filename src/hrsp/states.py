@@ -43,9 +43,16 @@ def basis_ket(bits: str) -> np.ndarray:
     return v
 
 
+_SIGN_KETS = {"+": PLUS, "-": MINUS}
+_HADAMARD_KETS = {a + b: kron(_SIGN_KETS[a], _SIGN_KETS[b])
+                  for a in "+-" for b in "+-"}
+for _ket in _HADAMARD_KETS.values():
+    _ket.setflags(write=False)
+
+
 def hadamard_ket(labels: str) -> np.ndarray:
-    """Tensor product of |+>/|-> factors, e.g. '+-' -> |+>(x)|->."""
-    return kron(*[PLUS if c == "+" else MINUS for c in labels])
+    """Two-qubit |+>/|-> product, e.g. '+-' -> |+>(x)|-> (read-only)."""
+    return _HADAMARD_KETS[labels]
 
 
 def brown_state() -> np.ndarray:
@@ -87,18 +94,23 @@ def protocol_state() -> np.ndarray:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Amplitudes of the two-qubit target alpha|00> + beta|11>.
+    """Real amplitudes of the two-qubit target alpha|00> + beta|11>.
 
-    Complex amplitudes are accepted but the sender's measurement basis is
-    orthonormal only for real values; the CLI and the verified tables use
-    real parameters.
+    Complex amplitudes are rejected: the sender's measurement basis is
+    orthonormal only for real values.
     """
 
-    alpha: complex
-    beta: complex
+    alpha: float
+    beta: float
 
     def __post_init__(self):
-        n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        for name in ("alpha", "beta"):
+            value = complex(getattr(self, name))
+            if value.imag != 0.0:
+                raise ValueError(f"{name} = {value} is not real; the sender's "
+                                 "measurement basis needs real amplitudes")
+            object.__setattr__(self, name, value.real)
+        n = self.alpha ** 2 + self.beta ** 2
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {n:.12f}, expected 1")
 

@@ -6,7 +6,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 import numpy as np
 import pytest
 
-from hrsp.noise import NoiseScenario, apply_channel, kraus_set
+from hrsp.noise import apply_channel, kraus_set
 from hrsp.pipeline import PipelineConfig, default_config, run_eta, sweep
 from hrsp.protocol import (CORRECTION_TABLES, CorrectionRule, TABLE_RECEIVER,
                            derive_receiver_table, noiseless_fidelity,
@@ -182,15 +182,13 @@ def test_criterion_7_channel_contracts():
     psd_ok = True
     for kind in ("ad", "pd"):
         for eta in (0.3, 1.0):
-            out = apply_channel(rho_rand,
-                                NoiseScenario(kraus=kraus_set(kind, eta)))
+            out = apply_channel(rho_rand, kraus_set(kind, eta))
             psd_ok &= np.max(np.abs(out - out.conj().T)) < 1e-12
             psd_ok &= np.linalg.eigvalsh(out)[0] > -1e-10
 
     rho = np.outer(protocol_state(), protocol_state().conj())
     identity_ok = all(
-        np.max(np.abs(apply_channel(
-            rho, NoiseScenario(kraus=kraus_set(kind, 0.0))) - rho)) < 1e-14
+        np.max(np.abs(apply_channel(rho, kraus_set(kind, 0.0)) - rho)) < 1e-14
         for kind in ("ad", "pd"))
     ok = grid_ok and psd_ok and identity_ok
     assert report(7, "Kraus completeness on the 11-point grid, channel "

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hrsp.linalg import (DEFAULT_LAYOUT, I2, QubitLayout, X, is_hermitian,
-                         kron, partial_trace, projector, psd_sqrt)
+from hrsp.linalg import (I2, PARTY_QUBITS, X, is_hermitian, kron,
+                         partial_trace, projector, psd_sqrt)
 from hrsp.states import basis_ket, protocol_state
 
 
@@ -166,12 +166,7 @@ class TestPsdSqrt:
 
 class TestQubitLayout:
     def test_default_partition(self):
-        assert DEFAULT_LAYOUT.qubits_of("alice") == (0,)
-        assert DEFAULT_LAYOUT.qubits_of("david") == (5, 6)
-        assert DEFAULT_LAYOUT.complement("bob") == (0, 3, 4, 5, 6)
-
-    def test_rejects_non_partition(self):
-        with pytest.raises(ValueError):
-            QubitLayout(total_qubits=3, parties={"a": (0,), "b": (0, 1)})
-        with pytest.raises(ValueError):
-            QubitLayout(total_qubits=3, parties={"a": (0,), "b": (1,)})
+        assert PARTY_QUBITS["alice"] == (0,)
+        assert PARTY_QUBITS["david"] == (5, 6)
+        others = [PARTY_QUBITS[p] for p in PARTY_QUBITS if p != "bob"]
+        assert tuple(q for qs in others for q in qs) == (0, 3, 4, 5, 6)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import I2, kron, projector
-from hrsp.noise import (NoiseScenario, TraceDeficitWarning, amplitude_damping,
-                        apply_channel, kraus_set, phase_damping)
+from hrsp.noise import (TraceDeficitWarning, amplitude_damping, apply_channel,
+                        kraus_set, phase_damping)
 from hrsp.states import protocol_state
 
 ETA_GRID = [round(0.1 * i, 10) for i in range(11)]
@@ -15,13 +15,23 @@ def protocol_rho():
     return projector(protocol_state())
 
 
-def brute_force_correlated(rho, ops):
-    """Independent oracle: explicit sum over the three receiver indices."""
+def brute_force_channel(rho, ops, correlated=True):
+    """Independent oracle: explicit sum over the six receiver-qubit indices,
+    both qubits of a receiver sharing one index when correlated."""
     out = np.zeros_like(rho)
-    for i, j, l in itertools.product(range(len(ops)), repeat=3):
-        a = kron(I2, ops[i], ops[i], ops[j], ops[j], ops[l], ops[l])
+    for idx in itertools.product(range(len(ops)), repeat=6):
+        if correlated and idx[0::2] != idx[1::2]:
+            continue
+        a = kron(I2, *(ops[i] for i in idx))
         out += a @ rho @ a.conj().T
     return out
+
+
+def random_mixed_state(seed, rank):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((128, rank)) + 1j * rng.standard_normal((128, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
 
 
 class TestKrausSets:
@@ -72,25 +82,25 @@ class TestCorrelatedChannel:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     def test_eta_zero_is_identity(self, kind):
         rho = protocol_rho()
-        out = apply_channel(rho, NoiseScenario(kraus=kraus_set(kind, 0.0)))
+        out = apply_channel(rho, kraus_set(kind, 0.0))
         assert np.max(np.abs(out - rho)) < 1e-14
 
     def test_ad_eta_one_trace_matches_oracle(self):
         rho = protocol_rho()
-        out = apply_channel(rho, NoiseScenario(kraus=amplitude_damping(1.0)))
-        want = brute_force_correlated(rho, amplitude_damping(1.0).operators)
+        out = apply_channel(rho, amplitude_damping(1.0))
+        want = brute_force_channel(rho, amplitude_damping(1.0).operators)
         assert np.max(np.abs(out - want)) < 1e-12
         assert np.isclose(np.trace(out).real, 0.25)
 
     def test_pd_channel_matches_oracle(self):
         rho = protocol_rho()
         ops = phase_damping(0.4).operators
-        out = apply_channel(rho, NoiseScenario(kraus=phase_damping(0.4)))
-        assert np.max(np.abs(out - brute_force_correlated(rho, ops))) < 1e-12
+        out = apply_channel(rho, phase_damping(0.4))
+        assert np.max(np.abs(out - brute_force_channel(rho, ops))) < 1e-12
 
     def test_pd_only_shrinks_coherences(self):
         rho = protocol_rho()
-        out = apply_channel(rho, NoiseScenario(kraus=phase_damping(0.5)))
+        out = apply_channel(rho, phase_damping(0.5))
         off = ~np.eye(128, dtype=bool)
         assert np.all(np.abs(out[off]) <= np.abs(rho[off]) + 1e-12)
 
@@ -99,19 +109,15 @@ class TestCorrelatedChannel:
         off = ~np.eye(128, dtype=bool)
         prev = np.abs(rho[off])
         for eta in ETA_GRID[1:]:
-            cur = np.abs(apply_channel(
-                rho, NoiseScenario(kraus=phase_damping(eta)))[off])
+            cur = np.abs(apply_channel(rho, phase_damping(eta))[off])
             assert np.all(cur <= prev + 1e-12)
             prev = cur
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     def test_output_hermitian_psd_trace_in_unit_interval(self, kind):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((128, 6)) + 1j * rng.standard_normal((128, 6))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho)
+        rho = random_mixed_state(5, rank=6)
         for eta in (0.0, 0.3, 0.7, 1.0):
-            out = apply_channel(rho, NoiseScenario(kraus=kraus_set(kind, eta)))
+            out = apply_channel(rho, kraus_set(kind, eta))
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(out)[0] > -1e-10
             tr = np.trace(out).real
@@ -119,21 +125,29 @@ class TestCorrelatedChannel:
 
     def test_trace_deficit_warns_once_category(self):
         with pytest.warns(TraceDeficitWarning):
-            apply_channel(protocol_rho(),
-                          NoiseScenario(kraus=amplitude_damping(0.5)))
+            apply_channel(protocol_rho(), amplitude_damping(0.5))
 
     def test_uncorrelated_mode_is_trace_preserving(self):
         rho = protocol_rho()
-        out = apply_channel(rho, NoiseScenario(kraus=amplitude_damping(0.7),
-                                               correlated=False))
+        out = apply_channel(rho, amplitude_damping(0.7), correlated=False)
         assert np.isclose(np.trace(out).real, 1.0, atol=1e-12)
 
-    def test_alice_never_noisy(self):
-        with pytest.raises(ValueError):
-            NoiseScenario(kraus=amplitude_damping(0.1),
-                          noisy_parties=("alice", "bob"))
+    def test_uncorrelated_ad_matches_oracle(self):
+        rho = protocol_rho()
+        out = apply_channel(rho, amplitude_damping(0.7), correlated=False)
+        want = brute_force_channel(rho, amplitude_damping(0.7).operators,
+                                   correlated=False)
+        assert np.max(np.abs(out - want)) < 1e-12
+
+    @pytest.mark.parametrize("kind,correlated",
+                             [("ad", True), ("pd", True), ("ad", False)])
+    def test_mixed_state_matches_oracle(self, kind, correlated):
+        rho = random_mixed_state(7, rank=4)
+        ks = kraus_set(kind, 0.3)
+        out = apply_channel(rho, ks, correlated)
+        want = brute_force_channel(rho, ks.operators, correlated)
+        assert np.max(np.abs(out - want)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_channel(np.eye(64, dtype=complex),
-                          NoiseScenario(kraus=amplitude_damping(0.1)))
+            apply_channel(np.eye(64, dtype=complex), amplitude_damping(0.1))

@@ -96,6 +96,18 @@ class TestTargetState:
         with pytest.raises(ValueError):
             TargetSpec(2.0, 0.0)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.6, 0.8j), (0.6j, 0.8),
+                                            (np.complex128(0.6 + 1e-9j), 0.8)])
+    def test_rejects_complex_amplitudes(self, alpha, beta):
+        # normalized, but the zeta basis would not be orthonormal
+        with pytest.raises(ValueError, match="not real"):
+            TargetSpec(alpha, beta)
+
+    def test_stores_real_floats(self):
+        spec = TargetSpec(0.6 + 0j, np.float64(0.8))
+        assert (spec.alpha, spec.beta) == (0.6, 0.8)
+        assert type(spec.alpha) is float and type(spec.beta) is float
+
 
 class TestZetaBasis:
     def test_orthonormal_for_random_real_parameters(self):
