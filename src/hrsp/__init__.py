@@ -10,7 +10,7 @@ from .noise import (KrausSet, amplitude_damping, apply_channel, kraus_set,
 from .pipeline import (BranchProbabilityError, FidelitySample, PipelineConfig,
                        SweepResult, apply_correction, default_config,
                        default_grid, fidelity, pure_target_fidelity,
-                       receiver_state, run_eta, sweep)
+                       receiver_state, sweep)
 from .protocol import (CORRECTION_TABLES, CorrectionRule, GateToken,
                        MeasurementScenario, build_measurement_operator,
                        correction_unitary, derive_receiver_table,

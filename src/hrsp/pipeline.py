@@ -1,22 +1,22 @@
 """End-to-end noisy protocol runs: contract, normalize, correct, score.
 
-One grid point contracts |Psi> with the sender's bra, the per-party Kraus
-stack and the collaborators' bras into W (states.branch_amplitudes), then
-corrects rho = W^T W* / p, p = Tr W^T W* being the branch probability, and
-scores F = Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) against rho0 = |xi><xi|.
-The dense route (noise.apply_channel, protocol.build_measurement_operator,
-linalg.partial_trace) stays public as the reference the tests compare with.
+A sweep contracts |Psi> with the sender's bra, the Kraus stacks of GRID_BLOCK
+etas and the collaborators' bras into W (states.branch_amplitudes), then,
+batched, corrects rho = W^T W* / p, p = Tr W^T W* being the branch
+probability, and scores F = Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) against
+rho0 = |xi><xi|. The dense route (noise.apply_channel,
+protocol.build_measurement_operator, linalg.partial_trace) stays public as the
+reference the tests compare with.
 
-Bob's scenarios condition on a computational collaborator outcome whose
-probability vanishes identically at eta = 1 (every damping path annihilates
-it), so the final grid point of those sweeps is evaluated as a continuous
-extension: the largest eta on a deterministic ladder where the branch still
-has probability >= 1e-10. Such samples carry boundary_extended = True.
+Where a Bob outcome's probability vanishes identically at eta = 1 (every
+damping path annihilates it), that grid point is a continuous extension: the
+largest eta on a deterministic ladder, evaluated as one block, whose branch
+probability is >= 1e-10. Such samples carry boundary_extended = True.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .states import TargetSpec, branch_amplitudes, channel_trace, target_state
 BRANCH_PROBABILITY_FLOOR = 1e-12
 EXTENSION_PROBABILITY = 1e-10
 EIGENVALUE_FLOOR = 1e-13
+GRID_BLOCK = 32             # etas contracted together; bounds a sweep's memory
 
 
 class BranchProbabilityError(ValueError):
@@ -35,31 +36,30 @@ class BranchProbabilityError(ValueError):
 
 
 def apply_correction(rho_recv: np.ndarray, correction) -> np.ndarray:
-    """O rho O^dag for a CorrectionRule or an explicit 4x4 unitary."""
+    """O rho O^dag, per leading axis, for a CorrectionRule or a 4x4 unitary."""
     o = correction.unitary() if isinstance(correction, CorrectionRule) else np.asarray(correction)
     return o @ rho_recv @ o.conj().T
 
 
-def fidelity(rho0: np.ndarray, rho_n: np.ndarray) -> float:
-    """Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ).
+def fidelity(rho0: np.ndarray, rho_n: np.ndarray) -> float | np.ndarray:
+    """Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ), per leading axis of rho_n.
 
-    Eigenvalues of the inner product below 1e-13 of the largest are floored
+    Eigenvalues of each inner product below 1e-13 of its largest are floored
     to zero: sqrt amplifies eigensolver noise (~1e-16) to ~1e-8, which would
     otherwise swamp the agreement with the pure-state shortcut.
     """
     s0 = psd_sqrt(rho0)
     mid = s0 @ rho_n @ s0
-    mid = (mid + mid.conj().T) / 2
+    mid = (mid + mid.conj().swapaxes(-1, -2)) / 2
     w = np.linalg.eigvalsh(mid)
-    floor = max(float(w[-1]), 0.0) * EIGENVALUE_FLOOR
-    w = np.where(w > floor, w, 0.0)
-    return float(np.sum(np.sqrt(w)))
+    floor = np.maximum(w[..., -1:], 0.0) * EIGENVALUE_FLOOR
+    return np.sqrt(np.where(w > floor, w, 0.0)).sum(axis=-1)
 
 
-def pure_target_fidelity(spec: TargetSpec, rho_n: np.ndarray) -> float:
-    """sqrt(<xi| rho_n |xi>), the pure-target shortcut for the same score."""
+def pure_target_fidelity(spec: TargetSpec, rho_n: np.ndarray) -> float | np.ndarray:
+    """sqrt(<xi| rho_n |xi>) per leading axis, the pure-target shortcut."""
     xi = target_state(spec)
-    return float(np.sqrt(max(np.real(np.vdot(xi, rho_n @ xi)), 0.0)))
+    return np.sqrt(np.maximum(np.einsum("i,...i->...", xi.conj(), rho_n @ xi).real, 0.0))
 
 
 def _rule_for(table: str, row: int) -> CorrectionRule:
@@ -129,66 +129,65 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
     return tuple(round(i * step, 10) for i in range(n + 1))
 
 
+def _kraus_stacks(config: PipelineConfig, etas) -> np.ndarray:
+    """party_kraus_stack per eta, stacked; warns at one site on lost trace."""
+    kraus = np.stack([party_kraus_stack(kraus_set(config.noise_kind, eta),
+                                        config.correlated) for eta in etas])
+    warn_trace_deficit(float(np.max(1.0 - channel_trace(kraus))))
+    return kraus
+
+
+def _evaluate(config: PipelineConfig, etas):
+    """The chain at every eta of a block: the stacked normalized receiver states
+    before correction and one FidelitySample per eta. A point with probability
+    <= BRANCH_PROBABILITY_FLOOR stays unnormalized; its scores mean nothing."""
+    rule = config.rule()
+    w = branch_amplitudes(config.receiver, rule.sender_outcome,
+                          rule.collaborator_outcomes, config.spec,
+                          _kraus_stacks(config, etas)).reshape(len(etas), -1, 4)
+    rho = w.swapaxes(-1, -2) @ w.conj()
+    p = np.trace(rho, axis1=-2, axis2=-1).real
+    rho /= np.where(p > BRANCH_PROBABILITY_FLOOR, p, 1.0)[:, None, None]
+    rho_n = apply_correction(rho, rule)
+    f = fidelity(projector(target_state(config.spec)), rho_n)
+    fs = pure_target_fidelity(config.spec, rho_n)
+    return rho, [FidelitySample(e, *values, e, False) for e, *values
+                 in zip(etas, f.tolist(), fs.tolist(), p.tolist())]
+
+
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
     """The receiver's normalized state on the config's branch at one eta,
     before correction, and the branch probability."""
-    rule = config.rule()
-    kraus = party_kraus_stack(kraus_set(config.noise_kind, eta), config.correlated)
-    warn_trace_deficit(1.0 - channel_trace(kraus))
-    w = branch_amplitudes(config.receiver, rule.sender_outcome,
-                          rule.collaborator_outcomes, config.spec,
-                          kraus).reshape(-1, 4)
-    rho = w.T @ w.conj()
-    p = float(np.trace(rho).real)
-    if p <= BRANCH_PROBABILITY_FLOOR:
+    rho, (sample,) = _evaluate(config, (eta,))
+    if (p := sample.branch_probability) <= BRANCH_PROBABILITY_FLOOR:
         raise BranchProbabilityError(
             f"{config.noise_kind} eta={eta:g} {config.receiver} table {config.table} "
             f"row {config.row}: branch probability {p:.3e} is below "
             f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
-    return rho / p, p
+    return rho[0], p
 
 
-def _evaluate(config: PipelineConfig, eta: float):
-    """Run the full chain at one eta; returns (F, shortcut F, probability)."""
-    rho_recv, p = receiver_state(config, eta)
-    rho_n = apply_correction(rho_recv, config.rule())
-    rho0 = projector(target_state(config.spec))
-    return fidelity(rho0, rho_n), pure_target_fidelity(config.spec, rho_n), p
-
-
-def run_eta(config: PipelineConfig, eta: float) -> FidelitySample:
-    """Evaluate one grid point, falling back to the boundary extension."""
-    try:
-        f, fs, p = _evaluate(config, eta)
-        return FidelitySample(eta=eta, fidelity=f, shortcut_fidelity=fs,
-                              branch_probability=p, effective_eta=eta,
-                              boundary_extended=False)
-    except BranchProbabilityError:
-        pass
-    # deterministic ladder toward the interior: ever larger eta - 10^-k steps,
-    # settling on the candidate closest to the requested point that still has
-    # branch probability >= EXTENSION_PROBABILITY
-    for k in range(12, 0, -1):
-        candidate = eta - 10.0 ** (-k)
-        if not 0.0 <= candidate <= 1.0:
-            continue
-        try:
-            f, fs, p = _evaluate(config, candidate)
-        except BranchProbabilityError:
-            continue
-        if p >= EXTENSION_PROBABILITY:
-            return FidelitySample(eta=eta, fidelity=f, shortcut_fidelity=fs,
-                                  branch_probability=p, effective_eta=candidate,
-                                  boundary_extended=True)
+def _boundary_extension(config: PipelineConfig, eta: float) -> FidelitySample:
+    """eta - 10^-k for k = 12 down to 1, evaluated as one block: the first
+    candidate with probability >= EXTENSION_PROBABILITY stands in for eta."""
+    ladder = [c for c in (eta - 10.0 ** (-k) for k in range(12, 0, -1)) if c >= 0.0]
+    for sample in _evaluate(config, ladder)[1] if ladder else ():
+        if sample.branch_probability >= EXTENSION_PROBABILITY:
+            return replace(sample, eta=eta, boundary_extended=True)
     raise BranchProbabilityError(
         f"no evaluable point near eta={eta:g} for {config.noise_kind} "
         f"{config.receiver} table {config.table} row {config.row}")
 
 
 def sweep(config: PipelineConfig) -> SweepResult:
-    """Fidelity at every grid value, in grid order."""
-    return SweepResult(config=config,
-                       samples=tuple(run_eta(config, e) for e in config.eta_grid))
+    """Fidelity at every grid value, in grid order, contracted GRID_BLOCK etas
+    at a time; a point whose branch dies takes the boundary extension."""
+    samples = []
+    for start in range(0, len(config.eta_grid), GRID_BLOCK):
+        _, block = _evaluate(config, config.eta_grid[start:start + GRID_BLOCK])
+        samples += (s if s.branch_probability > BRANCH_PROBABILITY_FLOOR
+                    else _boundary_extension(config, s.eta) for s in block)
+    return SweepResult(config=config, samples=tuple(samples))
 
 
 def default_config(noise_kind: str = "ad", receiver: str = "bob",

@@ -38,7 +38,6 @@ ORACLE_POINTS = (TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2)), TargetSpec(0.6, 0.8
 
 ORACLE_MAX_DEPTH = 6
 
-RECEIVERS = ("bob", "charlie", "david")
 SENDER_OUTCOMES = ("zeta1", "zeta2")
 
 _IY = np.array([[0, 1], [-1, 0]], dtype=complex)

@@ -160,11 +160,11 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
                       kraus: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized receiver amplitudes of one outcome, after the channel.
 
-    kraus[k] is a 4x4 operator on every receiver pair (noise.party_kraus_stack).
-    For collaborators projected onto |x>, |y> and receiver R, W[k_X, k_Y, k_R]
-    = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so the receiver's
-    state is rho = W^T W* (W flattened to (-1, 4)) and its trace is the branch
-    probability. Without kraus (no noise) W is one 4-vector.
+    kraus[..., k, :, :] is a 4x4 operator on every receiver pair
+    (noise.party_kraus_stack); leading axes (one per eta) carry over to W. For
+    collaborators projected onto |x>, |y> and receiver R, W[..., k_X, k_Y, k_R, :]
+    = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W*
+    (W as (..., -1, 4)) with trace the branch probability. No kraus: a 4-vector.
     """
     zvec, collab = outcome_kets(receiver, sender_outcome, collaborator_outcomes, spec)
     r, x, y = _AXES[receiver]
@@ -172,17 +172,19 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     psi = protocol_state().reshape(2, 4, 4, 4)
     if kraus is None:
         return np.einsum(f"a,{x},{y},abcd->{r}", zvec.conj(), bx, by, psi)
-    fx, fy = (np.einsum("o,koi->ki", bra, kraus) for bra in (bx, by))
-    w = np.einsum(f"a,k{x},l{y},abcd->kl{r}", zvec.conj(), fx, fy, psi)
-    return np.einsum("klr,mRr->klmR", w, kraus)
+    fx, fy = (np.einsum("o,...koi->...ki", bra, kraus) for bra in (bx, by))
+    w = np.einsum(f"a,...k{x},...l{y},abcd->...kl{r}", zvec.conj(), fx, fy, psi)
+    return np.einsum("...klr,...mRr->...klmR", w, kraus)
 
 
-def channel_trace(kraus: np.ndarray) -> float:
-    """Trace of the channel output for |Psi><Psi| with the stack on every
-    receiver pair: <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k."""
-    m = np.einsum("kji,kjl->il", kraus.conj(), kraus)
-    psi = protocol_state().reshape(2, 64)
-    return float(np.vdot(psi, psi @ kron(m, m, m).T).real)
+def channel_trace(kraus: np.ndarray) -> float | np.ndarray:
+    """Trace of the channel output for |Psi><Psi|, per leading axis of the stack
+    on every receiver pair: <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k."""
+    m = np.einsum("...kji,...kjl->...il", kraus.conj(), kraus)
+    psi = protocol_state().reshape(2, 4, 4, 4)
+    t = np.einsum("...bx,axcd->...abcd", m, psi)
+    t = np.einsum("...cy,...abyd->...abcd", m, t)
+    return np.einsum("abcd,...dz,...abcz->...", psi.conj(), m, t).real
 
 
 # --------------------------------------------------------------------------

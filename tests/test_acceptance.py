@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hrsp.noise import apply_channel, kraus_set
-from hrsp.pipeline import PipelineConfig, default_config, run_eta, sweep
+from hrsp.pipeline import PipelineConfig, default_config, sweep
 from hrsp.protocol import (CORRECTION_TABLES, CorrectionRule, TABLE_RECEIVER,
                            derive_receiver_table, noiseless_fidelity,
                            parse_gate_string, verify_table)
@@ -52,7 +52,7 @@ def test_criterion_1_noiseless_correctness():
             config = PipelineConfig(
                 noise_kind="ad", receiver=rule.receiver, table=table_id,
                 row=row, spec=spec, eta_grid=(0.0,))
-            worst = min(worst, run_eta(config, 0.0).fidelity)
+            worst = min(worst, sweep(config).samples[0].fidelity)
     ok = worst > 1 - 1e-9
     assert report(1, f"eta=0 fidelity across {len(rows)} confirmed rows x 3 "
                      f"parameter points, worst {worst:.12f} (tol 1e-9)", ok)

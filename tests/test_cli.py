@@ -1,9 +1,37 @@
+import hashlib
 import warnings
 
 import pytest
 
 from hrsp.cli import main
 from hrsp.noise import TraceDeficitWarning
+
+
+#: every table row of each receiver
+RECEIVER_ROWS = {"bob": [("I", r) for r in range(1, 9)],
+                 "charlie": [("oracle", r) for r in range(1, 33)],
+                 "david": [(t, r) for t in ("II", "III") for r in range(1, 17)]}
+
+#: SHA-256 of the concatenated CSVs of every row of a receiver at the
+#: default target (correlated channel, default grid)
+ROW_CSV_DIGESTS = {
+    ("ad", "bob"): "68d8912d5591463d4da73b42a56278597c16ef42b47354eba8d958221f7fe8fb",
+    ("ad", "charlie"): "3a6c5631a6b20dbec0c69991213fb6190aa8b2d41f0d0df3d5987b86f71f0d58",
+    ("ad", "david"): "bc8f61cec73237bf11142cbd9b51680c670d9f04010466a22ed1b040af190620",
+    ("pd", "bob"): "b90af1236ef6dff21aaf81d7c1dcdcabd2d8e8d022d6c74c347ec63e47a4bb7f",
+    ("pd", "charlie"): "bd3e07a181dfc2613dd444e62cd9a1ebe69066d9ecfb1a48f96cb18f691335be",
+    ("pd", "david"): "aa2779b9e6d41b76a05ff589476961b5493afe7f4c2d271385bf424adcb63bb6",
+}
+
+#: SHA-256 of the CSV of each default --uncorrelated-noise sweep
+UNCORRELATED_CSV_DIGESTS = {
+    ("ad", "bob"): "d6adb50611f81d70d8eba2e82df9c6042cb2f6942eb97e319fc65a845df45244",
+    ("ad", "charlie"): "a65372c6afdb592c1b464ea34c45180df22771f8fd977cc308e11ace4c3cf846",
+    ("ad", "david"): "0a5fcdce0919cf16683017a906dd6bbe84c9e965ce868e130ef096de0cd49793",
+    ("pd", "bob"): "e00e2f63db00134ee8f6b4fe7ff3a40bd90e37bdd1cf7704f73f533ba0b50a10",
+    ("pd", "charlie"): "8def524faad69ad2573f795e00d0833625187c644c0b7c1ce13d18ecbc628b31",
+    ("pd", "david"): "daef9320d869c17800f66150bb16f65e53f91ebebde9709744e699034b5ce555",
+}
 
 
 def run_cli(argv, capsys):
@@ -129,3 +157,27 @@ class TestSweep:
             warnings.simplefilter("error", TraceDeficitWarning)
             assert main(["sweep", "--step", "0.5", "--uncorrelated-noise",
                          "--out", str(tmp_path / "u.csv")]) == 0
+
+
+class TestGoldenCsv:
+    """The sweep CSV is pinned byte for byte; a change of output on purpose
+    updates these digests."""
+
+    @pytest.mark.parametrize("noise,receiver", list(ROW_CSV_DIGESTS))
+    def test_every_row(self, noise, receiver, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        digest = hashlib.sha256()
+        for table, row in RECEIVER_ROWS[receiver]:
+            assert main(["sweep", "--noise", noise, "--receiver", receiver,
+                         "--table", table, "--row", str(row),
+                         "--out", str(out_path)]) == 0
+            digest.update(out_path.read_bytes())
+        assert digest.hexdigest() == ROW_CSV_DIGESTS[(noise, receiver)]
+
+    @pytest.mark.parametrize("noise,receiver", list(UNCORRELATED_CSV_DIGESTS))
+    def test_uncorrelated_default(self, noise, receiver, tmp_path):
+        out_path = tmp_path / "u.csv"
+        assert main(["sweep", "--noise", noise, "--receiver", receiver,
+                     "--uncorrelated-noise", "--out", str(out_path)]) == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == UNCORRELATED_CSV_DIGESTS[(noise, receiver)]

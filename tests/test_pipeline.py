@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from hrsp.linalg import PARTY_QUBITS, partial_trace, projector
 from hrsp.noise import (amplitude_damping, apply_channel, kraus_set,
                         party_kraus_stack)
-from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, BranchProbabilityError,
+from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, GRID_BLOCK,
+                           BranchProbabilityError,
                            PipelineConfig, apply_correction, default_config,
                            default_grid, fidelity, pure_target_fidelity,
-                           receiver_state, run_eta, sweep)
+                           receiver_state, sweep)
 from hrsp.protocol import (CORRECTION_TABLES, TABLE_RECEIVER,
                            build_measurement_operator, scenario_for)
 from hrsp.states import (TargetSpec, branch_amplitudes, protocol_state,
@@ -230,13 +232,13 @@ class TestSweep:
             assert abs(s.fidelity - s.shortcut_fidelity) < 1e-9
 
     def test_branch_probabilities_at_zero_noise(self):
-        bob = run_eta(default_config("ad", "bob"), 0.0)
-        david = run_eta(default_config("ad", "david"), 0.0)
+        bob = sweep(default_config("ad", "bob")).samples[0]
+        david = sweep(default_config("ad", "david")).samples[0]
         assert np.isclose(bob.branch_probability, 1 / 8, atol=1e-12)
         assert np.isclose(david.branch_probability, 1 / 32, atol=1e-12)
 
     def test_uncorrelated_baseline_differs(self):
-        sample = run_eta(default_config("ad", "bob", correlated=False), 0.9)
+        sample = sweep(default_config("ad", "bob", correlated=False)).samples[9]
         assert np.isclose(sample.fidelity, 0.708024, atol=1e-5)
 
     def test_charlie_sweep_runs(self):
@@ -244,6 +246,46 @@ class TestSweep:
         result = sweep(cfg)
         assert np.isclose(result.samples[0].fidelity, 1.0, atol=1e-9)
         assert all(0.0 <= s.fidelity <= 1.0 + 1e-9 for s in result.samples)
+
+
+#: (noise, receiver, table, row): a dead endpoint (ladder), a David and a
+#: derived Charlie row
+BATCH_CASES = [("ad", "bob", "I", 1), ("pd", "david", "II", 1),
+               ("ad", "charlie", "oracle", 1)]
+
+
+def assert_samples_match_points(config, indices):
+    """sweep(config) contracts the grid in blocks; each sample must equal a
+    one-point sweep at its eta (a summed or shifted batch axis would not)."""
+    samples = sweep(config).samples
+    for i in indices:
+        got = samples[i]
+        want = sweep(replace(config, eta_grid=(config.eta_grid[i],))).samples[0]
+        assert (got.eta, got.effective_eta, got.boundary_extended) == \
+            (want.eta, want.effective_eta, want.boundary_extended)
+        for field in ("fidelity", "shortcut_fidelity", "branch_probability"):
+            assert abs(getattr(got, field) - getattr(want, field)) < 1e-12
+
+
+class TestBatchedGrid:
+    @pytest.mark.parametrize("correlated", [True, False])
+    @pytest.mark.parametrize("noise,receiver,table,row", BATCH_CASES)
+    def test_every_point_of_default_grid(self, noise, receiver, table, row,
+                                         correlated):
+        config = PipelineConfig(noise, receiver, table, row, BALANCED,
+                                default_grid(0.1), correlated)
+        assert_samples_match_points(config, range(len(config.eta_grid)))
+
+    @pytest.mark.parametrize("correlated", [True, False])
+    @pytest.mark.parametrize("noise,receiver,table,row", BATCH_CASES)
+    def test_block_edges_of_fine_grid(self, noise, receiver, table, row,
+                                      correlated):
+        config = PipelineConfig(noise, receiver, table, row, BALANCED,
+                                default_grid(0.001), correlated)
+        n = len(config.eta_grid)
+        edges = [i for k in range(GRID_BLOCK, n, GRID_BLOCK) for i in (k - 1, k)]
+        assert len(edges) > 2
+        assert_samples_match_points(config, edges + [n - 1])
 
 
 class TestRowIndependence:
@@ -257,7 +299,7 @@ class TestRowIndependence:
         fids = []
         for row in range(1, 9):
             cfg = PipelineConfig("pd", "bob", "I", row, BALANCED, (eta,))
-            fids.append(run_eta(cfg, eta).fidelity)
+            fids.append(sweep(cfg).samples[0].fidelity)
         assert max(fids) - min(fids) < 1e-9
 
     @pytest.mark.parametrize("eta", [0.3, 0.7])
@@ -267,12 +309,12 @@ class TestRowIndependence:
             if row == 15:  # published rule for this outcome is wrong
                 continue
             cfg = PipelineConfig("pd", "david", "II", row, BALANCED, (eta,))
-            fids.append(run_eta(cfg, eta).fidelity)
+            fids.append(sweep(cfg).samples[0].fidelity)
         assert max(fids) - min(fids) < 1e-9
 
     def test_ad_rows_differ(self):
-        one = run_eta(PipelineConfig("ad", "bob", "I", 1, BALANCED, (0.3,)), 0.3)
-        three = run_eta(PipelineConfig("ad", "bob", "I", 3, BALANCED, (0.3,)), 0.3)
+        one = sweep(PipelineConfig("ad", "bob", "I", 1, BALANCED, (0.3,))).samples[0]
+        three = sweep(PipelineConfig("ad", "bob", "I", 3, BALANCED, (0.3,))).samples[0]
         assert abs(one.fidelity - three.fidelity) > 1e-4
 
 
