@@ -4,20 +4,19 @@ amplitude- and phase-damping noise."""
 
 __version__ = "0.1.0"
 
-from .linalg import PARTY_QUBITS, kron, partial_trace, projector, psd_sqrt
-from .noise import (KrausSet, amplitude_damping, apply_channel, kraus_set,
-                    party_kraus_stack, phase_damping)
+from .linalg import PARTY_QUBITS, kron, projector, psd_sqrt
+from .noise import (KrausSet, amplitude_damping, kraus_set, party_kraus_stack,
+                    phase_damping)
 from .pipeline import (BranchProbabilityError, FidelitySample, PipelineConfig,
                        SweepResult, apply_correction, default_config,
                        default_grid, fidelity, pure_target_fidelity,
                        receiver_state, sweep)
 from .protocol import (CORRECTION_TABLES, CorrectionRule, GateToken,
-                       MeasurementScenario, build_measurement_operator,
                        correction_unitary, derive_receiver_table,
                        format_table_report, noiseless_fidelity,
-                       oracle_find_correction, parse_gate_string, scenario_for,
+                       oracle_find_correction, parse_gate_string,
                        token_unitary, verify_table)
-from .states import (TargetSpec, ZetaBasis, branch_amplitudes, brown_state,
+from .states import (TargetSpec, branch_amplitudes, brown_state,
                      extend_with_ancillas, protocol_state, target_state,
                      verify_factorization, zeta_basis)
 

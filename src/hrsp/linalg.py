@@ -40,48 +40,9 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
 
 
-def num_qubits_of(dim: int) -> int:
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
-
-
 #: qubits of each party, in qubit order: Alice keeps qubit 0; pairs (1,2),
 #: (3,4), (5,6) travel to Bob, Charlie, David.
 PARTY_QUBITS = {"alice": (0,), "bob": (1, 2), "charlie": (3, 4), "david": (5, 6)}
-
-
-def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
-    """Trace out the given qubits of a multi-qubit density matrix.
-
-    The remaining qubits keep their relative order. Implemented by index
-    arithmetic on the reshaped (2,)*2n tensor rather than repeated two-qubit
-    contractions, so it can be checked against a direct summation oracle.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    n = num_qubits_of(rho.shape[0])
-    traced = sorted(set(traced_qubits))
-    if traced and (traced[0] < 0 or traced[-1] >= n):
-        raise ValueError(f"traced qubits {traced} out of range for {n} qubits")
-    keep = [q for q in range(n) if q not in traced]
-
-    t = rho.reshape((2,) * (2 * n))
-    perm = keep + traced + [q + n for q in keep] + [q + n for q in traced]
-    t = np.transpose(t, perm)
-    dk, dt = 2 ** len(keep), 2 ** len(traced)
-    t = t.reshape(dk, dt, dk, dt)
-    return np.einsum("abcb->ac", t)
-
-
-def hermitian_eigensystem(h: np.ndarray):
-    """Eigenvalues and eigenvectors of a Hermitian matrix, validated first."""
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh((h + h.conj().T) / 2)
 
 
 def psd_sqrt(h: np.ndarray) -> np.ndarray:
@@ -90,7 +51,10 @@ def psd_sqrt(h: np.ndarray) -> np.ndarray:
     Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything below
     -PSD_TOL is rejected as non-PSD.
     """
-    w, v = hermitian_eigensystem(h)
+    h = np.asarray(h, dtype=complex)
+    if not is_hermitian(h):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
     if w[0] < -PSD_TOL:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
     w = np.clip(w, 0.0, None)

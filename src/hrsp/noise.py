@@ -9,6 +9,10 @@ is emitted when the trace actually drops so nobody mistakes this for a CPTP
 product channel. An independent per-qubit product channel is available
 behind ``correlated=False`` as a sanity baseline; it is *not* the protocol's
 model and does not reproduce the reference fidelity curves.
+
+The channel enters the receiver-state contraction as one stack of 4x4 Kraus
+operators per receiver pair (party_kraus_stack); the dense 128x128 form of
+the same channel is a test oracle (tests/dense_oracle.py).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, PARTY_QUBITS, kron
+from .linalg import I2
 
 TRACE_DEFICIT_WARN = 1e-9
 
@@ -75,39 +79,11 @@ def kraus_set(kind: str, eta: float) -> KrausSet:
     raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
 
 
-def apply_channel(rho: np.ndarray, kraus: KrausSet,
-                  correlated: bool = True) -> np.ndarray:
-    """Evolve a seven-qubit rho under the noise on every receiver qubit.
-
-    Correlated mode: one Kraus index per receiver, applied to both of its
-    qubits. Uncorrelated mode: an independent index on every receiver qubit
-    (an ordinary product channel, trace preserving). Either channel is a
-    product over slots (a receiver pair, or one receiver qubit), so each
-    slot's Kraus sum is applied in turn as dense 128x128 terms.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = sum(map(len, PARTY_QUBITS.values()))
-    if rho.shape != (2 ** n, 2 ** n):
-        raise ValueError(f"expected a {2 ** n}x{2 ** n} density matrix, "
-                         f"got {rho.shape}")
-
-    pairs = [qs for party, qs in PARTY_QUBITS.items() if party != "alice"]
-    slots = pairs if correlated else [(q,) for qs in pairs for q in qs]
-    out = rho
-    for slot in slots:
-        terms = [kron(*(k if q in slot else I2 for q in range(n)))
-                 for k in kraus.operators]
-        out = sum(a @ out @ a.conj().T for a in terms)
-
-    if correlated:
-        warn_trace_deficit(float(np.trace(rho).real - np.trace(out).real))
-    return out
-
-
 def party_kraus_stack(kraus: KrausSet, correlated: bool = True) -> np.ndarray:
     """Kraus operators on one receiver's qubit pair, stacked on axis 0:
-    K_i (x) K_i when correlated, K_i (x) K_j over all pairs otherwise. On
-    every receiver pair the stack is the channel of apply_channel."""
+    K_i (x) K_i when correlated, K_i (x) K_j over all pairs otherwise. The
+    same stack on every receiver pair, and the identity on the sender's
+    qubit, is the whole seven-qubit channel."""
     k = np.stack(kraus.operators)
     return np.einsum("iab,icd->iacbd" if correlated else "iab,jcd->ijacbd",
                      k, k).reshape(-1, 4, 4)

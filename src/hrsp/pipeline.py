@@ -4,9 +4,9 @@ A sweep contracts |Psi> with the sender's bra, the Kraus stacks of GRID_BLOCK
 etas and the collaborators' bras into W (states.branch_amplitudes), then,
 batched, corrects rho = W^T W* / p, p = Tr W^T W* being the branch
 probability, and scores F = Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) against
-rho0 = |xi><xi|. The dense route (noise.apply_channel,
-protocol.build_measurement_operator, linalg.partial_trace) stays public as the
-reference the tests compare with.
+rho0 = |xi><xi|. This is the package's only route to the receiver's state; the
+dense 128x128 chain (channel, measurement operator, partial trace) that the
+tests hold it against lives in tests/dense_oracle.py.
 
 Where a Bob outcome's probability vanishes identically at eta = 1 (every
 damping path annihilates it), that grid point is a continuous extension: the
@@ -22,13 +22,15 @@ import numpy as np
 
 from .linalg import projector, psd_sqrt
 from .noise import NOISE_KINDS, kraus_set, party_kraus_stack, warn_trace_deficit
-from .protocol import CORRECTION_TABLES, CorrectionRule, derive_receiver_table
+from .protocol import (CORRECTION_TABLES, DERIVED_TABLE_ROWS, CorrectionRule,
+                       derived_rule)
 from .states import TargetSpec, branch_amplitudes, channel_trace, target_state
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
 EXTENSION_PROBABILITY = 1e-10
 EIGENVALUE_FLOOR = 1e-13
 GRID_BLOCK = 32             # etas contracted together; bounds a sweep's memory
+MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
 
 
 class BranchProbabilityError(ValueError):
@@ -63,13 +65,13 @@ def pure_target_fidelity(spec: TargetSpec, rho_n: np.ndarray) -> float | np.ndar
 
 
 def _rule_for(table: str, row: int) -> CorrectionRule:
-    if table == "oracle":
-        rules = derive_receiver_table("charlie")
-    else:
-        rules = CORRECTION_TABLES[table]
-    if not 1 <= row <= len(rules):
-        raise ValueError(f"table {table} has rows 1..{len(rules)}, got {row}")
-    return rules[row - 1]
+    oracle = table == "oracle"
+    rows = DERIVED_TABLE_ROWS if oracle else len(CORRECTION_TABLES[table])
+    if not 1 <= row <= rows:
+        raise ValueError(f"table {table} has rows 1..{rows}, got {row}")
+    if oracle:
+        return derived_rule("charlie", row)
+    return CORRECTION_TABLES[table][row - 1]
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,9 @@ class PipelineConfig:
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
         grid = self.eta_grid
+        if len(grid) > MAX_GRID_POINTS:
+            raise ValueError(f"eta grid has {len(grid)} points, more than "
+                             f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         if not grid or any(not 0.0 <= e <= 1.0 for e in grid):
             raise ValueError("eta grid values must lie in [0, 1]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -123,9 +128,12 @@ class SweepResult:
 
 def default_grid(step: float = 0.1) -> tuple[float, ...]:
     """0, step, ..., 1.0; step must divide 1 into a whole number of cells."""
-    n = round(1.0 / step)
+    n = round(1.0 / step) if step > 0 else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide [0, 1] evenly")
+    if n + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"step {step} gives {n + 1} grid points, more than "
+                         f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     return tuple(round(i * step, 10) for i in range(n + 1))
 
 

@@ -1,4 +1,4 @@
-"""Measurement scenarios, correction tables, and their independent verifier.
+"""Gate grammar, correction tables, and their independent verifier.
 
 Conventions, each validated by the noiseless oracle below:
 
@@ -26,12 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import PARTY_QUBITS, H, I2, X, Y, Z, kron, projector
-from .states import (TargetSpec, branch_amplitudes, outcome_kets,
-                     target_state)
+from .linalg import H, I2, X, Y, Z, kron
+from .states import TargetSpec, branch_amplitudes, target_state
 
 FIDELITY_TOL = 1e-10
-PROJECTOR_TOL = 1e-10
 
 #: parameter points every correction is validated at
 ORACLE_POINTS = (TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2)), TargetSpec(0.6, 0.8))
@@ -219,52 +217,6 @@ CORRECTION_TABLES = {"I": TABLE_I, "II": TABLE_II, "III": TABLE_III}
 TABLE_RECEIVER = {"I": "bob", "II": "david", "III": "david"}
 
 
-# --------------------------------------------------------------------------
-# Measurement scenarios (the collapse operator U).
-@dataclass(frozen=True, eq=False)
-class MeasurementScenario:
-    """Projectors applied during collapse; the receiver's block is I4."""
-
-    receiver: str
-    sender_projector: np.ndarray
-    collaborator_projectors: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        for name, p in [("sender", self.sender_projector),
-                        *self.collaborator_projectors.items()]:
-            if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL or \
-               np.max(np.abs(p - p.conj().T)) > PROJECTOR_TOL:
-                raise ValueError(f"{name} block is not a projector")
-
-
-def scenario_for(receiver: str, sender_outcome: str,
-                 collaborator_outcomes: tuple[str, ...],
-                 spec: TargetSpec) -> MeasurementScenario:
-    """Scenario for one table row at the given target parameters."""
-    zvec, kets = outcome_kets(receiver, sender_outcome, collaborator_outcomes,
-                              spec)
-    zproj = projector(zvec / np.linalg.norm(zvec))
-    collab = {party: projector(ket) for party, ket in kets.items()}
-    return MeasurementScenario(receiver=receiver, sender_projector=zproj,
-                               collaborator_projectors=collab)
-
-
-def build_measurement_operator(scenario: MeasurementScenario) -> np.ndarray:
-    """Assemble U as the qubit-ordered tensor product of party blocks."""
-    blocks = []
-    for party, qubits in PARTY_QUBITS.items():
-        if party == "alice":
-            blocks.append(scenario.sender_projector)
-        elif party == scenario.receiver:
-            blocks.append(np.eye(2 ** len(qubits), dtype=complex))
-        else:
-            blocks.append(scenario.collaborator_projectors[party])
-    u = kron(*blocks)
-    if np.max(np.abs(u @ u - u)) > PROJECTOR_TOL:
-        raise ValueError("assembled measurement operator is not a projector")
-    return u
-
-
 def branch_vector(receiver: str, sender_outcome: str,
                   collaborator_outcomes: tuple[str, ...],
                   spec: TargetSpec):
@@ -428,20 +380,31 @@ def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
 
 HADAMARD_LABELS = ("++", "+-", "-+", "--")
 
+#: rows of a derived table: one per sender outcome and collaborator label pair
+DERIVED_TABLE_ROWS = len(SENDER_OUTCOMES) * len(HADAMARD_LABELS) ** 2
+
+
+def derived_rule(receiver: str, row: int) -> CorrectionRule:
+    """Oracle-derived correction for one row of a Hadamard-collaborator
+    receiver's table: rows 1..16 for zeta1, 17..32 for zeta2, the labels of the
+    first collaborator outermost."""
+    if receiver not in ("charlie", "david"):
+        raise ValueError("derivable tables pair a Hadamard-measured "
+                         "collaborator duo with receiver charlie or david")
+    if not 1 <= row <= DERIVED_TABLE_ROWS:
+        raise ValueError(f"derived tables have rows 1..{DERIVED_TABLE_ROWS}, "
+                         f"got {row}")
+    outcome, labels = divmod(row - 1, len(HADAMARD_LABELS) ** 2)
+    first, second = divmod(labels, len(HADAMARD_LABELS))
+    return _cached_oracle(receiver, SENDER_OUTCOMES[outcome],
+                          (HADAMARD_LABELS[first], HADAMARD_LABELS[second]))
+
 
 def derive_receiver_table(receiver: str = "charlie") -> tuple[CorrectionRule, ...]:
     """Oracle-generate the full correction table for a Hadamard-collaborator
     receiver (used for Charlie, whose table is not published)."""
-    if receiver not in ("charlie", "david"):
-        raise ValueError("derivable tables pair a Hadamard-measured "
-                         "collaborator duo with receiver charlie or david")
-    rules = []
-    for sender_outcome in SENDER_OUTCOMES:
-        for first in HADAMARD_LABELS:
-            for second in HADAMARD_LABELS:
-                rules.append(_cached_oracle(receiver, sender_outcome,
-                                            (first, second)))
-    return tuple(rules)
+    return tuple(derived_rule(receiver, row)
+                 for row in range(1, DERIVED_TABLE_ROWS + 1))
 
 
 def format_table_report() -> str:

@@ -120,26 +120,22 @@ def target_state(spec: TargetSpec) -> np.ndarray:
     return np.array([spec.alpha, 0, 0, spec.beta], dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class ZetaBasis:
-    """Sender measurement basis {alpha|0> + beta|1>, beta|0> - alpha|1>}."""
-
-    zeta1: np.ndarray
-    zeta2: np.ndarray
-
-
-def zeta_basis(spec: TargetSpec) -> ZetaBasis:
-    z1 = np.array([spec.alpha, spec.beta], dtype=complex)
-    z2 = np.array([spec.beta, -spec.alpha], dtype=complex)
-    return ZetaBasis(zeta1=z1, zeta2=z2)
+def zeta_basis(spec: TargetSpec) -> dict[str, np.ndarray]:
+    """Sender measurement basis {alpha|0> + beta|1>, beta|0> - alpha|1>},
+    keyed by outcome label."""
+    return {"zeta1": np.array([spec.alpha, spec.beta], dtype=complex),
+            "zeta2": np.array([spec.beta, -spec.alpha], dtype=complex)}
 
 
 def outcome_kets(receiver: str, sender_outcome: str,
                  collaborator_outcomes: tuple[str, ...], spec: TargetSpec):
     """The sender's zeta vector and {collaborator: ket}, in qubit order: the
     states one outcome projects the non-receiver parties onto."""
-    zb = zeta_basis(spec)
-    zvec = zb.zeta1 if sender_outcome == "zeta1" else zb.zeta2
+    zetas = zeta_basis(spec)
+    if sender_outcome not in zetas:
+        raise ValueError(f"unknown sender outcome {sender_outcome!r}, expected "
+                         f"one of {tuple(zetas)}")
+    zvec = zetas[sender_outcome]
     if receiver == "bob":
         (shared,) = collaborator_outcomes
         return zvec, {"charlie": basis_ket(shared), "david": basis_ket(shared)}
@@ -292,9 +288,8 @@ class FactorizationReport:
 
 
 def _reassemble(variant: str, spec: TargetSpec) -> np.ndarray:
-    zb = zeta_basis(spec)
     total = np.zeros(128, dtype=complex)
-    for outcome, zvec in (("zeta1", zb.zeta1), ("zeta2", zb.zeta2)):
+    for outcome, zvec in zeta_basis(spec).items():
         if variant == "bob":
             branch = np.zeros(64, dtype=complex)
             for sign, bparts, cl, dl in BOB_EXPANSION[outcome]:

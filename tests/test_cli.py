@@ -33,6 +33,22 @@ UNCORRELATED_CSV_DIGESTS = {
     ("pd", "david"): "daef9320d869c17800f66150bb16f65e53f91ebebde9709744e699034b5ce555",
 }
 
+#: SHA-256 of the standard output of each verify command
+VERIFY_STDOUT_DIGESTS = {
+    ("verify-tables",):
+        "6e8c7a6b9b4e2d774af12ba88bf0fd8e619c353755437dd145d6a807f8e2ab5c",
+    ("verify-factorization", "--variant", "bob"):
+        "f53a8536113020d620aecfa6449cbf093acbb8c62e17e274608f2b4f4779c5f0",
+    ("verify-factorization", "--variant", "david"):
+        "7e0e8046a098d02efa1dae37efdc7e3157618aad53f3aba45a50a22acad7a4f3",
+    ("verify-factorization", "--variant", "bob", "--alpha", "0.6",
+     "--beta", "0.8"):
+        "b7e3389c07fa5a3fa57ee521252ecafb8184aa4733504ed7d8468946cff40412",
+    ("verify-factorization", "--variant", "david", "--alpha", "0.6",
+     "--beta", "0.8"):
+        "128cf0738410093723a217ac438f0f9c895b61a57a319b03b030df1cb663cd26",
+}
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -127,6 +143,36 @@ class TestSweep:
         assert code == 2
         assert "does not divide" in err
 
+    @pytest.mark.parametrize("step", ["0", "nan"])
+    def test_zero_or_nan_step_exits_two(self, step, tmp_path, capsys):
+        code, _, err = run_cli(["sweep", "--step", step, "--out",
+                                str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "does not divide" in err
+
+    def test_oversized_grid_exits_two(self, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(["sweep", "--step", "1e-6", "--out",
+                                str(out_path)], capsys)
+        assert code == 2
+        assert "1000001 grid points, more than MAX_GRID_POINTS = 100001" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("row", ["0", "33"])
+    def test_oracle_row_out_of_range_exits_two(self, row, tmp_path, capsys):
+        code, _, err = run_cli(["sweep", "--receiver", "charlie", "--table",
+                                "oracle", "--row", row, "--out",
+                                str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert f"table oracle has rows 1..32, got {row}" in err
+
+    def test_receiver_table_mismatch_exits_two(self, tmp_path, capsys):
+        code, _, err = run_cli(["sweep", "--receiver", "bob", "--table",
+                                "oracle", "--out", str(tmp_path / "x.csv")],
+                               capsys)
+        assert code == 2
+        assert "table oracle row 1 corrects charlie, not bob" in err
+
     def test_unwritable_path_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(["sweep", "--step", "0.5", "--out",
                                 str(tmp_path)], capsys)
@@ -181,3 +227,9 @@ class TestGoldenCsv:
                      "--uncorrelated-noise", "--out", str(out_path)]) == 0
         digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
         assert digest == UNCORRELATED_CSV_DIGESTS[(noise, receiver)]
+
+    @pytest.mark.parametrize("argv", list(VERIFY_STDOUT_DIGESTS))
+    def test_verify_stdout(self, argv, capsys):
+        _, out, _ = run_cli(list(argv), capsys)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == VERIFY_STDOUT_DIGESTS[argv]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hrsp.linalg import (I2, PARTY_QUBITS, X, is_hermitian, kron,
-                         partial_trace, projector, psd_sqrt)
+from hrsp.linalg import (I2, PARTY_QUBITS, X, is_hermitian, kron, projector,
+                         psd_sqrt)
 from hrsp.states import basis_ket, protocol_state
+
+from dense_oracle import partial_trace
 
 
 def random_complex(shape, rng):

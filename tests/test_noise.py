@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import I2, kron, projector
-from hrsp.noise import (TraceDeficitWarning, amplitude_damping, apply_channel,
-                        kraus_set, phase_damping)
+from hrsp.noise import (TraceDeficitWarning, amplitude_damping, kraus_set,
+                        phase_damping)
 from hrsp.states import protocol_state
+
+from dense_oracle import apply_channel
 
 ETA_GRID = [round(0.1 * i, 10) for i in range(11)]
 

@@ -6,19 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrsp.linalg import PARTY_QUBITS, partial_trace, projector
-from hrsp.noise import (amplitude_damping, apply_channel, kraus_set,
-                        party_kraus_stack)
+from hrsp.linalg import PARTY_QUBITS, projector
+from hrsp.noise import amplitude_damping, kraus_set, party_kraus_stack
 from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, GRID_BLOCK,
-                           BranchProbabilityError,
+                           MAX_GRID_POINTS, BranchProbabilityError,
                            PipelineConfig, apply_correction, default_config,
                            default_grid, fidelity, pure_target_fidelity,
                            receiver_state, sweep)
-from hrsp.protocol import (CORRECTION_TABLES, TABLE_RECEIVER,
-                           build_measurement_operator, scenario_for)
-from hrsp.states import (TargetSpec, branch_amplitudes, protocol_state,
-                         target_state)
+from hrsp.protocol import CORRECTION_TABLES, TABLE_RECEIVER
+from hrsp.states import (TargetSpec, branch_amplitudes, channel_trace,
+                         protocol_state, target_state)
 
+from dense_oracle import (apply_channel, build_measurement_operator,
+                          partial_trace, scenario_for)
 from reference_data import CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -179,6 +179,38 @@ class TestKernelOracle:
             assert_matches_dense_chain(config, 0.6)
 
 
+class TestKernelContracts:
+    """Acceptance criterion 7 on the production path: the contraction's
+    rho = W^T W* is Hermitian and PSD, its trace (the branch probability)
+    stays within the channel's trace, and at eta=0 it is the noiseless
+    branch."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(row=st.sampled_from(ALL_ROWS), noise=st.sampled_from(["ad", "pd"]),
+           correlated=st.booleans(), eta=ETAS, target=TARGETS)
+    @example(row=("oracle", 17, "charlie"), noise="pd", correlated=False,
+             eta=0.0, target=(0.0, -1.0))
+    @example(row=("I", 1, "bob"), noise="ad", correlated=True, eta=1.0,
+             target=(1.0, 0.0))
+    def test_rho_is_psd_within_channel_trace(self, row, noise, correlated,
+                                             eta, target):
+        table, number, receiver = row
+        spec = TargetSpec(*target)
+        rule = PipelineConfig(noise, receiver, table, number, spec,
+                              (eta,)).rule()
+        branch = (receiver, rule.sender_outcome, rule.collaborator_outcomes,
+                  spec)
+        stack = party_kraus_stack(kraus_set(noise, eta), correlated)
+        w = branch_amplitudes(*branch, stack).reshape(-1, 4)
+        rho = w.T @ w.conj()
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+        assert np.trace(rho).real <= channel_trace(stack) + 1e-12
+        if eta == 0.0:
+            v = branch_amplitudes(*branch)
+            assert np.max(np.abs(rho - projector(v))) < 1e-14
+
+
 class TestFidelity:
     def test_self_fidelity(self):
         rho0 = projector(target_state(BALANCED))
@@ -326,6 +358,17 @@ class TestConfig:
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
             default_grid(0.3)
+        for step in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="does not divide"):
+                default_grid(step)
+
+    def test_grid_size_capped(self):
+        assert len(default_grid(1e-5)) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            default_grid(1e-6)
+        grid = tuple(i / MAX_GRID_POINTS for i in range(MAX_GRID_POINTS + 1))
+        with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+            PipelineConfig("ad", "bob", "I", 1, BALANCED, grid)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import kron, projector
-from hrsp.protocol import (CORRECTION_TABLES, GateToken, MeasurementScenario,
-                           ORACLE_POINTS, branch_vector,
-                           build_measurement_operator, correction_unitary,
-                           derive_receiver_table, format_table_report,
-                           noiseless_fidelity, oracle_find_correction,
-                           parse_gate_string, phase_aligned_distance,
-                           scenario_for, token_unitary, verify_table)
+from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, GateToken,
+                           branch_vector, correction_unitary,
+                           derive_receiver_table, derived_rule,
+                           format_table_report, noiseless_fidelity,
+                           oracle_find_correction, parse_gate_string,
+                           phase_aligned_distance, token_unitary, verify_table)
 from hrsp.states import TargetSpec, basis_ket, target_state
+
+from dense_oracle import (MeasurementScenario, build_measurement_operator,
+                          scenario_for)
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -143,6 +145,11 @@ class TestOracle:
         for spec in ORACLE_POINTS:
             assert noiseless_fidelity(rule, spec) > 1 - 1e-10
 
+    def test_unknown_sender_outcome_rejected(self):
+        # used to be read as zeta2 and returned a rule labelled zeta3
+        with pytest.raises(ValueError, match="unknown sender outcome"):
+            oracle_find_correction("charlie", "zeta3", ("++", "++"))
+
 
 class TestTables:
     def test_table_one_all_rows_work(self):
@@ -217,6 +224,25 @@ class TestCharlieTable:
                 assert noiseless_fidelity(rule, spec) > 1 - 1e-10
         assert len(per_outcome["zeta1"]) == 16
         assert len(per_outcome["zeta2"]) == 16
+
+    def test_rows_run_over_outcome_then_label_pairs(self):
+        labels = ("++", "+-", "-+", "--")
+        keys = [(z, (a, b)) for z in ("zeta1", "zeta2")
+                for a in labels for b in labels]
+        for row, key in enumerate(keys, start=1):
+            rule = derived_rule("charlie", row)
+            assert (rule.sender_outcome, rule.collaborator_outcomes) == key
+            assert rule == oracle_find_correction("charlie", *key)
+        assert derive_receiver_table("david") == tuple(
+            derived_rule("david", row) for row in range(1, 33))
+
+    @pytest.mark.parametrize("receiver,row,match",
+                             [("charlie", 0, "rows 1..32, got 0"),
+                              ("charlie", 33, "rows 1..32, got 33"),
+                              ("bob", 1, "charlie or david")])
+    def test_bad_row_or_receiver_rejected(self, receiver, row, match):
+        with pytest.raises(ValueError, match=match):
+            derived_rule(receiver, row)
 
 
 class TestReport:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import kron
-from hrsp.states import (BOB_EXPANSION, TargetSpec, basis_ket, brown_state,
-                         extend_with_ancillas, protocol_state, target_state,
-                         verify_factorization, zeta_basis)
+from hrsp.states import (BOB_EXPANSION, TargetSpec, basis_ket,
+                         branch_amplitudes, brown_state, extend_with_ancillas,
+                         protocol_state, target_state, verify_factorization,
+                         zeta_basis)
 
 INV_2RT2 = 1 / (2 * np.sqrt(2))
 
@@ -116,9 +117,15 @@ class TestZetaBasis:
             a = rng.uniform(-1, 1)
             b = np.sqrt(1 - a * a) * rng.choice([-1.0, 1.0])
             zb = zeta_basis(TargetSpec(a, b))
-            assert np.isclose(np.linalg.norm(zb.zeta1), 1.0, atol=1e-12)
-            assert np.isclose(np.linalg.norm(zb.zeta2), 1.0, atol=1e-12)
-            assert abs(np.vdot(zb.zeta1, zb.zeta2)) < 1e-12
+            assert np.isclose(np.linalg.norm(zb["zeta1"]), 1.0, atol=1e-12)
+            assert np.isclose(np.linalg.norm(zb["zeta2"]), 1.0, atol=1e-12)
+            assert abs(np.vdot(zb["zeta1"], zb["zeta2"])) < 1e-12
+
+    @pytest.mark.parametrize("receiver,collab", [("bob", ("01",)),
+                                                 ("david", ("++", "++"))])
+    def test_branch_rejects_unknown_sender_outcome(self, receiver, collab):
+        with pytest.raises(ValueError, match="unknown sender outcome"):
+            branch_amplitudes(receiver, "zeta3", collab, TargetSpec(0.6, 0.8))
 
 
 class TestFactorization:
