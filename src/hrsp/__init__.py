@@ -5,8 +5,8 @@ amplitude- and phase-damping noise."""
 __version__ = "0.1.0"
 
 from .linalg import PARTY_QUBITS, kron, projector, psd_sqrt
-from .noise import (KrausSet, amplitude_damping, kraus_set, party_kraus_stack,
-                    phase_damping)
+from .noise import (KrausSet, amplitude_damping, kraus_operators, kraus_set,
+                    party_kraus_stack, phase_damping)
 from .pipeline import (BranchProbabilityError, FidelitySample, PipelineConfig,
                        SweepResult, apply_correction, default_config,
                        default_grid, fidelity, pure_target_fidelity,

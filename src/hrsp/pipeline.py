@@ -8,6 +8,12 @@ rho0 = |xi><xi|. This is the package's only route to the receiver's state; the
 dense 128x128 chain (channel, measurement operator, partial trace) that the
 tests hold it against lives in tests/dense_oracle.py.
 
+A block's channel (its Kraus stacks and per-eta trace deficit) depends only
+on the noise kind, the etas and the channel mode, so it is built once and
+kept in a CHANNEL_CACHE_SIZE-entry cache: repeated sweeps of one grid in a
+process (every row of a table scan) reuse it. The trace-deficit warning is
+checked on every evaluation, cached or not.
+
 Where a Bob outcome's probability vanishes identically at eta = 1 (every
 damping path annihilates it), that grid point is a continuous extension: the
 largest eta on a deterministic ladder, evaluated as one block, whose branch
@@ -16,12 +22,15 @@ probability is >= 1e-10. Such samples carry boundary_extended = True.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import projector, psd_sqrt
-from .noise import NOISE_KINDS, kraus_set, party_kraus_stack, warn_trace_deficit
+from .noise import (NOISE_KINDS, kraus_operators, party_kraus_stack,
+                    warn_trace_deficit)
 from .protocol import (CORRECTION_TABLES, DERIVED_TABLE_ROWS, CorrectionRule,
                        derived_rule)
 from .states import TargetSpec, branch_amplitudes, channel_trace, target_state
@@ -31,6 +40,9 @@ EXTENSION_PROBABILITY = 1e-10
 EIGENVALUE_FLOOR = 1e-13
 GRID_BLOCK = 32             # etas contracted together; bounds a sweep's memory
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
+#: channel blocks kept per process; one is at most 9 x 4 x 4 complex per eta
+#: (uncorrelated PD) times GRID_BLOCK etas = 72 KiB, so the cache is <= 1.2 MB
+CHANNEL_CACHE_SIZE = 16
 
 
 class BranchProbabilityError(ValueError):
@@ -66,6 +78,11 @@ def pure_target_fidelity(spec: TargetSpec, rho_n: np.ndarray) -> float | np.ndar
 
 def _rule_for(table: str, row: int) -> CorrectionRule:
     oracle = table == "oracle"
+    if not oracle and table not in CORRECTION_TABLES:
+        raise ValueError(f"unknown table {table!r}, expected one of "
+                         f"{(*CORRECTION_TABLES, 'oracle')}")
+    if isinstance(row, bool) or not isinstance(row, numbers.Integral):
+        raise ValueError(f"row must be an integer, got {row!r}")
     rows = DERIVED_TABLE_ROWS if oracle else len(CORRECTION_TABLES[table])
     if not 1 <= row <= rows:
         raise ValueError(f"table {table} has rows 1..{rows}, got {row}")
@@ -137,11 +154,23 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
     return tuple(round(i * step, 10) for i in range(n + 1))
 
 
+@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
+def _channel_block(noise_kind: str, etas: tuple[float, ...], correlated: bool):
+    """Read-only party Kraus stacks of a block of etas and, per eta, the trace
+    the channel loses on |Psi><Psi|. Cached: sweeps of one grid share them."""
+    kraus = party_kraus_stack(kraus_operators(noise_kind, etas), correlated)
+    deficit = 1.0 - channel_trace(kraus)
+    kraus.setflags(write=False)
+    deficit.setflags(write=False)
+    return kraus, deficit
+
+
 def _kraus_stacks(config: PipelineConfig, etas) -> np.ndarray:
-    """party_kraus_stack per eta, stacked; warns at one site on lost trace."""
-    kraus = np.stack([party_kraus_stack(kraus_set(config.noise_kind, eta),
-                                        config.correlated) for eta in etas])
-    warn_trace_deficit(float(np.max(1.0 - channel_trace(kraus))))
+    """party_kraus_stack per eta, stacked; warns at one site on lost trace,
+    on every call (the block itself may come from the cache)."""
+    kraus, deficit = _channel_block(config.noise_kind, tuple(etas),
+                                    config.correlated)
+    warn_trace_deficit(float(np.max(deficit)))
     return kraus
 
 

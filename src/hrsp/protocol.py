@@ -83,14 +83,16 @@ def _controlled_x(control: int, target: int, fire_on: int) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=None)  # at most 16 tokens: 6 gates x 2 qubits, 2 x 2 pairs
 def token_unitary(token: GateToken) -> np.ndarray:
-    """4x4 matrix of one token on the receiver register."""
-    if token.gate == "CX":
-        return _controlled_x(*token.targets, fire_on=1)
-    if token.gate == "RCX":
-        return _controlled_x(*token.targets, fire_on=0)
-    m = _ONE_QUBIT[token.gate]
-    return kron(m, I2) if token.targets[0] == 1 else kron(I2, m)
+    """4x4 matrix of one token on the receiver register (read-only, cached)."""
+    if token.gate in ("CX", "RCX"):
+        m = _controlled_x(*token.targets, fire_on=1 if token.gate == "CX" else 0)
+    else:
+        g = _ONE_QUBIT[token.gate]
+        m = kron(g, I2) if token.targets[0] == 1 else kron(I2, g)
+    m.setflags(write=False)
+    return m
 
 
 def correction_unitary(gates) -> np.ndarray:

@@ -161,6 +161,10 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     collaborators projected onto |x>, |y> and receiver R, W[..., k_X, k_Y, k_R, :]
     = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W*
     (W as (..., -1, 4)) with trace the branch probability. No kraus: a 4-vector.
+
+    With kraus, the contraction is matrix products: <zeta| meets |Psi> once,
+    the collaborator bras meet the stack as <x|S[k], and two batched matmuls
+    fold in the collaborators' and then the receiver's operators.
     """
     zvec, collab = outcome_kets(receiver, sender_outcome, collaborator_outcomes, spec)
     r, x, y = _AXES[receiver]
@@ -168,9 +172,13 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     psi = protocol_state().reshape(2, 4, 4, 4)
     if kraus is None:
         return np.einsum(f"a,{x},{y},abcd->{r}", zvec.conj(), bx, by, psi)
-    fx, fy = (np.einsum("o,...koi->...ki", bra, kraus) for bra in (bx, by))
-    w = np.einsum(f"a,...k{x},...l{y},abcd->...kl{r}", zvec.conj(), fx, fy, psi)
-    return np.einsum("...klr,...mRr->...klmR", w, kraus)
+    *lead, n, _, _ = kraus.shape
+    phi = np.einsum(f"a,abcd->{x}{y}{r}", zvec.conj(), psi).reshape(4, 16)
+    fx, fy = bx @ kraus, by @ kraus                     # (..., n, 4): <x|S[k]
+    t = (fx @ phi).reshape(*lead, n, 4, 4)              # [k, y, r]
+    w = (fy[..., None, :, :] @ t).reshape(*lead, n * n, 4)          # [kl, r]
+    return (w @ kraus.reshape(*lead, n * 4, 4).swapaxes(-1, -2)    # [kl, mR]
+            ).reshape(*lead, n, n, n, 4)
 
 
 def channel_trace(kraus: np.ndarray) -> float | np.ndarray:

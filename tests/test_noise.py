@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import I2, kron, projector
-from hrsp.noise import (TraceDeficitWarning, amplitude_damping, kraus_set,
+from hrsp.noise import (TraceDeficitWarning, amplitude_damping,
+                        kraus_operators, kraus_set, party_kraus_stack,
                         phase_damping)
 from hrsp.states import protocol_state
 
@@ -78,6 +79,49 @@ class TestKrausSets:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             kraus_set("dp", 0.1)
+
+
+def written_out_kraus(kind, eta):
+    """The operators entry by entry, one eta at a time: the reference for the
+    closed-form templates."""
+    s, e = np.sqrt(1 - eta), np.sqrt(eta)
+    if kind == "ad":
+        ops = [[[1, 0], [0, s]], [[0, e], [0, 0]]]
+    else:
+        ops = [[[s, 0], [0, s]], [[e, 0], [0, 0]], [[0, 0], [0, e]]]
+    return np.array(ops, dtype=complex)
+
+
+class TestKrausOperators:
+    GRID = [0.0, 1e-12, 0.1, 0.3, 1 / 3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-12, 1.0]
+
+    @pytest.mark.parametrize("kind", ["ad", "pd"])
+    def test_equal_to_per_eta_sets(self, kind):
+        ops = kraus_operators(kind, self.GRID)
+        assert ops.shape == (len(self.GRID), 2 if kind == "ad" else 3, 2, 2)
+        for eta, block in zip(self.GRID, ops):
+            assert np.array_equal(block, np.stack(kraus_set(kind, eta).operators))
+            assert np.array_equal(block, written_out_kraus(kind, eta))
+
+    @pytest.mark.parametrize("kind", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_party_stack_keeps_leading_axes(self, kind, correlated):
+        stack = party_kraus_stack(kraus_operators(kind, self.GRID), correlated)
+        for eta, block in zip(self.GRID, stack):
+            assert np.array_equal(
+                block, party_kraus_stack(kraus_set(kind, eta), correlated))
+
+    @pytest.mark.parametrize("kind", ["ad", "pd"])
+    @pytest.mark.parametrize("eta", [1.5, -0.1, float("nan")])
+    def test_out_of_range_rejected(self, kind, eta):
+        with pytest.raises(ValueError, match="must be in"):
+            kraus_operators(kind, [0.5, eta])
+        with pytest.raises(ValueError, match="must be in"):
+            kraus_set(kind, eta)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            kraus_operators("dp", [0.1])
 
 
 class TestCorrelatedChannel:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -7,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrsp.linalg import PARTY_QUBITS, projector
-from hrsp.noise import amplitude_damping, kraus_set, party_kraus_stack
+from hrsp.noise import (TraceDeficitWarning, amplitude_damping, kraus_set,
+                        party_kraus_stack)
 from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, GRID_BLOCK,
                            MAX_GRID_POINTS, BranchProbabilityError,
-                           PipelineConfig, apply_correction, default_config,
-                           default_grid, fidelity, pure_target_fidelity,
-                           receiver_state, sweep)
+                           PipelineConfig, _kraus_stacks, apply_correction,
+                           default_config, default_grid, fidelity,
+                           pure_target_fidelity, receiver_state, sweep)
 from hrsp.protocol import CORRECTION_TABLES, TABLE_RECEIVER
 from hrsp.states import (TargetSpec, branch_amplitudes, channel_trace,
                          protocol_state, target_state)
@@ -387,3 +389,54 @@ class TestConfig:
     def test_row_out_of_range(self):
         with pytest.raises(ValueError):
             PipelineConfig("ad", "bob", "I", 9, BALANCED, (0.0, 1.0))
+
+    @pytest.mark.parametrize("table,row,match", [
+        ("IV", 1, "unknown table 'IV'"),
+        ("i", 1, "unknown table 'i'"),
+        ("I", True, "row must be an integer"),
+        ("I", 1.0, "row must be an integer"),
+        ("I", "1", "row must be an integer"),
+        ("oracle", 2.5, "row must be an integer"),
+    ])
+    def test_bad_table_or_row_rejected(self, table, row, match):
+        receiver = "charlie" if table == "oracle" else "bob"
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig("ad", receiver, table, row, BALANCED, (0.0, 1.0))
+
+    @pytest.mark.parametrize("table,receiver", [("I", "bob"),
+                                                ("oracle", "charlie")])
+    def test_numpy_integer_row_accepted(self, table, receiver):
+        config = PipelineConfig("ad", receiver, table, np.int64(2), BALANCED,
+                                (0.0, 1.0))
+        assert config.rule() == replace(config, row=2).rule()
+
+
+class TestChannelBlockCache:
+    """Sweeps of one grid share a cached channel block; the trace-deficit
+    check must still run on every sweep."""
+
+    def test_repeated_correlated_sweep_still_warns(self):
+        config = default_config(step=0.25)
+        sweep(config)
+        with pytest.warns(TraceDeficitWarning):
+            sweep(config)
+
+    def test_cached_uncorrelated_sweep_does_not_warn(self):
+        config = default_config(step=0.25, correlated=False)
+        sweep(replace(config, correlated=True))   # same grid, lossy channel
+        sweep(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TraceDeficitWarning)
+            sweep(config)
+
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_block_is_read_only(self, noise, correlated):
+        config = default_config(noise, step=0.25, correlated=correlated)
+        stack = _kraus_stacks(config, config.eta_grid)
+        assert stack is _kraus_stacks(config, config.eta_grid)
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0, 0] = 1.0
+        assert np.array_equal(stack, np.stack([
+            party_kraus_stack(kraus_set(noise, e), correlated)
+            for e in config.eta_grid]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hrsp.linalg import kron, projector
 from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, GateToken,
@@ -14,6 +16,15 @@ from dense_oracle import (MeasurementScenario, build_measurement_operator,
                           scenario_for)
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
+
+#: published rows the oracle rejects at every real target
+MISMATCH_ROWS = {"II-15", "III-6", "III-14", "III-16"}
+
+#: every token of the gate grammar
+ALL_TOKENS = ([GateToken(g, (q,)) for g in ("H", "X", "Y", "iY", "-iY", "Z")
+               for q in (1, 2)]
+              + [GateToken(g, pair) for g in ("CX", "RCX")
+                 for pair in ((1, 2), (2, 1))])
 
 #: worked-example correction for table I row 1, as an explicit permutation
 ROW1_MATRIX = np.array([[0, 1, 0, 0],
@@ -67,6 +78,18 @@ class TestCorrectionUnitary:
         minus = correction_unitary(parse_gate_string("-iY2 CX2-1"))
         assert np.max(np.abs(plus @ rho @ plus.conj().T
                              - minus @ rho @ minus.conj().T)) < 1e-14
+
+    @pytest.mark.parametrize("token", ALL_TOKENS, ids=str)
+    def test_token_unitary_is_cached_and_read_only(self, token):
+        u = token_unitary(token)
+        assert token_unitary(GateToken(token.gate, token.targets)) is u
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-14
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
+        # a composite is a fresh array; the cached factors stay as they were
+        composite = correction_unitary((token, token))
+        composite[0, 0] = 7.0
+        assert token_unitary(token)[0, 0] != 7.0
 
     def test_rcx_fires_on_control_zero(self):
         rcx = token_unitary(GateToken("RCX", (1, 2)))
@@ -190,20 +213,27 @@ class TestTables:
         assert rows[7].verdict != "mismatch"
         assert rows[14].verdict != "mismatch"
 
-    def test_confirmed_rows_work_at_random_parameters(self):
-        rng = np.random.default_rng(17)
-        specs = []
-        for _ in range(3):
-            a = rng.uniform(0.1, 0.9)
-            specs.append(TargetSpec(a, np.sqrt(1 - a * a)))
-        for table_id, rows in (("I", verify_table("I")),
-                               ("II", verify_table("II"))):
-            for rv in rows:
-                if rv.verdict == "mismatch":
-                    continue
-                rule = CORRECTION_TABLES[table_id][rv.row - 1]
-                for spec in specs:
-                    assert noiseless_fidelity(rule, spec) > 1 - 1e-10
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(target=st.floats(0.0, 2 * np.pi).map(lambda t: (np.cos(t), np.sin(t))))
+    @example(target=(1.0, 0.0))
+    @example(target=(0.0, 1.0))
+    @example(target=(-1.0, 0.0))
+    @example(target=(0.0, -1.0))
+    def test_confirmed_rows_work_at_random_parameters(self, target):
+        spec = TargetSpec(*target)
+        rules = [(f"{table}-{i}", rule)
+                 for table, rows in CORRECTION_TABLES.items()
+                 for i, rule in enumerate(rows, start=1)]
+        rules += [(f"oracle-{i}", rule) for i, rule
+                  in enumerate(derive_receiver_table("charlie"), start=1)]
+        failing = [name for name, rule in rules
+                   if noiseless_fidelity(rule, spec) < 1 - 1e-10]
+        assert set(failing) <= MISMATCH_ROWS, failing
+
+    def test_mismatch_rows_are_the_verified_mismatches(self):
+        found = {f"{table}-{rv.row}" for table in CORRECTION_TABLES
+                 for rv in verify_table(table) if rv.verdict == "mismatch"}
+        assert found == MISMATCH_ROWS
 
     def test_branch_probabilities_uniform_at_zero_noise(self):
         _, p = branch_vector("bob", "zeta1", ("01",), BALANCED)

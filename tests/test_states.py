@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import kron
+from hrsp.noise import kraus_operators, party_kraus_stack
+from hrsp.protocol import CORRECTION_TABLES, derive_receiver_table
 from hrsp.states import (BOB_EXPANSION, TargetSpec, basis_ket,
                          branch_amplitudes, brown_state, extend_with_ancillas,
-                         protocol_state, target_state, verify_factorization,
-                         zeta_basis)
+                         outcome_kets, protocol_state, target_state,
+                         verify_factorization, zeta_basis)
 
 INV_2RT2 = 1 / (2 * np.sqrt(2))
 
@@ -161,3 +163,37 @@ class TestFactorization:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             verify_factorization("charlie", TargetSpec(1, 0))
+
+
+def einsum_branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
+                             spec, kraus):
+    """The noisy contraction as three einsums over named qubit-pair axes: the
+    reference for branch_amplitudes' matrix products."""
+    zvec, collab = outcome_kets(receiver, sender_outcome,
+                                collaborator_outcomes, spec)
+    r, x, y = {"bob": "bcd", "charlie": "cbd", "david": "dbc"}[receiver]
+    bx, by = (ket.conj() for ket in collab.values())
+    psi = protocol_state().reshape(2, 4, 4, 4)
+    fx, fy = (np.einsum("o,...koi->...ki", bra, kraus) for bra in (bx, by))
+    w = np.einsum(f"a,...k{x},...l{y},abcd->...kl{r}", zvec.conj(), fx, fy, psi)
+    return np.einsum("...klr,...mRr->...klmR", w, kraus)
+
+
+class TestBranchAmplitudes:
+    @pytest.mark.parametrize("kind", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_matches_einsum_reference(self, kind, correlated):
+        etas = [0.0, 0.25, 0.6, 1 - 1e-9, 1.0]
+        stack = party_kraus_stack(kraus_operators(kind, etas), correlated)
+        rules = [r for rows in CORRECTION_TABLES.values() for r in rows]
+        rules += derive_receiver_table("charlie")
+        for i, rule in enumerate(rules):
+            theta = 0.37 * i
+            spec = TargetSpec(np.cos(theta), np.sin(theta))
+            branch = (rule.receiver, rule.sender_outcome,
+                      rule.collaborator_outcomes, spec)
+            want = einsum_branch_amplitudes(*branch, stack)
+            for got, ref in ((branch_amplitudes(*branch, stack), want),
+                             (branch_amplitudes(*branch, stack[2]), want[2])):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) < 1e-15
