@@ -4,12 +4,11 @@ amplitude- and phase-damping noise."""
 
 __version__ = "0.1.0"
 
-from .linalg import PARTY_QUBITS, kron, projector, psd_sqrt
+from .linalg import PARTY_QUBITS, kron
 from .noise import (KrausSet, amplitude_damping, kraus_operators, kraus_set,
                     party_kraus_stack, phase_damping)
 from .pipeline import (BranchProbabilityError, FidelitySample, PipelineConfig,
-                       SweepResult, apply_correction, default_config,
-                       default_grid, fidelity, pure_target_fidelity,
+                       SweepResult, default_config, default_grid,
                        receiver_state, sweep)
 from .protocol import (CORRECTION_TABLES, CorrectionRule, GateToken,
                        correction_unitary, derive_receiver_table,

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-10
-
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -29,33 +26,6 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def projector(v: np.ndarray) -> np.ndarray:
-    """|v><v| for a 1-D state vector."""
-    v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
-
-
 #: qubits of each party, in qubit order: Alice keeps qubit 0; pairs (1,2),
 #: (3,4), (5,6) travel to Bob, Charlie, David.
 PARTY_QUBITS = {"alice": (0,), "bob": (1, 2), "charlie": (3, 4), "david": (5, 6)}
-
-
-def psd_sqrt(h: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root S of h with S @ S == h.
-
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything below
-    -PSD_TOL is rejected as non-PSD.
-    """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    if w[0] < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T

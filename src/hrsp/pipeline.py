@@ -1,12 +1,14 @@
 """End-to-end noisy protocol runs: contract, normalize, correct, score.
 
 A sweep contracts |Psi> with the sender's bra, the Kraus stacks of GRID_BLOCK
-etas and the collaborators' bras into W (states.branch_amplitudes), then,
-batched, corrects rho = W^T W* / p, p = Tr W^T W* being the branch
-probability, and scores F = Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) against
-rho0 = |xi><xi|. This is the package's only route to the receiver's state; the
-dense 128x128 chain (channel, measurement operator, partial trace) that the
-tests hold it against lives in tests/dense_oracle.py.
+etas and the collaborators' bras into W (states.branch_amplitudes), whose rows
+w_k make the receiver's state rho = W^T W* / p = sum_k |w_k><w_k| / p, with
+p = ||W||^2 the branch probability. The target xi = alpha|00> + beta|11> is
+pure, so the fidelity of the corrected state O rho O^dag is
+sqrt(<xi|O rho O^dag|xi>) = ||W u|| / sqrt(p) with u = O^T xi*: a sweep forms
+no 4x4 matrix. This is the package's only route to the receiver's state; the
+dense 128x128 chain (channel, measurement operator, partial trace) and the
+Uhlmann fidelity that the tests hold it against live in tests/dense_oracle.py.
 
 A block's channel (its Kraus stacks and per-eta trace deficit) depends only
 on the noise kind, the etas and the channel mode, so it is built once and
@@ -28,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import projector, psd_sqrt
 from .noise import (NOISE_KINDS, kraus_operators, party_kraus_stack,
                     warn_trace_deficit)
 from .protocol import (CORRECTION_TABLES, DERIVED_TABLE_ROWS, CorrectionRule,
@@ -37,7 +38,6 @@ from .states import TargetSpec, branch_amplitudes, channel_trace, target_state
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
 EXTENSION_PROBABILITY = 1e-10
-EIGENVALUE_FLOOR = 1e-13
 GRID_BLOCK = 32             # etas contracted together; bounds a sweep's memory
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
 #: channel blocks kept per process; one is at most 9 x 4 x 4 complex per eta
@@ -47,33 +47,6 @@ CHANNEL_CACHE_SIZE = 16
 
 class BranchProbabilityError(ValueError):
     """Conditioning on an outcome whose probability is numerically zero."""
-
-
-def apply_correction(rho_recv: np.ndarray, correction) -> np.ndarray:
-    """O rho O^dag, per leading axis, for a CorrectionRule or a 4x4 unitary."""
-    o = correction.unitary() if isinstance(correction, CorrectionRule) else np.asarray(correction)
-    return o @ rho_recv @ o.conj().T
-
-
-def fidelity(rho0: np.ndarray, rho_n: np.ndarray) -> float | np.ndarray:
-    """Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ), per leading axis of rho_n.
-
-    Eigenvalues of each inner product below 1e-13 of its largest are floored
-    to zero: sqrt amplifies eigensolver noise (~1e-16) to ~1e-8, which would
-    otherwise swamp the agreement with the pure-state shortcut.
-    """
-    s0 = psd_sqrt(rho0)
-    mid = s0 @ rho_n @ s0
-    mid = (mid + mid.conj().swapaxes(-1, -2)) / 2
-    w = np.linalg.eigvalsh(mid)
-    floor = np.maximum(w[..., -1:], 0.0) * EIGENVALUE_FLOOR
-    return np.sqrt(np.where(w > floor, w, 0.0)).sum(axis=-1)
-
-
-def pure_target_fidelity(spec: TargetSpec, rho_n: np.ndarray) -> float | np.ndarray:
-    """sqrt(<xi| rho_n |xi>) per leading axis, the pure-target shortcut."""
-    xi = target_state(spec)
-    return np.sqrt(np.maximum(np.einsum("i,...i->...", xi.conj(), rho_n @ xi).real, 0.0))
 
 
 def _rule_for(table: str, row: int) -> CorrectionRule:
@@ -128,7 +101,6 @@ class PipelineConfig:
 class FidelitySample:
     eta: float                  # requested grid value
     fidelity: float
-    shortcut_fidelity: float    # sqrt(<xi|rho_n|xi>) cross-check
     branch_probability: float
     effective_eta: float        # where the point was actually evaluated
     boundary_extended: bool
@@ -175,40 +147,40 @@ def _kraus_stacks(config: PipelineConfig, etas) -> np.ndarray:
 
 
 def _evaluate(config: PipelineConfig, etas):
-    """The chain at every eta of a block: the stacked normalized receiver states
-    before correction and one FidelitySample per eta. A point with probability
-    <= BRANCH_PROBABILITY_FLOOR stays unnormalized; its scores mean nothing."""
+    """The chain at every eta of a block: the stacked branch amplitudes W, the
+    branch probabilities and one FidelitySample per eta. A point with
+    probability <= BRANCH_PROBABILITY_FLOOR is scored unnormalized; its
+    fidelity means nothing."""
     rule = config.rule()
     w = branch_amplitudes(config.receiver, rule.sender_outcome,
                           rule.collaborator_outcomes, config.spec,
                           _kraus_stacks(config, etas)).reshape(len(etas), -1, 4)
-    rho = w.swapaxes(-1, -2) @ w.conj()
-    p = np.trace(rho, axis1=-2, axis2=-1).real
-    rho /= np.where(p > BRANCH_PROBABILITY_FLOOR, p, 1.0)[:, None, None]
-    rho_n = apply_correction(rho, rule)
-    f = fidelity(projector(target_state(config.spec)), rho_n)
-    fs = pure_target_fidelity(config.spec, rho_n)
-    return rho, [FidelitySample(e, *values, e, False) for e, *values
-                 in zip(etas, f.tolist(), fs.tolist(), p.tolist())]
+    norm = np.linalg.norm(w, axis=(1, 2))
+    p = norm ** 2
+    u = rule.unitary().T @ target_state(config.spec).conj()
+    f = np.linalg.norm(w @ u, axis=-1) / np.where(
+        p > BRANCH_PROBABILITY_FLOOR, norm, 1.0)
+    return w, p, [FidelitySample(e, *values, e, False) for e, *values
+                  in zip(etas, f.tolist(), p.tolist())]
 
 
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
-    """The receiver's normalized state on the config's branch at one eta,
-    before correction, and the branch probability."""
-    rho, (sample,) = _evaluate(config, (eta,))
-    if (p := sample.branch_probability) <= BRANCH_PROBABILITY_FLOOR:
+    """The receiver's normalized state W^T W* / p on the config's branch at one
+    eta, before correction, and the branch probability p."""
+    (w,), (p,), _ = _evaluate(config, (eta,))
+    if p <= BRANCH_PROBABILITY_FLOOR:
         raise BranchProbabilityError(
             f"{config.noise_kind} eta={eta:g} {config.receiver} table {config.table} "
             f"row {config.row}: branch probability {p:.3e} is below "
             f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
-    return rho[0], p
+    return w.T @ w.conj() / p, float(p)
 
 
 def _boundary_extension(config: PipelineConfig, eta: float) -> FidelitySample:
     """eta - 10^-k for k = 12 down to 1, evaluated as one block: the first
     candidate with probability >= EXTENSION_PROBABILITY stands in for eta."""
     ladder = [c for c in (eta - 10.0 ** (-k) for k in range(12, 0, -1)) if c >= 0.0]
-    for sample in _evaluate(config, ladder)[1] if ladder else ():
+    for sample in _evaluate(config, ladder)[2] if ladder else ():
         if sample.branch_probability >= EXTENSION_PROBABILITY:
             return replace(sample, eta=eta, boundary_extended=True)
     raise BranchProbabilityError(
@@ -221,7 +193,7 @@ def sweep(config: PipelineConfig) -> SweepResult:
     at a time; a point whose branch dies takes the boundary extension."""
     samples = []
     for start in range(0, len(config.eta_grid), GRID_BLOCK):
-        _, block = _evaluate(config, config.eta_grid[start:start + GRID_BLOCK])
+        *_, block = _evaluate(config, config.eta_grid[start:start + GRID_BLOCK])
         samples += (s if s.branch_probability > BRANCH_PROBABILITY_FLOOR
                     else _boundary_extension(config, s.eta) for s in block)
     return SweepResult(config=config, samples=tuple(samples))

@@ -97,7 +97,8 @@ class TargetSpec:
     """Real amplitudes of the two-qubit target alpha|00> + beta|11>.
 
     Complex amplitudes are rejected: the sender's measurement basis is
-    orthonormal only for real values.
+    orthonormal only for real values. So are NaN and infinite ones, which
+    would pass the norm check (a NaN compares unequal to everything).
     """
 
     alpha: float
@@ -109,6 +110,8 @@ class TargetSpec:
             if value.imag != 0.0:
                 raise ValueError(f"{name} = {value} is not real; the sender's "
                                  "measurement basis needs real amplitudes")
+            if not np.isfinite(value.real):
+                raise ValueError(f"{name} = {value.real} is not finite")
             object.__setattr__(self, name, value.real)
         n = self.alpha ** 2 + self.beta ** 2
         if abs(n - 1.0) > NORM_TOL:

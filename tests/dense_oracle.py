@@ -7,6 +7,11 @@ way: the noise channel on the full seven-qubit density matrix
 (scenario_for, build_measurement_operator), and the partial trace onto the
 receiver's qubits (partial_trace). It shares only the outcome states and the
 Kraus sets with the contraction, so the tests can hold one against the other.
+
+The package scores the pure target by its overlap with the branch amplitudes.
+This module scores it with the general Uhlmann fidelity
+Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) (uhlmann_fidelity, via psd_sqrt), which
+equals that overlap only because the target is pure.
 """
 
 from __future__ import annotations
@@ -15,11 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hrsp.linalg import I2, PARTY_QUBITS, kron, projector
+from hrsp.linalg import I2, PARTY_QUBITS, kron
 from hrsp.noise import KrausSet, warn_trace_deficit
-from hrsp.states import TargetSpec, outcome_kets
+from hrsp.states import TargetSpec, outcome_kets, target_state
 
 PROJECTOR_TOL = 1e-10
+HERMITICITY_TOL = 1e-10
+PSD_TOL = 1e-10
+EIGENVALUE_FLOOR = 1e-13
+
+
+def projector(v: np.ndarray) -> np.ndarray:
+    """|v><v| for a 1-D state vector."""
+    v = np.asarray(v, dtype=complex)
+    return np.outer(v, v.conj())
 
 
 def num_qubits_of(dim: int) -> int:
@@ -126,3 +140,57 @@ def build_measurement_operator(scenario: MeasurementScenario) -> np.ndarray:
     if np.max(np.abs(u @ u - u)) > PROJECTOR_TOL:
         raise ValueError("assembled measurement operator is not a projector")
     return u
+
+
+def receiver_block(rho: np.ndarray, rule, spec: TargetSpec) -> np.ndarray:
+    """partial_trace(U rho U^dag) onto the receiver of a CorrectionRule, not
+    normalized (its trace is the branch probability), with U the 128x128
+    measurement operator of the rule's outcome."""
+    u = build_measurement_operator(
+        scenario_for(rule.receiver, rule.sender_outcome,
+                     rule.collaborator_outcomes, spec))
+    kept = PARTY_QUBITS[rule.receiver]
+    return partial_trace(u @ rho @ u.conj().T,
+                         [q for q in range(7) if q not in kept])
+
+
+# --------------------------------------------------------------------------
+# Uhlmann fidelity.
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root S of h with S @ S == h.
+
+    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything below
+    -PSD_TOL is rejected as non-PSD.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.shape[0] != h.shape[1] or \
+       np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    if w[0] < -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def uhlmann_fidelity(rho0: np.ndarray, rho_n: np.ndarray) -> float | np.ndarray:
+    """Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ), per leading axis of rho_n.
+
+    Eigenvalues of each inner product below EIGENVALUE_FLOOR of its largest
+    are floored to zero: sqrt amplifies eigensolver noise (~1e-16) to ~1e-8,
+    which would otherwise swamp the agreement with the pure-target overlap.
+    """
+    s0 = psd_sqrt(rho0)
+    mid = s0 @ rho_n @ s0
+    mid = (mid + mid.conj().swapaxes(-1, -2)) / 2
+    w = np.linalg.eigvalsh(mid)
+    floor = np.maximum(w[..., -1:], 0.0) * EIGENVALUE_FLOOR
+    return np.sqrt(np.where(w > floor, w, 0.0)).sum(axis=-1)
+
+
+def corrected_fidelity(block: np.ndarray, rule, spec: TargetSpec) -> float:
+    """Uhlmann fidelity against the target of the rule's correction O applied
+    to a receiver_block: uhlmann_fidelity(|xi><xi|, O rho O^dag / p)."""
+    o = rule.unitary()
+    rho_n = o @ block @ o.conj().T / np.trace(block).real
+    return float(uhlmann_fidelity(projector(target_state(spec)), rho_n))

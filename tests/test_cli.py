@@ -77,6 +77,24 @@ class TestVerifyFactorization:
             main(["verify-factorization", "--alpha", "2", "--beta", "0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["verify-factorization", "sweep"])
+    @pytest.mark.parametrize("alpha,beta", [("nan", "nan"), ("nan", "1"),
+                                            ("inf", "0")])
+    def test_non_finite_parameters_exit_two(self, command, alpha, beta,
+                                            tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        argv = [command, "--alpha", alpha, "--beta", beta]
+        if command == "sweep":
+            argv += ["--out", str(out_path)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha = ")
+        assert captured.err.count("\n") == 1 and "not finite" in captured.err
+        assert not out_path.exists()
+
     def test_custom_point_passes(self, capsys):
         code, out, _ = run_cli(["verify-factorization", "--variant", "bob",
                                 "--alpha", "0.6", "--beta", "0.8"], capsys)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from hrsp.linalg import (I2, PARTY_QUBITS, X, is_hermitian, kron, projector,
-                         psd_sqrt)
+from hrsp.linalg import I2, PARTY_QUBITS, X, kron
 from hrsp.states import basis_ket, protocol_state
 
-from dense_oracle import partial_trace
+from dense_oracle import partial_trace, projector, psd_sqrt
 
 
 def random_complex(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def is_hermitian(m, tol):
+    return np.max(np.abs(m - m.conj().T)) <= tol
 
 
 def random_density(n_qubits, rng, rank=None):

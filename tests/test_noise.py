@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from hrsp.linalg import I2, kron, projector
+from hrsp.linalg import I2, kron
 from hrsp.noise import (TraceDeficitWarning, amplitude_damping,
                         kraus_operators, kraus_set, party_kraus_stack,
                         phase_damping)
 from hrsp.states import protocol_state
 
-from dense_oracle import apply_channel
+from dense_oracle import apply_channel, projector
 
 ETA_GRID = [round(0.1 * i, 10) for i in range(11)]
 

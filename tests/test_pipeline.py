@@ -7,20 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrsp.linalg import PARTY_QUBITS, projector
 from hrsp.noise import (TraceDeficitWarning, amplitude_damping, kraus_set,
                         party_kraus_stack)
 from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, GRID_BLOCK,
                            MAX_GRID_POINTS, BranchProbabilityError,
-                           PipelineConfig, _kraus_stacks, apply_correction,
-                           default_config, default_grid, fidelity,
-                           pure_target_fidelity, receiver_state, sweep)
+                           PipelineConfig, _kraus_stacks, default_config,
+                           default_grid, receiver_state, sweep)
 from hrsp.protocol import CORRECTION_TABLES, TABLE_RECEIVER
 from hrsp.states import (TargetSpec, branch_amplitudes, channel_trace,
                          protocol_state, target_state)
 
 from dense_oracle import (apply_channel, build_measurement_operator,
-                          partial_trace, scenario_for)
+                          corrected_fidelity, partial_trace, projector,
+                          receiver_block, scenario_for, uhlmann_fidelity)
 from reference_data import CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -41,21 +40,21 @@ def dense_channel(noise, eta, correlated):
                          correlated)
 
 
-def dense_receiver_state(config, rho):
-    """Reference chain: partial_trace(U rho U^dag) onto the receiver, not
-    normalized, with U the row's 128x128 measurement operator."""
-    rule = config.rule()
-    u = build_measurement_operator(
-        scenario_for(config.receiver, rule.sender_outcome,
-                     rule.collaborator_outcomes, config.spec))
-    kept = PARTY_QUBITS[config.receiver]
-    return partial_trace(u @ rho @ u.conj().T,
-                         [q for q in range(7) if q not in kept])
+def dense_fidelity(config, eta):
+    """The config's corrected fidelity at eta by the dense chain and the
+    Uhlmann formula."""
+    block = receiver_block(
+        dense_channel(config.noise_kind, eta, config.correlated),
+        config.rule(), config.spec)
+    return corrected_fidelity(block, config.rule(), config.spec)
 
 
 def assert_matches_dense_chain(config, eta):
-    want = dense_receiver_state(
-        config, dense_channel(config.noise_kind, eta, config.correlated))
+    """receiver_state and the fidelity a one-point sweep prints, against the
+    dense chain; config.eta_grid is (eta,)."""
+    want = receiver_block(
+        dense_channel(config.noise_kind, eta, config.correlated),
+        config.rule(), config.spec)
     p_want = float(np.trace(want).real)
     if p_want <= BRANCH_PROBABILITY_FLOOR:
         with pytest.raises(BranchProbabilityError, match="branch probability"):
@@ -65,6 +64,10 @@ def assert_matches_dense_chain(config, eta):
     assert abs(p - p_want) < 1e-12
     # compared before normalization, where both routes are well conditioned
     assert np.max(np.abs(rho * p - want)) < 1e-12
+    (sample,) = sweep(config).samples
+    assert not sample.boundary_extended
+    assert abs(sample.fidelity
+               - corrected_fidelity(want, config.rule(), config.spec)) < 1e-9
 
 
 class TestCollapse:
@@ -118,17 +121,17 @@ class TestReduce:
         assert np.max(np.abs(reduced - o.conj().T @ rho0 @ o)) < 1e-10
 
 
-class TestCorrectionStage:
-    def test_identity_rule(self):
-        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        assert np.allclose(apply_correction(rho, np.eye(4, dtype=complex)), rho)
+def corrected(rho, o):
+    return o @ rho @ o.conj().T
 
+
+class TestCorrectionStage:
     def test_noiseless_rows_recover_target(self):
         rho0 = projector(target_state(BALANCED))
         for row, rule in enumerate(CORRECTION_TABLES["I"], start=1):
             config = PipelineConfig("ad", "bob", "I", row, BALANCED, (0.0,))
             rho, _ = receiver_state(config, 0.0)
-            got = apply_correction(rho, rule)
+            got = corrected(rho, rule.unitary())
             assert np.max(np.abs(got - rho0)) < 1e-10
 
     def test_phase_related_rules_agree(self):
@@ -136,8 +139,7 @@ class TestCorrectionStage:
         rho, _ = receiver_state(row1_config(), 0.0)
         a = correction_unitary(parse_gate_string("iY1 X1 CX2-1"))
         b = correction_unitary(parse_gate_string("-iY1 X1 CX2-1"))
-        assert np.max(np.abs(apply_correction(rho, a)
-                             - apply_correction(rho, b))) < 1e-14
+        assert np.max(np.abs(corrected(rho, a) - corrected(rho, b))) < 1e-14
 
 
 #: real targets on the whole unit circle, the axes included
@@ -214,33 +216,37 @@ class TestKernelContracts:
 
 
 class TestFidelity:
+    """The oracle's Uhlmann fidelity, which the dense-chain checks score the
+    package's pure-target overlap against."""
+
     def test_self_fidelity(self):
         rho0 = projector(target_state(BALANCED))
-        assert np.isclose(fidelity(rho0, rho0), 1.0, atol=1e-12)
+        assert np.isclose(uhlmann_fidelity(rho0, rho0), 1.0, atol=1e-12)
 
     def test_orthogonal_states(self):
         a = np.diag([1.0, 0, 0, 0]).astype(complex)
         b = np.diag([0, 0, 0, 1.0]).astype(complex)
-        assert fidelity(a, b) < 1e-12
+        assert uhlmann_fidelity(a, b) < 1e-12
 
     def test_target_vs_maximally_mixed(self):
         rho0 = projector(target_state(BALANCED))
-        assert np.isclose(fidelity(rho0, np.eye(4, dtype=complex) / 4), 0.5,
-                          atol=1e-12)
+        assert np.isclose(uhlmann_fidelity(rho0, np.eye(4, dtype=complex) / 4),
+                          0.5, atol=1e-12)
 
     def test_agrees_with_pure_shortcut(self):
+        # for a pure target the Uhlmann fidelity is sqrt(<xi|rho_n|xi>)
         rng = np.random.default_rng(19)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho_n = a @ a.conj().T
         rho_n /= np.trace(rho_n)
-        rho0 = projector(target_state(BALANCED))
-        assert np.isclose(fidelity(rho0, rho_n),
-                          pure_target_fidelity(BALANCED, rho_n), atol=1e-9)
+        xi = target_state(BALANCED)
+        assert np.isclose(uhlmann_fidelity(projector(xi), rho_n),
+                          np.sqrt(np.vdot(xi, rho_n @ xi).real), atol=1e-9)
 
     def test_rejects_indefinite_input(self):
         with pytest.raises(ValueError):
-            fidelity(np.diag([1.0, -0.2, 0.1, 0.1]).astype(complex),
-                     np.eye(4, dtype=complex) / 4)
+            uhlmann_fidelity(np.diag([1.0, -0.2, 0.1, 0.1]).astype(complex),
+                             np.eye(4, dtype=complex) / 4)
 
 
 class TestSweep:
@@ -261,9 +267,24 @@ class TestSweep:
                 assert abs(sample.fidelity - want) < 1e-6
 
     def test_shortcut_cross_check_on_samples(self):
-        result = sweep(default_config("pd", "david"))
-        for s in result.samples:
-            assert abs(s.fidelity - s.shortcut_fidelity) < 1e-9
+        # the pure-target overlap against the dense chain's Uhlmann fidelity
+        config = default_config("pd", "david")
+        for s in sweep(config).samples:
+            want = dense_fidelity(config, s.effective_eta)
+            assert abs(s.fidelity - want) < 1e-9
+
+    @pytest.mark.parametrize("row,eta,want", [
+        (1, 3 / 8, 91 / 128), (1, 7 / 40, 2701 / 3200), (15, 1 / 8, 13 / 128)])
+    def test_exact_rational_points(self, row, eta, want):
+        # uncorrelated PD keeps David's branch at p = 1/32 for every eta, and
+        # F is rational at these points (checked in exact arithmetic); each
+        # is a tie at 6 decimals, so a change of float order may flip its
+        # printed last digit while F stays within 1e-15 of the exact value
+        config = PipelineConfig("pd", "david", "II", row, BALANCED, (eta,),
+                                correlated=False)
+        (sample,) = sweep(config).samples
+        assert abs(sample.branch_probability - 1 / 32) < 1e-15
+        assert abs(sample.fidelity - want) < 1e-15
 
     def test_branch_probabilities_at_zero_noise(self):
         bob = sweep(default_config("ad", "bob")).samples[0]
@@ -297,7 +318,7 @@ def assert_samples_match_points(config, indices):
         want = sweep(replace(config, eta_grid=(config.eta_grid[i],))).samples[0]
         assert (got.eta, got.effective_eta, got.boundary_extended) == \
             (want.eta, want.effective_eta, want.boundary_extended)
-        for field in ("fidelity", "shortcut_fidelity", "branch_probability"):
+        for field in ("fidelity", "branch_probability"):
             assert abs(getattr(got, field) - getattr(want, field)) < 1e-12
 
 

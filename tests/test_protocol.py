@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrsp.linalg import kron, projector
+from hrsp.linalg import kron
 from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, GateToken,
                            branch_vector, correction_unitary,
                            derive_receiver_table, derived_rule,
@@ -13,7 +13,7 @@ from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, GateToken,
 from hrsp.states import TargetSpec, basis_ket, target_state
 
 from dense_oracle import (MeasurementScenario, build_measurement_operator,
-                          scenario_for)
+                          projector, scenario_for)
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 

@@ -106,6 +106,14 @@ class TestTargetState:
         with pytest.raises(ValueError, match="not real"):
             TargetSpec(alpha, beta)
 
+    @pytest.mark.parametrize("alpha,beta", [
+        (float("nan"), 1.0), (1.0, float("nan")), (float("nan"), float("nan")),
+        (float("inf"), 0.0), (0.0, float("-inf")), (np.float64("nan"), 1.0)])
+    def test_rejects_non_finite_amplitudes(self, alpha, beta):
+        # a NaN passes the norm check, which compares unequal to everything
+        with pytest.raises(ValueError, match="not finite"):
+            TargetSpec(alpha, beta)
+
     def test_stores_real_floats(self):
         spec = TargetSpec(0.6 + 0j, np.float64(0.8))
         assert (spec.alpha, spec.beta) == (0.6, 0.8)
