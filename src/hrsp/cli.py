@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .pipeline import default_config, sweep
-from .protocol import format_table_report, verify_table
+from .protocol import CORRECTION_TABLES, format_table_report, verify_table
 from .states import TargetSpec, verify_factorization
 
 RESIDUAL_GATE = 1e-12
@@ -51,9 +51,9 @@ def _cmd_verify_factorization(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
-    print(format_table_report())
-    table_one = verify_table("I")
-    bad = [rv for rv in table_one if rv.verdict == "mismatch"]
+    verdicts = {t: verify_table(t) for t in CORRECTION_TABLES}
+    print(format_table_report(verdicts))
+    bad = [rv for rv in verdicts["I"] if rv.verdict == "mismatch"]
     if bad:
         print(f"table I has {len(bad)} mismatching row(s)")
         return 1

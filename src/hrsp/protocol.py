@@ -223,8 +223,9 @@ def branch_vector(receiver: str, sender_outcome: str,
                   collaborator_outcomes: tuple[str, ...],
                   spec: TargetSpec):
     """Receiver's collapsed (normalized) two-qubit state and its probability:
-    the noiseless case of states.branch_amplitudes."""
-    v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes, spec)
+    states.branch_amplitudes through the noiseless identity stack."""
+    v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
+                          spec).reshape(4)
     prob = float(np.linalg.norm(v) ** 2)
     if prob < 1e-12:
         raise ValueError("outcome branch has vanishing probability")
@@ -409,14 +410,12 @@ def derive_receiver_table(receiver: str = "charlie") -> tuple[CorrectionRule, ..
                  for row in range(1, DERIVED_TABLE_ROWS + 1))
 
 
-def format_table_report() -> str:
-    """Structured text report: one line per table row, plus Charlie's
-    derived rows."""
+def format_table_report(verdicts: dict[str, tuple[RowVerdict, ...]]) -> str:
+    """Structured text report: one line per row of verdicts (table id ->
+    verify_table(table id)), plus Charlie's derived rows."""
     lines = [" table row  sender collab  published rule            "
              "noiseless fidelity          oracle rule            distance verdict"]
-    for table_id in ("I", "II", "III"):
-        for rv in verify_table(table_id):
-            lines.append(rv.line())
+    lines += (rv.line() for rows in verdicts.values() for rv in rows)
     lines.append("derived correction table for receiver charlie "
                  "(oracle, 16 rows per sender outcome):")
     for rule in derive_receiver_table("charlie"):

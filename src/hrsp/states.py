@@ -153,28 +153,31 @@ def outcome_kets(receiver: str, sender_outcome: str,
 #: psi axis of the receiver, then of its collaborators in qubit order
 _AXES = {"bob": "bcd", "charlie": "cbd", "david": "dbc"}
 
+#: the noiseless channel as a one-operator stack on every receiver pair
+IDENTITY_STACK = np.eye(4)[None]
+IDENTITY_STACK.setflags(write=False)
+
 
 def branch_amplitudes(receiver: str, sender_outcome: str,
                       collaborator_outcomes: tuple[str, ...], spec: TargetSpec,
-                      kraus: np.ndarray | None = None) -> np.ndarray:
+                      kraus: np.ndarray = IDENTITY_STACK) -> np.ndarray:
     """Unnormalized receiver amplitudes of one outcome, after the channel.
 
     kraus[..., k, :, :] is a 4x4 operator on every receiver pair
-    (noise.party_kraus_stack); leading axes (one per eta) carry over to W. For
-    collaborators projected onto |x>, |y> and receiver R, W[..., k_X, k_Y, k_R, :]
+    (noise.party_kraus_stack; the default IDENTITY_STACK is no noise);
+    leading axes (one per eta) carry over to W. For collaborators projected
+    onto |x>, |y> and receiver R, W[..., k_X, k_Y, k_R, :]
     = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W*
-    (W as (..., -1, 4)) with trace the branch probability. No kraus: a 4-vector.
+    (W as (..., -1, 4)) with trace the branch probability.
 
-    With kraus, the contraction is matrix products: <zeta| meets |Psi> once,
-    the collaborator bras meet the stack as <x|S[k], and two batched matmuls
-    fold in the collaborators' and then the receiver's operators.
+    The contraction is matrix products: <zeta| meets |Psi> once, the
+    collaborator bras meet the stack as <x|S[k], and two batched matmuls fold
+    in the collaborators' and then the receiver's operators.
     """
     zvec, collab = outcome_kets(receiver, sender_outcome, collaborator_outcomes, spec)
     r, x, y = _AXES[receiver]
     bx, by = (ket.conj() for ket in collab.values())
     psi = protocol_state().reshape(2, 4, 4, 4)
-    if kraus is None:
-        return np.einsum(f"a,{x},{y},abcd->{r}", zvec.conj(), bx, by, psi)
     *lead, n, _, _ = kraus.shape
     phi = np.einsum(f"a,abcd->{x}{y}{r}", zvec.conj(), psi).reshape(4, 16)
     fx, fy = bx @ kraus, by @ kraus                     # (..., n, 4): <x|S[k]
@@ -186,12 +189,12 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
 
 def channel_trace(kraus: np.ndarray) -> float | np.ndarray:
     """Trace of the channel output for |Psi><Psi|, per leading axis of the stack
-    on every receiver pair: <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k."""
-    m = np.einsum("...kji,...kjl->...il", kraus.conj(), kraus)
-    psi = protocol_state().reshape(2, 4, 4, 4)
-    t = np.einsum("...bx,axcd->...abcd", m, psi)
-    t = np.einsum("...cy,...abyd->...abcd", m, t)
-    return np.einsum("abcd,...dz,...abcz->...", psi.conj(), m, t).real
+    on every receiver pair: <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k.
+    Every single-qubit K^dag K of both noise kinds is diagonal, so M is too and
+    the trace is sum |Psi_abcd|^2 m_b m_c m_d with m = diag M."""
+    m = np.einsum("...kji,...kji->...i", kraus.conj(), kraus).real
+    weight = np.abs(protocol_state().reshape(2, 4, 4, 4)) ** 2
+    return np.einsum("abcd,...b,...c,...d->...", weight, m, m, m)
 
 
 # --------------------------------------------------------------------------
@@ -298,58 +301,40 @@ class FactorizationReport:
         return tuple(l for l in self.lines if l.mismatched)
 
 
-def _reassemble(variant: str, spec: TargetSpec) -> np.ndarray:
-    total = np.zeros(128, dtype=complex)
-    for outcome, zvec in zeta_basis(spec).items():
-        if variant == "bob":
-            branch = np.zeros(64, dtype=complex)
-            for sign, bparts, cl, dl in BOB_EXPANSION[outcome]:
-                branch += sign * kron(_combo(bparts, spec, "computational"),
-                                      basis_ket(cl), basis_ket(dl))
-            branch /= 2.0
-        else:
-            branch = np.zeros(64, dtype=complex)
-            for sign, bl, cl, dparts in DAVID_EXPANSION[outcome]:
-                branch += sign * kron(hadamard_ket(bl), hadamard_ket(cl),
-                                      _combo(dparts, spec, "hadamard"))
-            branch /= 4.0
-        total += kron(zvec, branch)
-    return total / np.sqrt(2)
-
-
-def _line_reports(variant: str, spec: TargetSpec) -> tuple[LineReport, ...]:
-    """Per-line diff between published content and the projected true branch."""
-    expansion, scale, basis = {
-        "bob": (BOB_EXPANSION, 2 * np.sqrt(2), "computational"),
-        "david": (DAVID_EXPANSION, 4 * np.sqrt(2), "hadamard")}[variant]
-    reports = []
-    for outcome in ("zeta1", "zeta2"):
-        for i, line in enumerate(expansion[outcome], start=1):
-            if variant == "bob":
-                # every published line gives Charlie and David one label
-                sign, parts, *labels = line
-                outcomes = labels[:1]
-            else:
-                sign, *labels, parts = line
-                outcomes = labels
-            true = branch_amplitudes(variant, outcome, tuple(outcomes), spec)
-            published = sign * _combo(parts, spec, basis)
-            reports.append(LineReport(
-                sender_outcome=outcome, line_index=i, outcome_labels=tuple(labels),
-                max_diff=float(np.max(np.abs(true * scale - published)))))
-    return tuple(reports)
-
-
 def verify_factorization(variant: str, spec: TargetSpec) -> FactorizationReport:
     """Reassemble a published factorization and compare with the true state.
 
-    Returns the max elementwise residual plus per-line diffs that localize
-    any disagreement to specific published terms. The residual is reported,
+    Returns the max elementwise residual plus per-line diffs between each
+    published line and the projected true branch, which localize any
+    disagreement to specific published terms. The residual is reported,
     never asserted: the receiver-side expansion is known to carry misprints.
     """
     if variant not in ("bob", "david"):
         raise ValueError(f"unknown factorization variant {variant!r}")
-    reassembled = _reassemble(variant, spec)
-    residual = float(np.max(np.abs(reassembled - protocol_state())))
+    bob = variant == "bob"
+    expansion, norm = (BOB_EXPANSION, 2.0) if bob else (DAVID_EXPANSION, 4.0)
+    total = np.zeros(128, dtype=complex)
+    lines = []
+    for outcome, zvec in zeta_basis(spec).items():
+        branch = np.zeros(64, dtype=complex)
+        for i, line in enumerate(expansion[outcome], start=1):
+            if bob:
+                # every published line gives Charlie and David one label
+                sign, parts, *labels = line
+                published = sign * _combo(parts, spec, "computational")
+                branch += kron(published, *map(basis_ket, labels))
+                outcomes = labels[:1]
+            else:
+                sign, *labels, parts = line
+                published = sign * _combo(parts, spec, "hadamard")
+                branch += kron(*map(hadamard_ket, labels), published)
+                outcomes = labels
+            true = branch_amplitudes(variant, outcome, tuple(outcomes), spec)
+            lines.append(LineReport(
+                sender_outcome=outcome, line_index=i, outcome_labels=tuple(labels),
+                max_diff=float(np.max(np.abs(
+                    true.reshape(4) * (norm * np.sqrt(2)) - published)))))
+        total += kron(zvec, branch / norm)
+    residual = float(np.max(np.abs(total / np.sqrt(2) - protocol_state())))
     return FactorizationReport(variant=variant, spec=spec, residual=residual,
-                               lines=_line_reports(variant, spec))
+                               lines=tuple(lines))

@@ -6,7 +6,9 @@ way: the noise channel on the full seven-qubit density matrix
 (apply_channel), the tensor-product measurement operator U of one outcome
 (scenario_for, build_measurement_operator), and the partial trace onto the
 receiver's qubits (partial_trace). It shares only the outcome states and the
-Kraus sets with the contraction, so the tests can hold one against the other.
+single-qubit Kraus operators with the contraction, so the tests can hold one
+against the other. einsum_branch_amplitudes is the contraction itself, written
+as einsums over named qubit-pair axes instead of matrix products.
 
 The package scores the pure target by its overlap with the branch amplitudes.
 This module scores it with the general Uhlmann fidelity
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hrsp.linalg import I2, PARTY_QUBITS, kron
-from hrsp.noise import KrausSet, warn_trace_deficit
-from hrsp.states import TargetSpec, outcome_kets, target_state
+from hrsp.noise import warn_trace_deficit
+from hrsp.states import TargetSpec, outcome_kets, protocol_state, target_state
 
 PROJECTOR_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
@@ -67,9 +69,10 @@ def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
     return np.einsum("abcb->ac", t)
 
 
-def apply_channel(rho: np.ndarray, kraus: KrausSet,
+def apply_channel(rho: np.ndarray, kraus: np.ndarray,
                   correlated: bool = True) -> np.ndarray:
-    """Evolve a seven-qubit rho under the noise on every receiver qubit.
+    """Evolve a seven-qubit rho under the noise on every receiver qubit; kraus
+    holds one eta's single-qubit operators, shape (n, 2, 2).
 
     Correlated mode: one Kraus index per receiver, applied to both of its
     qubits. Uncorrelated mode: an independent index on every receiver qubit
@@ -88,12 +91,26 @@ def apply_channel(rho: np.ndarray, kraus: KrausSet,
     out = rho
     for slot in slots:
         terms = [kron(*(k if q in slot else I2 for q in range(n)))
-                 for k in kraus.operators]
+                 for k in kraus]
         out = sum(a @ out @ a.conj().T for a in terms)
 
     if correlated:
         warn_trace_deficit(float(np.trace(rho).real - np.trace(out).real))
     return out
+
+
+def einsum_branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
+                             spec, kraus):
+    """states.branch_amplitudes as three einsums over named qubit-pair axes:
+    the reference for its matrix products."""
+    zvec, collab = outcome_kets(receiver, sender_outcome,
+                                collaborator_outcomes, spec)
+    r, x, y = {"bob": "bcd", "charlie": "cbd", "david": "dbc"}[receiver]
+    bx, by = (ket.conj() for ket in collab.values())
+    psi = protocol_state().reshape(2, 4, 4, 4)
+    fx, fy = (np.einsum("o,...koi->...ki", bra, kraus) for bra in (bx, by))
+    w = np.einsum(f"a,...k{x},...l{y},abcd->...kl{r}", zvec.conj(), fx, fy, psi)
+    return np.einsum("...klr,...mRr->...klmR", w, kraus)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 import numpy as np
 import pytest
 
-from hrsp.noise import kraus_set
+from hrsp.noise import kraus_operators
 from hrsp.pipeline import PipelineConfig, default_config, sweep
 from hrsp.protocol import (CORRECTION_TABLES, CorrectionRule, TABLE_RECEIVER,
                            derive_receiver_table, noiseless_fidelity,
@@ -174,8 +174,11 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_channel_contracts():
-    grid_ok = all(kraus_set(kind, eta).completeness_defect() < 1e-12
-                  for kind in ("ad", "pd") for eta in ETA_GRID)
+    grid_ok = True
+    for kind in ("ad", "pd"):
+        ops = kraus_operators(kind, ETA_GRID)
+        defect = np.einsum("eiba,eibc->eac", ops.conj(), ops) - np.eye(2)
+        grid_ok &= np.max(np.abs(defect)) < 1e-12
 
     rng = np.random.default_rng(23)
     a = rng.standard_normal((128, 5)) + 1j * rng.standard_normal((128, 5))
@@ -184,14 +187,14 @@ def test_criterion_7_channel_contracts():
     psd_ok = True
     for kind in ("ad", "pd"):
         for eta in (0.3, 1.0):
-            out = apply_channel(rho_rand, kraus_set(kind, eta))
+            out = apply_channel(rho_rand, kraus_operators(kind, [eta])[0])
             psd_ok &= np.max(np.abs(out - out.conj().T)) < 1e-12
             psd_ok &= np.linalg.eigvalsh(out)[0] > -1e-10
 
     rho = np.outer(protocol_state(), protocol_state().conj())
     identity_ok = all(
-        np.max(np.abs(apply_channel(rho, kraus_set(kind, 0.0)) - rho)) < 1e-14
-        for kind in ("ad", "pd"))
+        np.max(np.abs(apply_channel(rho, ops) - rho)) < 1e-14
+        for ops in (kraus_operators(kind, [0.0])[0] for kind in ("ad", "pd")))
     ok = grid_ok and psd_ok and identity_ok
     assert report(7, "Kraus completeness on the 11-point grid, channel "
                      "output Hermitian/PSD, exact identity at eta=0", ok)
@@ -205,7 +208,7 @@ def test_criterion_8_fidelity_cross_check(default_sweeps):
     for (noise, _), result in default_sweeps.items():
         rule, spec = result.config.rule(), result.config.spec
         for s in result.samples:
-            rho = apply_channel(psi, kraus_set(noise, s.effective_eta))
+            rho = apply_channel(psi, kraus_operators(noise, [s.effective_eta])[0])
             want = corrected_fidelity(receiver_block(rho, rule, spec), rule,
                                       spec)
             worst = max(worst, abs(s.fidelity - want))

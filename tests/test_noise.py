@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import I2, kron
-from hrsp.noise import (TraceDeficitWarning, amplitude_damping,
-                        kraus_operators, kraus_set, party_kraus_stack,
-                        phase_damping)
-from hrsp.states import protocol_state
+from hrsp.noise import TraceDeficitWarning, kraus_operators, party_kraus_stack
+from hrsp.states import channel_trace, protocol_state
 
 from dense_oracle import apply_channel, projector
 
@@ -30,6 +28,16 @@ def brute_force_channel(rho, ops, correlated=True):
     return out
 
 
+def kraus(kind, eta):
+    """The single-qubit operators at one eta, shape (n, 2, 2)."""
+    return kraus_operators(kind, [eta])[0]
+
+
+def completeness_defect(ops):
+    """max |sum_i K_i^dag K_i - I|, zero for a valid channel."""
+    return float(np.max(np.abs(np.einsum("kji,kjl->il", ops.conj(), ops) - I2)))
+
+
 def random_mixed_state(seed, rank):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((128, rank)) + 1j * rng.standard_normal((128, rank))
@@ -39,28 +47,28 @@ def random_mixed_state(seed, rank):
 
 class TestKrausSets:
     def test_ad_eta_zero(self):
-        ks = amplitude_damping(0.0)
-        assert np.allclose(ks.operators[0], I2)
-        assert np.allclose(ks.operators[1], 0)
+        k0, k1 = kraus("ad", 0.0)
+        assert np.allclose(k0, I2)
+        assert np.allclose(k1, 0)
 
     def test_ad_eta_one(self):
-        k0, k1 = amplitude_damping(1.0).operators
+        k0, k1 = kraus("ad", 1.0)
         assert np.allclose(k0, np.diag([1.0, 0.0]))
         assert np.allclose(k1, [[0, 1], [0, 0]])
 
     def test_ad_eta_half(self):
-        k0, k1 = amplitude_damping(0.5).operators
+        k0, k1 = kraus("ad", 0.5)
         assert np.allclose(k0, np.diag([1.0, 1 / np.sqrt(2)]))
         assert np.isclose(k1[0, 1], 1 / np.sqrt(2))
 
     def test_pd_eta_zero(self):
-        e0, e1, e2 = phase_damping(0.0).operators
+        e0, e1, e2 = kraus("pd", 0.0)
         assert np.allclose(e0, I2)
         assert np.allclose(e1, 0)
         assert np.allclose(e2, 0)
 
     def test_pd_eta_one(self):
-        e0, e1, e2 = phase_damping(1.0).operators
+        e0, e1, e2 = kraus("pd", 1.0)
         assert np.allclose(e0, 0)
         assert np.allclose(e1, np.diag([1.0, 0.0]))
         assert np.allclose(e2, np.diag([0.0, 1.0]))
@@ -68,17 +76,18 @@ class TestKrausSets:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     def test_completeness_on_grid(self, kind):
         for eta in ETA_GRID:
-            assert kraus_set(kind, eta).completeness_defect() < 1e-12
+            assert completeness_defect(kraus(kind, eta)) < 1e-12
+            assert completeness_defect(written_out_kraus(kind, eta)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("eta", [-0.1, 1.1])
     def test_eta_out_of_range(self, kind, eta):
         with pytest.raises(ValueError):
-            kraus_set(kind, eta)
+            kraus(kind, eta)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            kraus_set("dp", 0.1)
+            kraus("dp", 0.1)
 
 
 def written_out_kraus(kind, eta):
@@ -100,7 +109,7 @@ class TestKrausOperators:
         ops = kraus_operators(kind, self.GRID)
         assert ops.shape == (len(self.GRID), 2 if kind == "ad" else 3, 2, 2)
         for eta, block in zip(self.GRID, ops):
-            assert np.array_equal(block, np.stack(kraus_set(kind, eta).operators))
+            assert np.array_equal(block, kraus(kind, eta))
             assert np.array_equal(block, written_out_kraus(kind, eta))
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
@@ -109,7 +118,7 @@ class TestKrausOperators:
         stack = party_kraus_stack(kraus_operators(kind, self.GRID), correlated)
         for eta, block in zip(self.GRID, stack):
             assert np.array_equal(
-                block, party_kraus_stack(kraus_set(kind, eta), correlated))
+                block, party_kraus_stack(written_out_kraus(kind, eta), correlated))
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("eta", [1.5, -0.1, float("nan")])
@@ -117,7 +126,7 @@ class TestKrausOperators:
         with pytest.raises(ValueError, match="must be in"):
             kraus_operators(kind, [0.5, eta])
         with pytest.raises(ValueError, match="must be in"):
-            kraus_set(kind, eta)
+            kraus(kind, eta)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
@@ -128,25 +137,25 @@ class TestCorrelatedChannel:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     def test_eta_zero_is_identity(self, kind):
         rho = protocol_rho()
-        out = apply_channel(rho, kraus_set(kind, 0.0))
+        out = apply_channel(rho, kraus(kind, 0.0))
         assert np.max(np.abs(out - rho)) < 1e-14
 
     def test_ad_eta_one_trace_matches_oracle(self):
         rho = protocol_rho()
-        out = apply_channel(rho, amplitude_damping(1.0))
-        want = brute_force_channel(rho, amplitude_damping(1.0).operators)
+        out = apply_channel(rho, kraus("ad", 1.0))
+        want = brute_force_channel(rho, kraus("ad", 1.0))
         assert np.max(np.abs(out - want)) < 1e-12
         assert np.isclose(np.trace(out).real, 0.25)
 
     def test_pd_channel_matches_oracle(self):
         rho = protocol_rho()
-        ops = phase_damping(0.4).operators
-        out = apply_channel(rho, phase_damping(0.4))
+        ops = kraus("pd", 0.4)
+        out = apply_channel(rho, kraus("pd", 0.4))
         assert np.max(np.abs(out - brute_force_channel(rho, ops))) < 1e-12
 
     def test_pd_only_shrinks_coherences(self):
         rho = protocol_rho()
-        out = apply_channel(rho, phase_damping(0.5))
+        out = apply_channel(rho, kraus("pd", 0.5))
         off = ~np.eye(128, dtype=bool)
         assert np.all(np.abs(out[off]) <= np.abs(rho[off]) + 1e-12)
 
@@ -155,7 +164,7 @@ class TestCorrelatedChannel:
         off = ~np.eye(128, dtype=bool)
         prev = np.abs(rho[off])
         for eta in ETA_GRID[1:]:
-            cur = np.abs(apply_channel(rho, phase_damping(eta))[off])
+            cur = np.abs(apply_channel(rho, kraus("pd", eta))[off])
             assert np.all(cur <= prev + 1e-12)
             prev = cur
 
@@ -163,7 +172,7 @@ class TestCorrelatedChannel:
     def test_output_hermitian_psd_trace_in_unit_interval(self, kind):
         rho = random_mixed_state(5, rank=6)
         for eta in (0.0, 0.3, 0.7, 1.0):
-            out = apply_channel(rho, kraus_set(kind, eta))
+            out = apply_channel(rho, kraus(kind, eta))
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(out)[0] > -1e-10
             tr = np.trace(out).real
@@ -171,17 +180,17 @@ class TestCorrelatedChannel:
 
     def test_trace_deficit_warns_once_category(self):
         with pytest.warns(TraceDeficitWarning):
-            apply_channel(protocol_rho(), amplitude_damping(0.5))
+            apply_channel(protocol_rho(), kraus("ad", 0.5))
 
     def test_uncorrelated_mode_is_trace_preserving(self):
         rho = protocol_rho()
-        out = apply_channel(rho, amplitude_damping(0.7), correlated=False)
+        out = apply_channel(rho, kraus("ad", 0.7), correlated=False)
         assert np.isclose(np.trace(out).real, 1.0, atol=1e-12)
 
     def test_uncorrelated_ad_matches_oracle(self):
         rho = protocol_rho()
-        out = apply_channel(rho, amplitude_damping(0.7), correlated=False)
-        want = brute_force_channel(rho, amplitude_damping(0.7).operators,
+        out = apply_channel(rho, kraus("ad", 0.7), correlated=False)
+        want = brute_force_channel(rho, kraus("ad", 0.7),
                                    correlated=False)
         assert np.max(np.abs(out - want)) < 1e-12
 
@@ -189,11 +198,27 @@ class TestCorrelatedChannel:
                              [("ad", True), ("pd", True), ("ad", False)])
     def test_mixed_state_matches_oracle(self, kind, correlated):
         rho = random_mixed_state(7, rank=4)
-        ks = kraus_set(kind, 0.3)
+        ks = kraus(kind, 0.3)
         out = apply_channel(rho, ks, correlated)
-        want = brute_force_channel(rho, ks.operators, correlated)
+        want = brute_force_channel(rho, ks, correlated)
         assert np.max(np.abs(out - want)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_channel(np.eye(64, dtype=complex), amplitude_damping(0.1))
+            apply_channel(np.eye(64, dtype=complex), kraus("ad", 0.1))
+
+
+class TestChannelTrace:
+    ETAS = [0.0, 1e-12, 0.1, 0.35, 0.5, 0.8, 0.99, 1.0]
+
+    @pytest.mark.parametrize("kind", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_matches_dense_channel(self, kind, correlated):
+        stacks = party_kraus_stack(kraus_operators(kind, self.ETAS), correlated)
+        rho = protocol_rho()
+        for eta, stack, got in zip(self.ETAS, stacks, channel_trace(stacks)):
+            # channel_trace reads only the diagonal of M = sum_k S_k^dag S_k
+            m = np.einsum("kji,kjl->il", stack.conj(), stack)
+            assert np.array_equal(m, np.diag(np.diag(m)))
+            want = np.trace(apply_channel(rho, kraus(kind, eta), correlated)).real
+            assert abs(got - want) < 1e-12

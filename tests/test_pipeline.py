@@ -7,19 +7,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrsp.noise import (TraceDeficitWarning, amplitude_damping, kraus_set,
-                        party_kraus_stack)
+from hrsp.noise import TraceDeficitWarning, kraus_operators, party_kraus_stack
 from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, GRID_BLOCK,
                            MAX_GRID_POINTS, BranchProbabilityError,
                            PipelineConfig, _kraus_stacks, default_config,
                            default_grid, receiver_state, sweep)
 from hrsp.protocol import CORRECTION_TABLES, TABLE_RECEIVER
-from hrsp.states import (TargetSpec, branch_amplitudes, channel_trace,
-                         protocol_state, target_state)
+from hrsp.states import (IDENTITY_STACK, TargetSpec, branch_amplitudes,
+                         channel_trace, protocol_state, target_state)
 
 from dense_oracle import (apply_channel, build_measurement_operator,
-                          corrected_fidelity, partial_trace, projector,
-                          receiver_block, scenario_for, uhlmann_fidelity)
+                          corrected_fidelity, einsum_branch_amplitudes,
+                          partial_trace, projector, receiver_block,
+                          scenario_for, uhlmann_fidelity)
 from reference_data import CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -36,8 +36,8 @@ def row1_config():
 
 @lru_cache(maxsize=8)
 def dense_channel(noise, eta, correlated):
-    return apply_channel(projector(protocol_state()), kraus_set(noise, eta),
-                         correlated)
+    return apply_channel(projector(protocol_state()),
+                         kraus_operators(noise, [eta])[0], correlated)
 
 
 def dense_fidelity(config, eta):
@@ -82,14 +82,14 @@ class TestCollapse:
     def test_full_damping_branch_probability_matches_oracle(self):
         # direct evaluation: at eta=1 the channel leaves only |1000000>,
         # which the collaborator projector annihilates
-        rho_noisy = apply_channel(projector(protocol_state()),
-                                  amplitude_damping(1.0))
+        ops = kraus_operators("ad", [1.0])[0]
+        rho_noisy = apply_channel(projector(protocol_state()), ops)
         u = build_measurement_operator(
             scenario_for("bob", "zeta1", ("01",), BALANCED))
         p = float(np.trace(u @ rho_noisy @ u.conj().T).real)
         assert abs(p) < 1e-15
         w = branch_amplitudes("bob", "zeta1", ("01",), BALANCED,
-                              party_kraus_stack(amplitude_damping(1.0)))
+                              party_kraus_stack(ops))
         assert np.vdot(w, w).real < 1e-15
 
 
@@ -204,14 +204,14 @@ class TestKernelContracts:
                               (eta,)).rule()
         branch = (receiver, rule.sender_outcome, rule.collaborator_outcomes,
                   spec)
-        stack = party_kraus_stack(kraus_set(noise, eta), correlated)
+        stack = party_kraus_stack(kraus_operators(noise, [eta])[0], correlated)
         w = branch_amplitudes(*branch, stack).reshape(-1, 4)
         rho = w.T @ w.conj()
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
         assert np.trace(rho).real <= channel_trace(stack) + 1e-12
         if eta == 0.0:
-            v = branch_amplitudes(*branch)
+            v = einsum_branch_amplitudes(*branch, IDENTITY_STACK).reshape(4)
             assert np.max(np.abs(rho - projector(v))) < 1e-14
 
 
@@ -459,5 +459,5 @@ class TestChannelBlockCache:
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0, 0, 0] = 1.0
         assert np.array_equal(stack, np.stack([
-            party_kraus_stack(kraus_set(noise, e), correlated)
+            party_kraus_stack(kraus_operators(noise, [e])[0], correlated)
             for e in config.eta_grid]))

@@ -277,7 +277,8 @@ class TestCharlieTable:
 
 class TestReport:
     def test_report_covers_all_tables_and_charlie(self):
-        text = format_table_report()
+        text = format_table_report(
+            {t: verify_table(t) for t in CORRECTION_TABLES})
         assert text.count("mismatch") == 4
         assert "derived correction table for receiver charlie" in text
         # 1 header + 40 table rows + 1 charlie header + 32 charlie rows

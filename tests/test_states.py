@@ -4,10 +4,12 @@ import pytest
 from hrsp.linalg import kron
 from hrsp.noise import kraus_operators, party_kraus_stack
 from hrsp.protocol import CORRECTION_TABLES, derive_receiver_table
-from hrsp.states import (BOB_EXPANSION, TargetSpec, basis_ket,
+from hrsp.states import (BOB_EXPANSION, IDENTITY_STACK, TargetSpec, basis_ket,
                          branch_amplitudes, brown_state, extend_with_ancillas,
-                         outcome_kets, protocol_state, target_state,
-                         verify_factorization, zeta_basis)
+                         protocol_state, target_state, verify_factorization,
+                         zeta_basis)
+
+from dense_oracle import einsum_branch_amplitudes
 
 INV_2RT2 = 1 / (2 * np.sqrt(2))
 
@@ -173,20 +175,6 @@ class TestFactorization:
             verify_factorization("charlie", TargetSpec(1, 0))
 
 
-def einsum_branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
-                             spec, kraus):
-    """The noisy contraction as three einsums over named qubit-pair axes: the
-    reference for branch_amplitudes' matrix products."""
-    zvec, collab = outcome_kets(receiver, sender_outcome,
-                                collaborator_outcomes, spec)
-    r, x, y = {"bob": "bcd", "charlie": "cbd", "david": "dbc"}[receiver]
-    bx, by = (ket.conj() for ket in collab.values())
-    psi = protocol_state().reshape(2, 4, 4, 4)
-    fx, fy = (np.einsum("o,...koi->...ki", bra, kraus) for bra in (bx, by))
-    w = np.einsum(f"a,...k{x},...l{y},abcd->...kl{r}", zvec.conj(), fx, fy, psi)
-    return np.einsum("...klr,...mRr->...klmR", w, kraus)
-
-
 class TestBranchAmplitudes:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
@@ -201,7 +189,9 @@ class TestBranchAmplitudes:
             branch = (rule.receiver, rule.sender_outcome,
                       rule.collaborator_outcomes, spec)
             want = einsum_branch_amplitudes(*branch, stack)
+            noiseless = einsum_branch_amplitudes(*branch, IDENTITY_STACK)
             for got, ref in ((branch_amplitudes(*branch, stack), want),
-                             (branch_amplitudes(*branch, stack[2]), want[2])):
+                             (branch_amplitudes(*branch, stack[2]), want[2]),
+                             (branch_amplitudes(*branch), noiseless)):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) < 1e-15
