@@ -9,11 +9,11 @@ from .noise import kraus_operators, party_kraus_stack
 from .pipeline import (BranchProbabilityError, FidelitySample, PipelineConfig,
                        SweepResult, default_config, default_grid,
                        receiver_state, sweep)
-from .protocol import (CORRECTION_TABLES, CorrectionRule, GateToken,
+from .protocol import (CORRECTION_TABLES, TOKENS, CorrectionRule,
                        correction_unitary, derive_receiver_table,
                        format_table_report, noiseless_fidelity,
                        oracle_find_correction, parse_gate_string,
-                       token_unitary, verify_table)
+                       verify_table)
 from .states import (TargetSpec, branch_amplitudes, brown_state,
                      extend_with_ancillas, protocol_state, target_state,
                      verify_factorization, zeta_basis)

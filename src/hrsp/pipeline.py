@@ -13,8 +13,11 @@ Uhlmann fidelity that the tests hold it against live in tests/dense_oracle.py.
 A block's channel (its Kraus stacks and per-eta trace deficit) depends only
 on the noise kind, the etas and the channel mode, so it is built once and
 kept in a CHANNEL_CACHE_SIZE-entry cache: repeated sweeps of one grid in a
-process (every row of a table scan) reuse it. The trace-deficit warning is
-checked on every evaluation, cached or not.
+process (every row of a table scan) reuse it, but only while a sweep makes
+at most CHANNEL_CACHE_SIZE block evaluations (one per GRID_BLOCK points plus
+one per boundary extension); a 1001-point grid cycles the cache and a repeat
+sweep gets no hits. The trace-deficit warning is checked on every
+evaluation, cached or not.
 
 Where a Bob outcome's probability vanishes identically at eta = 1 (every
 damping path annihilates it), that grid point is a continuous extension: the
@@ -24,7 +27,6 @@ probability is >= 1e-10. Such samples carry boundary_extended = True.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -33,7 +35,7 @@ import numpy as np
 from .noise import (NOISE_KINDS, kraus_operators, party_kraus_stack,
                     warn_trace_deficit)
 from .protocol import (CORRECTION_TABLES, DERIVED_TABLE_ROWS, CorrectionRule,
-                       derived_rule)
+                       check_row, derived_rule)
 from .states import TargetSpec, branch_amplitudes, channel_trace, target_state
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
@@ -54,11 +56,8 @@ def _rule_for(table: str, row: int) -> CorrectionRule:
     if not oracle and table not in CORRECTION_TABLES:
         raise ValueError(f"unknown table {table!r}, expected one of "
                          f"{(*CORRECTION_TABLES, 'oracle')}")
-    if isinstance(row, bool) or not isinstance(row, numbers.Integral):
-        raise ValueError(f"row must be an integer, got {row!r}")
     rows = DERIVED_TABLE_ROWS if oracle else len(CORRECTION_TABLES[table])
-    if not 1 <= row <= rows:
-        raise ValueError(f"table {table} has rows 1..{rows}, got {row}")
+    check_row(row, rows, f"table {table}")
     if oracle:
         return derived_rule("charlie", row)
     return CORRECTION_TABLES[table][row - 1]

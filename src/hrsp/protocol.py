@@ -5,7 +5,8 @@ Conventions, each validated by the noiseless oracle below:
 * Gate strings read left to right in application order: in "X2 CX2-1" the X
   on qubit 2 acts first, so the composite matrix is CX(2->1) @ (I (x) X).
 * Subscripts name the receiver's local qubits 1 and 2; for CX/RCX the pair
-  is control-target.
+  is control-target. A token is its canonical notation, a TOKENS key: no
+  other spelling ("X01", "X+1") parses.
 * iY is the real matrix [[0, 1], [-1, 0]]; the i and any -1 are global
   phases and drop out under density-matrix conjugation.
 * RCX is the zero-controlled CNOT: it flips the target when the control is
@@ -21,6 +22,7 @@ disagrees with it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,98 +41,57 @@ ORACLE_MAX_DEPTH = 6
 SENDER_OUTCOMES = ("zeta1", "zeta2")
 
 _IY = np.array([[0, 1], [-1, 0]], dtype=complex)
+_P0 = np.diag([1, 0]).astype(complex)
+_P1 = np.diag([0, 1]).astype(complex)
 
-_ONE_QUBIT = {"H": H, "X": X, "Y": Y, "iY": _IY, "-iY": -_IY, "Z": Z}
-
-
-@dataclass(frozen=True)
-class GateToken:
-    """One gate acting on the receiver's two-qubit register.
-
-    targets is (qubit,) for one-qubit gates and (control, target) for
-    CX/RCX, with local qubits numbered 1 and 2.
-    """
-
-    gate: str
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.gate in ("CX", "RCX"):
-            if sorted(self.targets) != [1, 2]:
-                raise ValueError(f"{self.gate} needs a control-target pair, "
-                                 f"got {self.targets}")
-        elif self.gate in _ONE_QUBIT:
-            if len(self.targets) != 1 or self.targets[0] not in (1, 2):
-                raise ValueError(f"{self.gate} needs one target in (1, 2), "
-                                 f"got {self.targets}")
-        else:
-            raise ValueError(f"unknown gate {self.gate!r}")
-
-    def __str__(self):
-        if self.gate in ("CX", "RCX"):
-            return f"{self.gate}{self.targets[0]}-{self.targets[1]}"
-        return f"{self.gate}{self.targets[0]}"
-
-
-def _controlled_x(control: int, target: int, fire_on: int) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            bits = [a, b]
-            if bits[control - 1] == fire_on:
-                bits[target - 1] ^= 1
-            m[(bits[0] << 1) | bits[1], (a << 1) | b] = 1.0
-    return m
-
-
-@lru_cache(maxsize=None)  # at most 16 tokens: 6 gates x 2 qubits, 2 x 2 pairs
-def token_unitary(token: GateToken) -> np.ndarray:
-    """4x4 matrix of one token on the receiver register (read-only, cached)."""
-    if token.gate in ("CX", "RCX"):
-        m = _controlled_x(*token.targets, fire_on=1 if token.gate == "CX" else 0)
-    else:
-        g = _ONE_QUBIT[token.gate]
-        m = kron(g, I2) if token.targets[0] == 1 else kron(I2, g)
-    m.setflags(write=False)
-    return m
+#: every gate token, keyed by its table notation, as its read-only 4x4
+#: matrix on the receiver register (local qubit 1 is the high bit)
+TOKENS = {
+    **{f"{name}{q}": kron(g, I2) if q == 1 else kron(I2, g)
+       for name, g in (("H", H), ("X", X), ("Y", Y), ("iY", _IY),
+                       ("-iY", -_IY), ("Z", Z))
+       for q in (1, 2)},
+    "CX1-2": kron(_P1, X) + kron(_P0, I2),
+    "CX2-1": kron(X, _P1) + kron(I2, _P0),
+    "RCX1-2": kron(_P0, X) + kron(_P1, I2),
+    "RCX2-1": kron(X, _P0) + kron(I2, _P1),
+}
+for _m in TOKENS.values():
+    _m.setflags(write=False)
 
 
 def correction_unitary(gates) -> np.ndarray:
     """Composite unitary of a gate sequence, first token applied first."""
     u = np.eye(4, dtype=complex)
     for tok in gates:
-        u = token_unitary(tok) @ u
+        u = TOKENS[tok] @ u
     return u
 
 
-def parse_gate_string(text: str) -> tuple[GateToken, ...]:
-    """Parse table notation like "-iY2 X1,2 CX2-1" into tokens.
+def parse_gate_string(text: str) -> tuple[str, ...]:
+    """Split table notation like "-iY2 X1,2 CX2-1" into TOKENS keys.
 
     O1 / O2 target one qubit, O1,2 expands to O on both, and O1-2 / O2-1
-    give control-target for CX/RCX. An empty string is the identity.
+    give control-target for CX/RCX. An empty string is the identity. Any
+    other word, a non-canonical target such as "X01" included, raises
+    ValueError naming its position.
     """
-    tokens: list[GateToken] = []
+    tokens: list[str] = []
     for pos, word in enumerate(text.split(), start=1):
-        for name in ("RCX", "CX", "-iY", "iY", "H", "X", "Y", "Z"):
-            if word.startswith(name):
-                sub = word[len(name):]
-                break
-        else:
+        expanded = ((word[:-3] + "1", word[:-3] + "2") if word.endswith("1,2")
+                    else (word,))
+        if not all(tok in TOKENS for tok in expanded):
             raise ValueError(f"unknown gate token {word!r} at position {pos}")
-        try:
-            if name in ("CX", "RCX"):
-                c, t = sub.split("-")
-                tokens.append(GateToken(name, (int(c), int(t))))
-            elif sub == "1,2":
-                tokens.append(GateToken(name, (1,)))
-                tokens.append(GateToken(name, (2,)))
-            else:
-                tokens.append(GateToken(name, (int(sub),)))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(
-                f"bad target spec {sub!r} in token {word!r} at position {pos}"
-            ) from exc
+        tokens += expanded
     return tuple(tokens)
+
+
+def check_row(row, rows: int, table: str) -> None:
+    """Reject a row that is not an integer in 1..rows; bool is not a row."""
+    if isinstance(row, bool) or not isinstance(row, numbers.Integral):
+        raise ValueError(f"row must be an integer, got {row!r}")
+    if not 1 <= row <= rows:
+        raise ValueError(f"{table} has rows 1..{rows}, got {row}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +101,12 @@ class CorrectionRule:
     receiver: str
     sender_outcome: str
     collaborator_outcomes: tuple[str, ...]
-    gates: tuple[GateToken, ...]
+    gates: tuple[str, ...]  # TOKENS keys, in application order
     source: str  # "published" or "oracle"
 
     @property
     def gate_string(self) -> str:
-        return " ".join(str(g) for g in self.gates)
+        return " ".join(self.gates)
 
     def unitary(self) -> np.ndarray:
         return correction_unitary(self.gates)
@@ -215,9 +176,6 @@ TABLE_III = _rows("david", "zeta2", [
 
 CORRECTION_TABLES = {"I": TABLE_I, "II": TABLE_II, "III": TABLE_III}
 
-#: receiver whose rows a table holds
-TABLE_RECEIVER = {"I": "bob", "II": "david", "III": "david"}
-
 
 def branch_vector(receiver: str, sender_outcome: str,
                   collaborator_outcomes: tuple[str, ...],
@@ -242,11 +200,10 @@ def noiseless_fidelity(rule: CorrectionRule, spec: TargetSpec) -> float:
 
 # --------------------------------------------------------------------------
 # Brute-force oracle.
-ORACLE_VOCABULARY = tuple(
-    parse_gate_string(t)[0]
-    for t in ("H1", "H2", "X1", "X2", "Y1", "Y2", "Z1", "Z2", "CX1-2", "CX2-1"))
+ORACLE_VOCABULARY = ("H1", "H2", "X1", "X2", "Y1", "Y2", "Z1", "Z2",
+                     "CX1-2", "CX2-1")
 
-_ORACLE_MATRICES = [token_unitary(t) for t in ORACLE_VOCABULARY]
+_ORACLE_MATRICES = [TOKENS[t] for t in ORACLE_VOCABULARY]
 
 
 class OracleSearchError(RuntimeError):
@@ -394,9 +351,7 @@ def derived_rule(receiver: str, row: int) -> CorrectionRule:
     if receiver not in ("charlie", "david"):
         raise ValueError("derivable tables pair a Hadamard-measured "
                          "collaborator duo with receiver charlie or david")
-    if not 1 <= row <= DERIVED_TABLE_ROWS:
-        raise ValueError(f"derived tables have rows 1..{DERIVED_TABLE_ROWS}, "
-                         f"got {row}")
+    check_row(row, DERIVED_TABLE_ROWS, "derived table")
     outcome, labels = divmod(row - 1, len(HADAMARD_LABELS) ** 2)
     first, second = divmod(labels, len(HADAMARD_LABELS))
     return _cached_oracle(receiver, SENDER_OUTCOMES[outcome],

@@ -8,7 +8,7 @@ import pytest
 
 from hrsp.noise import kraus_operators
 from hrsp.pipeline import PipelineConfig, default_config, sweep
-from hrsp.protocol import (CORRECTION_TABLES, CorrectionRule, TABLE_RECEIVER,
+from hrsp.protocol import (CORRECTION_TABLES, CorrectionRule,
                            derive_receiver_table, noiseless_fidelity,
                            parse_gate_string, verify_table)
 from hrsp.states import TargetSpec, protocol_state, verify_factorization
@@ -160,7 +160,7 @@ def test_criterion_6_oracle_equivalence():
     both_fidelities_ok = True
     for (table_id, _), rv in mismatches.items():
         oracle_rule = CorrectionRule(
-            receiver=TABLE_RECEIVER[table_id],
+            receiver=CORRECTION_TABLES[table_id][0].receiver,
             sender_outcome=rv.sender_outcome,
             collaborator_outcomes=rv.collaborator_outcomes,
             gates=parse_gate_string(rv.oracle_rule), source="oracle")

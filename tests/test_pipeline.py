@@ -12,7 +12,7 @@ from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, GRID_BLOCK,
                            MAX_GRID_POINTS, BranchProbabilityError,
                            PipelineConfig, _kraus_stacks, default_config,
                            default_grid, receiver_state, sweep)
-from hrsp.protocol import CORRECTION_TABLES, TABLE_RECEIVER
+from hrsp.protocol import CORRECTION_TABLES
 from hrsp.states import (IDENTITY_STACK, TargetSpec, branch_amplitudes,
                          channel_trace, protocol_state, target_state)
 
@@ -25,8 +25,8 @@ from reference_data import CURVES, ETA_GRID
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
 #: (table, row, receiver) of every published row and Charlie's derived rows
-ALL_ROWS = ([(t, r, TABLE_RECEIVER[t]) for t in ("I", "II", "III")
-             for r in range(1, len(CORRECTION_TABLES[t]) + 1)]
+ALL_ROWS = ([(t, r, rule.receiver) for t in ("I", "II", "III")
+             for r, rule in enumerate(CORRECTION_TABLES[t], start=1)]
             + [("oracle", r, "charlie") for r in range(1, 33)])
 
 
@@ -285,6 +285,22 @@ class TestSweep:
         (sample,) = sweep(config).samples
         assert abs(sample.branch_probability - 1 / 32) < 1e-15
         assert abs(sample.fidelity - want) < 1e-15
+
+    @pytest.mark.parametrize("row", range(1, 9))
+    def test_correlated_pd_bob_matches_closed_form(self, row):
+        # every table I row: F^2 = (5e^2 - 8e + 4) / (2 (3e^2 - 4e + 2)) at
+        # alpha = beta = 1/sqrt(2); on this grid the sweep extends only
+        # eta = 1, where outcomes 01/10 die, instead of taking the limit
+        # 1/sqrt(2)
+        samples = sweep(default_config("pd", "bob", step=0.01, row=row)).samples
+        for s in samples:
+            if not s.boundary_extended:
+                e = s.eta
+                f2 = (5 * e * e - 8 * e + 4) / (2 * (3 * e * e - 4 * e + 2))
+                assert abs(s.fidelity - np.sqrt(f2)) < 1e-12, e
+        outcome, = CORRECTION_TABLES["I"][row - 1].collaborator_outcomes
+        extended = [s.eta for s in samples if s.boundary_extended]
+        assert extended == ([1.0] if outcome in ("01", "10") else [])
 
     def test_branch_probabilities_at_zero_noise(self):
         bob = sweep(default_config("ad", "bob")).samples[0]

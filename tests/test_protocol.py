@@ -4,12 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrsp.linalg import kron
-from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, GateToken,
+from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, TOKENS,
                            branch_vector, correction_unitary,
                            derive_receiver_table, derived_rule,
                            format_table_report, noiseless_fidelity,
                            oracle_find_correction, parse_gate_string,
-                           phase_aligned_distance, token_unitary, verify_table)
+                           phase_aligned_distance, verify_table)
 from hrsp.states import TargetSpec, basis_ket, target_state
 
 from dense_oracle import (MeasurementScenario, build_measurement_operator,
@@ -21,10 +21,28 @@ BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 MISMATCH_ROWS = {"II-15", "III-6", "III-14", "III-16"}
 
 #: every token of the gate grammar
-ALL_TOKENS = ([GateToken(g, (q,)) for g in ("H", "X", "Y", "iY", "-iY", "Z")
-               for q in (1, 2)]
-              + [GateToken(g, pair) for g in ("CX", "RCX")
-                 for pair in ((1, 2), (2, 1))])
+ALL_TOKENS = ["H1", "H2", "X1", "X2", "Y1", "Y2", "iY1", "iY2", "-iY1", "-iY2",
+              "Z1", "Z2", "CX1-2", "CX2-1", "RCX1-2", "RCX2-1"]
+
+#: CX and RCX written out: column |ab> holds the image of basis state |ab>
+CONTROLLED_X = {
+    "CX1-2": [[1, 0, 0, 0],
+              [0, 1, 0, 0],
+              [0, 0, 0, 1],
+              [0, 0, 1, 0]],
+    "CX2-1": [[1, 0, 0, 0],
+              [0, 0, 0, 1],
+              [0, 0, 1, 0],
+              [0, 1, 0, 0]],
+    "RCX1-2": [[0, 1, 0, 0],
+               [1, 0, 0, 0],
+               [0, 0, 1, 0],
+               [0, 0, 0, 1]],
+    "RCX2-1": [[0, 0, 1, 0],
+               [0, 1, 0, 0],
+               [1, 0, 0, 0],
+               [0, 0, 0, 1]],
+}
 
 #: worked-example correction for table I row 1, as an explicit permutation
 ROW1_MATRIX = np.array([[0, 1, 0, 0],
@@ -36,11 +54,10 @@ ROW1_MATRIX = np.array([[0, 1, 0, 0],
 class TestParsing:
     def test_two_token_rule(self):
         got = parse_gate_string("X2 CX2-1")
-        assert got == (GateToken("X", (2,)), GateToken("CX", (2, 1)))
+        assert got == ("X2", "CX2-1")
 
     def test_both_qubits_shorthand(self):
-        assert parse_gate_string("H1,2") == (GateToken("H", (1,)),
-                                             GateToken("H", (2,)))
+        assert parse_gate_string("H1,2") == ("H1", "H2")
 
     def test_empty_is_identity(self):
         assert parse_gate_string("") == ()
@@ -48,17 +65,17 @@ class TestParsing:
 
     def test_signed_y_tokens(self):
         toks = parse_gate_string("-iY2 X1,2 CX2-1")
-        assert [t.gate for t in toks] == ["-iY", "X", "X", "CX"]
+        assert toks == ("-iY2", "X1", "X2", "CX2-1")
 
     def test_unknown_token_reports_position(self):
         with pytest.raises(ValueError, match="position 2"):
             parse_gate_string("X1 Q2")
 
     def test_bad_target_rejected(self):
-        with pytest.raises(ValueError):
-            parse_gate_string("X3")
-        with pytest.raises(ValueError):
-            parse_gate_string("CX1-3")
+        # a token has one spelling: "X01" and "X+1" are not X1
+        for word in ("X3", "CX1-3", "X01", "X+1", "CX01-2"):
+            with pytest.raises(ValueError, match="position 2"):
+                parse_gate_string(f"H1 {word}")
 
 
 class TestCorrectionUnitary:
@@ -67,8 +84,8 @@ class TestCorrectionUnitary:
         assert np.max(np.abs(got - ROW1_MATRIX)) < 1e-14
 
     def test_left_token_applies_first(self):
-        x2 = token_unitary(GateToken("X", (2,)))
-        cx21 = token_unitary(GateToken("CX", (2, 1)))
+        x2 = TOKENS["X2"]
+        cx21 = TOKENS["CX2-1"]
         got = correction_unitary(parse_gate_string("X2 CX2-1"))
         assert np.allclose(got, cx21 @ x2)
 
@@ -79,20 +96,28 @@ class TestCorrectionUnitary:
         assert np.max(np.abs(plus @ rho @ plus.conj().T
                              - minus @ rho @ minus.conj().T)) < 1e-14
 
-    @pytest.mark.parametrize("token", ALL_TOKENS, ids=str)
+    def test_table_holds_exactly_the_grammar(self):
+        assert sorted(TOKENS) == sorted(ALL_TOKENS)
+
+    @pytest.mark.parametrize("token", ALL_TOKENS)
     def test_token_unitary_is_cached_and_read_only(self, token):
-        u = token_unitary(token)
-        assert token_unitary(GateToken(token.gate, token.targets)) is u
+        u = TOKENS[token]
+        assert TOKENS[parse_gate_string(token)[0]] is u
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-14
         with pytest.raises(ValueError, match="read-only"):
             u[0, 0] = 0.0
         # a composite is a fresh array; the cached factors stay as they were
         composite = correction_unitary((token, token))
         composite[0, 0] = 7.0
-        assert token_unitary(token)[0, 0] != 7.0
+        assert TOKENS[token][0, 0] != 7.0
+
+    @pytest.mark.parametrize("token", sorted(CONTROLLED_X))
+    def test_controlled_x_is_written_out_permutation(self, token):
+        assert np.array_equal(TOKENS[token],
+                              np.array(CONTROLLED_X[token], dtype=complex))
 
     def test_rcx_fires_on_control_zero(self):
-        rcx = token_unitary(GateToken("RCX", (1, 2)))
+        rcx = TOKENS["RCX1-2"]
         assert np.allclose(rcx @ basis_ket("00"), basis_ket("01"))
         assert np.allclose(rcx @ basis_ket("10"), basis_ket("10"))
 
@@ -273,6 +298,15 @@ class TestCharlieTable:
     def test_bad_row_or_receiver_rejected(self, receiver, row, match):
         with pytest.raises(ValueError, match=match):
             derived_rule(receiver, row)
+
+    @pytest.mark.parametrize("row", [True, False, 2.0, 1.5, "1", None])
+    def test_non_integer_row_rejected(self, row):
+        # True used to return row 1's rule, 2.0 raised TypeError
+        with pytest.raises(ValueError, match="row must be an integer"):
+            derived_rule("charlie", row)
+
+    def test_numpy_integer_row_accepted(self):
+        assert derived_rule("charlie", np.int64(2)) == derived_rule("charlie", 2)
 
 
 class TestReport:
