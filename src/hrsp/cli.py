@@ -95,7 +95,7 @@ def _cmd_sweep(args) -> int:
     tail = ""
     if last.boundary_extended:
         tail = (f"  [branch probability vanishes at eta={last.eta:g}; value is "
-                f"the continuous extension evaluated at eta={last.effective_eta:g}]")
+                f"the exact limit as eta -> {last.eta:g}]")
     print(f"F({last.eta:g}) = {last.fidelity:.6f}{tail}")
     return 0
 

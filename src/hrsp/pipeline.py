@@ -1,50 +1,68 @@
-"""End-to-end noisy protocol runs: contract, normalize, correct, score.
+"""End-to-end noisy protocol runs: one exact fidelity curve per table row.
 
-A sweep contracts |Psi> with the sender's bra, the Kraus stacks of GRID_BLOCK
-etas and the collaborators' bras into W (states.branch_amplitudes), whose rows
-w_k make the receiver's state rho = W^T W* / p = sum_k |w_k><w_k| / p, with
+The receiver's state on one branch is read off the amplitudes W of
+states.branch_amplitudes: its rows w_k make rho = W^T W* / p, with
 p = ||W||^2 the branch probability. The target xi = alpha|00> + beta|11> is
 pure, so the fidelity of the corrected state O rho O^dag is
-sqrt(<xi|O rho O^dag|xi>) = ||W u|| / sqrt(p) with u = O^T xi*: a sweep forms
-no 4x4 matrix. This is the package's only route to the receiver's state; the
-dense 128x128 chain (channel, measurement operator, partial trace) and the
-Uhlmann fidelity that the tests hold it against live in tests/dense_oracle.py.
+sqrt(<xi|O rho O^dag|xi>) = ||W u|| / sqrt(p) with u = O^T xi*: no 4x4
+matrix is formed. This is the package's only route to the receiver's state;
+the dense 128x128 chain (channel, measurement operator, partial trace) and
+the Uhlmann fidelity that the tests hold it against live in
+tests/dense_oracle.py.
 
-A block's channel (its Kraus stacks and per-eta trace deficit) depends only
-on the noise kind, the etas and the channel mode, so it is built once and
-kept in a CHANNEL_CACHE_SIZE-entry cache: repeated sweeps of one grid in a
-process (every row of a table scan) reuse it, but only while a sweep makes
-at most CHANNEL_CACHE_SIZE block evaluations (one per GRID_BLOCK points plus
-one per boundary extension); a 1001-point grid cycles the cache and a repeat
-sweep gets no hits. The trace-deficit warning is checked on every
-evaluation, cached or not.
+A sweep contracts nothing per eta. Every receiver-pair Kraus operator is t^M
+times a polynomial in s of degree <= 2 (noise.pair_terms), with t = sqrt(eta)
+and s = sqrt(1 - eta), and W and u are linear in (alpha, beta). One kernel
+call on the nonzero terms, at the targets (1, 0) and (0, 1), therefore gives
+the exact curves of one branch,
 
-Where a Bob outcome's probability vanishes identically at eta = 1 (every
-damping path annihilates it), that grid point is a continuous extension: the
-largest eta on a deterministic ladder, evaluated as one block, whose branch
-probability is >= 1e-10. Such samples carry boundary_extended = True.
+    p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),    M <= 6,
+
+with D_M and N_M polynomials of degree <= 12 whose coefficients are fixed
+quadratic (D) and quartic (N) forms in (alpha, beta). N_0, the part that
+survives at eta = 0, is kept as the square of its amplitude polynomial
+instead, so that a fidelity of 0 comes out as 0 and not as the square root
+of rounding noise. _curve builds these once per process for each (noise
+kind, channel mode, table, row), storing only the powers eta^M s^j that the
+channel can reach (4 for correlated PD, 28 for correlated AD, 7 and 49
+uncorrelated). That key space is finite, 2 x 2 x 72 = 288 entries of at
+most 3.8 KB, so the cache needs no size limit and holds at most 0.6 MB of
+coefficients; a scan of all 72 rows under both noise kinds fills 144
+entries, 0.23 MB. A sweep contracts the coefficients with the target's
+monomials and evaluates them on the whole grid at once, in (eta, s)
+directly, together with the channel's trace on |Psi><Psi| (for the
+TraceDeficitWarning check), which has the same form.
+
+Where a Bob outcome's probability vanishes at eta = 1 (every damping path
+annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
+lowest power of s at which sum_M D_M is nonzero, F^2 tends to
+sum_M N_M[j0] / sum_M D_M[j0]. Each D_M is a sum of squared moduli, so its
+lowest coefficients cannot cancel between terms. Such samples carry
+boundary_extended = True and branch probability 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .noise import (NOISE_KINDS, kraus_operators, party_kraus_stack,
-                    warn_trace_deficit)
+from .noise import (NOISE_KINDS, kraus_operators, pair_terms,
+                    party_kraus_stack, warn_trace_deficit)
 from .protocol import (CORRECTION_TABLES, DERIVED_TABLE_ROWS, CorrectionRule,
                        check_row, derived_rule)
-from .states import TargetSpec, branch_amplitudes, channel_trace, target_state
+from .states import (TargetSpec, branch_amplitudes, channel_trace,
+                     diagonal_trace)
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
-EXTENSION_PROBABILITY = 1e-10
-GRID_BLOCK = 32             # etas contracted together; bounds a sweep's memory
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
-#: channel blocks kept per process; one is at most 9 x 4 x 4 complex per eta
-#: (uncorrelated PD) times GRID_BLOCK etas = 72 KiB, so the cache is <= 1.2 MB
-CHANNEL_CACHE_SIZE = 16
+#: a curve's coefficients: powers eta^0..eta^6 times s^0..s^12
+ETA_ORDERS, S_ORDERS = 7, 13
+
+#: W and u are linear in (alpha, beta): the curves are built at these two
+_UNIT_TARGETS = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
 
 
 class BranchProbabilityError(ValueError):
@@ -96,13 +114,12 @@ class PipelineConfig:
         return _rule_for(self.table, self.row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FidelitySample:
-    eta: float                  # requested grid value
+    eta: float                  # grid value
     fidelity: float
     branch_probability: float
-    effective_eta: float        # where the point was actually evaluated
-    boundary_extended: bool
+    boundary_extended: bool     # branch dies at eta: fidelity is the exact limit
 
 
 @dataclass(frozen=True)
@@ -125,77 +142,158 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
     return tuple(round(i * step, 10) for i in range(n + 1))
 
 
-@lru_cache(maxsize=CHANNEL_CACHE_SIZE)
-def _channel_block(noise_kind: str, etas: tuple[float, ...], correlated: bool):
-    """Read-only party Kraus stacks of a block of etas and, per eta, the trace
-    the channel loses on |Psi><Psi|. Cached: sweeps of one grid share them."""
-    kraus = party_kraus_stack(kraus_operators(noise_kind, etas), correlated)
-    deficit = 1.0 - channel_trace(kraus)
-    kraus.setflags(write=False)
-    deficit.setflags(write=False)
-    return kraus, deficit
+class _Terms(NamedTuple):
+    """noise.pair_terms of one channel, indexed for the curve builds. A
+    triple is one pair of terms (of one Kraus operator) per party; support
+    lists the flat indices M * S_ORDERS + j of the powers eta^M s^j that a
+    triple can reach, and a curve stores coefficients on support only."""
+
+    ops: np.ndarray         # (T, 4, 4) nonzero terms
+    triples: tuple          # each triple's first and second terms, as flat
+                            # indices into a (T, T, T) array
+    bins: np.ndarray        # each triple's position in support
+    support: np.ndarray
+    noiseless: np.ndarray   # (T^3, S_ORDERS): the t^0 terms, by power of s
+    trace: np.ndarray       # states.channel_trace on support, read-only
 
 
-def _kraus_stacks(config: PipelineConfig, etas) -> np.ndarray:
-    """party_kraus_stack per eta, stacked; warns at one site on lost trace,
-    on every call (the block itself may come from the cache)."""
-    kraus, deficit = _channel_block(config.noise_kind, tuple(etas),
-                                    config.correlated)
-    warn_trace_deficit(float(np.max(deficit)))
-    return kraus
+@lru_cache(maxsize=None)
+def _channel_terms(noise_kind: str, correlated: bool) -> _Terms:
+    ops, kraus, power, degree = pair_terms(noise_kind, correlated)
+    first, second = np.nonzero(kraus[:, None] == kraus)
+    order = power[first] * S_ORDERS + degree[first] + degree[second]
+    n = len(ops)
+
+    def triples(x, y, z):
+        return (x[:, None, None] + y[:, None] + z).reshape(-1)
+
+    flat = triples(order, order, order)
+    reached = np.bincount(flat, minlength=ETA_ORDERS * S_ORDERS) > 0
+    bins = (np.cumsum(reached) - 1)[flat]
+    # one Kraus operator per noise kind carries t^0, so the t^0 terms of the
+    # three parties make up one Kraus triple, the channel at eta = 0
+    free = np.where(power == 0, degree, S_ORDERS)
+    noiseless = triples(free, free, free)[:, None] == np.arange(S_ORDERS)
+    # sum_k S_k^dag S_k is diagonal (states.channel_trace), term pair by pair
+    m = np.einsum("pji,pji->pi", ops[first].conj(), ops[second]).real
+    trace = np.bincount(bins, diagonal_trace(m[:, None, None], m[:, None],
+                                             m).reshape(-1))
+    trace.setflags(write=False)
+    return _Terms(ops, (triples(first * n * n, first * n, first),
+                        triples(second * n * n, second * n, second)),
+                  bins, np.flatnonzero(reached), noiseless.astype(float), trace)
 
 
-def _evaluate(config: PipelineConfig, etas):
-    """The chain at every eta of a block: the stacked branch amplitudes W, the
-    branch probabilities and one FidelitySample per eta. A point with
-    probability <= BRANCH_PROBABILITY_FLOOR is scored unnormalized; its
-    fidelity means nothing."""
-    rule = config.rule()
-    w = branch_amplitudes(config.receiver, rule.sender_outcome,
-                          rule.collaborator_outcomes, config.spec,
-                          _kraus_stacks(config, etas)).reshape(len(etas), -1, 4)
-    norm = np.linalg.norm(w, axis=(1, 2))
-    p = norm ** 2
-    u = rule.unitary().T @ target_state(config.spec).conj()
-    f = np.linalg.norm(w @ u, axis=-1) / np.where(
-        p > BRANCH_PROBABILITY_FLOOR, norm, 1.0)
-    return w, p, [FidelitySample(e, *values, e, False) for e, *values
-                  in zip(etas, f.tolist(), p.tolist())]
+def _squared_norm(x: np.ndarray, terms: _Terms) -> np.ndarray:
+    """sum over Kraus operators k of ||sum_m c_m x[m, k]||^2, for amplitudes
+    x[m, a, b, c, :] of a form linear in c_m over the pair terms a, b, c: the
+    coefficients of eta^M s^j on terms.support for each monomial
+    c_0^(2-i) c_1^i ... (i = m + n), shape (2 len(x) - 1, len(support))."""
+    # Re(conj(a) b), summed over the vector axis, is the dot product of the
+    # float (real, imag) views; each bin sums both orders of every pair, so
+    # the imaginary parts of conj(a) b cancel
+    xt = x.reshape(len(x), -1, x.shape[-1]).view(float).transpose(0, 2, 1)
+    first, second = terms.triples
+    gram = np.einsum("mvp,nvp->mnp", np.take(xt, first, axis=2),
+                     np.take(xt, second, axis=2))
+    size = len(terms.support)
+    monomial = np.add.outer(np.arange(len(x)), np.arange(len(x)))
+    index = monomial[..., None] * size + terms.bins
+    return np.bincount(index.reshape(-1), gram.reshape(-1),
+                       (2 * len(x) - 1) * size).reshape(-1, size)
+
+
+@lru_cache(maxsize=None)
+def _curve(noise_kind: str, correlated: bool, table: str, row: int):
+    """One branch's exact curves, read-only, from one kernel call: ||W u||^2
+    for the monomials alpha^4, alpha^3 beta, ..., beta^4 and p for alpha^2,
+    alpha beta, beta^2, as _squared_norm coefficients, and the amplitude
+    W u of the t^0 Kraus triple for alpha^2, alpha beta, beta^2, by powers
+    of s."""
+    rule = _rule_for(table, row)
+    terms = _channel_terms(noise_kind, correlated)
+    w = branch_amplitudes(rule.receiver, rule.sender_outcome,
+                          rule.collaborator_outcomes, _UNIT_TARGETS, terms.ops)
+    y = w @ rule.unitary()[[0, 3]].T     # [m, a, b, c, n]: W_m u_n
+    wu = np.stack([y[0, ..., 0], y[0, ..., 1] + y[1, ..., 0], y[1, ..., 1]])
+    curves = (_squared_norm(wu[..., None], terms), _squared_norm(w, terms),
+              wu.reshape(3, -1) @ terms.noiseless)
+    for coef in curves:
+        coef.setflags(write=False)
+    return curves
 
 
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
     """The receiver's normalized state W^T W* / p on the config's branch at one
-    eta, before correction, and the branch probability p."""
-    (w,), (p,), _ = _evaluate(config, (eta,))
+    eta, before correction, and the branch probability p: one kernel call with
+    the channel at that eta, independent of the sweep's curves."""
+    rule = config.rule()
+    kraus = party_kraus_stack(kraus_operators(config.noise_kind, [eta])[0],
+                              config.correlated)
+    warn_trace_deficit(1.0 - float(channel_trace(kraus)))
+    w = branch_amplitudes(config.receiver, rule.sender_outcome,
+                          rule.collaborator_outcomes, config.spec,
+                          kraus).reshape(-1, 4)
+    p = float(np.linalg.norm(w) ** 2)
     if p <= BRANCH_PROBABILITY_FLOOR:
         raise BranchProbabilityError(
             f"{config.noise_kind} eta={eta:g} {config.receiver} table {config.table} "
             f"row {config.row}: branch probability {p:.3e} is below "
             f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
-    return w.T @ w.conj() / p, float(p)
+    return w.T @ w.conj() / p, p
 
 
-def _boundary_extension(config: PipelineConfig, eta: float) -> FidelitySample:
-    """eta - 10^-k for k = 12 down to 1, evaluated as one block: the first
-    candidate with probability >= EXTENSION_PROBABILITY stands in for eta."""
-    ladder = [c for c in (eta - 10.0 ** (-k) for k in range(12, 0, -1)) if c >= 0.0]
-    for sample in _evaluate(config, ladder)[2] if ladder else ():
-        if sample.branch_probability >= EXTENSION_PROBABILITY:
-            return replace(sample, eta=eta, boundary_extended=True)
-    raise BranchProbabilityError(
-        f"no evaluable point near eta={eta:g} for {config.noise_kind} "
-        f"{config.receiver} table {config.table} row {config.row}")
+def _evaluate(coef: np.ndarray, noiseless: np.ndarray, grid) -> np.ndarray:
+    """sum_M,j coef[k, M, j] eta^M s^j at every grid eta, plus |sum_j
+    noiseless[j] s^j|^2 on row 0. Apart from sweep so that the power tables
+    (13 floats per grid point) are freed before the samples are built."""
+    eta = np.array(grid)
+    s_powers = np.sqrt(1.0 - eta)[:, None] ** np.arange(S_ORDERS)
+    values = np.einsum("em,kmj,ej->ke", eta[:, None] ** np.arange(ETA_ORDERS),
+                       coef, s_powers)
+    # real and imaginary parts apart: s_powers @ noiseless would copy the
+    # table to complex
+    values[0] += ((s_powers @ noiseless.real) ** 2
+                  + (s_powers @ noiseless.imag) ** 2)
+    return values
 
 
 def sweep(config: PipelineConfig) -> SweepResult:
-    """Fidelity at every grid value, in grid order, contracted GRID_BLOCK etas
-    at a time; a point whose branch dies takes the boundary extension."""
-    samples = []
-    for start in range(0, len(config.eta_grid), GRID_BLOCK):
-        *_, block = _evaluate(config, config.eta_grid[start:start + GRID_BLOCK])
-        samples += (s if s.branch_probability > BRANCH_PROBABILITY_FLOOR
-                    else _boundary_extension(config, s.eta) for s in block)
-    return SweepResult(config=config, samples=tuple(samples))
+    """Fidelity at every grid value, in grid order, from the branch's cached
+    curves; where the branch dies at eta = 1, the exact limit."""
+    numerator, probability, noiseless = _curve(
+        config.noise_kind, config.correlated, config.table, config.row)
+    terms = _channel_terms(config.noise_kind, config.correlated)
+    a, b = config.spec.alpha, config.spec.beta
+    quadratic = np.array([a * a, a * b, b * b])
+    coef = np.zeros((3, ETA_ORDERS * S_ORDERS))
+    coef[:, terms.support] = (
+        np.array([a**4, a**3 * b, a**2 * b**2, a * b**3, b**4]) @ numerator,
+        quadratic @ probability, terms.trace)
+    coef = coef.reshape(3, ETA_ORDERS, S_ORDERS)
+    at_one = coef[:2].sum(axis=1)       # ||W u||^2 and p at eta = 1, in s^j
+    (orders,) = np.nonzero(at_one[1])
+    if not orders.size:
+        raise BranchProbabilityError(
+            f"{config.noise_kind} {config.receiver} table {config.table} row "
+            f"{config.row}: the branch probability vanishes at every eta")
+    # the t^0 part of ||W u||^2, all of it at eta = 0, is the square of its
+    # amplitude: a fidelity of 0 there stays 0, not the root of the ~1e-18
+    # rounding left where squared coefficients cancel
+    coef[0, 0] = 0.0
+    wu2, p, trace = _evaluate(coef, quadratic @ noiseless, config.eta_grid)
+    warn_trace_deficit(1.0 - trace.min())
+    # the grid increases, so only its last point can be eta = 1
+    j0 = orders[0]
+    live = len(p) - (j0 > 0 and config.eta_grid[-1] == 1.0)
+    # clipped: where F = 0, rounding in the squared coefficients of the
+    # eta^M, M >= 1, parts can leave F^2 at -1e-17
+    fidelity = np.sqrt(np.maximum(wu2[:live], 0.0) / p[:live]).tolist()
+    fidelity += [float(np.sqrt(max(at_one[0, j0], 0.0) / at_one[1, j0]))] * (
+        len(p) - live)
+    return SweepResult(config=config, samples=tuple(map(
+        FidelitySample, config.eta_grid, fidelity, p.tolist(),
+        [False] * live + [True] * (len(p) - live))))
 
 
 def default_config(noise_kind: str = "ad", receiver: str = "bob",

@@ -203,7 +203,9 @@ def noiseless_fidelity(rule: CorrectionRule, spec: TargetSpec) -> float:
 ORACLE_VOCABULARY = ("H1", "H2", "X1", "X2", "Y1", "Y2", "Z1", "Z2",
                      "CX1-2", "CX2-1")
 
-_ORACLE_MATRICES = [TOKENS[t] for t in ORACLE_VOCABULARY]
+#: the vocabulary's transposes side by side: v @ _ORACLE_STEP holds v @ m.T
+#: for every token m, in vocabulary order
+_ORACLE_STEP = np.concatenate([TOKENS[t].T for t in ORACLE_VOCABULARY], axis=1)
 
 
 class OracleSearchError(RuntimeError):
@@ -219,22 +221,19 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
     takes the collapsed branch to the target with fidelity >= 1 - 1e-10 at
     both validation points. Deterministic by construction.
     """
-    pairs = []
-    for spec in ORACLE_POINTS:
-        branch, _ = branch_vector(receiver, sender_outcome,
-                                  collaborator_outcomes, spec)
-        pairs.append((branch, target_state(spec).conj()))
-
-    n = len(_ORACLE_MATRICES)
-    vectors = [b[None, :] for b, _ in pairs]
+    vectors = np.array([branch_vector(receiver, sender_outcome,
+                                      collaborator_outcomes, spec)[0]
+                        for spec in ORACLE_POINTS])[:, None, :]
+    targets = np.array([target_state(spec).conj() for spec in ORACLE_POINTS])
+    n = len(ORACLE_VOCABULARY)
+    # probes[p][:, j] = m_j.T xi_p*: v @ probes[p] holds <xi_p| m_j |v> for
+    # every token j, so a depth is tested before its vectors are built
+    probes = (_ORACLE_STEP.reshape(4, n, 4) @ targets[:, None, :, None])[..., 0]
     for depth in range(1, ORACLE_MAX_DEPTH + 1):
         # row i*n + j extends sequence i with vocabulary token j, so row
         # order stays lexicographic with the first-applied token outermost
-        vectors = [np.stack([v @ m.T for m in _ORACLE_MATRICES], axis=1)
-                   .reshape(-1, 4) for v in vectors]
-        hit = np.ones(vectors[0].shape[0], dtype=bool)
-        for v, (_, tgt) in zip(vectors, pairs):
-            hit &= np.abs(v @ tgt) ** 2 >= 1.0 - FIDELITY_TOL
+        overlap = (vectors @ probes).reshape(len(ORACLE_POINTS), -1)
+        hit = (np.abs(overlap) ** 2 >= 1.0 - FIDELITY_TOL).all(axis=0)
         first = int(np.argmax(hit))
         if hit[first]:
             digits = []
@@ -245,6 +244,7 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
             return CorrectionRule(receiver=receiver, sender_outcome=sender_outcome,
                                   collaborator_outcomes=collaborator_outcomes,
                                   gates=gates, source="oracle")
+        vectors = (vectors @ _ORACLE_STEP).reshape(len(ORACLE_POINTS), -1, 4)
     raise OracleSearchError(
         f"no correction up to depth {ORACLE_MAX_DEPTH} for {receiver} "
         f"{sender_outcome} {collaborator_outcomes}")

@@ -159,7 +159,8 @@ IDENTITY_STACK.setflags(write=False)
 
 
 def branch_amplitudes(receiver: str, sender_outcome: str,
-                      collaborator_outcomes: tuple[str, ...], spec: TargetSpec,
+                      collaborator_outcomes: tuple[str, ...],
+                      spec: TargetSpec | tuple[TargetSpec, ...],
                       kraus: np.ndarray = IDENTITY_STACK) -> np.ndarray:
     """Unnormalized receiver amplitudes of one outcome, after the channel.
 
@@ -168,33 +169,48 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     leading axes (one per eta) carry over to W. For collaborators projected
     onto |x>, |y> and receiver R, W[..., k_X, k_Y, k_R, :]
     = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W*
-    (W as (..., -1, 4)) with trace the branch probability.
+    (W as (..., -1, 4)) with trace the branch probability. spec is a
+    TargetSpec, or a sequence of them: W then gains a leading axis, one
+    entry per spec, ahead of the stack's.
 
     The contraction is matrix products: <zeta| meets |Psi> once, the
     collaborator bras meet the stack as <x|S[k], and two batched matmuls fold
     in the collaborators' and then the receiver's operators.
     """
-    zvec, collab = outcome_kets(receiver, sender_outcome, collaborator_outcomes, spec)
+    specs = [spec] if isinstance(spec, TargetSpec) else spec
+    kets = [outcome_kets(receiver, sender_outcome, collaborator_outcomes, s)
+            for s in specs]
+    zbras = np.array([zvec for zvec, _ in kets]).conj()
     r, x, y = _AXES[receiver]
-    bx, by = (ket.conj() for ket in collab.values())
+    bx, by = (ket.conj() for ket in kets[0][1].values())
     psi = protocol_state().reshape(2, 4, 4, 4)
     *lead, n, _, _ = kraus.shape
-    phi = np.einsum(f"a,abcd->{x}{y}{r}", zvec.conj(), psi).reshape(4, 16)
+    phi = np.einsum(f"sa,abcd->s{x}{y}{r}", zbras, psi).reshape(
+        -1, *(1,) * len(lead), 4, 16)
     fx, fy = bx @ kraus, by @ kraus                     # (..., n, 4): <x|S[k]
-    t = (fx @ phi).reshape(*lead, n, 4, 4)              # [k, y, r]
-    w = (fy[..., None, :, :] @ t).reshape(*lead, n * n, 4)          # [kl, r]
-    return (w @ kraus.reshape(*lead, n * 4, 4).swapaxes(-1, -2)    # [kl, mR]
-            ).reshape(*lead, n, n, n, 4)
+    t = (fx @ phi).reshape(-1, *lead, n, 4, 4)          # [k, y, r]
+    w = (fy[..., None, :, :] @ t).reshape(-1, *lead, n * n, 4)      # [kl, r]
+    w = (w @ kraus.reshape(*lead, n * 4, 4).swapaxes(-1, -2)       # [kl, mR]
+         ).reshape(-1, *lead, n, n, n, 4)
+    return w[0] if isinstance(spec, TargetSpec) else w
 
 
 def channel_trace(kraus: np.ndarray) -> float | np.ndarray:
     """Trace of the channel output for |Psi><Psi|, per leading axis of the stack
     on every receiver pair: <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k.
     Every single-qubit K^dag K of both noise kinds is diagonal, so M is too and
-    the trace is sum |Psi_abcd|^2 m_b m_c m_d with m = diag M."""
+    the trace is diagonal_trace(m, m, m) with m = diag M."""
     m = np.einsum("...kji,...kji->...i", kraus.conj(), kraus).real
+    return diagonal_trace(m, m, m)
+
+
+def diagonal_trace(m_bob, m_charlie, m_david) -> float | np.ndarray:
+    """<Psi| I (x) diag(m_bob) (x) diag(m_charlie) (x) diag(m_david) |Psi> for
+    4-vectors on the receiver pairs: sum |Psi_abcd|^2 m_b m_c m_d. Leading axes
+    broadcast."""
     weight = np.abs(protocol_state().reshape(2, 4, 4, 4)) ** 2
-    return np.einsum("abcd,...b,...c,...d->...", weight, m, m, m)
+    return np.einsum("abcd,...b,...c,...d->...", weight, m_bob, m_charlie,
+                     m_david)
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The four default curves were computed with an independent prototype
 implementation of the whole chain (separate partial-trace, channel, and
 fidelity routines) and frozen here; the package must reproduce them to 1e-6.
 Boundary entries marked None are the points where the conditioned branch
-has exactly zero probability and the sweep substitutes a flagged continuous
-extension, whose value depends on the documented extension policy and is
-asserted by range instead.
+has exactly zero probability; the prototype had no value there. The sweep
+prints the flagged exact limit as eta tends to 1, BOB_LIMIT for these
+curves, and the tests hold it to that.
 """
 
 ETA_GRID = tuple(round(0.1 * i, 10) for i in range(11))

@@ -72,7 +72,7 @@ def test_criterion_2_ad_endpoints(default_sweeps):
         checks.append((key, eta_at, want, got,
                        abs(got - want) < ENDPOINT_TOLERANCE))
     # the bob branch dies at eta=1 (probability 0); its final grid entry is
-    # the flagged continuous extension, David's curve is defined there
+    # the flagged exact limit, David's curve is defined there
     assert bob.samples[-1].boundary_extended
     assert not david.samples[-1].boundary_extended
     limit_ok = abs(david.samples[-1].fidelity - BOB_LIMIT) < 1e-6
@@ -202,15 +202,19 @@ def test_criterion_7_channel_contracts():
 
 def test_criterion_8_fidelity_cross_check(default_sweeps):
     # every sample against the dense 128x128 chain scored by the Uhlmann
-    # formula, at the eta where the sample was evaluated
+    # formula; where the branch dies (Bob's row I-1 at eta=1), against the
+    # exact limit |beta|
     psi = projector(protocol_state())
     worst = 0.0
     for (noise, _), result in default_sweeps.items():
         rule, spec = result.config.rule(), result.config.spec
         for s in result.samples:
-            rho = apply_channel(psi, kraus_operators(noise, [s.effective_eta])[0])
-            want = corrected_fidelity(receiver_block(rho, rule, spec), rule,
-                                      spec)
+            if s.boundary_extended:
+                want = abs(spec.beta)
+            else:
+                rho = apply_channel(psi, kraus_operators(noise, [s.eta])[0])
+                want = corrected_fidelity(receiver_block(rho, rule, spec),
+                                          rule, spec)
             worst = max(worst, abs(s.fidelity - want))
     ok = worst < 1e-9
     assert report(8, f"pure-target fidelity vs dense-chain Uhlmann fidelity "

@@ -15,17 +15,17 @@ RECEIVER_ROWS = {"bob": [("I", r) for r in range(1, 9)],
 #: SHA-256 of the concatenated CSVs of every row of a receiver at the
 #: default target (correlated channel, default grid)
 ROW_CSV_DIGESTS = {
-    ("ad", "bob"): "68d8912d5591463d4da73b42a56278597c16ef42b47354eba8d958221f7fe8fb",
+    ("ad", "bob"): "c5f5dde23b7a5385de2784f85f2e637f1896b022c0c03bb24de0db8de768571d",
     ("ad", "charlie"): "3a6c5631a6b20dbec0c69991213fb6190aa8b2d41f0d0df3d5987b86f71f0d58",
     ("ad", "david"): "bc8f61cec73237bf11142cbd9b51680c670d9f04010466a22ed1b040af190620",
-    ("pd", "bob"): "b90af1236ef6dff21aaf81d7c1dcdcabd2d8e8d022d6c74c347ec63e47a4bb7f",
+    ("pd", "bob"): "61f955f1ee43698d5b9c881e7a6147d9fe834358fa354e143de9868a3021fa27",
     ("pd", "charlie"): "bd3e07a181dfc2613dd444e62cd9a1ebe69066d9ecfb1a48f96cb18f691335be",
     ("pd", "david"): "aa2779b9e6d41b76a05ff589476961b5493afe7f4c2d271385bf424adcb63bb6",
 }
 
 #: SHA-256 of the CSV of each default --uncorrelated-noise sweep
 UNCORRELATED_CSV_DIGESTS = {
-    ("ad", "bob"): "d6adb50611f81d70d8eba2e82df9c6042cb2f6942eb97e319fc65a845df45244",
+    ("ad", "bob"): "d30adf0f146462b1c7a47f44e2cdad1e6a7f0bacebb7da9ade95013797b132c5",
     ("ad", "charlie"): "a65372c6afdb592c1b464ea34c45180df22771f8fd977cc308e11ace4c3cf846",
     ("ad", "david"): "0a5fcdce0919cf16683017a906dd6bbe84c9e965ce868e130ef096de0cd49793",
     ("pd", "bob"): "e00e2f63db00134ee8f6b4fe7ff3a40bd90e37bdd1cf7704f73f533ba0b50a10",
@@ -120,17 +120,17 @@ class TestSweep:
         assert len(lines) == 12
         assert lines[1] == "ad,bob,I,1,0,1.000000"
         assert lines[10] == "ad,bob,I,1,0.9,0.887401"
-        assert lines[11] == "ad,bob,I,1,1,0.714142"
-        assert "continuous extension" in out
-        assert "evaluated at eta=0.9999]" in out
+        assert lines[11] == "ad,bob,I,1,1,0.707107"
+        assert ("F(1) = 0.707107  [branch probability vanishes at eta=1; "
+                "value is the exact limit as eta -> 1]") in out
 
     def test_pd_bob_boundary_extension(self, tmp_path, capsys):
         out_path = tmp_path / "pd_bob.csv"
         code, out, _ = run_cli(["sweep", "--noise", "pd", "--out",
                                 str(out_path)], capsys)
         assert code == 0
-        assert out_path.read_text().splitlines()[11] == "pd,bob,I,1,1,0.707179"
-        assert "evaluated at eta=0.99]" in out
+        assert out_path.read_text().splitlines()[11] == "pd,bob,I,1,1,0.707107"
+        assert "value is the exact limit as eta -> 1]" in out
 
     def test_pd_david_last_value(self, tmp_path, capsys):
         out_path = tmp_path / "pd_david.csv"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import I2, kron
-from hrsp.noise import TraceDeficitWarning, kraus_operators, party_kraus_stack
+from hrsp.noise import (TraceDeficitWarning, kraus_operators, pair_terms,
+                        party_kraus_stack)
 from hrsp.states import channel_trace, protocol_state
 
 from dense_oracle import apply_channel, projector
@@ -131,6 +132,35 @@ class TestKrausOperators:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
             kraus_operators("dp", [0.1])
+
+
+class TestPairTerms:
+    """The receiver-pair stack as eta-free terms t^M s^d C, which the sweeps
+    build their exact curves from."""
+
+    @pytest.mark.parametrize("kind,correlated,count", [
+        ("ad", True, 4), ("pd", True, 3), ("ad", False, 8), ("pd", False, 9)])
+    def test_terms_sum_to_the_party_stack(self, kind, correlated, count):
+        ops, kraus, power, degree = pair_terms(kind, correlated)
+        assert len(ops) == count
+        assert np.all(np.any(ops != 0, axis=(1, 2)))
+        stacks = party_kraus_stack(kraus_operators(kind, TestKrausOperators.GRID),
+                                   correlated)
+        index = {k: i for i, k in enumerate(np.unique(kraus))}
+        assert len(index) == stacks.shape[1]
+        for eta, stack in zip(TestKrausOperators.GRID, stacks):
+            t, s = np.sqrt(eta), np.sqrt(1 - eta)
+            got = np.zeros_like(stack)
+            for op, k, m, d in zip(ops, kraus, power, degree):
+                got[index[k]] += t ** m * s ** d * op
+            assert np.max(np.abs(got - stack)) < 1e-15
+
+    @pytest.mark.parametrize("kind", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_one_operator_survives_at_eta_zero(self, kind, correlated):
+        # the sweeps square the t^0 amplitude of a single Kraus operator
+        _, kraus, power, _ = pair_terms(kind, correlated)
+        assert len(set(kraus[power == 0])) == 1
 
 
 class TestCorrelatedChannel:

@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrsp.noise import TraceDeficitWarning, kraus_operators, party_kraus_stack
-from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, GRID_BLOCK,
-                           MAX_GRID_POINTS, BranchProbabilityError,
-                           PipelineConfig, _kraus_stacks, default_config,
-                           default_grid, receiver_state, sweep)
+from hrsp import pipeline
+from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, MAX_GRID_POINTS,
+                           BranchProbabilityError, PipelineConfig,
+                           default_config, default_grid, receiver_state, sweep)
 from hrsp.protocol import CORRECTION_TABLES
 from hrsp.states import (IDENTITY_STACK, TargetSpec, branch_amplitudes,
                          channel_trace, protocol_state, target_state)
@@ -20,7 +20,7 @@ from dense_oracle import (apply_channel, build_measurement_operator,
                           corrected_fidelity, einsum_branch_amplitudes,
                           partial_trace, projector, receiver_block,
                           scenario_for, uhlmann_fidelity)
-from reference_data import CURVES, ETA_GRID
+from reference_data import BOB_LIMIT, CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -258,10 +258,10 @@ class TestSweep:
                                      CURVES[(noise, receiver)]):
             assert sample.eta == eta
             if want is None:
+                # the branch dies: the exact limit eta -> 1
                 assert sample.boundary_extended
-                assert sample.effective_eta < 1.0
-                # extension sits between the eta -> 1 limit and F(0.9)
-                assert 0.70 < sample.fidelity <= CURVES[(noise, receiver)][9]
+                assert sample.branch_probability == 0.0
+                assert abs(sample.fidelity - BOB_LIMIT) < 1e-12
             else:
                 assert not sample.boundary_extended
                 assert abs(sample.fidelity - want) < 1e-6
@@ -270,7 +270,7 @@ class TestSweep:
         # the pure-target overlap against the dense chain's Uhlmann fidelity
         config = default_config("pd", "david")
         for s in sweep(config).samples:
-            want = dense_fidelity(config, s.effective_eta)
+            want = dense_fidelity(config, s.eta)
             assert abs(s.fidelity - want) < 1e-9
 
     @pytest.mark.parametrize("row,eta,want", [
@@ -289,15 +289,13 @@ class TestSweep:
     @pytest.mark.parametrize("row", range(1, 9))
     def test_correlated_pd_bob_matches_closed_form(self, row):
         # every table I row: F^2 = (5e^2 - 8e + 4) / (2 (3e^2 - 4e + 2)) at
-        # alpha = beta = 1/sqrt(2); on this grid the sweep extends only
-        # eta = 1, where outcomes 01/10 die, instead of taking the limit
-        # 1/sqrt(2)
+        # alpha = beta = 1/sqrt(2), eta = 1 included: where outcomes 01/10
+        # die there, the sweep takes the exact limit, 1/sqrt(2)
         samples = sweep(default_config("pd", "bob", step=0.01, row=row)).samples
         for s in samples:
-            if not s.boundary_extended:
-                e = s.eta
-                f2 = (5 * e * e - 8 * e + 4) / (2 * (3 * e * e - 4 * e + 2))
-                assert abs(s.fidelity - np.sqrt(f2)) < 1e-12, e
+            e = s.eta
+            f2 = (5 * e * e - 8 * e + 4) / (2 * (3 * e * e - 4 * e + 2))
+            assert abs(s.fidelity - np.sqrt(f2)) < 1e-12, e
         outcome, = CORRECTION_TABLES["I"][row - 1].collaborator_outcomes
         extended = [s.eta for s in samples if s.boundary_extended]
         assert extended == ([1.0] if outcome in ("01", "10") else [])
@@ -319,21 +317,151 @@ class TestSweep:
         assert all(0.0 <= s.fidelity <= 1.0 + 1e-9 for s in result.samples)
 
 
-#: (noise, receiver, table, row): a dead endpoint (ladder), a David and a
-#: derived Charlie row
+def kernel_point(config, eta):
+    """F = ||W u|| / ||W|| and p = ||W||^2 at one eta, straight from
+    states.branch_amplitudes: the route receiver_state takes, independent of
+    the sweep's curves."""
+    rule = config.rule()
+    stack = party_kraus_stack(kraus_operators(config.noise_kind, [eta])[0],
+                              config.correlated)
+    w = branch_amplitudes(config.receiver, rule.sender_outcome,
+                          rule.collaborator_outcomes, config.spec,
+                          stack).reshape(-1, 4)
+    u = rule.unitary().T @ target_state(config.spec).conj()
+    norm = np.linalg.norm(w)
+    return np.linalg.norm(w @ u) / norm, norm ** 2
+
+
+#: (noise, correlated, row) of every Bob branch that dies at eta = 1, with
+#: its exact limit as a function of (alpha, beta)
+DYING_BOB_ROWS = {
+    **{(noise, correlated, row): limit
+       for noise, correlated in (("ad", True), ("ad", False), ("pd", True))
+       for row, limit in ((1, lambda a, b: abs(b)), (2, lambda a, b: abs(b)),
+                          (5, lambda a, b: abs(a)), (6, lambda a, b: abs(a)))},
+    **{("ad", correlated, row): lambda a, b: 0.0
+       for correlated in (True, False) for row in (4, 8)},
+}
+
+
+class TestExactCurve:
+    """The sweep's cached curves against the kernel at one eta, and the exact
+    limit where a branch dies."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(row=st.sampled_from(ALL_ROWS), noise=st.sampled_from(["ad", "pd"]),
+           correlated=st.booleans(), eta=st.floats(0.0, 1.0, exclude_max=True),
+           target=TARGETS)
+    @example(row=("III", 6, "david"), noise="ad", correlated=False, eta=0.0,
+             target=(1.0, 0.0))
+    def test_matches_kernel_at_one_eta(self, row, noise, correlated, eta,
+                                       target):
+        table, number, receiver = row
+        config = PipelineConfig(noise, receiver, table, number,
+                                TargetSpec(*target), (eta,), correlated)
+        (sample,) = sweep(config).samples
+        f, p = kernel_point(config, eta)
+        assert not sample.boundary_extended
+        assert abs(sample.fidelity - f) < 1e-12
+        assert abs(sample.branch_probability - p) < 1e-15
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(list(DYING_BOB_ROWS)), theta=st.floats(
+        0.0, 2 * np.pi).filter(lambda t: min(abs(np.cos(t)), abs(np.sin(t))) > 1e-3))
+    def test_limit_where_the_branch_dies(self, key, theta):
+        # off the axes: on them the lowest order of p changes, and so does
+        # the limit (AD row I-1 at (1, 0) tends to 1, not 0)
+        noise, correlated, row = key
+        spec = TargetSpec(np.cos(theta), np.sin(theta))
+        config = PipelineConfig(noise, "bob", "I", row, spec, (0.5, 1.0),
+                                correlated)
+        sample = sweep(config).samples[-1]
+        assert sample.boundary_extended
+        assert sample.branch_probability == 0.0
+        assert abs(sample.fidelity
+                   - DYING_BOB_ROWS[key](spec.alpha, spec.beta)) < 1e-12
+
+    @pytest.mark.parametrize("row", range(1, 9))
+    def test_uncorrelated_pd_keeps_every_bob_branch(self, row):
+        config = default_config("pd", "bob", row=row, correlated=False)
+        sample = sweep(config).samples[-1]
+        assert not sample.boundary_extended
+        assert abs(sample.branch_probability - 1 / 8) < 1e-15
+
+    @pytest.mark.parametrize("noise,row,printed", [
+        ("pd", 1, ("0.707110", "0.707107")), ("ad", 4, ("0.033070", "0.023079"))])
+    def test_points_next_to_a_dying_branch(self, noise, row, printed):
+        # at eta = 0.998 and 0.999 the branch probability is below 1e-12, yet
+        # F = ||W u|| / ||W|| is as well defined there as anywhere
+        config = default_config(noise, "bob", step=0.001, row=row)
+        for s, text in zip(sweep(config).samples[-3:-1], printed):
+            assert not s.boundary_extended
+            assert f"{s.fidelity:.6f}" == text
+            f, p = kernel_point(config, s.eta)
+            assert p < BRANCH_PROBABILITY_FLOOR
+            assert abs(s.fidelity - f) < 1e-12
+
+    def test_branch_that_never_lives_is_rejected(self, monkeypatch):
+        zeros = tuple(np.zeros_like(c) for c in pipeline._curve("ad", True, "I", 1))
+        monkeypatch.setattr(pipeline, "_curve", lambda *key: zeros)
+        with pytest.raises(BranchProbabilityError, match="vanishes at every eta"):
+            sweep(row1_config())
+
+
+class TestKernelCalls:
+    """A row's curves cost one kernel call per process, whatever the grid:
+    states.branch_amplitudes calls counted, no timing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        kernel = pipeline.branch_amplitudes
+
+        def counted(*args, **kwargs):
+            made.append(args[:3])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "branch_amplitudes", counted)
+        pipeline._curve.cache_clear()
+        yield made
+        pipeline._curve.cache_clear()
+
+    @pytest.mark.parametrize("noise,receiver,table,row", [
+        ("ad", "bob", "I", 1), ("pd", "david", "III", 6),
+        ("ad", "charlie", "oracle", 20)])
+    def test_cold_then_warm_sweep(self, calls, noise, receiver, table, row):
+        config = PipelineConfig(noise, receiver, table, row, BALANCED,
+                                default_grid(0.1))
+        sweep(config)
+        assert len(calls) <= 1
+        cold = len(calls)
+        sweep(replace(config, spec=TargetSpec(0.6, -0.8),
+                      eta_grid=default_grid(0.001)))
+        assert len(calls) == cold
+
+    def test_grid_size_does_not_add_calls(self, calls):
+        config = default_config("pd", "bob", step=0.1)
+        sweep(config)
+        small = len(calls)
+        pipeline._curve.cache_clear()
+        sweep(replace(config, eta_grid=default_grid(1e-5)))
+        assert len(calls) - small <= small
+
+
+#: (noise, receiver, table, row): a dead endpoint (exact limit), a David and
+#: a derived Charlie row
 BATCH_CASES = [("ad", "bob", "I", 1), ("pd", "david", "II", 1),
                ("ad", "charlie", "oracle", 1)]
 
 
 def assert_samples_match_points(config, indices):
-    """sweep(config) contracts the grid in blocks; each sample must equal a
-    one-point sweep at its eta (a summed or shifted batch axis would not)."""
+    """sweep(config) evaluates the whole grid at once; each sample must equal a
+    one-point sweep at its eta (a summed or shifted grid axis would not)."""
     samples = sweep(config).samples
     for i in indices:
         got = samples[i]
         want = sweep(replace(config, eta_grid=(config.eta_grid[i],))).samples[0]
-        assert (got.eta, got.effective_eta, got.boundary_extended) == \
-            (want.eta, want.effective_eta, want.boundary_extended)
+        assert (got.eta, got.boundary_extended) == (want.eta, want.boundary_extended)
         for field in ("fidelity", "branch_probability"):
             assert abs(getattr(got, field) - getattr(want, field)) < 1e-12
 
@@ -353,10 +481,10 @@ class TestBatchedGrid:
                                       correlated):
         config = PipelineConfig(noise, receiver, table, row, BALANCED,
                                 default_grid(0.001), correlated)
+        # neighbouring points every 32 steps, and the end of the grid
         n = len(config.eta_grid)
-        edges = [i for k in range(GRID_BLOCK, n, GRID_BLOCK) for i in (k - 1, k)]
-        assert len(edges) > 2
-        assert_samples_match_points(config, edges + [n - 1])
+        edges = [i for k in range(32, n, 32) for i in (k - 1, k)]
+        assert_samples_match_points(config, edges + [n - 2, n - 1])
 
 
 class TestRowIndependence:
@@ -449,8 +577,8 @@ class TestConfig:
 
 
 class TestChannelBlockCache:
-    """Sweeps of one grid share a cached channel block; the trace-deficit
-    check must still run on every sweep."""
+    """Sweeps of one row share its cached curve; the trace-deficit check must
+    still run on every sweep."""
 
     def test_repeated_correlated_sweep_still_warns(self):
         config = default_config(step=0.25)
@@ -460,7 +588,7 @@ class TestChannelBlockCache:
 
     def test_cached_uncorrelated_sweep_does_not_warn(self):
         config = default_config(step=0.25, correlated=False)
-        sweep(replace(config, correlated=True))   # same grid, lossy channel
+        sweep(replace(config, correlated=True))   # same row, lossy channel
         sweep(config)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TraceDeficitWarning)
@@ -469,11 +597,20 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_is_read_only(self, noise, correlated):
-        config = default_config(noise, step=0.25, correlated=correlated)
-        stack = _kraus_stacks(config, config.eta_grid)
-        assert stack is _kraus_stacks(config, config.eta_grid)
-        with pytest.raises(ValueError, match="read-only"):
-            stack[0, 0, 0, 0] = 1.0
-        assert np.array_equal(stack, np.stack([
-            party_kraus_stack(kraus_operators(noise, [e])[0], correlated)
-            for e in config.eta_grid]))
+        # the cached coefficients are shared by every later sweep of the row
+        curves = pipeline._curve(noise, correlated, "II", 3)
+        assert curves is pipeline._curve(noise, correlated, "II", 3)
+        terms = pipeline._channel_terms(noise, correlated)
+        for coef in (*curves, terms.trace):
+            with pytest.raises(ValueError, match="read-only"):
+                coef[...] = 0.0
+        # the trace curve against channel_trace of one-eta stacks
+        trace = np.zeros(pipeline.ETA_ORDERS * pipeline.S_ORDERS)
+        trace[terms.support] = terms.trace
+        etas = np.linspace(0.0, 1.0, 9)
+        stacks = party_kraus_stack(kraus_operators(noise, etas), correlated)
+        got = np.einsum("em,mj,ej->e",
+                        etas[:, None] ** np.arange(pipeline.ETA_ORDERS),
+                        trace.reshape(pipeline.ETA_ORDERS, pipeline.S_ORDERS),
+                        np.sqrt(1 - etas)[:, None] ** np.arange(pipeline.S_ORDERS))
+        assert np.max(np.abs(got - channel_trace(stacks))) < 1e-14

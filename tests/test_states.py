@@ -195,3 +195,21 @@ class TestBranchAmplitudes:
                              (branch_amplitudes(*branch), noiseless)):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) < 1e-15
+
+    @pytest.mark.parametrize("kind", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_target_sequence_adds_a_leading_axis(self, kind, correlated):
+        # W is linear in (alpha, beta): the curves are built at (1, 0), (0, 1)
+        stack = party_kraus_stack(kraus_operators(kind, [0.0, 0.45]), correlated)
+        units = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
+        spec = TargetSpec(0.28, -0.96)
+        rules = [r for rows in CORRECTION_TABLES.values() for r in rows]
+        for rule in rules + list(derive_receiver_table("charlie")):
+            branch = (rule.receiver, rule.sender_outcome,
+                      rule.collaborator_outcomes)
+            both = branch_amplitudes(*branch, units, stack)
+            assert both.shape == (2, *branch_amplitudes(*branch, spec, stack).shape)
+            for unit, got in zip(units, both):
+                assert np.array_equal(got, branch_amplitudes(*branch, unit, stack))
+            assert np.max(np.abs(0.28 * both[0] - 0.96 * both[1]
+                                 - branch_amplitudes(*branch, spec, stack))) < 1e-16
