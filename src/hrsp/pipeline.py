@@ -25,13 +25,22 @@ instead, so that a fidelity of 0 comes out as 0 and not as the square root
 of rounding noise. _curve builds these once per process for each (noise
 kind, channel mode, table, row), storing only the powers eta^M s^j that the
 channel can reach (4 for correlated PD, 28 for correlated AD, 7 and 49
-uncorrelated). That key space is finite, 2 x 2 x 72 = 288 entries of at
-most 3.8 KB, so the cache needs no size limit and holds at most 0.6 MB of
+uncorrelated). That key space is finite, 2 x 2 x 72 = 288 entries of 0.9 to
+3.8 KB, so the cache needs no size limit and holds at most 0.59 MB of
 coefficients; a scan of all 72 rows under both noise kinds fills 144
-entries, 0.23 MB. A sweep contracts the coefficients with the target's
-monomials and evaluates them on the whole grid at once, in (eta, s)
-directly, together with the channel's trace on |Psi><Psi| (for the
-TraceDeficitWarning check), which has the same form.
+entries, 0.24 MB.
+
+A sweep contracts the row's coefficients with the target's monomials once,
+then walks the grid in chunks of GRID_CHUNK = 1024 etas. For each chunk,
+_tables holds the grid side: the powers eta^M s^j on the channel's support,
+the powers of s for the t^0 amplitude, and the chunk's worst trace deficit
+of the channel on |Psi><Psi| (for the TraceDeficitWarning check), whose
+coefficients have the same form. A chunk then costs four vector-matrix
+products. _tables keeps one chunk, at most GRID_CHUNK x (49 + 13) floats,
+0.51 MB. At 1024, the default 11-point grid and the 1001-point grid of
+step 0.001 are one chunk each, so the sweeps of a row scan after its first
+reuse the tables; a 100,001-point grid streams through 98 chunks and holds
+one at a time besides its samples.
 
 Where a Bob outcome's probability vanishes at eta = 1 (every damping path
 annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
@@ -60,6 +69,8 @@ BRANCH_PROBABILITY_FLOOR = 1e-12
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
 #: a curve's coefficients: powers eta^0..eta^6 times s^0..s^12
 ETA_ORDERS, S_ORDERS = 7, 13
+#: grid etas per _tables entry: a 1001-point grid is one chunk (see above)
+GRID_CHUNK = 1024
 
 #: W and u are linear in (alpha, beta): the curves are built at these two
 _UNIT_TARGETS = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
@@ -131,8 +142,10 @@ class SweepResult:
         return tuple(s.fidelity for s in self.samples)
 
 
+@lru_cache(maxsize=1, typed=True)
 def default_grid(step: float = 0.1) -> tuple[float, ...]:
-    """0, step, ..., 1.0; step must divide 1 into a whole number of cells."""
+    """0, step, ..., 1.0; step must divide 1 into a whole number of cells.
+    The last grid is cached: the configs of a row scan share one tuple."""
     n = round(1.0 / step) if step > 0 else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide [0, 1] evenly")
@@ -155,6 +168,9 @@ class _Terms(NamedTuple):
     support: np.ndarray
     noiseless: np.ndarray   # (T^3, S_ORDERS): the t^0 terms, by power of s
     trace: np.ndarray       # states.channel_trace on support, read-only
+    fold: np.ndarray        # (len(support), S_ORDERS): sums out eta^M, the
+                            # curve at eta = 1 by power of s
+    constant: int           # support starts with this many powers eta^0 s^j
 
 
 @lru_cache(maxsize=None)
@@ -179,9 +195,12 @@ def _channel_terms(noise_kind: str, correlated: bool) -> _Terms:
     trace = np.bincount(bins, diagonal_trace(m[:, None, None], m[:, None],
                                              m).reshape(-1))
     trace.setflags(write=False)
+    support = np.flatnonzero(reached)
+    fold = support[:, None] % S_ORDERS == np.arange(S_ORDERS)
     return _Terms(ops, (triples(first * n * n, first * n, first),
                         triples(second * n * n, second * n, second)),
-                  bins, np.flatnonzero(reached), noiseless.astype(float), trace)
+                  bins, support, noiseless.astype(float), trace,
+                  fold.astype(float), int(np.searchsorted(support, S_ORDERS)))
 
 
 def _squared_norm(x: np.ndarray, terms: _Terms) -> np.ndarray:
@@ -243,36 +262,38 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
     return w.T @ w.conj() / p, p
 
 
-def _evaluate(coef: np.ndarray, noiseless: np.ndarray, grid) -> np.ndarray:
-    """sum_M,j coef[k, M, j] eta^M s^j at every grid eta, plus |sum_j
-    noiseless[j] s^j|^2 on row 0. Apart from sweep so that the power tables
-    (13 floats per grid point) are freed before the samples are built."""
-    eta = np.array(grid)
-    s_powers = np.sqrt(1.0 - eta)[:, None] ** np.arange(S_ORDERS)
-    values = np.einsum("em,kmj,ej->ke", eta[:, None] ** np.arange(ETA_ORDERS),
-                       coef, s_powers)
-    # real and imaginary parts apart: s_powers @ noiseless would copy the
-    # table to complex
-    values[0] += ((s_powers @ noiseless.real) ** 2
-                  + (s_powers @ noiseless.imag) ** 2)
-    return values
+@lru_cache(maxsize=1)
+def _tables(noise_kind: str, correlated: bool, chunk: tuple) -> tuple:
+    """The grid side of a sweep over one chunk of grid etas: the powers
+    eta^M s^j on the channel's support, shape (len(support), len(chunk)),
+    the powers s^0..s^12 for the t^0 amplitude, shape (S_ORDERS,
+    len(chunk)), and the chunk's worst trace deficit. One slot: the sweeps
+    of a row scan share one grid, and a long grid streams through it."""
+    terms = _channel_terms(noise_kind, correlated)
+    eta = np.array(chunk)
+    s_powers = np.sqrt(1.0 - eta) ** np.arange(S_ORDERS)[:, None]
+    monomials = (eta ** (terms.support // S_ORDERS)[:, None]
+                 * s_powers[terms.support % S_ORDERS])
+    for table in (monomials, s_powers):
+        table.setflags(write=False)
+    return monomials, s_powers, 1.0 - float((terms.trace @ monomials).min())
 
 
 def sweep(config: PipelineConfig) -> SweepResult:
     """Fidelity at every grid value, in grid order, from the branch's cached
     curves; where the branch dies at eta = 1, the exact limit."""
-    numerator, probability, noiseless = _curve(
-        config.noise_kind, config.correlated, config.table, config.row)
-    terms = _channel_terms(config.noise_kind, config.correlated)
+    key = config.noise_kind, config.correlated
+    numerator, probability, noiseless = _curve(*key, config.table, config.row)
+    terms = _channel_terms(*key)
     a, b = config.spec.alpha, config.spec.beta
     quadratic = np.array([a * a, a * b, b * b])
-    coef = np.zeros((3, ETA_ORDERS * S_ORDERS))
-    coef[:, terms.support] = (
-        np.array([a**4, a**3 * b, a**2 * b**2, a * b**3, b**4]) @ numerator,
-        quadratic @ probability, terms.trace)
-    coef = coef.reshape(3, ETA_ORDERS, S_ORDERS)
-    at_one = coef[:2].sum(axis=1)       # ||W u||^2 and p at eta = 1, in s^j
-    (orders,) = np.nonzero(at_one[1])
+    # vector-matrix products only, here and per chunk: the first
+    # matrix-matrix product of a process makes BLAS touch ~0.3 MB of buffers
+    wu2_coef = np.array([a**4, a**3 * b, a**2 * b**2, a * b**3, b**4]) @ numerator
+    p_coef = quadratic @ probability
+    # ||W u||^2 and p at eta = 1, by power of s
+    wu2_one, p_one = wu2_coef @ terms.fold, p_coef @ terms.fold
+    (orders,) = np.nonzero(p_one)
     if not orders.size:
         raise BranchProbabilityError(
             f"{config.noise_kind} {config.receiver} table {config.table} row "
@@ -280,20 +301,32 @@ def sweep(config: PipelineConfig) -> SweepResult:
     # the t^0 part of ||W u||^2, all of it at eta = 0, is the square of its
     # amplitude: a fidelity of 0 there stays 0, not the root of the ~1e-18
     # rounding left where squared coefficients cancel
-    coef[0, 0] = 0.0
-    wu2, p, trace = _evaluate(coef, quadratic @ noiseless, config.eta_grid)
-    warn_trace_deficit(1.0 - trace.min())
+    wu2_coef[:terms.constant] = 0.0
+    # real and imaginary parts apart: a complex product would copy the s^j
+    # table to complex
+    real, imag = (quadratic @ noiseless.view(float)).reshape(S_ORDERS, 2).T
+    grid = config.eta_grid
     # the grid increases, so only its last point can be eta = 1
     j0 = orders[0]
-    live = len(p) - (j0 > 0 and config.eta_grid[-1] == 1.0)
-    # clipped: where F = 0, rounding in the squared coefficients of the
-    # eta^M, M >= 1, parts can leave F^2 at -1e-17
-    fidelity = np.sqrt(np.maximum(wu2[:live], 0.0) / p[:live]).tolist()
-    fidelity += [float(np.sqrt(max(at_one[0, j0], 0.0) / at_one[1, j0]))] * (
-        len(p) - live)
+    live = len(grid) - (j0 > 0 and grid[-1] == 1.0)
+    fidelity, branch_probability, deficit = [], [], 0.0
+    for start in range(0, len(grid), GRID_CHUNK):
+        monomials, s_powers, chunk_deficit = _tables(
+            *key, tuple(grid[start:start + GRID_CHUNK]))
+        wu2, p = wu2_coef @ monomials, p_coef @ monomials
+        wu2 += (real @ s_powers) ** 2 + (imag @ s_powers) ** 2
+        # clipped: where F = 0, rounding in the squared coefficients of the
+        # eta^M, M >= 1, parts can leave F^2 at -1e-17
+        end = live - start
+        fidelity += np.sqrt(np.maximum(wu2[:end], 0.0) / p[:end]).tolist()
+        branch_probability += p.tolist()
+        deficit = max(deficit, chunk_deficit)
+    warn_trace_deficit(deficit)
+    fidelity += [float(np.sqrt(max(wu2_one[j0], 0.0) / p_one[j0]))] * (
+        len(grid) - live)
     return SweepResult(config=config, samples=tuple(map(
-        FidelitySample, config.eta_grid, fidelity, p.tolist(),
-        [False] * live + [True] * (len(p) - live))))
+        FidelitySample, grid, fidelity, branch_probability,
+        [False] * live + [True] * (len(grid) - live))))
 
 
 def default_config(noise_kind: str = "ad", receiver: str = "bob",

@@ -447,6 +447,34 @@ class TestKernelCalls:
         sweep(replace(config, eta_grid=default_grid(1e-5)))
         assert len(calls) - small <= small
 
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_warm_sweeps_reuse_grid_tables(self, noise, correlated):
+        # a row scan: 72 sweeps on one grid and channel build its tables once
+        configs = [default_config(noise, receiver, spec=TargetSpec(0.6, -0.8),
+                                  table=table, row=row, correlated=correlated)
+                   for table, row, receiver in ALL_ROWS]
+        sweep(configs[0])
+        misses = pipeline._tables.cache_info().misses
+        for config in configs[1:]:
+            sweep(config)
+        assert pipeline._tables.cache_info().misses == misses
+
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_grid_tables_hold_one_chunk(self, noise, correlated):
+        grid = default_grid(1e-5)
+        sweep(default_config(noise, step=1e-5, correlated=correlated))
+        assert pipeline._tables.cache_info().currsize == 1
+        # the slot holds the grid's last chunk: fetching it is a hit
+        misses = pipeline._tables.cache_info().misses
+        last = grid[(len(grid) - 1) // pipeline.GRID_CHUNK * pipeline.GRID_CHUNK:]
+        monomials, s_powers, _ = pipeline._tables(noise, correlated, last)
+        assert pipeline._tables.cache_info().misses == misses
+        support = len(pipeline._channel_terms(noise, correlated).support)
+        assert monomials.nbytes + s_powers.nbytes <= (
+            pipeline.GRID_CHUNK * (support + pipeline.S_ORDERS) * 8)
+
 
 #: (noise, receiver, table, row): a dead endpoint (exact limit), a David and
 #: a derived Charlie row
@@ -480,10 +508,12 @@ class TestBatchedGrid:
     def test_block_edges_of_fine_grid(self, noise, receiver, table, row,
                                       correlated):
         config = PipelineConfig(noise, receiver, table, row, BALANCED,
-                                default_grid(0.001), correlated)
-        # neighbouring points every 32 steps, and the end of the grid
+                                default_grid(0.0002), correlated)
+        # both sides of every chunk edge, and the end of the grid
         n = len(config.eta_grid)
-        edges = [i for k in range(32, n, 32) for i in (k - 1, k)]
+        assert n > 4 * pipeline.GRID_CHUNK
+        edges = [i for k in range(pipeline.GRID_CHUNK, n, pipeline.GRID_CHUNK)
+                 for i in (k - 1, k)]
         assert_samples_match_points(config, edges + [n - 2, n - 1])
 
 
@@ -521,6 +551,10 @@ class TestConfig:
     def test_default_grid(self):
         assert default_grid(0.5) == (0.0, 0.5, 1.0)
         assert len(default_grid(0.1)) == 11
+        # cached: the configs of a row scan share one immutable grid
+        assert default_grid(0.1) is default_grid(0.1)
+        assert isinstance(default_grid(0.1), tuple)
+        assert default_grid(0.25) == (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
@@ -528,6 +562,14 @@ class TestConfig:
         for step in (0.0, float("nan")):
             with pytest.raises(ValueError, match="does not divide"):
                 default_grid(step)
+        # every call is checked, whatever the cache holds
+        for step, match in ((0.0, "does not divide"), (float("nan"), "does not divide"),
+                            (0.3, "does not divide"), (1e-6, "MAX_GRID_POINTS"),
+                            (-0.1, "does not divide"), (float("inf"), "does not divide")):
+            for _ in range(2):
+                default_grid(0.1)
+                with pytest.raises(ValueError, match=match):
+                    default_grid(step)
 
     def test_grid_size_capped(self):
         assert len(default_grid(1e-5)) == MAX_GRID_POINTS
@@ -593,6 +635,17 @@ class TestChannelBlockCache:
         with warnings.catch_warnings():
             warnings.simplefilter("error", TraceDeficitWarning)
             sweep(config)
+
+    def test_warning_names_the_caller(self):
+        # noise.warn_trace_deficit warns at stacklevel 3, so that the default
+        # filter shows it once per calling line; a helper between it and
+        # sweep or receiver_state would move that line into pipeline.py
+        config = default_config(step=0.25)
+        for run in (lambda: sweep(config), lambda: receiver_state(config, 0.5),
+                    lambda: sweep(replace(config, eta_grid=default_grid(0.0002)))):
+            with pytest.warns(TraceDeficitWarning) as record:
+                run()
+            assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
