@@ -4,8 +4,7 @@ amplitude- and phase-damping noise."""
 
 __version__ = "0.1.0"
 
-from .linalg import PARTY_QUBITS, kron
-from .noise import kraus_operators, party_kraus_stack
+from .linalg import kron
 from .pipeline import (BranchProbabilityError, FidelitySample, PipelineConfig,
                        SweepResult, default_config, default_grid,
                        receiver_state, sweep)

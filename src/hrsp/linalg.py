@@ -24,8 +24,3 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
     return out
-
-
-#: qubits of each party, in qubit order: Alice keeps qubit 0; pairs (1,2),
-#: (3,4), (5,6) travel to Bob, Charlie, David.
-PARTY_QUBITS = {"alice": (0,), "bob": (1, 2), "charlie": (3, 4), "david": (5, 6)}

@@ -1,4 +1,4 @@
-"""Amplitude- and phase-damping Kraus operators and the correlated noise channel.
+"""Amplitude- and phase-damping noise: the channel in one eta-free form.
 
 The channel model places the *same* Kraus index on both qubits of each
 receiver (the pair is assumed to travel through one shared channel) and the
@@ -12,14 +12,12 @@ model and does not reproduce the reference fidelity curves.
 
 Every single-qubit Kraus operator of both kinds is t^m (A + s B), with
 t = sqrt(eta), s = sqrt(1 - eta), m in {0, 1} and constant A, B: one template
-per noise kind. kraus_operators evaluates it on a block of etas, as a
-(len(etas), n, 2, 2) array, and the channel enters the receiver-state
-contraction as one stack of 4x4 Kraus operators per receiver pair
-(party_kraus_stack, with the etas on leading axes). pair_terms writes that
-stack without any eta: each pair operator is t^M times a polynomial in s of
-degree <= 2, and its nonzero coefficient matrices are the terms the sweeps
-build their exact curves from. The dense 128x128 form of the same channel is
-a test oracle (tests/dense_oracle.py).
+per noise kind. pair_terms writes the operators on a receiver pair in this
+form without any eta: each is t^M times a polynomial in s of degree <= 2, and
+its nonzero coefficient matrices are the package's only form of the channel,
+from which hrsp.pipeline builds every receiver state. The per-eta
+single-qubit operators and the dense 128x128 channel are test oracles
+(tests/dense_oracle.py).
 """
 
 from __future__ import annotations
@@ -51,43 +49,17 @@ _TEMPLATES = {
 }
 
 
-def _template(kind: str):
+def pair_terms(kind: str, correlated: bool = True):
+    """The Kraus operators on one receiver's qubit pair, K_i (x) K_i when
+    correlated and K_i (x) K_j over all pairs otherwise, without eta: operator
+    k = i n + j is t^M_k sum_d s^d C_kd, d <= 2. The same stack on every
+    receiver pair, and the identity on the sender's qubit, is the whole
+    seven-qubit channel. Returns the (T, 4, 4) stack of the nonzero C_kd and,
+    per term, k, M_k and d, as arrays. T is 4 for correlated AD, 3 for
+    correlated PD, 8 and 9 for the uncorrelated channels."""
     if kind not in _TEMPLATES:
         raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
-    return _TEMPLATES[kind]
-
-
-def kraus_operators(kind: str, etas) -> np.ndarray:
-    """Single-qubit Kraus operators of one noise kind at every eta, shape
-    (len(etas), n, 2, 2), built in closed form without a per-eta loop."""
-    power, (fixed, damped) = _template(kind)
-    etas = np.asarray(etas, dtype=float).reshape(-1)
-    valid = (etas >= 0.0) & (etas <= 1.0)   # False for NaN
-    if not valid.all():
-        raise ValueError(f"noise parameter must be in [0, 1], got {etas[~valid][0]}")
-    e = etas[:, None, None, None]
-    return (np.sqrt(e) ** power[:, None, None]
-            * (fixed + np.sqrt(1 - e) * damped)).astype(complex)
-
-
-def party_kraus_stack(kraus: np.ndarray, correlated: bool = True) -> np.ndarray:
-    """Kraus operators on one receiver's qubit pair, stacked on axis -3:
-    K_i (x) K_i when correlated, K_i (x) K_j over all pairs otherwise. The
-    same stack on every receiver pair, and the identity on the sender's
-    qubit, is the whole seven-qubit channel. kraus is a (..., n, 2, 2) array
-    such as kraus_operators(kind, etas); leading axes carry over."""
-    pairs = np.einsum("...iab,...icd->...iacbd" if correlated
-                      else "...iab,...jcd->...ijacbd", kraus, kraus)
-    return pairs.reshape(*kraus.shape[:-3], -1, 4, 4)
-
-
-def pair_terms(kind: str, correlated: bool = True):
-    """party_kraus_stack(kraus_operators(kind, [eta])[0], correlated) without
-    eta: its operator k is t^M_k sum_d s^d C_kd, t = sqrt(eta), s = sqrt(1 - eta),
-    d <= 2. Returns the (T, 4, 4) stack of the nonzero C_kd and, per term, k,
-    M_k and d, as arrays. T is 4 for correlated AD, 3 for correlated PD, 8 and
-    9 for the uncorrelated channels."""
-    power, parts = _template(kind)
+    power, parts = _TEMPLATES[kind]
     n = len(power)
     # [i, j, x, y]: part x of K_i (x) part y of K_j, x, y = 0 fixed, 1 damped
     prod = np.einsum("xiab,yjcd->ijxyacbd", parts, parts).reshape(n, n, 2, 2, 4, 4)

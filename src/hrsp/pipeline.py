@@ -42,6 +42,11 @@ step 0.001 are one chunk each, so the sweeps of a row scan after its first
 reuse the tables; a 100,001-point grid streams through 98 chunks and holds
 one at a time besides its samples.
 
+receiver_state uses the same form of the channel at one eta: it sums each
+Kraus operator's terms t^M s^d C into the per-pair stack for one kernel
+call, and evaluates the trace curve there with the same _monomials as the
+chunk tables, without touching the one-slot _tables cache.
+
 Where a Bob outcome's probability vanishes at eta = 1 (every damping path
 annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
 lowest power of s at which sum_M D_M is nonzero, F^2 tends to
@@ -54,16 +59,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 from typing import NamedTuple
 
 import numpy as np
 
-from .noise import (NOISE_KINDS, kraus_operators, pair_terms,
-                    party_kraus_stack, warn_trace_deficit)
+from .noise import NOISE_KINDS, pair_terms, warn_trace_deficit
 from .protocol import (CORRECTION_TABLES, DERIVED_TABLE_ROWS, CorrectionRule,
                        check_row, derived_rule)
-from .states import (TargetSpec, branch_amplitudes, channel_trace,
-                     diagonal_trace)
+from .states import TargetSpec, branch_amplitudes, diagonal_trace
 
 BRANCH_PROBABILITY_FLOOR = 1e-12
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
@@ -111,9 +115,11 @@ class PipelineConfig:
         if len(grid) > MAX_GRID_POINTS:
             raise ValueError(f"eta grid has {len(grid)} points, more than "
                              f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
-        if not grid or any(not 0.0 <= e <= 1.0 for e in grid):
+        # one pass: an increasing grid lies within its endpoints, and a <
+        # chain fails on NaN
+        if not (grid and 0.0 <= grid[0] and grid[-1] <= 1.0):
             raise ValueError("eta grid values must lie in [0, 1]")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if not all(map(lt, grid, grid[1:])):
             raise ValueError("eta grid must be strictly increasing")
         rule = _rule_for(self.table, self.row)
         if rule.receiver != self.receiver:
@@ -125,8 +131,7 @@ class PipelineConfig:
         return _rule_for(self.table, self.row)
 
 
-@dataclass(frozen=True, slots=True)
-class FidelitySample:
+class FidelitySample(NamedTuple):
     eta: float                  # grid value
     fidelity: float
     branch_probability: float
@@ -162,12 +167,14 @@ class _Terms(NamedTuple):
     triple can reach, and a curve stores coefficients on support only."""
 
     ops: np.ndarray         # (T, 4, 4) nonzero terms
+    kraus: np.ndarray       # (K, T) 0/1: the terms of each pair Kraus operator
+    exponents: np.ndarray   # (T, 2): each term's powers of t and s
     triples: tuple          # each triple's first and second terms, as flat
                             # indices into a (T, T, T) array
     bins: np.ndarray        # each triple's position in support
     support: np.ndarray
     noiseless: np.ndarray   # (T^3, S_ORDERS): the t^0 terms, by power of s
-    trace: np.ndarray       # states.channel_trace on support, read-only
+    trace: np.ndarray       # output trace for |Psi><Psi| on support, read-only
     fold: np.ndarray        # (len(support), S_ORDERS): sums out eta^M, the
                             # curve at eta = 1 by power of s
     constant: int           # support starts with this many powers eta^0 s^j
@@ -190,14 +197,20 @@ def _channel_terms(noise_kind: str, correlated: bool) -> _Terms:
     # three parties make up one Kraus triple, the channel at eta = 0
     free = np.where(power == 0, degree, S_ORDERS)
     noiseless = triples(free, free, free)[:, None] == np.arange(S_ORDERS)
-    # sum_k S_k^dag S_k is diagonal (states.channel_trace), term pair by pair
+    # the trace is <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k, and
+    # M is diagonal, as every single-qubit K^dag K is: its diagonal pair by pair
     m = np.einsum("pji,pji->pi", ops[first].conj(), ops[second]).real
     trace = np.bincount(bins, diagonal_trace(m[:, None, None], m[:, None],
                                              m).reshape(-1))
     trace.setflags(write=False)
     support = np.flatnonzero(reached)
     fold = support[:, None] % S_ORDERS == np.arange(S_ORDERS)
-    return _Terms(ops, (triples(first * n * n, first * n, first),
+    # the K operators' indices, sorted; np.unique would cost the process
+    # ~1 MB of RSS on its first call (numpy 2.4)
+    slots = np.flatnonzero(np.bincount(kraus))
+    return _Terms(ops, (slots[:, None] == kraus).astype(float),
+                  np.stack([power, degree], axis=1),
+                  (triples(first * n * n, first * n, first),
                         triples(second * n * n, second * n, second)),
                   bins, support, noiseless.astype(float), trace,
                   fold.astype(float), int(np.searchsorted(support, S_ORDERS)))
@@ -242,17 +255,31 @@ def _curve(noise_kind: str, correlated: bool, table: str, row: int):
     return curves
 
 
+def _monomials(terms: _Terms, eta: np.ndarray):
+    """The powers eta^M s^j on the channel's support, shape (len(support),
+    len(eta)), and the powers s^0..s^12, shape (S_ORDERS, len(eta))."""
+    s_powers = np.sqrt(1.0 - eta) ** np.arange(S_ORDERS)[:, None]
+    return (eta ** (terms.support // S_ORDERS)[:, None]
+            * s_powers[terms.support % S_ORDERS]), s_powers
+
+
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
     """The receiver's normalized state W^T W* / p on the config's branch at one
     eta, before correction, and the branch probability p: one kernel call with
-    the channel at that eta, independent of the sweep's curves."""
+    the channel's pair terms summed at that eta, independent of the sweep's
+    curves."""
+    if not 0.0 <= eta <= 1.0:   # False for NaN
+        raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
     rule = config.rule()
-    kraus = party_kraus_stack(kraus_operators(config.noise_kind, [eta])[0],
-                              config.correlated)
-    warn_trace_deficit(1.0 - float(channel_trace(kraus)))
+    terms = _channel_terms(config.noise_kind, config.correlated)
+    monomials, _ = _monomials(terms, np.array([eta]))
+    warn_trace_deficit(1.0 - float((terms.trace @ monomials)[0]))
+    # each pair Kraus operator at eta: the sum of its terms t^M s^d C
+    weights = np.prod(np.sqrt([eta, 1.0 - eta]) ** terms.exponents, axis=1)
     w = branch_amplitudes(config.receiver, rule.sender_outcome,
                           rule.collaborator_outcomes, config.spec,
-                          kraus).reshape(-1, 4)
+                          np.einsum("kt,t,tab->kab", terms.kraus, weights,
+                                    terms.ops)).reshape(-1, 4)
     p = float(np.linalg.norm(w) ** 2)
     if p <= BRANCH_PROBABILITY_FLOOR:
         raise BranchProbabilityError(
@@ -264,16 +291,12 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
 
 @lru_cache(maxsize=1)
 def _tables(noise_kind: str, correlated: bool, chunk: tuple) -> tuple:
-    """The grid side of a sweep over one chunk of grid etas: the powers
-    eta^M s^j on the channel's support, shape (len(support), len(chunk)),
-    the powers s^0..s^12 for the t^0 amplitude, shape (S_ORDERS,
-    len(chunk)), and the chunk's worst trace deficit. One slot: the sweeps
-    of a row scan share one grid, and a long grid streams through it."""
+    """The grid side of a sweep over one chunk of grid etas: its _monomials
+    (the powers of s for the t^0 amplitude) and its worst trace deficit. One
+    slot: the sweeps of a row scan share one grid, and a long grid streams
+    through it."""
     terms = _channel_terms(noise_kind, correlated)
-    eta = np.array(chunk)
-    s_powers = np.sqrt(1.0 - eta) ** np.arange(S_ORDERS)[:, None]
-    monomials = (eta ** (terms.support // S_ORDERS)[:, None]
-                 * s_powers[terms.support % S_ORDERS])
+    monomials, s_powers = _monomials(terms, np.array(chunk))
     for table in (monomials, s_powers):
         table.setflags(write=False)
     return monomials, s_powers, 1.0 - float((terms.trace @ monomials).min())

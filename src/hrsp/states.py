@@ -81,15 +81,11 @@ def extend_with_ancillas(brown: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _protocol_state_cached() -> np.ndarray:
+def protocol_state() -> np.ndarray:
+    """The shared seven-qubit resource state (read-only, cached)."""
     psi = extend_with_ancillas(brown_state())
     psi.setflags(write=False)
     return psi
-
-
-def protocol_state() -> np.ndarray:
-    """The shared seven-qubit resource state (read-only view, cached)."""
-    return _protocol_state_cached()
 
 
 @dataclass(frozen=True)
@@ -164,10 +160,11 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
                       kraus: np.ndarray = IDENTITY_STACK) -> np.ndarray:
     """Unnormalized receiver amplitudes of one outcome, after the channel.
 
-    kraus[..., k, :, :] is a 4x4 operator on every receiver pair
-    (noise.party_kraus_stack; the default IDENTITY_STACK is no noise);
-    leading axes (one per eta) carry over to W. For collaborators projected
-    onto |x>, |y> and receiver R, W[..., k_X, k_Y, k_R, :]
+    kraus[..., k, :, :] is a 4x4 operator on every receiver pair: the terms
+    of noise.pair_terms, or their sums at one eta, the pair Kraus operators
+    (the default IDENTITY_STACK is no noise); leading axes carry over to W.
+    For collaborators projected onto |x>, |y> and receiver R,
+    W[..., k_X, k_Y, k_R, :]
     = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W*
     (W as (..., -1, 4)) with trace the branch probability. spec is a
     TargetSpec, or a sequence of them: W then gains a leading axis, one
@@ -193,15 +190,6 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     w = (w @ kraus.reshape(*lead, n * 4, 4).swapaxes(-1, -2)       # [kl, mR]
          ).reshape(-1, *lead, n, n, n, 4)
     return w[0] if isinstance(spec, TargetSpec) else w
-
-
-def channel_trace(kraus: np.ndarray) -> float | np.ndarray:
-    """Trace of the channel output for |Psi><Psi|, per leading axis of the stack
-    on every receiver pair: <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k.
-    Every single-qubit K^dag K of both noise kinds is diagonal, so M is too and
-    the trace is diagonal_trace(m, m, m) with m = diag M."""
-    m = np.einsum("...kji,...kji->...i", kraus.conj(), kraus).real
-    return diagonal_trace(m, m, m)
 
 
 def diagonal_trace(m_bob, m_charlie, m_david) -> float | np.ndarray:

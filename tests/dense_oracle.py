@@ -1,14 +1,17 @@
 """Dense 128x128 reference route to the receiver's state, for the tests.
 
 The package computes the receiver's state by one pure-state contraction
-(hrsp.states.branch_amplitudes). This module reaches the same state the long
-way: the noise channel on the full seven-qubit density matrix
+(hrsp.states.branch_amplitudes) with the channel in one eta-free form
+(hrsp.noise.pair_terms). This module reaches the same state the long way:
+the single-qubit Kraus operators at each eta, written out entry by entry
+(kraus_operators), the noise channel on the full seven-qubit density matrix
 (apply_channel), the tensor-product measurement operator U of one outcome
 (scenario_for, build_measurement_operator), and the partial trace onto the
-receiver's qubits (partial_trace). It shares only the outcome states and the
-single-qubit Kraus operators with the contraction, so the tests can hold one
-against the other. einsum_branch_amplitudes is the contraction itself, written
-as einsums over named qubit-pair axes instead of matrix products.
+receiver's qubits (partial_trace). It shares only the outcome states with the
+package, so the tests can hold one against the other. party_kraus_stack and
+channel_trace give the per-eta receiver-pair stack and its output trace, and
+einsum_branch_amplitudes is the contraction itself, written as einsums over
+named qubit-pair axes instead of matrix products.
 
 The package scores the pure target by its overlap with the branch amplitudes.
 This module scores it with the general Uhlmann fidelity
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hrsp.linalg import I2, PARTY_QUBITS, kron
+from hrsp.linalg import I2, kron
 from hrsp.noise import warn_trace_deficit
 from hrsp.states import TargetSpec, outcome_kets, protocol_state, target_state
 
@@ -30,6 +33,10 @@ PROJECTOR_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 EIGENVALUE_FLOOR = 1e-13
+
+#: qubits of each party, in qubit order: Alice keeps qubit 0; pairs (1,2),
+#: (3,4), (5,6) travel to Bob, Charlie, David.
+PARTY_QUBITS = {"alice": (0,), "bob": (1, 2), "charlie": (3, 4), "david": (5, 6)}
 
 
 def projector(v: np.ndarray) -> np.ndarray:
@@ -67,6 +74,41 @@ def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
     dk, dt = 2 ** len(keep), 2 ** len(traced)
     t = t.reshape(dk, dt, dk, dt)
     return np.einsum("abcb->ac", t)
+
+
+# --------------------------------------------------------------------------
+# The noise channel, one eta at a time.
+def kraus_operators(kind, etas) -> np.ndarray:
+    """Single-qubit Kraus operators of one noise kind at every eta, shape
+    (len(etas), n, 2, 2), written out entry by entry, one eta at a time:
+    AD K0 = diag(1, s), K1 = t|0><1|; PD E0 = s I, E1 = t|0><0|,
+    E2 = t|1><1|, with t = sqrt(eta), s = sqrt(1 - eta)."""
+    ops = []
+    for eta in etas:
+        s, t = np.sqrt(1 - eta), np.sqrt(eta)
+        ops.append({"ad": [[[1, 0], [0, s]], [[0, t], [0, 0]]],
+                    "pd": [[[s, 0], [0, s]], [[t, 0], [0, 0]],
+                           [[0, 0], [0, t]]]}[kind])
+    return np.array(ops, dtype=complex)
+
+
+def party_kraus_stack(kraus: np.ndarray, correlated: bool = True) -> np.ndarray:
+    """Kraus operators on one receiver's qubit pair, stacked on axis -3:
+    K_i (x) K_i when correlated, K_i (x) K_j over all pairs otherwise. kraus
+    is a (..., n, 2, 2) array such as kraus_operators(kind, etas); leading
+    axes carry over."""
+    pairs = np.einsum("...iab,...icd->...iacbd" if correlated
+                      else "...iab,...jcd->...ijacbd", kraus, kraus)
+    return pairs.reshape(*kraus.shape[:-3], -1, 4, 4)
+
+
+def channel_trace(kraus: np.ndarray) -> float | np.ndarray:
+    """Trace of the channel output for |Psi><Psi|, per leading axis of the stack
+    on every receiver pair: <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k."""
+    m = np.einsum("...kji,...kjl->...il", kraus.conj(), kraus)
+    psi = protocol_state().reshape(2, 4, 4, 4)
+    return np.einsum("abcd,...be,...cf,...dg,aefg->...", psi.conj(), m, m, m,
+                     psi, optimize=True).real
 
 
 def apply_channel(rho: np.ndarray, kraus: np.ndarray,

@@ -6,15 +6,14 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 import numpy as np
 import pytest
 
-from hrsp.noise import kraus_operators
 from hrsp.pipeline import PipelineConfig, default_config, sweep
 from hrsp.protocol import (CORRECTION_TABLES, CorrectionRule,
                            derive_receiver_table, noiseless_fidelity,
                            parse_gate_string, verify_table)
 from hrsp.states import TargetSpec, protocol_state, verify_factorization
 
-from dense_oracle import (apply_channel, corrected_fidelity, projector,
-                          receiver_block)
+from dense_oracle import (apply_channel, corrected_fidelity, kraus_operators,
+                          projector, receiver_block)
 from reference_data import (BOB_LIMIT, CURVES, ENDPOINT_TOLERANCE, ETA_GRID,
                             REFERENCE_MINIMA)
 

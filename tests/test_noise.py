@@ -3,14 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
+from hrsp import pipeline
 from hrsp.linalg import I2, kron
-from hrsp.noise import (TraceDeficitWarning, kraus_operators, pair_terms,
-                        party_kraus_stack)
-from hrsp.states import channel_trace, protocol_state
+from hrsp.noise import TraceDeficitWarning, pair_terms
+from hrsp.pipeline import PipelineConfig, receiver_state
+from hrsp.states import TargetSpec, protocol_state
 
-from dense_oracle import apply_channel, projector
+from dense_oracle import (apply_channel, channel_trace, kraus_operators,
+                          party_kraus_stack, projector)
 
 ETA_GRID = [round(0.1 * i, 10) for i in range(11)]
+BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
 def protocol_rho():
@@ -47,6 +50,8 @@ def random_mixed_state(seed, rank):
 
 
 class TestKrausSets:
+    """The oracle's written-out operators, and the eta range of a sweep."""
+
     def test_ad_eta_zero(self):
         k0, k1 = kraus("ad", 0.0)
         assert np.allclose(k0, I2)
@@ -78,65 +83,43 @@ class TestKrausSets:
     def test_completeness_on_grid(self, kind):
         for eta in ETA_GRID:
             assert completeness_defect(kraus(kind, eta)) < 1e-12
-            assert completeness_defect(written_out_kraus(kind, eta)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("eta", [-0.1, 1.1])
     def test_eta_out_of_range(self, kind, eta):
-        with pytest.raises(ValueError):
-            kraus(kind, eta)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            kraus("dp", 0.1)
-
-
-def written_out_kraus(kind, eta):
-    """The operators entry by entry, one eta at a time: the reference for the
-    closed-form templates."""
-    s, e = np.sqrt(1 - eta), np.sqrt(eta)
-    if kind == "ad":
-        ops = [[[1, 0], [0, s]], [[0, e], [0, 0]]]
-    else:
-        ops = [[[s, 0], [0, s]], [[e, 0], [0, 0]], [[0, 0], [0, e]]]
-    return np.array(ops, dtype=complex)
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            PipelineConfig(kind, "bob", "I", 1, BALANCED, (eta,))
 
 
 class TestKrausOperators:
-    GRID = [0.0, 1e-12, 0.1, 0.3, 1 / 3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-12, 1.0]
+    """The oracle's stacks, and the eta range of receiver_state."""
 
-    @pytest.mark.parametrize("kind", ["ad", "pd"])
-    def test_equal_to_per_eta_sets(self, kind):
-        ops = kraus_operators(kind, self.GRID)
-        assert ops.shape == (len(self.GRID), 2 if kind == "ad" else 3, 2, 2)
-        for eta, block in zip(self.GRID, ops):
-            assert np.array_equal(block, kraus(kind, eta))
-            assert np.array_equal(block, written_out_kraus(kind, eta))
+    GRID = [0.0, 1e-12, 0.1, 0.3, 1 / 3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-12, 1.0]
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_party_stack_keeps_leading_axes(self, kind, correlated):
         stack = party_kraus_stack(kraus_operators(kind, self.GRID), correlated)
+        assert stack.shape[0] == len(self.GRID)
         for eta, block in zip(self.GRID, stack):
             assert np.array_equal(
-                block, party_kraus_stack(written_out_kraus(kind, eta), correlated))
+                block, party_kraus_stack(kraus(kind, eta), correlated))
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("eta", [1.5, -0.1, float("nan")])
     def test_out_of_range_rejected(self, kind, eta):
+        config = PipelineConfig(kind, "bob", "I", 1, BALANCED, (0.5,))
         with pytest.raises(ValueError, match="must be in"):
-            kraus_operators(kind, [0.5, eta])
-        with pytest.raises(ValueError, match="must be in"):
-            kraus(kind, eta)
+            receiver_state(config, eta)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
-            kraus_operators("dp", [0.1])
+            pair_terms("dp")
 
 
 class TestPairTerms:
-    """The receiver-pair stack as eta-free terms t^M s^d C, which the sweeps
-    build their exact curves from."""
+    """The receiver-pair stack as eta-free terms t^M s^d C, the package's only
+    form of the channel, against the oracle's per-eta stacks."""
 
     @pytest.mark.parametrize("kind,correlated,count", [
         ("ad", True, 4), ("pd", True, 3), ("ad", False, 8), ("pd", False, 9)])
@@ -239,16 +222,23 @@ class TestCorrelatedChannel:
 
 
 class TestChannelTrace:
+    """The trace curve of the pair terms, which the sweeps and receiver_state
+    read the trace deficit from, against the dense channel."""
+
     ETAS = [0.0, 1e-12, 0.1, 0.35, 0.5, 0.8, 0.99, 1.0]
 
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_matches_dense_channel(self, kind, correlated):
+        terms = pipeline._channel_terms(kind, correlated)
+        curve = terms.trace @ pipeline._monomials(terms, np.array(self.ETAS))[0]
         stacks = party_kraus_stack(kraus_operators(kind, self.ETAS), correlated)
         rho = protocol_rho()
-        for eta, stack, got in zip(self.ETAS, stacks, channel_trace(stacks)):
-            # channel_trace reads only the diagonal of M = sum_k S_k^dag S_k
+        for eta, stack, got, oracle in zip(self.ETAS, stacks, curve,
+                                           channel_trace(stacks)):
+            # the curve reads only the diagonal of M = sum_k S_k^dag S_k
             m = np.einsum("kji,kjl->il", stack.conj(), stack)
             assert np.array_equal(m, np.diag(np.diag(m)))
             want = np.trace(apply_channel(rho, kraus(kind, eta), correlated)).real
             assert abs(got - want) < 1e-12
+            assert abs(oracle - want) < 1e-12

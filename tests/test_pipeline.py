@@ -7,19 +7,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrsp.noise import TraceDeficitWarning, kraus_operators, party_kraus_stack
+from hrsp.noise import TraceDeficitWarning
 from hrsp import pipeline
 from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, MAX_GRID_POINTS,
                            BranchProbabilityError, PipelineConfig,
                            default_config, default_grid, receiver_state, sweep)
 from hrsp.protocol import CORRECTION_TABLES
 from hrsp.states import (IDENTITY_STACK, TargetSpec, branch_amplitudes,
-                         channel_trace, protocol_state, target_state)
+                         protocol_state, target_state)
 
 from dense_oracle import (apply_channel, build_measurement_operator,
-                          corrected_fidelity, einsum_branch_amplitudes,
-                          partial_trace, projector, receiver_block,
-                          scenario_for, uhlmann_fidelity)
+                          channel_trace, corrected_fidelity,
+                          einsum_branch_amplitudes, kraus_operators,
+                          partial_trace, party_kraus_stack, projector,
+                          receiver_block, scenario_for, uhlmann_fidelity)
 from reference_data import BOB_LIMIT, CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -310,6 +311,13 @@ class TestSweep:
         sample = sweep(default_config("ad", "bob", correlated=False)).samples[9]
         assert np.isclose(sample.fidelity, 0.708024, atol=1e-5)
 
+    def test_samples_are_immutable(self):
+        sample = sweep(row1_config()).samples[0]
+        for field in ("eta", "fidelity", "branch_probability",
+                      "boundary_extended"):
+            with pytest.raises(AttributeError):
+                setattr(sample, field, 0.5)
+
     def test_charlie_sweep_runs(self):
         cfg = default_config("ad", "charlie", step=0.5)
         result = sweep(cfg)
@@ -319,8 +327,8 @@ class TestSweep:
 
 def kernel_point(config, eta):
     """F = ||W u|| / ||W|| and p = ||W||^2 at one eta, straight from
-    states.branch_amplitudes: the route receiver_state takes, independent of
-    the sweep's curves."""
+    states.branch_amplitudes with the oracle's per-eta stack, independent of
+    the sweep's curves and of the pair terms."""
     rule = config.rule()
     stack = party_kraus_stack(kraus_operators(config.noise_kind, [eta])[0],
                               config.correlated)
@@ -580,10 +588,12 @@ class TestConfig:
             PipelineConfig("ad", "bob", "I", 1, BALANCED, grid)
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig("ad", "bob", "I", 1, BALANCED, (0.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            PipelineConfig("ad", "bob", "I", 1, BALANCED, (0.0, 1.5))
+        nan, order, lie_in = float("nan"), "strictly increasing", r"lie in \["
+        for grid, match in (((0.0, 0.0, 1.0), order), ((0.0, 1.5), lie_in),
+                            ((0.0, nan, 1.0), order), ((nan,), lie_in),
+                            ((0.0, 0.5, 0.5), order), ((), lie_in)):
+            with pytest.raises(ValueError, match=match):
+                PipelineConfig("ad", "bob", "I", 1, BALANCED, grid)
 
     def test_receiver_table_mismatch(self):
         with pytest.raises(ValueError):
@@ -657,7 +667,7 @@ class TestChannelBlockCache:
         for coef in (*curves, terms.trace):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0.0
-        # the trace curve against channel_trace of one-eta stacks
+        # the trace curve against the oracle's channel_trace of one-eta stacks
         trace = np.zeros(pipeline.ETA_ORDERS * pipeline.S_ORDERS)
         trace[terms.support] = terms.trace
         etas = np.linspace(0.0, 1.0, 9)

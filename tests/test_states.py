@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import kron
-from hrsp.noise import kraus_operators, party_kraus_stack
 from hrsp.protocol import CORRECTION_TABLES, derive_receiver_table
 from hrsp.states import (BOB_EXPANSION, IDENTITY_STACK, TargetSpec, basis_ket,
                          branch_amplitudes, brown_state, extend_with_ancillas,
                          protocol_state, target_state, verify_factorization,
                          zeta_basis)
 
-from dense_oracle import einsum_branch_amplitudes
+from dense_oracle import (einsum_branch_amplitudes, kraus_operators,
+                          party_kraus_stack)
 
 INV_2RT2 = 1 / (2 * np.sqrt(2))
 
@@ -80,6 +80,12 @@ class TestExtension:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             extend_with_ancillas(np.ones(16, dtype=complex))
+
+    def test_cached_state_is_read_only(self):
+        # every caller shares one array
+        assert protocol_state() is protocol_state()
+        with pytest.raises(ValueError, match="read-only"):
+            protocol_state()[0] = 1.0
 
 
 class TestTargetState:
