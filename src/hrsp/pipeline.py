@@ -23,24 +23,36 @@ quadratic (D) and quartic (N) forms in (alpha, beta). N_0, the part that
 survives at eta = 0, is kept as the square of its amplitude polynomial
 instead, so that a fidelity of 0 comes out as 0 and not as the square root
 of rounding noise. _curve builds these once per process for each (noise
-kind, channel mode, table, row), storing only the powers eta^M s^j that the
-channel can reach (4 for correlated PD, 28 for correlated AD, 7 and 49
-uncorrelated). That key space is finite, 2 x 2 x 72 = 288 entries of 0.9 to
-3.8 KB, so the cache needs no size limit and holds at most 0.59 MB of
-coefficients; a scan of all 72 rows under both noise kinds fills 144
-entries, 0.24 MB.
+kind, channel mode, table, row) as one read-only block, on the powers
+eta^M s^j that the channel can reach and the powers eta^0 s^j of the N_0
+amplitude (its support: 5 for correlated PD, 28 for correlated AD, 8 and 49
+uncorrelated). Its 14 rows are the coefficients of ||W u||^2 without N_0 for
+the 5 quartic monomials alpha^4, alpha^3 beta, ..., beta^4, then those of p,
+and of the real and of the imaginary part of the N_0 amplitude, each for the
+3 quadratic monomials alpha^2, alpha beta, beta^2; its last 13 columns hold
+||W u||^2 and p at eta = 1 by power of s. The key space is finite,
+2 x 2 x 72 = 288 entries of 2.0 to 6.9 KB, so the cache needs no size limit
+and holds at most 1.15 MB; a scan of all 72 rows under both noise kinds and
+the correlated channel fills 144 entries, 0.48 MB.
 
-A sweep contracts the row's coefficients with the target's monomials once,
-then walks the grid in chunks of GRID_CHUNK = 1024 etas. For each chunk,
-_tables holds the grid side: the powers eta^M s^j on the channel's support,
-the powers of s for the t^0 amplitude, and the chunk's worst trace deficit
-of the channel on |Psi><Psi| (for the TraceDeficitWarning check), whose
-coefficients have the same form. A chunk then costs four vector-matrix
-products. _tables keeps one chunk, at most GRID_CHUNK x (49 + 13) floats,
-0.51 MB. At 1024, the default 11-point grid and the 1001-point grid of
-step 0.001 are one chunk each, so the sweeps of a row scan after its first
-reuse the tables; a 100,001-point grid streams through 98 chunks and holds
-one at a time besides its samples.
+A sweep multiplies the row's block by the target's monomials, a (4, 14)
+matrix cached for the last target that puts each monomial against its rows:
+one product gives the (4, K) coefficient matrix of ||W u||^2 without N_0, of
+p and of the amplitude's two parts (K the support size), and the two eta = 1
+folds, whose lowest nonzero power of s in p is j0 (see below). It then walks
+the grid in chunks of GRID_CHUNK = 1024 etas. For each chunk, _tables holds
+the grid side: the powers eta^M s^j on the support (those of eta^0 are the
+powers of s for the amplitude), and the chunk's worst trace deficit of the
+channel on |Psi><Psi| (for the TraceDeficitWarning check), whose
+coefficients have the same form. A chunk then costs one (4, K) x (K, chunk)
+product and the amplitude's squares. Both products are matrix-matrix: the
+first one in a process makes BLAS allocate about 0.25 MB of buffers, and
+numpy's einsum, which avoids BLAS, takes about 2.5 times as long at 11 etas.
+_tables keeps one chunk, at most GRID_CHUNK x 49 floats, 0.40 MB. At 1024,
+the default 11-point grid and the 1001-point grid of step 0.001 are one
+chunk each, so the sweeps of a row scan after its first reuse the tables; a
+100,001-point grid streams through 98 chunks and holds one at a time
+besides its samples.
 
 receiver_state uses the same form of the channel at one eta: it sums each
 Kraus operator's terms t^M s^d C into the per-pair stack for one kernel
@@ -85,6 +97,15 @@ class BranchProbabilityError(ValueError):
 
 
 def _rule_for(table: str, row: int) -> CorrectionRule:
+    """The rule of a table row, cached for plain int rows; any other row is
+    checked afresh (True must not find row 1, and a list is unhashable)."""
+    if type(row) is int:
+        return _cached_rule(table, row)
+    return _cached_rule.__wrapped__(table, row)
+
+
+@lru_cache(maxsize=None)
+def _cached_rule(table: str, row: int) -> CorrectionRule:
     oracle = table == "oracle"
     if not oracle and table not in CORRECTION_TABLES:
         raise ValueError(f"unknown table {table!r}, expected one of "
@@ -111,10 +132,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
-        grid = self.eta_grid
-        if len(grid) > MAX_GRID_POINTS:
-            raise ValueError(f"eta grid has {len(grid)} points, more than "
-                             f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+        if len(self.eta_grid) > MAX_GRID_POINTS:
+            raise ValueError(f"eta grid has {len(self.eta_grid)} points, more "
+                             f"than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+        # stored as a tuple of floats: an array or a list is accepted, and
+        # the config stays hashable and immutable
+        grid = tuple(map(float, self.eta_grid))
+        object.__setattr__(self, "eta_grid", grid)
         # one pass: an increasing grid lies within its endpoints, and a <
         # chain fails on NaN
         if not (grid and 0.0 <= grid[0] and grid[-1] <= 1.0):
@@ -150,7 +174,7 @@ class SweepResult:
 @lru_cache(maxsize=1, typed=True)
 def default_grid(step: float = 0.1) -> tuple[float, ...]:
     """0, step, ..., 1.0; step must divide 1 into a whole number of cells.
-    The last grid is cached: the configs of a row scan share one tuple."""
+    The last grid is cached: the configs of a row scan do not rebuild it."""
     n = round(1.0 / step) if step > 0 else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide [0, 1] evenly")
@@ -164,7 +188,8 @@ class _Terms(NamedTuple):
     """noise.pair_terms of one channel, indexed for the curve builds. A
     triple is one pair of terms (of one Kraus operator) per party; support
     lists the flat indices M * S_ORDERS + j of the powers eta^M s^j that a
-    triple can reach, and a curve stores coefficients on support only."""
+    triple can reach, together with the powers eta^0 s^j of the t^0
+    amplitude, and a curve stores coefficients on support only."""
 
     ops: np.ndarray         # (T, 4, 4) nonzero terms
     kraus: np.ndarray       # (K, T) 0/1: the terms of each pair Kraus operator
@@ -173,7 +198,8 @@ class _Terms(NamedTuple):
                             # indices into a (T, T, T) array
     bins: np.ndarray        # each triple's position in support
     support: np.ndarray
-    noiseless: np.ndarray   # (T^3, S_ORDERS): the t^0 terms, by power of s
+    noiseless: np.ndarray   # (T^3, len(support)): the t^0 terms, by power
+                            # eta^0 s^j
     trace: np.ndarray       # output trace for |Psi><Psi| on support, read-only
     fold: np.ndarray        # (len(support), S_ORDERS): sums out eta^M, the
                             # curve at eta = 1 by power of s
@@ -191,19 +217,22 @@ def _channel_terms(noise_kind: str, correlated: bool) -> _Terms:
         return (x[:, None, None] + y[:, None] + z).reshape(-1)
 
     flat = triples(order, order, order)
-    reached = np.bincount(flat, minlength=ETA_ORDERS * S_ORDERS) > 0
-    bins = (np.cumsum(reached) - 1)[flat]
     # one Kraus operator per noise kind carries t^0, so the t^0 terms of the
-    # three parties make up one Kraus triple, the channel at eta = 0
-    free = np.where(power == 0, degree, S_ORDERS)
-    noiseless = triples(free, free, free)[:, None] == np.arange(S_ORDERS)
+    # three parties make up one Kraus triple, the channel at eta = 0; its
+    # amplitude has degree <= 6 in s, and a triple with a t^1 term lands
+    # past every flat index
+    free = np.where(power == 0, degree, ETA_ORDERS * S_ORDERS)
+    amplitude = triples(free, free, free)
+    reached = np.bincount(np.append(flat, amplitude[amplitude < S_ORDERS]),
+                          minlength=ETA_ORDERS * S_ORDERS) > 0
+    support = np.flatnonzero(reached)
+    bins = (np.cumsum(reached) - 1)[flat]
     # the trace is <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k, and
     # M is diagonal, as every single-qubit K^dag K is: its diagonal pair by pair
     m = np.einsum("pji,pji->pi", ops[first].conj(), ops[second]).real
     trace = np.bincount(bins, diagonal_trace(m[:, None, None], m[:, None],
-                                             m).reshape(-1))
+                                             m).reshape(-1), len(support))
     trace.setflags(write=False)
-    support = np.flatnonzero(reached)
     fold = support[:, None] % S_ORDERS == np.arange(S_ORDERS)
     # the K operators' indices, sorted; np.unique would cost the process
     # ~1 MB of RSS on its first call (numpy 2.4)
@@ -212,8 +241,9 @@ def _channel_terms(noise_kind: str, correlated: bool) -> _Terms:
                   np.stack([power, degree], axis=1),
                   (triples(first * n * n, first * n, first),
                         triples(second * n * n, second * n, second)),
-                  bins, support, noiseless.astype(float), trace,
-                  fold.astype(float), int(np.searchsorted(support, S_ORDERS)))
+                  bins, support, (amplitude[:, None] == support).astype(float),
+                  trace, fold.astype(float),
+                  int(np.searchsorted(support, S_ORDERS)))
 
 
 def _squared_norm(x: np.ndarray, terms: _Terms) -> np.ndarray:
@@ -236,31 +266,59 @@ def _squared_norm(x: np.ndarray, terms: _Terms) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _curve(noise_kind: str, correlated: bool, table: str, row: int):
-    """One branch's exact curves, read-only, from one kernel call: ||W u||^2
-    for the monomials alpha^4, alpha^3 beta, ..., beta^4 and p for alpha^2,
-    alpha beta, beta^2, as _squared_norm coefficients, and the amplitude
-    W u of the t^0 Kraus triple for alpha^2, alpha beta, beta^2, by powers
-    of s."""
+def _curve(noise_kind: str, correlated: bool, table: str, row: int) -> np.ndarray:
+    """One branch's exact curves from one kernel call, as one read-only block
+    of shape (14, K + S_ORDERS), K = len(support). Its rows go with the
+    columns of _target_monomials: the coefficients of ||W u||^2 (without its
+    eta^0 part) for alpha^4, alpha^3 beta, ..., beta^4, then those of p, and
+    of the real and of the imaginary part of the t^0 amplitude W u, each for
+    alpha^2, alpha beta, beta^2, on support; the last S_ORDERS columns hold
+    ||W u||^2 and p at eta = 1 by power of s."""
     rule = _rule_for(table, row)
     terms = _channel_terms(noise_kind, correlated)
     w = branch_amplitudes(rule.receiver, rule.sender_outcome,
                           rule.collaborator_outcomes, _UNIT_TARGETS, terms.ops)
     y = w @ rule.unitary()[[0, 3]].T     # [m, a, b, c, n]: W_m u_n
     wu = np.stack([y[0, ..., 0], y[0, ..., 1] + y[1, ..., 0], y[1, ..., 1]])
-    curves = (_squared_norm(wu[..., None], terms), _squared_norm(w, terms),
-              wu.reshape(3, -1) @ terms.noiseless)
-    for coef in curves:
-        coef.setflags(write=False)
-    return curves
+    numerator = _squared_norm(wu[..., None], terms)
+    probability = _squared_norm(w, terms)
+    amplitude = wu.reshape(3, -1) @ terms.noiseless
+    block = np.zeros((14, len(terms.support) + S_ORDERS))
+    coef, fold = block[:, :-S_ORDERS], block[:8, -S_ORDERS:]
+    # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
+    # part, all of it at eta = 0, as the square of its amplitude: a fidelity
+    # of 0 there stays 0, not the root of the ~1e-18 rounding left where
+    # squared coefficients cancel
+    fold[:5], fold[5:] = numerator @ terms.fold, probability @ terms.fold
+    numerator[:, :terms.constant] = 0.0
+    coef[:5], coef[5:8] = numerator, probability
+    # real and imaginary parts apart: a complex block would make every chunk
+    # product complex, and copy the chunk's table to complex
+    coef[8:11], coef[11:] = amplitude.real, amplitude.imag
+    block.setflags(write=False)
+    return block
 
 
-def _monomials(terms: _Terms, eta: np.ndarray):
+@lru_cache(maxsize=1)
+def _target_monomials(a: float, b: float) -> np.ndarray:
+    """The target's monomials, laid out to weigh the rows of a _curve block:
+    alpha^4, alpha^3 beta, ..., beta^4 in row 0, and alpha^2, alpha beta,
+    beta^2 in rows 1 to 3, once for each of p and the amplitude's two parts.
+    Cached for the last target: the sweeps of a row scan share one target."""
+    monomials = np.zeros((4, 14))
+    monomials[0, :5] = a**4, a**3 * b, a**2 * b**2, a * b**3, b**4
+    monomials[1, 5:8] = monomials[2, 8:11] = monomials[3, 11:] = (
+        a * a, a * b, b * b)
+    monomials.setflags(write=False)
+    return monomials
+
+
+def _monomials(terms: _Terms, eta: np.ndarray) -> np.ndarray:
     """The powers eta^M s^j on the channel's support, shape (len(support),
-    len(eta)), and the powers s^0..s^12, shape (S_ORDERS, len(eta))."""
+    len(eta))."""
     s_powers = np.sqrt(1.0 - eta) ** np.arange(S_ORDERS)[:, None]
     return (eta ** (terms.support // S_ORDERS)[:, None]
-            * s_powers[terms.support % S_ORDERS]), s_powers
+            * s_powers[terms.support % S_ORDERS])
 
 
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
@@ -272,7 +330,7 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
     rule = config.rule()
     terms = _channel_terms(config.noise_kind, config.correlated)
-    monomials, _ = _monomials(terms, np.array([eta]))
+    monomials = _monomials(terms, np.array([eta]))
     warn_trace_deficit(1.0 - float((terms.trace @ monomials)[0]))
     # each pair Kraus operator at eta: the sum of its terms t^M s^d C
     weights = np.prod(np.sqrt([eta, 1.0 - eta]) ** terms.exponents, axis=1)
@@ -291,53 +349,41 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
 
 @lru_cache(maxsize=1)
 def _tables(noise_kind: str, correlated: bool, chunk: tuple) -> tuple:
-    """The grid side of a sweep over one chunk of grid etas: its _monomials
-    (the powers of s for the t^0 amplitude) and its worst trace deficit. One
-    slot: the sweeps of a row scan share one grid, and a long grid streams
-    through it."""
+    """The grid side of a sweep over one chunk of grid etas: its _monomials,
+    read-only, and its worst trace deficit. One slot: the sweeps of a row
+    scan share one grid, and a long grid streams through it."""
     terms = _channel_terms(noise_kind, correlated)
-    monomials, s_powers = _monomials(terms, np.array(chunk))
-    for table in (monomials, s_powers):
-        table.setflags(write=False)
-    return monomials, s_powers, 1.0 - float((terms.trace @ monomials).min())
+    table = _monomials(terms, np.array(chunk))
+    table.setflags(write=False)
+    return table, 1.0 - float((terms.trace @ table).min())
 
 
 def sweep(config: PipelineConfig) -> SweepResult:
     """Fidelity at every grid value, in grid order, from the branch's cached
     curves; where the branch dies at eta = 1, the exact limit."""
     key = config.noise_kind, config.correlated
-    numerator, probability, noiseless = _curve(*key, config.table, config.row)
-    terms = _channel_terms(*key)
-    a, b = config.spec.alpha, config.spec.beta
-    quadratic = np.array([a * a, a * b, b * b])
-    # vector-matrix products only, here and per chunk: the first
-    # matrix-matrix product of a process makes BLAS touch ~0.3 MB of buffers
-    wu2_coef = np.array([a**4, a**3 * b, a**2 * b**2, a * b**3, b**4]) @ numerator
-    p_coef = quadratic @ probability
+    spec = config.spec
+    curves = (_target_monomials(spec.alpha, spec.beta)
+              @ _curve(*key, config.table, config.row))
+    # rows ||W u||^2 without its t^0 part, p, and the t^0 amplitude's real
+    # and imaginary parts
+    coef = curves[:, :-S_ORDERS]
     # ||W u||^2 and p at eta = 1, by power of s
-    wu2_one, p_one = wu2_coef @ terms.fold, p_coef @ terms.fold
+    wu2_one, p_one = curves[:2, -S_ORDERS:]
     (orders,) = np.nonzero(p_one)
     if not orders.size:
         raise BranchProbabilityError(
             f"{config.noise_kind} {config.receiver} table {config.table} row "
             f"{config.row}: the branch probability vanishes at every eta")
-    # the t^0 part of ||W u||^2, all of it at eta = 0, is the square of its
-    # amplitude: a fidelity of 0 there stays 0, not the root of the ~1e-18
-    # rounding left where squared coefficients cancel
-    wu2_coef[:terms.constant] = 0.0
-    # real and imaginary parts apart: a complex product would copy the s^j
-    # table to complex
-    real, imag = (quadratic @ noiseless.view(float)).reshape(S_ORDERS, 2).T
     grid = config.eta_grid
     # the grid increases, so only its last point can be eta = 1
     j0 = orders[0]
     live = len(grid) - (j0 > 0 and grid[-1] == 1.0)
     fidelity, branch_probability, deficit = [], [], 0.0
     for start in range(0, len(grid), GRID_CHUNK):
-        monomials, s_powers, chunk_deficit = _tables(
-            *key, tuple(grid[start:start + GRID_CHUNK]))
-        wu2, p = wu2_coef @ monomials, p_coef @ monomials
-        wu2 += (real @ s_powers) ** 2 + (imag @ s_powers) ** 2
+        table, chunk_deficit = _tables(*key, grid[start:start + GRID_CHUNK])
+        wu2, p, real, imag = coef @ table
+        wu2 += real * real + imag * imag
         # clipped: where F = 0, rounding in the squared coefficients of the
         # eta^M, M >= 1, parts can leave F^2 at -1e-17
         end = live - start

@@ -1,6 +1,7 @@
 import warnings
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from dense_oracle import (apply_channel, build_measurement_operator,
                           partial_trace, party_kraus_stack, projector,
                           receiver_block, scenario_for, uhlmann_fidelity)
 from reference_data import BOB_LIMIT, CURVES, ETA_GRID
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -409,8 +412,27 @@ class TestExactCurve:
             assert p < BRANCH_PROBABILITY_FLOOR
             assert abs(s.fidelity - f) < 1e-12
 
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_every_row_matches_kernel_on_default_grid(self, noise, correlated):
+        # every sample of every row's step-0.1 sweep; only a dying Bob
+        # branch takes the exact limit, and only at eta = 1
+        for table, row, receiver in ALL_ROWS:
+            config = default_config(noise, receiver, TargetSpec(0.6, -0.8),
+                                    table=table, row=row, correlated=correlated)
+            samples = sweep(config).samples
+            dies = receiver == "bob" and (noise, correlated, row) in DYING_BOB_ROWS
+            assert [s.eta for s in samples if s.boundary_extended] == (
+                [1.0] if dies else [])
+            for sample in samples[:len(samples) - dies]:
+                f, p = kernel_point(config, sample.eta)
+                assert abs(sample.fidelity - f) < 1e-12
+                assert abs(sample.branch_probability - p) < 1e-15
+
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
-        zeros = tuple(np.zeros_like(c) for c in pipeline._curve("ad", True, "I", 1))
+        block = pipeline._curve("ad", True, "I", 1)
+        zeros = np.zeros_like(block)
+        assert zeros.shape == block.shape
         monkeypatch.setattr(pipeline, "_curve", lambda *key: zeros)
         with pytest.raises(BranchProbabilityError, match="vanishes at every eta"):
             sweep(row1_config())
@@ -477,11 +499,31 @@ class TestKernelCalls:
         # the slot holds the grid's last chunk: fetching it is a hit
         misses = pipeline._tables.cache_info().misses
         last = grid[(len(grid) - 1) // pipeline.GRID_CHUNK * pipeline.GRID_CHUNK:]
-        monomials, s_powers, _ = pipeline._tables(noise, correlated, last)
+        table, _ = pipeline._tables(noise, correlated, last)
         assert pipeline._tables.cache_info().misses == misses
         support = len(pipeline._channel_terms(noise, correlated).support)
-        assert monomials.nbytes + s_powers.nbytes <= (
-            pipeline.GRID_CHUNK * (support + pipeline.S_ORDERS) * 8)
+        assert table.shape == (support, len(last))
+        assert table.nbytes <= pipeline.GRID_CHUNK * support * 8
+
+    def test_cache_bounds_match_the_docs(self):
+        # the worst case of each cache, computed, is the figure that the
+        # pipeline docstring and the README quote
+        blocks = {(noise, correlated, table, row):
+                  pipeline._curve(noise, correlated, table, row)
+                  for noise in ("ad", "pd") for correlated in (True, False)
+                  for table, row, _ in ALL_ROWS}
+        assert len(blocks) == 288
+        curves = sum(block.nbytes for block in blocks.values())
+        scan = sum(block.nbytes for (_, correlated, *_), block in blocks.items()
+                   if correlated)
+        chunk = max(pipeline.GRID_CHUNK * len(pipeline._channel_terms(
+            noise, correlated).support) * 8
+            for noise in ("ad", "pd") for correlated in (True, False))
+        readme = " ".join(README.read_text().split())
+        for figure in (f"{curves / 1e6:.2f} MB", f"{scan / 1e6:.2f} MB",
+                       f"{chunk / 1e6:.2f} MB"):
+            assert figure in " ".join(pipeline.__doc__.split())
+            assert figure in readme
 
 
 #: (noise, receiver, table, row): a dead endpoint (exact limit), a David and
@@ -595,6 +637,24 @@ class TestConfig:
             with pytest.raises(ValueError, match=match):
                 PipelineConfig("ad", "bob", "I", 1, BALANCED, grid)
 
+    def test_grid_stored_as_tuple_of_floats(self):
+        # an array or a list is accepted and copied: the config stays
+        # hashable, and changing the list afterwards changes nothing
+        grid = [0.0, 0.5, 1.0]
+        for given in (np.linspace(0.0, 1.0, 11), grid, tuple(np.array(grid))):
+            config = PipelineConfig("ad", "bob", "I", 1, BALANCED, given)
+            assert type(config.eta_grid) is tuple
+            assert config.eta_grid == tuple(float(eta) for eta in given)
+            assert hash(config) == hash(replace(config))
+            samples = sweep(config).samples
+            assert all(type(s.eta) is float for s in samples)
+            assert [s.eta for s in samples] == list(config.eta_grid)
+        config = PipelineConfig("ad", "bob", "I", 1, BALANCED, grid)
+        grid[1] = 2.0
+        assert config.eta_grid == (0.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PipelineConfig("ad", "bob", "I", 1, BALANCED, np.zeros(3))
+
     def test_receiver_table_mismatch(self):
         with pytest.raises(ValueError):
             PipelineConfig("ad", "bob", "II", 1, BALANCED, (0.0, 1.0))
@@ -619,6 +679,17 @@ class TestConfig:
         receiver = "charlie" if table == "oracle" else "bob"
         with pytest.raises(ValueError, match=match):
             PipelineConfig("ad", receiver, table, row, BALANCED, (0.0, 1.0))
+
+    @pytest.mark.parametrize("table,receiver", [("I", "bob"),
+                                                ("oracle", "charlie")])
+    def test_bad_row_rejected_after_its_rule_is_cached(self, table, receiver):
+        # the rule lookup is cached for int rows: True, 1.0 and "1" must not
+        # find row 1's entry, and an unhashable row is still a bad row
+        PipelineConfig("ad", receiver, table, 1, BALANCED, (0.0, 1.0))
+        for row in (True, 1.0, "1", 2.5, [1], np.array([1])):
+            with pytest.raises(ValueError, match="row must be an integer"):
+                PipelineConfig("ad", receiver, table, row, BALANCED, (0.0, 1.0))
+        assert pipeline._rule_for(table, 1) is pipeline._rule_for(table, 1)
 
     @pytest.mark.parametrize("table,receiver", [("I", "bob"),
                                                 ("oracle", "charlie")])
@@ -661,10 +732,12 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_is_read_only(self, noise, correlated):
         # the cached coefficients are shared by every later sweep of the row
-        curves = pipeline._curve(noise, correlated, "II", 3)
-        assert curves is pipeline._curve(noise, correlated, "II", 3)
+        block = pipeline._curve(noise, correlated, "II", 3)
+        assert block is pipeline._curve(noise, correlated, "II", 3)
         terms = pipeline._channel_terms(noise, correlated)
-        for coef in (*curves, terms.trace):
+        table, _ = pipeline._tables(noise, correlated, default_grid(0.1))
+        target = pipeline._target_monomials(0.6, 0.8)
+        for coef in (block, table, target, terms.trace):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0.0
         # the trace curve against the oracle's channel_trace of one-eta stacks
