@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import H, I2, X, Y, Z, kron
-from .states import TargetSpec, branch_amplitudes, target_state
+from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
+                     target_state)
 
 FIDELITY_TOL = 1e-10
 
@@ -86,12 +87,16 @@ def parse_gate_string(text: str) -> tuple[str, ...]:
     return tuple(tokens)
 
 
-def check_row(row, rows: int, table: str) -> None:
-    """Reject a row that is not an integer in 1..rows; bool is not a row."""
-    if isinstance(row, bool) or not isinstance(row, numbers.Integral):
+def check_row(row, rows: int, table: str) -> int:
+    """Reject a row that is not an integer in 1..rows (bool is not a row);
+    return it as an int."""
+    # an int skips the ABC check, which costs more than the rest
+    if type(row) is not int and (isinstance(row, bool)
+                                 or not isinstance(row, numbers.Integral)):
         raise ValueError(f"row must be an integer, got {row!r}")
     if not 1 <= row <= rows:
         raise ValueError(f"{table} has rows 1..{rows}, got {row}")
+    return int(row)
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,7 @@ def branch_vector(receiver: str, sender_outcome: str,
     v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
                           spec).reshape(4)
     prob = float(np.linalg.norm(v) ** 2)
-    if prob < 1e-12:
+    if prob <= BRANCH_PROBABILITY_FLOOR:
         raise ValueError("outcome branch has vanishing probability")
     return v / np.sqrt(prob), prob
 
@@ -258,24 +263,10 @@ def _cached_oracle(receiver, sender_outcome, collaborator_outcomes):
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over theta of max |a - e^{i theta} b|."""
     idx = np.unravel_index(int(np.argmax(np.abs(b))), b.shape)
-    if abs(b[idx]) < 1e-12:
-        return float(np.max(np.abs(a - b)))
-    phase = a[idx] / b[idx]
+    phase = a[idx] / b[idx] if abs(b[idx]) >= 1e-12 else 0.0
     if abs(phase) < 1e-12:
         return float(np.max(np.abs(a - b)))
-    phase /= abs(phase)
-    return float(np.max(np.abs(a - phase * b)))
-
-
-def branch_phase_distance(rule_a: CorrectionRule, rule_b: CorrectionRule) -> float:
-    """Phase-aligned difference of the two rules' actions on the branch."""
-    worst = 0.0
-    ua, ub = rule_a.unitary(), rule_b.unitary()
-    for spec in ORACLE_POINTS:
-        branch, _ = branch_vector(rule_a.receiver, rule_a.sender_outcome,
-                                  rule_a.collaborator_outcomes, spec)
-        worst = max(worst, phase_aligned_distance(ua @ branch, ub @ branch))
-    return worst
+    return float(np.max(np.abs(a - phase / abs(phase) * b)))
 
 
 # --------------------------------------------------------------------------
@@ -302,16 +293,26 @@ class RowVerdict:
                 f"{self.verdict}")
 
 
-def _classify(published: CorrectionRule, oracle: CorrectionRule,
-              fids: tuple[float, float]) -> tuple[str, float, float]:
-    mdist = phase_aligned_distance(oracle.unitary(), published.unitary())
-    bdist = branch_phase_distance(oracle, published)
+def _classify(published: CorrectionRule, oracle: CorrectionRule
+              ) -> tuple[tuple[float, ...], str, float, float]:
+    """The published rule's noiseless fidelities at ORACLE_POINTS, its
+    verdict, and its phase-aligned distances from the oracle's rule: as
+    matrices, and in action on the branch."""
+    up, uo = published.unitary(), oracle.unitary()
+    fids, bdist = [], 0.0
+    for spec in ORACLE_POINTS:
+        branch, _ = branch_vector(published.receiver, published.sender_outcome,
+                                  published.collaborator_outcomes, spec)
+        out = up @ branch
+        fids.append(float(abs(np.vdot(target_state(spec), out))))
+        bdist = max(bdist, phase_aligned_distance(uo @ branch, out))
     if min(fids) < 1.0 - FIDELITY_TOL:
-        return "mismatch", mdist, bdist
-    raw = float(np.max(np.abs(oracle.unitary() - published.unitary())))
-    if raw < 1e-10:
-        return "confirmed", mdist, bdist
-    return "phase-equivalent", mdist, bdist
+        verdict = "mismatch"
+    elif np.max(np.abs(uo - up)) < 1e-10:
+        verdict = "confirmed"
+    else:
+        verdict = "phase-equivalent"
+    return tuple(fids), verdict, phase_aligned_distance(uo, up), bdist
 
 
 def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
@@ -325,10 +326,9 @@ def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
     """
     rows = []
     for i, rule in enumerate(CORRECTION_TABLES[table_id], start=1):
-        fids = tuple(noiseless_fidelity(rule, spec) for spec in ORACLE_POINTS)
         oracle = _cached_oracle(rule.receiver, rule.sender_outcome,
                                 rule.collaborator_outcomes)
-        verdict, mdist, bdist = _classify(rule, oracle, fids)
+        fids, verdict, mdist, bdist = _classify(rule, oracle)
         rows.append(RowVerdict(
             table=table_id, row=i, sender_outcome=rule.sender_outcome,
             collaborator_outcomes=rule.collaborator_outcomes,

@@ -23,6 +23,8 @@ import numpy as np
 from .linalg import kron
 
 NORM_TOL = 1e-12
+#: a branch at or below this probability is not normalized
+BRANCH_PROBABILITY_FLOOR = 1e-12
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -126,6 +128,14 @@ def zeta_basis(spec: TargetSpec) -> dict[str, np.ndarray]:
             "zeta2": np.array([spec.beta, -spec.alpha], dtype=complex)}
 
 
+#: per receiver, how many collaborator labels an outcome has, and their values:
+#: Charlie and David share one computational label for Bob, the other two
+#: report a Hadamard label each
+_COLLABORATOR_LABELS = {"bob": (1, ("00", "01", "10", "11")),
+                        "charlie": (2, tuple(_HADAMARD_KETS)),
+                        "david": (2, tuple(_HADAMARD_KETS))}
+
+
 def outcome_kets(receiver: str, sender_outcome: str,
                  collaborator_outcomes: tuple[str, ...], spec: TargetSpec):
     """The sender's zeta vector and {collaborator: ket}, in qubit order: the
@@ -135,15 +145,19 @@ def outcome_kets(receiver: str, sender_outcome: str,
         raise ValueError(f"unknown sender outcome {sender_outcome!r}, expected "
                          f"one of {tuple(zetas)}")
     zvec = zetas[sender_outcome]
+    if receiver not in _COLLABORATOR_LABELS:
+        raise ValueError(f"unknown receiver {receiver!r}")
+    count, labels = _COLLABORATOR_LABELS[receiver]
+    if (len(collaborator_outcomes) != count
+            or not all(label in labels for label in collaborator_outcomes)):
+        raise ValueError(f"{receiver} expects {count} collaborator label(s) "
+                         f"from {labels}, got {collaborator_outcomes!r}")
     if receiver == "bob":
         (shared,) = collaborator_outcomes
         return zvec, {"charlie": basis_ket(shared), "david": basis_ket(shared)}
-    if receiver not in ("charlie", "david"):
-        raise ValueError(f"unknown receiver {receiver!r}")
     # the other two receivers, in qubit order, measured in the Hadamard basis
     others = (p for p in ("bob", "charlie", "david") if p != receiver)
-    return zvec, dict(zip(others, map(hadamard_ket, collaborator_outcomes),
-                          strict=True))
+    return zvec, dict(zip(others, map(hadamard_ket, collaborator_outcomes)))
 
 
 #: psi axis of the receiver, then of its collaborators in qubit order

@@ -231,7 +231,7 @@ class TestChannelTrace:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_matches_dense_channel(self, kind, correlated):
         terms = pipeline._channel_terms(kind, correlated)
-        curve = terms.trace @ pipeline._monomials(terms, np.array(self.ETAS))
+        curve = terms.trace @ pipeline._monomials(np.array(self.ETAS))
         stacks = party_kraus_stack(kraus_operators(kind, self.ETAS), correlated)
         rho = protocol_rho()
         for eta, stack, got, oracle in zip(self.ETAS, stacks, curve,

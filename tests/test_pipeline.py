@@ -1,7 +1,6 @@
 import warnings
 from dataclasses import replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +22,6 @@ from dense_oracle import (apply_channel, build_measurement_operator,
                           partial_trace, party_kraus_stack, projector,
                           receiver_block, scenario_for, uhlmann_fidelity)
 from reference_data import BOB_LIMIT, CURVES, ETA_GRID
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -430,10 +427,10 @@ class TestExactCurve:
                 assert abs(sample.branch_probability - p) < 1e-15
 
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
-        block = pipeline._curve("ad", True, "I", 1)
+        block, powers = pipeline._curve("ad", True, "I", 1)
         zeros = np.zeros_like(block)
         assert zeros.shape == block.shape
-        monkeypatch.setattr(pipeline, "_curve", lambda *key: zeros)
+        monkeypatch.setattr(pipeline, "_curve", lambda *key: (zeros, powers))
         with pytest.raises(BranchProbabilityError, match="vanishes at every eta"):
             sweep(row1_config())
 
@@ -490,6 +487,19 @@ class TestKernelCalls:
             sweep(config)
         assert pipeline._tables.cache_info().misses == misses
 
+    def test_noise_kinds_share_grid_tables(self):
+        # the tables hold powers of eta alone: a scan that switches noise
+        # kind and channel mode on one grid builds them once
+        configs = [default_config(noise, receiver, table=table, row=row,
+                                  correlated=correlated)
+                   for table, row, receiver in ALL_ROWS[::7]
+                   for noise in ("ad", "pd") for correlated in (True, False)]
+        sweep(configs[0])
+        misses = pipeline._tables.cache_info().misses
+        for config in configs[1:]:
+            sweep(config)
+        assert pipeline._tables.cache_info().misses == misses
+
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_grid_tables_hold_one_chunk(self, noise, correlated):
@@ -499,31 +509,40 @@ class TestKernelCalls:
         # the slot holds the grid's last chunk: fetching it is a hit
         misses = pipeline._tables.cache_info().misses
         last = grid[(len(grid) - 1) // pipeline.GRID_CHUNK * pipeline.GRID_CHUNK:]
-        table, _ = pipeline._tables(noise, correlated, last)
+        table = pipeline._tables(last)
         assert pipeline._tables.cache_info().misses == misses
-        support = len(pipeline._channel_terms(noise, correlated).support)
-        assert table.shape == (support, len(last))
-        assert table.nbytes <= pipeline.GRID_CHUNK * support * 8
+        powers = pipeline.ETA_ORDERS * pipeline.S_ORDERS
+        assert table.shape == (powers, len(last))
+        assert table.nbytes <= pipeline.GRID_CHUNK * powers * 8
 
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
-        # pipeline docstring and the README quote
-        blocks = {(noise, correlated, table, row):
-                  pipeline._curve(noise, correlated, table, row)
-                  for noise in ("ad", "pd") for correlated in (True, False)
-                  for table, row, _ in ALL_ROWS}
-        assert len(blocks) == 288
-        curves = sum(block.nbytes for block in blocks.values())
-        scan = sum(block.nbytes for (_, correlated, *_), block in blocks.items()
+        # pipeline docstring quotes
+        sizes = {(noise, correlated, table, row): sum(
+                     a.nbytes for a in pipeline._curve(noise, correlated, table, row))
+                 for noise in ("ad", "pd") for correlated in (True, False)
+                 for table, row, _ in ALL_ROWS}
+        assert len(sizes) == 288
+        scan = sum(size for (_, correlated, *_), size in sizes.items()
                    if correlated)
-        chunk = max(pipeline.GRID_CHUNK * len(pipeline._channel_terms(
-            noise, correlated).support) * 8
-            for noise in ("ad", "pd") for correlated in (True, False))
-        readme = " ".join(README.read_text().split())
-        for figure in (f"{curves / 1e6:.2f} MB", f"{scan / 1e6:.2f} MB",
-                       f"{chunk / 1e6:.2f} MB"):
-            assert figure in " ".join(pipeline.__doc__.split())
-            assert figure in readme
+        chunk = (pipeline.GRID_CHUNK * pipeline.ETA_ORDERS * pipeline.S_ORDERS
+                 * 8)
+        doc = " ".join(pipeline.__doc__.split())
+        for figure in (f"{min(sizes.values()) / 1e3:.1f} to "
+                       f"{max(sizes.values()) / 1e3:.1f} KB",
+                       f"{sum(sizes.values()) / 1e6:.2f} MB",
+                       f"{scan / 1e6:.2f} MB", f"{chunk / 1e6:.2f} MB"):
+            assert figure in doc
+
+    def test_every_block_column_is_used(self):
+        # a block keeps the powers at which some row is nonzero, and only those
+        for noise in ("ad", "pd"):
+            for correlated in (True, False):
+                for table, row, _ in ALL_ROWS:
+                    block, powers = pipeline._curve(noise, correlated, table, row)
+                    assert block.any(axis=0).all()
+                    assert block.shape == (23, len(powers))
+                    assert np.all(np.diff(powers.astype(int)) > 0)
 
 
 #: (noise, receiver, table, row): a dead endpoint (exact limit), a David and
@@ -689,7 +708,7 @@ class TestConfig:
         for row in (True, 1.0, "1", 2.5, [1], np.array([1])):
             with pytest.raises(ValueError, match="row must be an integer"):
                 PipelineConfig("ad", receiver, table, row, BALANCED, (0.0, 1.0))
-        assert pipeline._rule_for(table, 1) is pipeline._rule_for(table, 1)
+        assert pipeline._rule(table, 1) is pipeline._rule(table, 1)
 
     @pytest.mark.parametrize("table,receiver", [("I", "bob"),
                                                 ("oracle", "charlie")])
@@ -697,6 +716,25 @@ class TestConfig:
         config = PipelineConfig("ad", receiver, table, np.int64(2), BALANCED,
                                 (0.0, 1.0))
         assert config.rule() == replace(config, row=2).rule()
+        assert type(config.row) is int
+
+    @pytest.mark.parametrize("correlated", ["False", "", 0, 1, None, 1.0])
+    def test_non_bool_correlated_rejected(self, correlated):
+        # "False" is truthy, and used to run the correlated channel
+        with pytest.raises(ValueError, match="correlated must be a bool"):
+            PipelineConfig("ad", "bob", "I", 1, BALANCED, (0.5,), correlated)
+
+    def test_numpy_bool_correlated_accepted(self):
+        config = PipelineConfig("ad", "bob", "I", 1, TargetSpec(0.6, 0.8),
+                                (0.5,), np.False_)
+        assert config.correlated is False
+        (sample,) = sweep(config).samples
+        assert f"{sample.fidelity:.6f}" == "0.868795"
+
+    @pytest.mark.parametrize("spec", [(0.6, 0.8), [0.6, 0.8], None])
+    def test_non_target_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="spec must be a TargetSpec"):
+            PipelineConfig("ad", "bob", "I", 1, spec, (0.5,))
 
 
 class TestChannelBlockCache:
@@ -732,21 +770,31 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_is_read_only(self, noise, correlated):
         # the cached coefficients are shared by every later sweep of the row
-        block = pipeline._curve(noise, correlated, "II", 3)
-        assert block is pipeline._curve(noise, correlated, "II", 3)
+        block, powers = pipeline._curve(noise, correlated, "II", 3)
+        assert block is pipeline._curve(noise, correlated, "II", 3)[0]
         terms = pipeline._channel_terms(noise, correlated)
-        table, _ = pipeline._tables(noise, correlated, default_grid(0.1))
+        table = pipeline._tables(default_grid(0.1))
         target = pipeline._target_monomials(0.6, 0.8)
-        for coef in (block, table, target, terms.trace):
+        for coef in (block, powers, table, target, terms.trace):
             with pytest.raises(ValueError, match="read-only"):
-                coef[...] = 0.0
-        # the trace curve against the oracle's channel_trace of one-eta stacks
-        trace = np.zeros(pipeline.ETA_ORDERS * pipeline.S_ORDERS)
-        trace[terms.support] = terms.trace
+                coef[...] = 0
+        # the trace curve, indexed M * S_ORDERS + j, against the oracle's
+        # channel_trace of one-eta stacks
         etas = np.linspace(0.0, 1.0, 9)
         stacks = party_kraus_stack(kraus_operators(noise, etas), correlated)
         got = np.einsum("em,mj,ej->e",
                         etas[:, None] ** np.arange(pipeline.ETA_ORDERS),
-                        trace.reshape(pipeline.ETA_ORDERS, pipeline.S_ORDERS),
+                        terms.trace.reshape(pipeline.ETA_ORDERS, pipeline.S_ORDERS),
                         np.sqrt(1 - etas)[:, None] ** np.arange(pipeline.S_ORDERS))
         assert np.max(np.abs(got - channel_trace(stacks))) < 1e-14
+
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_block_trace_matches_channel_trace(self, noise, correlated):
+        # the trace row of a sweep's chunk product, at each eta
+        block, powers = pipeline._curve(noise, correlated, "I", 2)
+        etas = np.linspace(0.0, 1.0, 9)
+        coef = pipeline._target_monomials(0.6, 0.8) @ block
+        got = coef[4] @ pipeline._monomials(etas)[powers]
+        stacks = party_kraus_stack(kraus_operators(noise, etas), correlated)
+        assert np.max(np.abs(got - channel_trace(stacks))) < 1e-12

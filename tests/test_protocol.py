@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hrsp import pipeline, protocol
 from hrsp.linalg import kron
 from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, TOKENS,
                            branch_vector, correction_unitary,
@@ -220,6 +221,8 @@ class TestTables:
         fifteen = rows[14]
         assert fifteen.oracle_rule == "H1 H2 Z1 CX1-2"
         assert min(fifteen.published_fidelities) < 0.5
+        # the two rules' outputs on the branch differ beyond a global phase
+        assert abs(fifteen.branch_distance - np.sqrt(2)) < 1e-12
 
     def test_table_three_has_three_mismatches(self):
         rows = verify_table("III")
@@ -265,6 +268,16 @@ class TestTables:
         assert np.isclose(p, 1 / 8)
         _, p = branch_vector("david", "zeta1", ("++", "++"), BALANCED)
         assert np.isclose(p, 1 / 32)
+
+    def test_branch_floor_is_the_pipelines(self, monkeypatch):
+        # one floor, one comparison: a branch at the floor is rejected
+        assert protocol.BRANCH_PROBABILITY_FLOOR is pipeline.BRANCH_PROBABILITY_FLOOR
+        _, p = branch_vector("bob", "zeta1", ("01",), BALANCED)
+        monkeypatch.setattr(protocol, "BRANCH_PROBABILITY_FLOOR", p)
+        with pytest.raises(ValueError, match="vanishing probability"):
+            branch_vector("bob", "zeta1", ("01",), BALANCED)
+        monkeypatch.setattr(protocol, "BRANCH_PROBABILITY_FLOOR", p * (1 - 1e-9))
+        branch_vector("bob", "zeta1", ("01",), BALANCED)
 
 
 class TestCharlieTable:

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from hrsp.linalg import kron
-from hrsp.protocol import CORRECTION_TABLES, derive_receiver_table
+from hrsp.protocol import (CORRECTION_TABLES, derive_receiver_table,
+                           oracle_find_correction)
 from hrsp.states import (BOB_EXPANSION, IDENTITY_STACK, TargetSpec, basis_ket,
                          branch_amplitudes, brown_state, extend_with_ancillas,
                          protocol_state, target_state, verify_factorization,
@@ -144,6 +147,19 @@ class TestZetaBasis:
     def test_branch_rejects_unknown_sender_outcome(self, receiver, collab):
         with pytest.raises(ValueError, match="unknown sender outcome"):
             branch_amplitudes(receiver, "zeta3", collab, TargetSpec(0.6, 0.8))
+
+    @pytest.mark.parametrize("receiver,collab", [
+        ("bob", ("011",)), ("bob", ("01", "01")), ("bob", "01"),
+        ("david", ("+x", "++")), ("david", ("++", "++", "++")),
+        ("charlie", ("++",)), ("charlie", ("01", "++"))])
+    def test_branch_rejects_bad_collaborator_labels(self, receiver, collab):
+        # these failed deep in the contraction, with errors that did not
+        # name the labels
+        match = re.escape(f"{receiver} expects") + ".*" + re.escape(repr(collab))
+        with pytest.raises(ValueError, match=match):
+            branch_amplitudes(receiver, "zeta1", collab, TargetSpec(0.6, 0.8))
+        with pytest.raises(ValueError, match=match):
+            oracle_find_correction(receiver, "zeta1", collab)
 
 
 class TestFactorization:
