@@ -56,10 +56,12 @@ long at 11 etas. _tables keeps one chunk, at most GRID_CHUNK x 91 floats,
 table, whatever their channel; a 100,001-point grid streams through 98
 chunks and holds one at a time besides its samples.
 
-receiver_state uses the same form of the channel at one eta: it sums each
-Kraus operator's terms t^M s^d C into the per-pair stack for one kernel
-call, and evaluates the trace curve there with the same _monomials as the
-chunk tables, without touching the one-slot _tables cache.
+receiver_state uses the same form of the channel at one eta: one kernel
+call on the terms, then G[i, j] = sum conj(W_first,i) W_second,j over the
+term pairs of the curve builds, each weighed by its eta^M s^j there, and
+rho = G^T / p with p = tr G. It evaluates those powers, and the trace curve,
+with the same _monomials as the chunk tables, without touching the one-slot
+_tables cache.
 
 Where a Bob outcome's probability vanishes at eta = 1 (every damping path
 annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
@@ -193,12 +195,12 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
 
 
 class _Terms(NamedTuple):
-    """noise.pair_terms of one channel, indexed for the curve builds. A
-    triple is one pair of terms (of one Kraus operator) per party."""
+    """noise.pair_terms of one channel, indexed for the curve builds and
+    receiver_state. A triple is one pair of terms (of one Kraus operator) per
+    party: the channel weighs the product of the kernel's entries at its
+    first and second terms by eta^M s^j, at the triple's power index."""
 
     ops: np.ndarray         # (T, 4, 4) nonzero terms
-    kraus: np.ndarray       # (K, T) 0/1: the terms of each pair Kraus operator
-    exponents: np.ndarray   # (T, 2): each term's powers of t and s
     triples: tuple          # each triple's first and second terms, as flat
                             # indices into a (T, T, T) array
     powers: np.ndarray      # each triple's power index M * S_ORDERS + j
@@ -229,15 +231,9 @@ def _channel_terms(noise_kind: str, correlated: bool) -> _Terms:
     trace = np.bincount(powers, diagonal_trace(m[:, None, None], m[:, None],
                                                m).reshape(-1), _POWERS)
     trace.setflags(write=False)
-    # the K operators' indices, sorted; np.unique would cost the process
-    # ~1 MB of RSS on its first call (numpy 2.4)
-    slots = np.flatnonzero(np.bincount(kraus))
-    return _Terms(ops, (slots[:, None] == kraus).astype(float),
-                  np.stack([power, degree], axis=1),
-                  (triples(first * n * n, first * n, first),
-                        triples(second * n * n, second * n, second)),
-                  powers, (amplitude[:, None] == np.arange(S_ORDERS)).astype(float),
-                  trace)
+    return _Terms(ops, (triples(first * n * n, first * n, first),
+                        triples(second * n * n, second * n, second)), powers,
+                  (amplitude[:, None] == np.arange(S_ORDERS)).astype(float), trace)
 
 
 def _squared_norm(x: np.ndarray, terms: _Terms) -> np.ndarray:
@@ -325,28 +321,29 @@ def _monomials(eta: np.ndarray) -> np.ndarray:
 
 
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
-    """The receiver's normalized state W^T W* / p on the config's branch at one
-    eta, before correction, and the branch probability p: one kernel call with
-    the channel's pair terms summed at that eta, independent of the sweep's
-    curves."""
+    """The receiver's normalized state G^T / p on the config's branch at one
+    eta, before correction, and the branch probability p = tr G: one kernel
+    call on the channel's pair terms, whose term pairs G weighs at that eta,
+    independent of the sweep's curves."""
     if not 0.0 <= eta <= 1.0:   # False for NaN
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
     rule = config.rule()
     terms = _channel_terms(config.noise_kind, config.correlated)
-    warn_trace_deficit(1.0 - float((terms.trace @ _monomials(np.array([eta])))[0]))
-    # each pair Kraus operator at eta: the sum of its terms t^M s^d C
-    weights = np.prod(np.sqrt([eta, 1.0 - eta]) ** terms.exponents, axis=1)
+    monomials = _monomials(np.array([eta]))[:, 0]
+    warn_trace_deficit(1.0 - float(terms.trace @ monomials))
     w = branch_amplitudes(config.receiver, rule.sender_outcome,
                           rule.collaborator_outcomes, config.spec,
-                          np.einsum("kt,t,tab->kab", terms.kraus, weights,
-                                    terms.ops)).reshape(-1, 4)
-    p = float(np.linalg.norm(w) ** 2)
+                          terms.ops).reshape(-1, 4)
+    # G[i, j] = sum over term pairs of eta^M s^j conj(W_first,i) W_second,j
+    first, second = terms.triples
+    g = (w[first].conj().T * monomials[terms.powers]) @ w[second]
+    p = float(np.trace(g).real)
     if p <= BRANCH_PROBABILITY_FLOOR:
         raise BranchProbabilityError(
             f"{config.noise_kind} eta={eta:g} {config.receiver} table {config.table} "
             f"row {config.row}: branch probability {p:.3e} is below "
             f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
-    return w.T @ w.conj() / p, p
+    return g.T / p, p
 
 
 @lru_cache(maxsize=1)

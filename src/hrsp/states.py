@@ -174,20 +174,22 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
                       kraus: np.ndarray = IDENTITY_STACK) -> np.ndarray:
     """Unnormalized receiver amplitudes of one outcome, after the channel.
 
-    kraus[..., k, :, :] is a 4x4 operator on every receiver pair: the terms
-    of noise.pair_terms, or their sums at one eta, the pair Kraus operators
-    (the default IDENTITY_STACK is no noise); leading axes carry over to W.
-    For collaborators projected onto |x>, |y> and receiver R,
-    W[..., k_X, k_Y, k_R, :]
+    kraus is an (n, 4, 4) stack of operators on every receiver pair. The
+    package passes the eta-free terms of noise.pair_terms, or the default
+    IDENTITY_STACK for no noise; the tests also pass the per-eta pair Kraus
+    operators of their oracle. For collaborators projected onto |x>, |y> and
+    receiver R, W[k_X, k_Y, k_R, :]
     = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W*
-    (W as (..., -1, 4)) with trace the branch probability. spec is a
-    TargetSpec, or a sequence of them: W then gains a leading axis, one
-    entry per spec, ahead of the stack's.
+    (W as (-1, 4)) with trace the branch probability when S is the pair
+    Kraus operators. spec is a TargetSpec, or a sequence of them: W then
+    gains a leading axis, one entry per spec.
 
     The contraction is matrix products: <zeta| meets |Psi> once, the
     collaborator bras meet the stack as <x|S[k], and two batched matmuls fold
     in the collaborators' and then the receiver's operators.
     """
+    if kraus.ndim != 3 or kraus.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (n, 4, 4) stack, got shape {kraus.shape}")
     specs = [spec] if isinstance(spec, TargetSpec) else spec
     kets = [outcome_kets(receiver, sender_outcome, collaborator_outcomes, s)
             for s in specs]
@@ -195,14 +197,12 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     r, x, y = _AXES[receiver]
     bx, by = (ket.conj() for ket in kets[0][1].values())
     psi = protocol_state().reshape(2, 4, 4, 4)
-    *lead, n, _, _ = kraus.shape
-    phi = np.einsum(f"sa,abcd->s{x}{y}{r}", zbras, psi).reshape(
-        -1, *(1,) * len(lead), 4, 16)
-    fx, fy = bx @ kraus, by @ kraus                     # (..., n, 4): <x|S[k]
-    t = (fx @ phi).reshape(-1, *lead, n, 4, 4)          # [k, y, r]
-    w = (fy[..., None, :, :] @ t).reshape(-1, *lead, n * n, 4)      # [kl, r]
-    w = (w @ kraus.reshape(*lead, n * 4, 4).swapaxes(-1, -2)       # [kl, mR]
-         ).reshape(-1, *lead, n, n, n, 4)
+    n = len(kraus)
+    phi = np.einsum(f"sa,abcd->s{x}{y}{r}", zbras, psi).reshape(-1, 4, 16)
+    fx, fy = bx @ kraus, by @ kraus                     # (n, 4): <x|S[k]
+    t = (fx @ phi).reshape(-1, n, 4, 4)                 # [k, y, r]
+    w = (fy @ t).reshape(-1, n * n, 4)                  # [kl, r]
+    w = (w @ kraus.reshape(n * 4, 4).T).reshape(-1, n, n, n, 4)    # [kl, mR]
     return w[0] if isinstance(spec, TargetSpec) else w
 
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 from functools import lru_cache
@@ -215,6 +216,28 @@ class TestKernelContracts:
             v = einsum_branch_amplitudes(*branch, IDENTITY_STACK).reshape(4)
             assert np.max(np.abs(rho - projector(v))) < 1e-14
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(row=st.sampled_from(ALL_ROWS), noise=st.sampled_from(["ad", "pd"]),
+           correlated=st.booleans(), eta=ETAS, target=TARGETS)
+    @example(row=("I", 1, "bob"), noise="ad", correlated=True, eta=0.999,
+             target=(0.6, 0.8))
+    def test_receiver_state_is_a_state_with_the_sweeps_probability(
+            self, row, noise, correlated, eta, target):
+        # receiver_state's own rho = G^T / p, from the pair terms weighed at
+        # eta; AD Bob I-1 dies at eta = 1 and is still alive at 0.999
+        table, number, receiver = row
+        config = PipelineConfig(noise, receiver, table, number,
+                                TargetSpec(*target), (eta,), correlated)
+        try:
+            rho, p = receiver_state(config, eta)
+        except BranchProbabilityError:
+            return
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-15
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+        assert abs(np.trace(rho) - 1.0) < 1e-14
+        (sample,) = sweep(config).samples
+        assert abs(p - sample.branch_probability) < 1e-15
+
 
 class TestFidelity:
     """The oracle's Uhlmann fidelity, which the dense-chain checks score the
@@ -425,6 +448,24 @@ class TestExactCurve:
                 f, p = kernel_point(config, sample.eta)
                 assert abs(sample.fidelity - f) < 1e-12
                 assert abs(sample.branch_probability - p) < 1e-15
+
+    def test_every_block_lies_on_its_lattice(self):
+        """Every coefficient of every _curve block is a small multiple of a
+        dyadic step: the squared rows (||W u||^2, p, the trace, the eta = 1
+        folds) of 2^-9, the t^0 amplitude rows of 2^-4 / sqrt(2). This checks
+        the kernel against its own structure; an exact derivation of the
+        blocks that shares no code with it is still open."""
+        squared = np.r_[0:8, 14:23]
+        worst = [0.0, 0.0]
+        for noise, correlated, (table, row, _) in itertools.product(
+                ["ad", "pd"], [True, False], ALL_ROWS):
+            block, _ = pipeline._curve(noise, correlated, table, row)
+            for i, (rows, scale) in enumerate(
+                    ((block[squared], 2**9), (block[8:14], 2**4 * np.sqrt(2)))):
+                scaled = rows * scale
+                worst[i] = max(worst[i], np.max(np.abs(scaled - np.round(scaled))))
+        assert worst[0] < 1e-11
+        assert worst[1] < 1e-13
 
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
         block, powers = pipeline._curve("ad", True, "I", 1)

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -201,8 +202,10 @@ class TestBranchAmplitudes:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_matches_einsum_reference(self, kind, correlated):
+        # the kernel takes one (n, 4, 4) stack: one call per eta, against
+        # the reference's contraction of all of them at once
         etas = [0.0, 0.25, 0.6, 1 - 1e-9, 1.0]
-        stack = party_kraus_stack(kraus_operators(kind, etas), correlated)
+        stacks = party_kraus_stack(kraus_operators(kind, etas), correlated)
         rules = [r for rows in CORRECTION_TABLES.values() for r in rows]
         rules += derive_receiver_table("charlie")
         for i, rule in enumerate(rules):
@@ -210,11 +213,11 @@ class TestBranchAmplitudes:
             spec = TargetSpec(np.cos(theta), np.sin(theta))
             branch = (rule.receiver, rule.sender_outcome,
                       rule.collaborator_outcomes, spec)
-            want = einsum_branch_amplitudes(*branch, stack)
+            want = einsum_branch_amplitudes(*branch, stacks)
             noiseless = einsum_branch_amplitudes(*branch, IDENTITY_STACK)
-            for got, ref in ((branch_amplitudes(*branch, stack), want),
-                             (branch_amplitudes(*branch, stack[2]), want[2]),
-                             (branch_amplitudes(*branch), noiseless)):
+            pairs = [(branch_amplitudes(*branch, stack), ref)
+                     for stack, ref in zip(stacks, want)]
+            for got, ref in pairs + [(branch_amplitudes(*branch), noiseless)]:
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) < 1e-15
 
@@ -222,11 +225,12 @@ class TestBranchAmplitudes:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_target_sequence_adds_a_leading_axis(self, kind, correlated):
         # W is linear in (alpha, beta): the curves are built at (1, 0), (0, 1)
-        stack = party_kraus_stack(kraus_operators(kind, [0.0, 0.45]), correlated)
+        stacks = party_kraus_stack(kraus_operators(kind, [0.0, 0.45]), correlated)
         units = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
         spec = TargetSpec(0.28, -0.96)
         rules = [r for rows in CORRECTION_TABLES.values() for r in rows]
-        for rule in rules + list(derive_receiver_table("charlie")):
+        for rule, stack in itertools.product(
+                rules + list(derive_receiver_table("charlie")), stacks):
             branch = (rule.receiver, rule.sender_outcome,
                       rule.collaborator_outcomes)
             both = branch_amplitudes(*branch, units, stack)
@@ -235,3 +239,13 @@ class TestBranchAmplitudes:
                 assert np.array_equal(got, branch_amplitudes(*branch, unit, stack))
             assert np.max(np.abs(0.28 * both[0] - 0.96 * both[1]
                                  - branch_amplitudes(*branch, spec, stack))) < 1e-16
+
+    @pytest.mark.parametrize("stack", [
+        # pair operators at two etas, and one eta's single-qubit operators
+        party_kraus_stack(kraus_operators("ad", [0.0, 0.5])),
+        kraus_operators("ad", [0.5])[0]], ids=["eta-axis", "single-qubit"])
+    def test_rejects_a_stack_not_shaped_n_4_4(self, stack):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"got shape {stack.shape}")):
+            branch_amplitudes("bob", "zeta1", ("01",), TargetSpec(0.6, 0.8),
+                              stack)
