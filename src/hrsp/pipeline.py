@@ -10,32 +10,44 @@ the dense 128x128 chain (channel, measurement operator, partial trace) and
 the Uhlmann fidelity that the tests hold it against live in
 tests/dense_oracle.py.
 
-A sweep contracts nothing per eta. Every receiver-pair Kraus operator is t^M
-times a polynomial in s of degree <= 2 (noise.pair_terms), with t = sqrt(eta)
-and s = sqrt(1 - eta), and W and u are linear in (alpha, beta). One kernel
-call on the nonzero terms, at the targets (1, 0) and (0, 1), therefore gives
-the exact curves of one branch,
-
-    p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),    M <= 6,
-
-with D_M and N_M polynomials of degree <= 12 whose coefficients are fixed
-quadratic (D) and quartic (N) forms in (alpha, beta). N_0, the part that
-survives at eta = 0, is kept as the square of its amplitude polynomial
-instead, so that a fidelity of 0 comes out as 0 and not as the square root
-of rounding noise.
+The state has one cached form per outcome branch, its Gram matrix
+G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^dag G u and
+rho = G^T / p. Every receiver-pair Kraus operator is t^M times a
+polynomial in s of degree <= 2 (noise.pair_terms), with t = sqrt(eta) and
+s = sqrt(1 - eta), and W is linear in (alpha, beta): W = alpha W_0 + beta W_1,
+with W_0 and W_1 the amplitudes at the targets (1, 0) and (0, 1), which are
+real. So G is, at each power eta^M s^j (M <= 6, j <= 12), a real 8 x 8
+matrix over (unit target, receiver basis) pairs: a finite set of
+coefficients that gives G at every eta and every target. _branches builds
+them for every branch of one receiver at once, once per process for each
+(noise kind, channel mode, receiver): one kernel call per branch on the
+nonzero terms, then one product per power for all branches. It stores only
+the nonzero coefficients, with their indices, about 4 % of the entries at
+the powers the correlated AD channel reaches and 31 % for PD, and the t^0
+amplitude of W_0 and W_1 by power of s. The same pass gives the channel's
+trace on |Psi><Psi|, by power, which is the same for every receiver.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
-M * S_ORDERS + j (0 to 90): in the curve builds, in the channel's trace
-curve and in the rows of the grid tables. _curve builds the curves once per
-process for each (noise kind, channel mode, table, row) as one read-only
-block of 23 rows, one per monomial of (alpha, beta) of ||W u||^2 without
-N_0, of p and of the N_0 amplitude's two parts, one for the channel's trace
-on |Psi><Psi|, and one per monomial of ||W u||^2 and p at eta = 1, by power
-of s. It stores only the columns that are nonzero in some row, with their
-power indices. The key space is finite, 2 x 2 x 72 = 288 entries of 1.1 to
-8.1 KB, so the cache needs no size limit and holds at most 1.12 MB; a scan
-of all 72 rows under both noise kinds and the correlated channel fills 144
-entries, 0.39 MB.
+M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
+in the rows of the grid tables. _curve derives a row's curves from its
+branch's G and its correction u = O^T xi*, once per process for each
+(noise kind, channel mode, table, row):
+
+    p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),
+
+with D_M and N_M polynomials whose coefficients are fixed quadratic (D) and
+quartic (N) forms in (alpha, beta). N_0, the part that survives at eta = 0,
+is kept as the square of its amplitude polynomial instead, so that a
+fidelity of 0 comes out as 0 and not as the square root of rounding noise.
+The curves are one read-only block of 23 rows, one per monomial of
+(alpha, beta) of ||W u||^2 without N_0, of p and of the N_0 amplitude's two
+parts, one for the channel's trace on |Psi><Psi|, and one per monomial of
+||W u||^2 and p at eta = 1, by power of s. It stores only the columns that
+are nonzero in some row, with their power indices. Both key spaces are
+finite, 2 x 2 x 72 = 288 branches of 0.9 to 3.4 KB and as many rows of 1.1
+to 8.3 KB, so the caches need no size limit and hold at most 0.66 MB of
+Grams and 1.13 MB of blocks; a scan of all 72 rows under both noise kinds
+and the correlated channel fills 144 entries of each, 0.23 MB and 0.39 MB.
 
 A sweep multiplies the row's block by the target's monomials, a (7, 23)
 matrix cached for the last target that puts each monomial against its
@@ -56,12 +68,12 @@ long at 11 etas. _tables keeps one chunk, at most GRID_CHUNK x 91 floats,
 table, whatever their channel; a 100,001-point grid streams through 98
 chunks and holds one at a time besides its samples.
 
-receiver_state uses the same form of the channel at one eta: one kernel
-call on the terms, then G[i, j] = sum conj(W_first,i) W_second,j over the
-term pairs of the curve builds, each weighed by its eta^M s^j there, and
-rho = G^T / p with p = tr G. It evaluates those powers, and the trace curve,
-with the same _monomials as the chunk tables, without touching the one-slot
-_tables cache.
+receiver_state reads the branch's cached G, the one the row's curves come
+from: it weighs each coefficient by its power eta^M s^j at its one eta and
+by the target's alpha^2, alpha beta or beta^2, and returns rho = G^T / p.
+It makes no kernel call once the receiver's branches are built, and
+evaluates those powers, and the trace curve, with the same _monomials as
+the chunk tables, without touching the one-slot _tables cache.
 
 Where a Bob outcome's probability vanishes at eta = 1 (every damping path
 annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
@@ -82,10 +94,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .noise import NOISE_KINDS, pair_terms, warn_trace_deficit
-from .protocol import (CORRECTION_TABLES, DERIVED_TABLE_ROWS, CorrectionRule,
-                       check_row, derived_rule)
+from .protocol import (BRANCHES, CORRECTION_TABLES, DERIVED_TABLE_ROWS,
+                       CorrectionRule, check_row, derived_rule)
 from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
-                     diagonal_trace)
+                     protocol_state)
 
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
 #: a curve's coefficients: powers eta^0..eta^6 times s^0..s^12
@@ -95,7 +107,7 @@ _POWERS = ETA_ORDERS * S_ORDERS
 #: grid etas per _tables entry: a 1001-point grid is one chunk (see above)
 GRID_CHUNK = 1024
 
-#: W and u are linear in (alpha, beta): the curves are built at these two
+#: W and u are linear in (alpha, beta): the Grams are built at these two
 _UNIT_TARGETS = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
 
 
@@ -194,23 +206,22 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
     return tuple(round(i * step, 10) for i in range(n + 1))
 
 
-class _Terms(NamedTuple):
-    """noise.pair_terms of one channel, indexed for the curve builds and
-    receiver_state. A triple is one pair of terms (of one Kraus operator) per
-    party: the channel weighs the product of the kernel's entries at its
-    first and second terms by eta^M s^j, at the triple's power index."""
-
-    ops: np.ndarray         # (T, 4, 4) nonzero terms
-    triples: tuple          # each triple's first and second terms, as flat
-                            # indices into a (T, T, T) array
-    powers: np.ndarray      # each triple's power index M * S_ORDERS + j
-    noiseless: np.ndarray   # (T^3, S_ORDERS): the t^0 terms, by power s^j
-    trace: np.ndarray       # output trace for |Psi><Psi| by power, read-only
-
-
 @lru_cache(maxsize=None)
-def _channel_terms(noise_kind: str, correlated: bool) -> _Terms:
+def _branches(noise_kind: str, correlated: bool,
+              receiver: str) -> tuple[np.ndarray, dict]:
+    """What the sweeps and receiver_state read of one receiver under one
+    channel, all read-only: the channel's trace on |Psi><Psi| by power index,
+    and every outcome branch of the receiver, keyed by (sender outcome,
+    collaborator outcomes). A branch is read off its amplitudes W_m at the
+    unit targets (m = 0 for alpha, 1 for beta), which are real: the nonzero
+    coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj at each
+    power index P, their flat indices into (_POWERS, 2, 4, 2, 4), and the
+    t^0 part of W_m, shape (2, 4, S_ORDERS) by power s^j. One kernel call
+    per branch, then one product per power for all of them."""
     ops, kraus, power, degree = pair_terms(noise_kind, correlated)
+    # a triple is one pair of terms (of one Kraus operator) per party: the
+    # channel weighs the product of the kernel's entries at its first and
+    # second terms by eta^M s^j, at the triple's power index
     first, second = np.nonzero(kraus[:, None] == kraus)
     order = power[first] * S_ORDERS + degree[first] + degree[second]
     n = len(ops)
@@ -219,61 +230,64 @@ def _channel_terms(noise_kind: str, correlated: bool) -> _Terms:
         return (x[:, None, None] + y[:, None] + z).reshape(-1)
 
     powers = triples(order, order, order)
+    # the trace is <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k, and
+    # M is diagonal, as every single-qubit K^dag K is: sum |Psi_abcd|^2
+    # d_b d_c d_d, with d the diagonal of each party's pair in a triple
+    d = np.einsum("pji,pji->pi", ops[first].conj(), ops[second]).real
+    weight = np.abs(protocol_state().reshape(2, 4, 4, 4)) ** 2
+    trace = np.bincount(powers, np.einsum("abcd,xb,yc,zd->xyz", weight, d, d,
+                                          d).reshape(-1), _POWERS)
+    keys = BRANCHES[receiver]
+    # [branch, triple, (m, i)]; at real targets the imaginary parts are 0
+    w = np.array([branch_amplitudes(receiver, *key, _UNIT_TARGETS, ops).real
+                  for key in keys]).transpose(0, 2, 3, 4, 1, 5).reshape(
+                      len(keys), -1, 8)
+    first, second = (triples(x * n * n, x * n, x) for x in (first, second))
+    (reached,) = np.nonzero(np.bincount(powers))
+    gram = np.stack([w[:, first[at]].transpose(0, 2, 1) @ w[:, second[at]]
+                     for at in powers == reached[:, None]], axis=1)
+    index = (reached[:, None] * 64 + np.arange(64)).astype(np.uint16).reshape(-1)
     # one Kraus operator per noise kind carries t^0, so the t^0 terms of the
     # three parties make up one Kraus triple, the channel at eta = 0; its
     # amplitude has degree <= 6 in s, and a triple with a t^1 term lands
     # past the powers of s
     free = np.where(power == 0, degree, S_ORDERS)
-    amplitude = triples(free, free, free)
-    # the trace is <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k, and
-    # M is diagonal, as every single-qubit K^dag K is: its diagonal pair by pair
-    m = np.einsum("pji,pji->pi", ops[first].conj(), ops[second]).real
-    trace = np.bincount(powers, diagonal_trace(m[:, None, None], m[:, None],
-                                               m).reshape(-1), _POWERS)
-    trace.setflags(write=False)
-    return _Terms(ops, (triples(first * n * n, first * n, first),
-                        triples(second * n * n, second * n, second)), powers,
-                  (amplitude[:, None] == np.arange(S_ORDERS)).astype(float), trace)
-
-
-def _squared_norm(x: np.ndarray, terms: _Terms) -> np.ndarray:
-    """sum over Kraus operators k of ||sum_m c_m x[m, k]||^2, for amplitudes
-    x[m, a, b, c, :] of a form linear in c_m over the pair terms a, b, c: the
-    coefficients of every power for each monomial c_0^(2-i) c_1^i ...
-    (i = m + n), shape (2 len(x) - 1, _POWERS)."""
-    # Re(conj(a) b), summed over the vector axis, is the dot product of the
-    # float (real, imag) views; each power sums both orders of every pair, so
-    # the imaginary parts of conj(a) b cancel
-    xt = x.reshape(len(x), -1, x.shape[-1]).view(float).transpose(0, 2, 1)
-    first, second = terms.triples
-    gram = np.einsum("mvp,nvp->mnp", np.take(xt, first, axis=2),
-                     np.take(xt, second, axis=2))
-    monomial = np.add.outer(np.arange(len(x)), np.arange(len(x)))
-    index = monomial[..., None] * _POWERS + terms.powers
-    return np.bincount(index.reshape(-1), gram.reshape(-1),
-                       (2 * len(x) - 1) * _POWERS).reshape(-1, _POWERS)
+    amplitude = w.transpose(0, 2, 1) @ (
+        triples(free, free, free)[:, None] == np.arange(S_ORDERS))
+    branches = {key: (g[g != 0.0], index[g != 0.0], a.reshape(2, 4, -1))
+                for key, g, a in zip(keys, gram.reshape(len(keys), -1), amplitude)}
+    for array in (trace, *(x for branch in branches.values() for x in branch)):
+        array.setflags(write=False)
+    return trace, branches
 
 
 @lru_cache(maxsize=None)
 def _curve(noise_kind: str, correlated: bool, table: str,
            row: int) -> tuple[np.ndarray, np.ndarray]:
-    """One branch's exact curves from one kernel call: a read-only block of
-    23 rows and the read-only power index of each of its columns, those at
-    which some row is nonzero. Its rows go with the columns of
-    _target_monomials: the coefficients of ||W u||^2 (without its eta^0
+    """One row's exact curves from its branch's Gram and its correction: a
+    read-only block of 23 rows and the read-only power index of each of its
+    columns, those at which some row is nonzero. Its rows go with the columns
+    of _target_monomials: the coefficients of ||W u||^2 (without its eta^0
     part) for alpha^4, alpha^3 beta, ..., beta^4, then those of p, and of the
     real and of the imaginary part of the t^0 amplitude W u, each for
     alpha^2, alpha beta, beta^2, and the channel's trace; then ||W u||^2 and
     p at eta = 1, by power of s in the columns of the powers eta^0 s^j."""
     rule = _rule(table, row)
-    terms = _channel_terms(noise_kind, correlated)
-    w = branch_amplitudes(rule.receiver, rule.sender_outcome,
-                          rule.collaborator_outcomes, _UNIT_TARGETS, terms.ops)
-    y = w @ rule.unitary()[[0, 3]].T     # [m, a, b, c, n]: W_m u_n
-    wu = np.stack([y[0, ..., 0], y[0, ..., 1] + y[1, ..., 0], y[1, ..., 1]])
+    trace, branches = _branches(noise_kind, correlated, rule.receiver)
+    gram, index, amplitude = branches[rule.outcomes]
+    # u = O^T xi* = alpha v_0 + beta v_1, and ||W u||^2 = u^dag G u
+    v = rule.unitary()[[0, 3]]
+    power, m, i, n, j = np.unravel_index(index, (_POWERS, 2, 4, 2, 4))
+    # a coefficient g of G[P, m, i, n, j] adds g conj(v_p,i) v_q,j to the
+    # monomial with m + n + p + q factors beta
+    pq = np.add.outer(np.arange(2), np.arange(2))[..., None]
+    wu2 = (gram * v[:, None, i].conj() * v[:, j]).real
     rows = np.zeros((23, _POWERS))
-    rows[:5] = _squared_norm(wu[..., None], terms)
-    rows[5:8] = _squared_norm(w, terms)
+    rows[:5] = np.bincount(((m + n + pq) * _POWERS + power).reshape(-1),
+                           wu2.reshape(-1), 5 * _POWERS).reshape(5, _POWERS)
+    diagonal = i == j
+    rows[5:8] = np.bincount((m + n)[diagonal] * _POWERS + power[diagonal],
+                            gram[diagonal], 3 * _POWERS).reshape(3, _POWERS)
     # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
     # part, all of it at eta = 0, as the square of its amplitude: a fidelity
     # of 0 there stays 0, not the root of the ~1e-18 rounding left where
@@ -282,9 +296,10 @@ def _curve(noise_kind: str, correlated: bool, table: str,
     rows[:5, :S_ORDERS] = 0.0
     # real and imaginary parts apart: a complex block would make every chunk
     # product complex, and copy the chunk's table to complex
-    amplitude = wu.reshape(3, -1) @ terms.noiseless
+    y = v @ amplitude               # [m, p, j]: v_p . a_m at s^j
+    amplitude = np.stack([y[0, 0], y[0, 1] + y[1, 0], y[1, 1]])
     rows[8:11, :S_ORDERS], rows[11:14, :S_ORDERS] = amplitude.real, amplitude.imag
-    rows[14] = terms.trace
+    rows[14] = trace
     (powers,) = np.nonzero(rows.any(axis=0))
     block = rows[:, powers]
     # an index below _POWERS fits a byte
@@ -322,28 +337,28 @@ def _monomials(eta: np.ndarray) -> np.ndarray:
 
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
     """The receiver's normalized state G^T / p on the config's branch at one
-    eta, before correction, and the branch probability p = tr G: one kernel
-    call on the channel's pair terms, whose term pairs G weighs at that eta,
-    independent of the sweep's curves."""
+    eta, before correction, and the branch probability p = tr G: the
+    branch's cached Gram, the one the sweep's curves come from, weighed at
+    that eta and at the config's target. No kernel call once the receiver's
+    branches are built."""
     if not 0.0 <= eta <= 1.0:   # False for NaN
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
-    rule = config.rule()
-    terms = _channel_terms(config.noise_kind, config.correlated)
     monomials = _monomials(np.array([eta]))[:, 0]
-    warn_trace_deficit(1.0 - float(terms.trace @ monomials))
-    w = branch_amplitudes(config.receiver, rule.sender_outcome,
-                          rule.collaborator_outcomes, config.spec,
-                          terms.ops).reshape(-1, 4)
-    # G[i, j] = sum over term pairs of eta^M s^j conj(W_first,i) W_second,j
-    first, second = terms.triples
-    g = (w[first].conj().T * monomials[terms.powers]) @ w[second]
-    p = float(np.trace(g).real)
+    trace, branches = _branches(config.noise_kind, config.correlated,
+                                config.receiver)
+    warn_trace_deficit(1.0 - float(trace @ monomials))
+    gram, index, _ = branches[config.rule().outcomes]
+    power, m, i, n, j = np.unravel_index(index, (_POWERS, 2, 4, 2, 4))
+    target = np.array([config.spec.alpha, config.spec.beta])
+    g = np.bincount(i * 4 + j, gram * monomials[power] * target[m]
+                    * target[n], 16).reshape(4, 4)
+    p = float(np.trace(g))
     if p <= BRANCH_PROBABILITY_FLOOR:
         raise BranchProbabilityError(
             f"{config.noise_kind} eta={eta:g} {config.receiver} table {config.table} "
             f"row {config.row}: branch probability {p:.3e} is below "
             f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
-    return g.T / p, p
+    return (g.T / p).astype(complex), p
 
 
 @lru_cache(maxsize=1)

@@ -25,12 +25,13 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .linalg import H, I2, X, Y, Z, kron
-from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
-                     target_state)
+from .states import (BRANCH_PROBABILITY_FLOOR, COLLABORATOR_LABELS, TargetSpec,
+                     branch_amplitudes, target_state)
 
 FIDELITY_TOL = 1e-10
 
@@ -113,6 +114,12 @@ class CorrectionRule:
     def gate_string(self) -> str:
         return " ".join(self.gates)
 
+    @property
+    def outcomes(self) -> tuple[str, tuple[str, ...]]:
+        """(sender outcome, collaborator outcomes): the branch it corrects,
+        one of BRANCHES[receiver]."""
+        return self.sender_outcome, self.collaborator_outcomes
+
     def unitary(self) -> np.ndarray:
         return correction_unitary(self.gates)
 
@@ -182,13 +189,24 @@ TABLE_III = _rows("david", "zeta2", [
 CORRECTION_TABLES = {"I": TABLE_I, "II": TABLE_II, "III": TABLE_III}
 
 
+@lru_cache(maxsize=256)
+def _collapse(*branch) -> np.ndarray:
+    """states.branch_amplitudes(receiver, sender outcome, collaborator
+    outcomes, spec) through the noiseless identity stack, as 4 read-only
+    values. Cached: the oracle search, the row verdicts and the report
+    collapse each branch at each of ORACLE_POINTS once; all 72 branches at
+    both points are 144 entries."""
+    v = branch_amplitudes(*branch).reshape(4)
+    v.setflags(write=False)
+    return v
+
+
 def branch_vector(receiver: str, sender_outcome: str,
                   collaborator_outcomes: tuple[str, ...],
                   spec: TargetSpec):
     """Receiver's collapsed (normalized) two-qubit state and its probability:
-    states.branch_amplitudes through the noiseless identity stack."""
-    v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
-                          spec).reshape(4)
+    the cached noiseless collapse, normalized."""
+    v = _collapse(receiver, sender_outcome, collaborator_outcomes, spec)
     prob = float(np.linalg.norm(v) ** 2)
     if prob <= BRANCH_PROBABILITY_FLOOR:
         raise ValueError("outcome branch has vanishing probability")
@@ -197,8 +215,7 @@ def branch_vector(receiver: str, sender_outcome: str,
 
 def noiseless_fidelity(rule: CorrectionRule, spec: TargetSpec) -> float:
     """|<xi| U_rule |branch>| for the rule's outcome at the given parameters."""
-    branch, _ = branch_vector(rule.receiver, rule.sender_outcome,
-                              rule.collaborator_outcomes, spec)
+    branch, _ = branch_vector(rule.receiver, *rule.outcomes, spec)
     out = rule.unitary() @ branch
     return float(abs(np.vdot(target_state(spec), out)))
 
@@ -293,28 +310,6 @@ class RowVerdict:
                 f"{self.verdict}")
 
 
-def _classify(published: CorrectionRule, oracle: CorrectionRule
-              ) -> tuple[tuple[float, ...], str, float, float]:
-    """The published rule's noiseless fidelities at ORACLE_POINTS, its
-    verdict, and its phase-aligned distances from the oracle's rule: as
-    matrices, and in action on the branch."""
-    up, uo = published.unitary(), oracle.unitary()
-    fids, bdist = [], 0.0
-    for spec in ORACLE_POINTS:
-        branch, _ = branch_vector(published.receiver, published.sender_outcome,
-                                  published.collaborator_outcomes, spec)
-        out = up @ branch
-        fids.append(float(abs(np.vdot(target_state(spec), out))))
-        bdist = max(bdist, phase_aligned_distance(uo @ branch, out))
-    if min(fids) < 1.0 - FIDELITY_TOL:
-        verdict = "mismatch"
-    elif np.max(np.abs(uo - up)) < 1e-10:
-        verdict = "confirmed"
-    else:
-        verdict = "phase-equivalent"
-    return tuple(fids), verdict, phase_aligned_distance(uo, up), bdist
-
-
 def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
     """Check every published row against the oracle at both parameter points.
 
@@ -326,22 +321,36 @@ def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
     """
     rows = []
     for i, rule in enumerate(CORRECTION_TABLES[table_id], start=1):
-        oracle = _cached_oracle(rule.receiver, rule.sender_outcome,
-                                rule.collaborator_outcomes)
-        fids, verdict, mdist, bdist = _classify(rule, oracle)
+        oracle = _cached_oracle(rule.receiver, *rule.outcomes)
+        up, uo = rule.unitary(), oracle.unitary()
+        fids = tuple(noiseless_fidelity(rule, spec) for spec in ORACLE_POINTS)
+        if min(fids) < 1.0 - FIDELITY_TOL:
+            verdict = "mismatch"
+        elif np.max(np.abs(uo - up)) < 1e-10:
+            verdict = "confirmed"
+        else:
+            verdict = "phase-equivalent"
+        branches = (branch_vector(rule.receiver, *rule.outcomes, spec)[0]
+                    for spec in ORACLE_POINTS)
         rows.append(RowVerdict(
             table=table_id, row=i, sender_outcome=rule.sender_outcome,
             collaborator_outcomes=rule.collaborator_outcomes,
             published_rule=rule.gate_string,
             published_fidelities=fids, oracle_rule=oracle.gate_string,
-            matrix_distance=mdist, branch_distance=bdist, verdict=verdict))
+            matrix_distance=phase_aligned_distance(uo, up),
+            branch_distance=max(phase_aligned_distance(uo @ branch, up @ branch)
+                                for branch in branches),
+            verdict=verdict))
     return tuple(rows)
 
 
-HADAMARD_LABELS = ("++", "+-", "-+", "--")
+#: every outcome branch of each receiver, as (sender outcome, collaborator
+#: outcomes), the labels of the first collaborator outermost
+BRANCHES = {receiver: tuple(product(SENDER_OUTCOMES, product(labels, repeat=count)))
+            for receiver, (count, labels) in COLLABORATOR_LABELS.items()}
 
 #: rows of a derived table: one per sender outcome and collaborator label pair
-DERIVED_TABLE_ROWS = len(SENDER_OUTCOMES) * len(HADAMARD_LABELS) ** 2
+DERIVED_TABLE_ROWS = len(BRANCHES["charlie"])
 
 
 def derived_rule(receiver: str, row: int) -> CorrectionRule:
@@ -352,10 +361,7 @@ def derived_rule(receiver: str, row: int) -> CorrectionRule:
         raise ValueError("derivable tables pair a Hadamard-measured "
                          "collaborator duo with receiver charlie or david")
     check_row(row, DERIVED_TABLE_ROWS, "derived table")
-    outcome, labels = divmod(row - 1, len(HADAMARD_LABELS) ** 2)
-    first, second = divmod(labels, len(HADAMARD_LABELS))
-    return _cached_oracle(receiver, SENDER_OUTCOMES[outcome],
-                          (HADAMARD_LABELS[first], HADAMARD_LABELS[second]))
+    return _cached_oracle(receiver, *BRANCHES[receiver][row - 1])
 
 
 def derive_receiver_table(receiver: str = "charlie") -> tuple[CorrectionRule, ...]:

@@ -131,9 +131,9 @@ def zeta_basis(spec: TargetSpec) -> dict[str, np.ndarray]:
 #: per receiver, how many collaborator labels an outcome has, and their values:
 #: Charlie and David share one computational label for Bob, the other two
 #: report a Hadamard label each
-_COLLABORATOR_LABELS = {"bob": (1, ("00", "01", "10", "11")),
-                        "charlie": (2, tuple(_HADAMARD_KETS)),
-                        "david": (2, tuple(_HADAMARD_KETS))}
+COLLABORATOR_LABELS = {"bob": (1, ("00", "01", "10", "11")),
+                       "charlie": (2, tuple(_HADAMARD_KETS)),
+                       "david": (2, tuple(_HADAMARD_KETS))}
 
 
 def outcome_kets(receiver: str, sender_outcome: str,
@@ -145,9 +145,9 @@ def outcome_kets(receiver: str, sender_outcome: str,
         raise ValueError(f"unknown sender outcome {sender_outcome!r}, expected "
                          f"one of {tuple(zetas)}")
     zvec = zetas[sender_outcome]
-    if receiver not in _COLLABORATOR_LABELS:
+    if receiver not in COLLABORATOR_LABELS:
         raise ValueError(f"unknown receiver {receiver!r}")
-    count, labels = _COLLABORATOR_LABELS[receiver]
+    count, labels = COLLABORATOR_LABELS[receiver]
     if (len(collaborator_outcomes) != count
             or not all(label in labels for label in collaborator_outcomes)):
         raise ValueError(f"{receiver} expects {count} collaborator label(s) "
@@ -204,15 +204,6 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     w = (fy @ t).reshape(-1, n * n, 4)                  # [kl, r]
     w = (w @ kraus.reshape(n * 4, 4).T).reshape(-1, n, n, n, 4)    # [kl, mR]
     return w[0] if isinstance(spec, TargetSpec) else w
-
-
-def diagonal_trace(m_bob, m_charlie, m_david) -> float | np.ndarray:
-    """<Psi| I (x) diag(m_bob) (x) diag(m_charlie) (x) diag(m_david) |Psi> for
-    4-vectors on the receiver pairs: sum |Psi_abcd|^2 m_b m_c m_d. Leading axes
-    broadcast."""
-    weight = np.abs(protocol_state().reshape(2, 4, 4, 4)) ** 2
-    return np.einsum("abcd,...b,...c,...d->...", weight, m_bob, m_charlie,
-                     m_david)
 
 
 # --------------------------------------------------------------------------

@@ -230,8 +230,11 @@ class TestChannelTrace:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_matches_dense_channel(self, kind, correlated):
-        terms = pipeline._channel_terms(kind, correlated)
-        curve = terms.trace @ pipeline._monomials(np.array(self.ETAS))
+        # one curve per channel, whichever receiver's branches carry it
+        trace, *others = (pipeline._branches(kind, correlated, receiver)[0]
+                          for receiver in ("bob", "charlie", "david"))
+        assert all(np.array_equal(trace, other) for other in others)
+        curve = trace @ pipeline._monomials(np.array(self.ETAS))
         stacks = party_kraus_stack(kraus_operators(kind, self.ETAS), correlated)
         rho = protocol_rho()
         for eta, stack, got, oracle in zip(self.ETAS, stacks, curve,

@@ -223,8 +223,10 @@ class TestKernelContracts:
              target=(0.6, 0.8))
     def test_receiver_state_is_a_state_with_the_sweeps_probability(
             self, row, noise, correlated, eta, target):
-        # receiver_state's own rho = G^T / p, from the pair terms weighed at
-        # eta; AD Bob I-1 dies at eta = 1 and is still alive at 0.999
+        # rho = G^T / p from the branch's cached Gram, the one the sweep's
+        # curves come from, weighed at eta and at the target; p = tr G is the
+        # sweep's branch probability. AD Bob I-1 dies at eta = 1 and is still
+        # alive at 0.999
         table, number, receiver = row
         config = PipelineConfig(noise, receiver, table, number,
                                 TargetSpec(*target), (eta,), correlated)
@@ -232,7 +234,9 @@ class TestKernelContracts:
             rho, p = receiver_state(config, eta)
         except BranchProbabilityError:
             return
-        assert np.max(np.abs(rho - rho.conj().T)) < 1e-15
+        # G is real at a real target, so rho is real symmetric, kept complex
+        assert rho.dtype == complex and not rho.imag.any()
+        assert np.max(np.abs(rho - rho.T)) < 1e-15
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-14
         (sample,) = sweep(config).samples
@@ -452,20 +456,25 @@ class TestExactCurve:
     def test_every_block_lies_on_its_lattice(self):
         """Every coefficient of every _curve block is a small multiple of a
         dyadic step: the squared rows (||W u||^2, p, the trace, the eta = 1
-        folds) of 2^-9, the t^0 amplitude rows of 2^-4 / sqrt(2). This checks
-        the kernel against its own structure; an exact derivation of the
-        blocks that shares no code with it is still open."""
+        folds) of 2^-9, the t^0 amplitude rows of 2^-4 / sqrt(2); so is every
+        coefficient of every branch Gram, of 2^-9. This checks the kernel
+        against its own structure; an exact derivation of the blocks that
+        shares no code with it is still open."""
         squared = np.r_[0:8, 14:23]
-        worst = [0.0, 0.0]
-        for noise, correlated, (table, row, _) in itertools.product(
+        worst = [0.0, 0.0, 0.0]
+        for noise, correlated, (table, row, receiver) in itertools.product(
                 ["ad", "pd"], [True, False], ALL_ROWS):
             block, _ = pipeline._curve(noise, correlated, table, row)
+            gram, _, _ = pipeline._branches(noise, correlated, receiver)[1][
+                pipeline._rule(table, row).outcomes]
             for i, (rows, scale) in enumerate(
-                    ((block[squared], 2**9), (block[8:14], 2**4 * np.sqrt(2)))):
+                    ((block[squared], 2**9), (block[8:14], 2**4 * np.sqrt(2)),
+                     (gram, 2**9))):
                 scaled = rows * scale
                 worst[i] = max(worst[i], np.max(np.abs(scaled - np.round(scaled))))
         assert worst[0] < 1e-11
         assert worst[1] < 1e-13
+        assert worst[2] < 1e-11
 
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
         block, powers = pipeline._curve("ad", True, "I", 1)
@@ -476,9 +485,15 @@ class TestExactCurve:
             sweep(row1_config())
 
 
+def clear_noisy_caches():
+    pipeline._curve.cache_clear()
+    pipeline._branches.cache_clear()
+
+
 class TestKernelCalls:
-    """A row's curves cost one kernel call per process, whatever the grid:
-    states.branch_amplitudes calls counted, no timing."""
+    """A receiver's branches cost one kernel call each per process, whatever
+    the grid, the target or the rule: states.branch_amplitudes calls
+    counted, no timing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -490,28 +505,44 @@ class TestKernelCalls:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "branch_amplitudes", counted)
-        pipeline._curve.cache_clear()
+        clear_noisy_caches()
         yield made
-        pipeline._curve.cache_clear()
+        clear_noisy_caches()
 
     @pytest.mark.parametrize("noise,receiver,table,row", [
         ("ad", "bob", "I", 1), ("pd", "david", "III", 6),
         ("ad", "charlie", "oracle", 20)])
     def test_cold_then_warm_sweep(self, calls, noise, receiver, table, row):
+        # a cold sweep builds every branch of its receiver once: 8 for Bob,
+        # 32 for David and for Charlie
         config = PipelineConfig(noise, receiver, table, row, BALANCED,
                                 default_grid(0.1))
         sweep(config)
-        assert len(calls) <= 1
+        assert len(calls) == len(set(calls)) == {"bob": 8}.get(receiver, 32)
+        assert {call[0] for call in calls} == {receiver}
         cold = len(calls)
         sweep(replace(config, spec=TargetSpec(0.6, -0.8),
                       eta_grid=default_grid(0.001)))
+        receiver_state(config, 0.5)
         assert len(calls) == cold
+
+    def test_receiver_state_reads_the_sweeps_branches(self, calls):
+        # another row of a built receiver, and another target, make no call;
+        # receiver_state on a cold receiver builds it as a sweep would
+        sweep(default_config("pd", "david", row=1))
+        cold = len(calls)
+        for row in (2, 16):
+            receiver_state(default_config("pd", "david", TargetSpec(0.6, 0.8),
+                                          table="III", row=row), 0.3)
+        assert len(calls) == cold
+        receiver_state(default_config("pd", "bob", row=3), 0.3)
+        assert len(calls) == cold + 8
 
     def test_grid_size_does_not_add_calls(self, calls):
         config = default_config("pd", "bob", step=0.1)
         sweep(config)
         small = len(calls)
-        pipeline._curve.cache_clear()
+        clear_noisy_caches()
         sweep(replace(config, eta_grid=default_grid(1e-5)))
         assert len(calls) - small <= small
 
@@ -558,21 +589,30 @@ class TestKernelCalls:
 
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
-        # pipeline docstring quotes
-        sizes = {(noise, correlated, table, row): sum(
-                     a.nbytes for a in pipeline._curve(noise, correlated, table, row))
+        # pipeline docstring quotes: the Grams of every branch and the blocks
+        # of every row, in all and for a correlated scan
+        blocks = {(noise, correlated, table, row): sum(
+                      a.nbytes for a in pipeline._curve(noise, correlated, table, row))
+                  for noise in ("ad", "pd") for correlated in (True, False)
+                  for table, row, _ in ALL_ROWS}
+        grams = {(noise, correlated, receiver, branch): sum(a.nbytes for a in arrays)
                  for noise in ("ad", "pd") for correlated in (True, False)
-                 for table, row, _ in ALL_ROWS}
-        assert len(sizes) == 288
-        scan = sum(size for (_, correlated, *_), size in sizes.items()
-                   if correlated)
+                 for receiver in ("bob", "david", "charlie")
+                 for branch, arrays in pipeline._branches(
+                     noise, correlated, receiver)[1].items()}
+        assert len(blocks) == len(grams) == 288
         chunk = (pipeline.GRID_CHUNK * pipeline.ETA_ORDERS * pipeline.S_ORDERS
                  * 8)
+        figures = [f"{chunk / 1e6:.2f} MB"]
+        for sizes in (grams, blocks):
+            scan = sum(size for (_, correlated, *_), size in sizes.items()
+                       if correlated)
+            figures += [f"{min(sizes.values()) / 1e3:.1f} to "
+                        f"{max(sizes.values()) / 1e3:.1f} KB",
+                        f"{sum(sizes.values()) / 1e6:.2f} MB",
+                        f"{scan / 1e6:.2f} MB"]
         doc = " ".join(pipeline.__doc__.split())
-        for figure in (f"{min(sizes.values()) / 1e3:.1f} to "
-                       f"{max(sizes.values()) / 1e3:.1f} KB",
-                       f"{sum(sizes.values()) / 1e6:.2f} MB",
-                       f"{scan / 1e6:.2f} MB", f"{chunk / 1e6:.2f} MB"):
+        for figure in figures:
             assert figure in doc
 
     def test_every_block_column_is_used(self):
@@ -810,13 +850,15 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_is_read_only(self, noise, correlated):
-        # the cached coefficients are shared by every later sweep of the row
+        # the cached coefficients are shared by every later sweep of the row,
+        # and the branch's Gram by every row and receiver_state call
         block, powers = pipeline._curve(noise, correlated, "II", 3)
         assert block is pipeline._curve(noise, correlated, "II", 3)[0]
-        terms = pipeline._channel_terms(noise, correlated)
+        trace, branches = pipeline._branches(noise, correlated, "david")
+        branch = branches["zeta1", ("-+", "++")]
         table = pipeline._tables(default_grid(0.1))
         target = pipeline._target_monomials(0.6, 0.8)
-        for coef in (block, powers, table, target, terms.trace):
+        for coef in (block, powers, table, target, trace, *branch):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0
         # the trace curve, indexed M * S_ORDERS + j, against the oracle's
@@ -825,7 +867,7 @@ class TestChannelBlockCache:
         stacks = party_kraus_stack(kraus_operators(noise, etas), correlated)
         got = np.einsum("em,mj,ej->e",
                         etas[:, None] ** np.arange(pipeline.ETA_ORDERS),
-                        terms.trace.reshape(pipeline.ETA_ORDERS, pipeline.S_ORDERS),
+                        trace.reshape(pipeline.ETA_ORDERS, pipeline.S_ORDERS),
                         np.sqrt(1 - etas)[:, None] ** np.arange(pipeline.S_ORDERS))
         assert np.max(np.abs(got - channel_trace(stacks))) < 1e-14
 

@@ -330,3 +330,22 @@ class TestReport:
         assert "derived correction table for receiver charlie" in text
         # 1 header + 40 table rows + 1 charlie header + 32 charlie rows
         assert len(text.splitlines()) == 74
+
+    def test_each_branch_collapses_once_per_oracle_point(self, monkeypatch):
+        # the oracle search, the row verdicts and Charlie's report lines read
+        # one cached collapse per branch and point: 72 branches x 2 points
+        made = []
+        kernel = protocol.branch_amplitudes
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "branch_amplitudes", counted)
+        protocol._collapse.cache_clear()
+        protocol._cached_oracle.cache_clear()
+        format_table_report({t: verify_table(t) for t in CORRECTION_TABLES})
+        assert len(made) == len(set(made)) == 72 * len(ORACLE_POINTS)
+        # shared by every later caller
+        assert not protocol._collapse("bob", "zeta1", ("01",),
+                                      BALANCED).flags.writeable
