@@ -42,31 +42,54 @@ fidelity of 0 comes out as 0 and not as the square root of rounding noise.
 The curves are one read-only block of 23 rows, one per monomial of
 (alpha, beta) of ||W u||^2 without N_0, of p and of the N_0 amplitude's two
 parts, one for the channel's trace on |Psi><Psi|, and one per monomial of
-||W u||^2 and p at eta = 1, by power of s. It stores only the columns that
-are nonzero in some row, with their power indices. Both key spaces are
-finite, 2 x 2 x 72 = 288 branches of 0.9 to 3.4 KB and as many rows of 1.1
-to 8.3 KB, so the caches need no size limit and hold at most 0.66 MB of
-Grams and 1.13 MB of blocks; a scan of all 72 rows under both noise kinds
-and the correlated channel fills 144 entries of each, 0.23 MB and 0.39 MB.
+||W u||^2 and p at eta = 1, by power of s. Its columns are its receiver's
+column set, which _branches derives with the Grams: the powers that some
+Gram or the trace reaches, the Grams' powers of s (for the eta = 1 folds)
+and those of the t^0 amplitude. So the blocks of one table stack into one
+read-only (rows, 23, K) array, which _stack builds from them once per
+process for each (noise kind, channel mode, table), at most 16 of them.
+The key spaces are finite, 2 x 2 x 72 = 288 branches of 0.9 to 3.4 KB and
+as many rows of 1.5 to 8.3 KB, and stacks of 11.8 to 265.0 KB, so the
+caches need no size limit and hold at most 0.66 MB of Grams, 1.15 MB of
+blocks and 1.15 MB of stacks; a scan of all 72 rows under both noise kinds
+and the correlated channel fills 144 Grams, 0.23 MB, 144 blocks, 0.39 MB,
+and 8 stacks, 0.39 MB.
 
-A sweep multiplies the row's block by the target's monomials, a (7, 23)
-matrix cached for the last target that puts each monomial against its
-rows: one product gives, on the block's powers, the coefficients of
-||W u||^2 without N_0, of p, of the amplitude's two parts and of the trace,
-and the two eta = 1 folds, whose lowest nonzero power of s in p is j0 (see
-below). It then walks the grid in chunks of GRID_CHUNK = 1024 etas. For
-each chunk, _tables holds the grid side, every power eta^M s^j at each eta,
-one table for both noise kinds and channel modes. A chunk then costs one
-(5, K) x (K, chunk) product on the block's K powers and the amplitude's
-squares; the product's last row is the channel's trace at each eta, whose
+_evaluate samples a stack of blocks at one target on one grid chunk. It
+multiplies the stack by the target's monomials, a (7, 23) matrix cached for
+the last target that puts each monomial against the rows of a block: one
+product gives, for each block on the receiver's powers, the coefficients
+of ||W u||^2 without N_0, of p, of the amplitude's two parts and of the
+trace, and the two eta = 1 folds, whose lowest nonzero power of s in p is
+j0 (see below). For each chunk of GRID_CHUNK = 1024 etas, _tables holds the
+grid side, every power eta^M s^j at each eta, one table for both noise
+kinds and channel modes. A chunk then costs one (5, K) x (K, chunk) product
+per block on the K powers and the amplitude's squares; the product's last
+row is the channel's trace at each eta, the same for every block, whose
 smallest value gives the TraceDeficitWarning check. Both products are
-matrix-matrix: the first one in a process makes BLAS allocate about 0.25 MB
-of buffers, and numpy's einsum, which avoids BLAS, takes about 2.5 times as
-long at 11 etas. _tables keeps one chunk, at most GRID_CHUNK x 91 floats,
-0.75 MB. At 1024, the default 11-point grid and the 1001-point grid of step
-0.001 are one chunk each, so the sweeps of a scan after its first reuse the
-table, whatever their channel; a 100,001-point grid streams through 98
-chunks and holds one at a time besides its samples.
+matrix-matrix, and numpy's stacked matmul runs the same product on each
+block's slice, so a row's samples are bitwise the same from a one-row
+stack and from its table's stack. The first product in a process makes
+BLAS allocate about 0.25 MB of buffers, and numpy's einsum, which avoids
+BLAS, takes about 2.5 times as long at 11 etas. _tables keeps one chunk, at
+most GRID_CHUNK x 91 floats, 0.75 MB. At 1024, the default 11-point grid
+and the 1001-point grid of step 0.001 are one chunk each, so the sweeps of
+a scan after its first reuse the table, whatever their channel; a
+100,001-point grid streams through 98 chunks and holds one at a time
+besides its samples.
+
+A sweep reads each chunk's samples from _evaluated, one slot keyed by
+(noise kind, channel mode, table, alpha, beta, grid chunk) that holds the
+samples of the rows evaluated at its key. The first sweep at a key
+evaluates its own row, as a one-row stack. A sweep of another row of the
+same table at that key evaluates every row of the table in one pass, on
+its _stack, and the table's later rows read their samples from the slot.
+So a scan of a table's rows at one target and grid chunk evaluates the
+table once per target and chunk, after its first row; single-row traffic
+(the CLI, a grid of more than one chunk, repeated sweeps of one row) never
+evaluates another row, builds a stack or derives Charlie's whole oracle
+table. The slot holds at most 32 rows x GRID_CHUNK etas x 2 floats,
+0.52 MB. Every sweep still makes the TraceDeficitWarning check.
 
 receiver_state reads the branch's cached G, the one the row's curves come
 from: it weighs each coefficient by its power eta^M s^j at its one eta and
@@ -87,7 +110,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import lt
 from typing import NamedTuple
 
@@ -208,11 +231,12 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
 
 @lru_cache(maxsize=None)
 def _branches(noise_kind: str, correlated: bool,
-              receiver: str) -> tuple[np.ndarray, dict]:
+              receiver: str) -> tuple[np.ndarray, dict, np.ndarray]:
     """What the sweeps and receiver_state read of one receiver under one
-    channel, all read-only: the channel's trace on |Psi><Psi| by power index,
-    and every outcome branch of the receiver, keyed by (sender outcome,
-    collaborator outcomes). A branch is read off its amplitudes W_m at the
+    channel, all read-only: the channel's trace on |Psi><Psi| by power index;
+    every outcome branch of the receiver, keyed by (sender outcome,
+    collaborator outcomes); and the receiver's column set, the power indices
+    of its rows' _curve blocks. A branch is read off its amplitudes W_m at the
     unit targets (m = 0 for alpha, 1 for beta), which are real: the nonzero
     coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj at each
     power index P, their flat indices into (_POWERS, 2, 4, 2, 4), and the
@@ -256,24 +280,34 @@ def _branches(noise_kind: str, correlated: bool,
         triples(free, free, free)[:, None] == np.arange(S_ORDERS))
     branches = {key: (g[g != 0.0], index[g != 0.0], a.reshape(2, 4, -1))
                 for key, g, a in zip(keys, gram.reshape(len(keys), -1), amplitude)}
-    for array in (trace, *(x for branch in branches.values() for x in branch)):
+    # the columns: the powers some Gram reaches, their powers of s (for the
+    # eta = 1 folds), those of the t^0 amplitude and those of the trace; an
+    # index below _POWERS fits a byte
+    used = np.zeros(_POWERS, bool)
+    used[reached] = gram.any(axis=(0, 2, 3))
+    used[:S_ORDERS] |= (used.reshape(ETA_ORDERS, S_ORDERS).any(axis=0)
+                        | amplitude.any(axis=(0, 1)))
+    (columns,) = np.nonzero(used | (trace != 0.0))
+    columns = columns.astype(np.uint8)
+    for array in (trace, columns,
+                  *(x for branch in branches.values() for x in branch)):
         array.setflags(write=False)
-    return trace, branches
+    return trace, branches, columns
 
 
 @lru_cache(maxsize=None)
 def _curve(noise_kind: str, correlated: bool, table: str,
            row: int) -> tuple[np.ndarray, np.ndarray]:
     """One row's exact curves from its branch's Gram and its correction: a
-    read-only block of 23 rows and the read-only power index of each of its
-    columns, those at which some row is nonzero. Its rows go with the columns
-    of _target_monomials: the coefficients of ||W u||^2 (without its eta^0
+    read-only block of 23 rows and the power index of each of its columns,
+    its receiver's column set. Its rows go with the columns of
+    _target_monomials: the coefficients of ||W u||^2 (without its eta^0
     part) for alpha^4, alpha^3 beta, ..., beta^4, then those of p, and of the
     real and of the imaginary part of the t^0 amplitude W u, each for
     alpha^2, alpha beta, beta^2, and the channel's trace; then ||W u||^2 and
     p at eta = 1, by power of s in the columns of the powers eta^0 s^j."""
     rule = _rule(table, row)
-    trace, branches = _branches(noise_kind, correlated, rule.receiver)
+    trace, branches, columns = _branches(noise_kind, correlated, rule.receiver)
     gram, index, amplitude = branches[rule.outcomes]
     # u = O^T xi* = alpha v_0 + beta v_1, and ||W u||^2 = u^dag G u
     v = rule.unitary()[[0, 3]]
@@ -300,13 +334,19 @@ def _curve(noise_kind: str, correlated: bool, table: str,
     amplitude = np.stack([y[0, 0], y[0, 1] + y[1, 0], y[1, 1]])
     rows[8:11, :S_ORDERS], rows[11:14, :S_ORDERS] = amplitude.real, amplitude.imag
     rows[14] = trace
-    (powers,) = np.nonzero(rows.any(axis=0))
-    block = rows[:, powers]
-    # an index below _POWERS fits a byte
-    powers = powers.astype(np.uint8)
+    block = rows[:, columns]
     block.setflags(write=False)
-    powers.setflags(write=False)
-    return block, powers
+    return block, columns
+
+
+@lru_cache(maxsize=None)
+def _stack(noise_kind: str, correlated: bool, table: str) -> np.ndarray:
+    """The _curve blocks of every row of a table, in row order: read-only,
+    shape (rows, 23, K) on the receiver's K columns."""
+    stack = np.stack([_curve(noise_kind, correlated, table, row)[0]
+                      for row in range(1, _TABLE_ROWS[table] + 1)])
+    stack.setflags(write=False)
+    return stack
 
 
 @lru_cache(maxsize=1)
@@ -344,8 +384,8 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
     if not 0.0 <= eta <= 1.0:   # False for NaN
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
     monomials = _monomials(np.array([eta]))[:, 0]
-    trace, branches = _branches(config.noise_kind, config.correlated,
-                                config.receiver)
+    trace, branches, _ = _branches(config.noise_kind, config.correlated,
+                                   config.receiver)
     warn_trace_deficit(1.0 - float(trace @ monomials))
     gram, index, _ = branches[config.rule().outcomes]
     power, m, i, n, j = np.unravel_index(index, (_POWERS, 2, 4, 2, 4))
@@ -371,41 +411,76 @@ def _tables(chunk: tuple) -> np.ndarray:
     return table
 
 
-def sweep(config: PipelineConfig) -> SweepResult:
-    """Fidelity at every grid value, in grid order, from the branch's cached
-    curves; where the branch dies at eta = 1, the exact limit."""
-    spec = config.spec
-    block, powers = _curve(config.noise_kind, config.correlated, config.table,
-                           config.row)
+def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
+              beta: float, chunk: tuple, rows: tuple[int, ...]) -> dict:
+    """The samples of some rows of a table at one target on one grid chunk,
+    by row: its fidelities and branch probabilities at the chunk's etas, the
+    smallest channel trace there and whether its last eta is the exact limit
+    eta -> 1. One row is a one-row stack, a table's every row its _stack:
+    one target product and one chunk product either way, and numpy's stacked
+    matmul runs the same product on each row's slice."""
+    block, columns = _curve(noise_kind, correlated, table, rows[0])
+    blocks = _stack(noise_kind, correlated, table) if len(rows) > 1 else block[None]
     # rows ||W u||^2 without its t^0 part, p, the t^0 amplitude's real and
     # imaginary parts and the trace, then ||W u||^2 and p at eta = 1
-    curves = _target_monomials(spec.alpha, spec.beta) @ block
-    coef, (wu2_one, p_one) = curves[:5], curves[5:]
-    (orders,) = np.nonzero(p_one)
-    if not orders.size:
+    curves = _target_monomials(alpha, beta) @ blocks
+    wu2, p, real, imag, trace = (curves[:, :5] @ _tables(chunk).take(
+        columns, axis=0)).transpose(1, 0, 2)
+    wu2 += real * real + imag * imag
+    # ||W u||^2 and p at eta = 1 in the block column of s^j0 (see below); a
+    # branch dies at eta = 1 where j0 > 0, and the grid increases, so only a
+    # chunk's last eta can be 1: its fidelity there is the limit, its
+    # probability the computed 0. Lists: numpy's reductions of a few bools
+    # cost several times as much
+    j0 = (curves[:, 6] != 0.0).argmax(axis=1)
+    folds = curves[np.arange(len(rows)), 5:, j0]
+    lives = folds[:, 1].tolist()
+    if 0.0 in lives:
+        row = rows[lives.index(0.0)]
         raise BranchProbabilityError(
-            f"{config.noise_kind} {config.receiver} table {config.table} row "
-            f"{config.row}: the branch probability vanishes at every eta")
-    grid = config.eta_grid
-    # the block column of s^j0 (see above); the grid increases, so only its
-    # last point can be eta = 1
-    j0 = orders[0]
-    live = len(grid) - (powers[j0] > 0 and grid[-1] == 1.0)
+            f"{noise_kind} {_rule(table, row).receiver} table {table} row "
+            f"{row}: the branch probability vanishes at every eta")
+    ends = ((columns[j0] > 0) & (chunk[-1] == 1.0)).tolist()
+    probability = p.copy()
+    for at in compress(range(len(rows)), ends):
+        wu2[at, -1], p[at, -1] = folds[at]
+    # clipped: where F = 0, rounding in the squared coefficients of the
+    # eta^M, M >= 1, parts can leave F^2 at -1e-17
+    fidelity = np.sqrt(np.maximum(wu2, 0.0) / p)
+    # the trace rows are one row of every block, so one of them serves; a
+    # list's min: at 11 etas, numpy's costs twice as much
+    low = min(trace[0].tolist())
+    return dict(zip(rows, zip(fidelity, probability, repeat(low), ends)))
+
+
+#: the last evaluation: its key (noise kind, channel mode, table, alpha, beta,
+#: grid chunk) and the _evaluate samples of the rows evaluated there
+_evaluated: list = [None, {}]
+
+
+def sweep(config: PipelineConfig) -> SweepResult:
+    """Fidelity at every grid value, in grid order, from the branch's cached
+    curves; where the branch dies at eta = 1, the exact limit. The first
+    sweep at an _evaluated key evaluates its own row; a sweep of another row
+    of the table at that key evaluates every row, which the later sweeps
+    there read."""
+    spec, grid, row = config.spec, config.eta_grid, config.row
     fidelity, branch_probability, deficit = [], [], 0.0
     for start in range(0, len(grid), GRID_CHUNK):
-        wu2, p, real, imag, trace = coef @ _tables(
-            grid[start:start + GRID_CHUNK]).take(powers, axis=0)
-        wu2 += real * real + imag * imag
-        # clipped: where F = 0, rounding in the squared coefficients of the
-        # eta^M, M >= 1, parts can leave F^2 at -1e-17
-        end = live - start
-        fidelity += np.sqrt(np.maximum(wu2[:end], 0.0) / p[:end]).tolist()
+        key = (config.noise_kind, config.correlated, config.table, spec.alpha,
+               spec.beta, grid[start:start + GRID_CHUNK])
+        if _evaluated[0] != key:
+            _evaluated[:] = key, {}
+        done = _evaluated[1]
+        if row not in done:
+            done.update(_evaluate(*key, tuple(range(
+                1, _TABLE_ROWS[config.table] + 1)) if done else (row,)))
+        f, p, low, ends = done[row]
+        fidelity += f.tolist()
         branch_probability += p.tolist()
-        # a list's min: at 11 etas, numpy's costs twice as much
-        deficit = max(deficit, 1.0 - min(trace.tolist()))
+        deficit = max(deficit, 1.0 - low)
     warn_trace_deficit(deficit)
-    fidelity += [float(np.sqrt(max(wu2_one[j0], 0.0) / p_one[j0]))] * (
-        len(grid) - live)
+    live = len(grid) - ends
     # tuple.__new__ on each sample's fields: the NamedTuple's own __new__ is
     # a Python function, and took 40 % of building the samples
     return SweepResult(config=config, samples=tuple(map(

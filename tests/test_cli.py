@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +255,34 @@ class TestGoldenCsv:
         _, out, _ = run_cli(list(argv), capsys)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == VERIFY_STDOUT_DIGESTS[argv]
+
+
+#: runs `python -m hrsp.cli ARGS` in this process, then checks its modules
+IMPORT_CHECK = """
+import runpy, sys
+sys.argv = ["hrsp", *sys.argv[1:]]
+try:
+    runpy.run_module("hrsp.cli", run_name="__main__")
+except SystemExit as exit:
+    assert not exit.code, exit.code
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+class TestImports:
+    # np.unique, np.union1d and np.isin import numpy.ma on their first call,
+    # 12-89 ms, more than a whole sweep; no command needs it
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--receiver", "bob"], ["sweep", "--receiver", "charlie"],
+        ["sweep", "--receiver", "david"], ["verify-tables"],
+        ["verify-factorization"]])
+    def test_command_leaves_numpy_ma_unimported(self, argv, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(tmp_path / "sweep.csv")]
+        run = subprocess.run([sys.executable, "-c", IMPORT_CHECK, *argv],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrsp.noise import TraceDeficitWarning
-from hrsp import pipeline
+from hrsp import pipeline, protocol
 from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, MAX_GRID_POINTS,
                            BranchProbabilityError, PipelineConfig,
                            default_config, default_grid, receiver_state, sweep)
@@ -481,13 +481,17 @@ class TestExactCurve:
         zeros = np.zeros_like(block)
         assert zeros.shape == block.shape
         monkeypatch.setattr(pipeline, "_curve", lambda *key: (zeros, powers))
+        # a fresh slot: an earlier sweep at this key would be read, not redone
+        monkeypatch.setattr(pipeline, "_evaluated", [None, {}])
         with pytest.raises(BranchProbabilityError, match="vanishes at every eta"):
             sweep(row1_config())
 
 
 def clear_noisy_caches():
+    pipeline._stack.cache_clear()
     pipeline._curve.cache_clear()
     pipeline._branches.cache_clear()
+    pipeline._evaluated[:] = None, {}
 
 
 class TestKernelCalls:
@@ -575,8 +579,12 @@ class TestKernelCalls:
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_grid_tables_hold_one_chunk(self, noise, correlated):
+        # a single row on a long grid: no chunk evaluates another row, so
+        # no table stack is built
         grid = default_grid(1e-5)
+        stacks = pipeline._stack.cache_info()
         sweep(default_config(noise, step=1e-5, correlated=correlated))
+        assert pipeline._stack.cache_info() == stacks
         assert pipeline._tables.cache_info().currsize == 1
         # the slot holds the grid's last chunk: fetching it is a hit
         misses = pipeline._tables.cache_info().misses
@@ -589,8 +597,9 @@ class TestKernelCalls:
 
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
-        # pipeline docstring quotes: the Grams of every branch and the blocks
-        # of every row, in all and for a correlated scan
+        # pipeline docstring quotes: the Grams of every branch, the blocks of
+        # every row and the stacks of every table, in all and for a
+        # correlated scan, and the evaluation slot at its largest table
         blocks = {(noise, correlated, table, row): sum(
                       a.nbytes for a in pipeline._curve(noise, correlated, table, row))
                   for noise in ("ad", "pd") for correlated in (True, False)
@@ -600,11 +609,17 @@ class TestKernelCalls:
                  for receiver in ("bob", "david", "charlie")
                  for branch, arrays in pipeline._branches(
                      noise, correlated, receiver)[1].items()}
-        assert len(blocks) == len(grams) == 288
+        stacks = {(noise, correlated, table): pipeline._stack(
+                      noise, correlated, table).nbytes
+                  for noise in ("ad", "pd") for correlated in (True, False)
+                  for table in ("I", "II", "III", "oracle")}
+        assert len(blocks) == len(grams) == 288 and len(stacks) == 16
         chunk = (pipeline.GRID_CHUNK * pipeline.ETA_ORDERS * pipeline.S_ORDERS
                  * 8)
-        figures = [f"{chunk / 1e6:.2f} MB"]
-        for sizes in (grams, blocks):
+        # fidelity and branch probability of each row at each eta of a chunk
+        slot = max(pipeline._TABLE_ROWS.values()) * pipeline.GRID_CHUNK * 2 * 8
+        figures = [f"{chunk / 1e6:.2f} MB", f"{slot / 1e6:.2f} MB"]
+        for sizes in (grams, blocks, stacks):
             scan = sum(size for (_, correlated, *_), size in sizes.items()
                        if correlated)
             figures += [f"{min(sizes.values()) / 1e3:.1f} to "
@@ -616,14 +631,100 @@ class TestKernelCalls:
             assert figure in doc
 
     def test_every_block_column_is_used(self):
-        # a block keeps the powers at which some row is nonzero, and only those
-        for noise in ("ad", "pd"):
-            for correlated in (True, False):
-                for table, row, _ in ALL_ROWS:
+        # a row's block lies on its receiver's column set, and every column is
+        # nonzero in some block of that receiver and channel, except where
+        # Bob's uncorrelated AD Grams pair basis states that no table I
+        # correction reads: u = O^T xi* lives on the two states O maps onto
+        # |00> and |11> (14, 22, 33, 66 and their powers of s, 7 and 9), and
+        # a rounding residue of 6e-18 at 27
+        for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
+            for receiver in ("bob", "david", "charlie"):
+                _, _, columns = pipeline._branches(noise, correlated, receiver)
+                assert np.all(np.diff(columns.astype(int)) > 0)
+                used = np.zeros(len(columns), bool)
+                for table, row, _ in (r for r in ALL_ROWS if r[2] == receiver):
                     block, powers = pipeline._curve(noise, correlated, table, row)
-                    assert block.any(axis=0).all()
-                    assert block.shape == (23, len(powers))
-                    assert np.all(np.diff(powers.astype(int)) > 0)
+                    assert powers is columns
+                    assert block.shape == (23, len(columns))
+                    used |= block.any(axis=0)
+                unused = set(columns[~used].tolist())
+                assert unused == ({7, 9, 14, 22, 27, 33, 66} if (
+                    noise, correlated, receiver) == ("ad", False, "bob") else set())
+
+
+def sample_bits(result):
+    return [(s.fidelity.hex(), s.branch_probability.hex(), s.boundary_extended)
+            for s in result.samples]
+
+
+class TestTableEvaluation:
+    """The first sweep at an evaluation key evaluates its own row, the next
+    row of its table every row; a row's samples do not depend on which."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        made = []
+        evaluate = pipeline._evaluate
+
+        def counted(*args):
+            made.append(args[-1])
+            return evaluate(*args)
+
+        monkeypatch.setattr(pipeline, "_evaluate", counted)
+        monkeypatch.setattr(pipeline, "_evaluated", [None, {}])
+        return made
+
+    @pytest.mark.parametrize("step", [0.1, 0.001])
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_rows_are_bitwise_equal_in_any_order(self, noise, correlated,
+                                                 step, evaluations):
+        configs = {(table, row): default_config(
+                       noise, receiver, TargetSpec(0.6, -0.8), step=step,
+                       table=table, row=row, correlated=correlated)
+                   for table, row, receiver in ALL_ROWS}
+        alone = {}
+        for key, config in configs.items():
+            pipeline._evaluated[:] = None, {}
+            alone[key] = sample_bits(sweep(config))
+        assert all(len(rows) == 1 for rows in evaluations)
+        for order in (list(configs), list(reversed(configs))):
+            pipeline._evaluated[:] = None, {}
+            assert {key: sample_bits(sweep(configs[key])) for key in order} == alone
+        # each table: its first row alone, then every row
+        assert len(evaluations) == len(configs) + 2 * 2 * 4
+
+    def test_table_is_evaluated_once_per_target_and_chunk(self, evaluations):
+        for spec in (BALANCED, TargetSpec(0.6, 0.8)):
+            for row in range(1, 17):
+                sweep(default_config("pd", "david", spec, table="III", row=row))
+        table = tuple(range(1, 17))
+        assert evaluations == [(1,), table, (1,), table]
+        # a grid of two chunks: every sweep meets a new key, so each
+        # evaluates its own row and no stack is built
+        del evaluations[:]
+        stacks = pipeline._stack.cache_info()
+        for row in (1, 2, 3):
+            sweep(default_config("ad", "bob", step=0.0005, row=row))
+        assert evaluations == [(1,), (1,), (2,), (2,), (3,), (3,)]
+        assert pipeline._stack.cache_info() == stacks
+
+    def test_cold_oracle_row_derives_one_rule(self, monkeypatch):
+        # a single Charlie row derives its own rule, not the whole table
+        found = []
+        search = protocol.oracle_find_correction
+
+        def counted(*branch):
+            found.append(branch)
+            return search(*branch)
+
+        monkeypatch.setattr(protocol, "oracle_find_correction", counted)
+        protocol._cached_oracle.cache_clear()
+        pipeline._rule.cache_clear()
+        clear_noisy_caches()
+        sweep(default_config("ad", "charlie", row=7))
+        assert found == [("charlie", *protocol.BRANCHES["charlie"][6])]
+        assert pipeline._stack.cache_info().currsize == 0
 
 
 #: (noise, receiver, table, row): a dead endpoint (exact limit), a David and
@@ -854,11 +955,14 @@ class TestChannelBlockCache:
         # and the branch's Gram by every row and receiver_state call
         block, powers = pipeline._curve(noise, correlated, "II", 3)
         assert block is pipeline._curve(noise, correlated, "II", 3)[0]
-        trace, branches = pipeline._branches(noise, correlated, "david")
+        trace, branches, columns = pipeline._branches(noise, correlated, "david")
         branch = branches["zeta1", ("-+", "++")]
         table = pipeline._tables(default_grid(0.1))
         target = pipeline._target_monomials(0.6, 0.8)
-        for coef in (block, powers, table, target, trace, *branch):
+        stack = pipeline._stack(noise, correlated, "II")
+        assert np.array_equal(stack[2], block)
+        for coef in (block, powers, table, target, trace, columns, stack,
+                     *branch):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0
         # the trace curve, indexed M * S_ORDERS + j, against the oracle's
