@@ -29,9 +29,10 @@ trace on |Psi><Psi|, by power, which is the same for every receiver.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
 M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
-in the rows of the grid tables. _curve derives a row's curves from its
-branch's G and its correction u = O^T xi*, once per process for each
-(noise kind, channel mode, table, row):
+in the rows of the grid tables. A table is the only store of its rows'
+curves: _stack derives every row's curves from its branch's G and its
+correction u = O^T xi*, in one pass for the whole table, once per process
+for each (noise kind, channel mode, table):
 
     p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),
 
@@ -39,57 +40,59 @@ with D_M and N_M polynomials whose coefficients are fixed quadratic (D) and
 quartic (N) forms in (alpha, beta). N_0, the part that survives at eta = 0,
 is kept as the square of its amplitude polynomial instead, so that a
 fidelity of 0 comes out as 0 and not as the square root of rounding noise.
-The curves are one read-only block of 23 rows, one per monomial of
-(alpha, beta) of ||W u||^2 without N_0, of p and of the N_0 amplitude's two
-parts, one for the channel's trace on |Psi><Psi|, and one per monomial of
-||W u||^2 and p at eta = 1, by power of s. Its columns are its receiver's
-column set, which _branches derives with the Grams: the powers that some
-Gram or the trace reaches, the Grams' powers of s (for the eta = 1 folds)
-and those of the t^0 amplitude. So the blocks of one table stack into one
-read-only (rows, 23, K) array, which _stack builds from them once per
-process for each (noise kind, channel mode, table), at most 16 of them.
-The key spaces are finite, 2 x 2 x 72 = 288 branches of 0.9 to 3.4 KB and
-as many rows of 1.5 to 8.3 KB, and stacks of 11.8 to 265.0 KB, so the
-caches need no size limit and hold at most 0.66 MB of Grams, 1.15 MB of
-blocks and 1.15 MB of stacks; a scan of all 72 rows under both noise kinds
-and the correlated channel fills 144 Grams, 0.23 MB, 144 blocks, 0.39 MB,
-and 8 stacks, 0.39 MB.
+A row's curves are one block of 23 rows, one per monomial of (alpha, beta)
+of ||W u||^2 without N_0, of p and of the N_0 amplitude's two parts, one
+for the channel's trace on |Psi><Psi|, and one per monomial of ||W u||^2
+and p at eta = 1, by power of s. Its columns are its receiver's column set,
+which _branches derives with the Grams: the powers that some Gram or the
+trace reaches, the Grams' powers of s (for the eta = 1 folds) and those of
+the t^0 amplitude. So a table's blocks are one read-only (rows, 23, K)
+array, built by one product and one bincount over the coefficients of all
+its rows' branches, each tagged with its row. A published row's u is read
+off its rule's unitary. Charlie's derived table needs no oracle search: any
+correction that maps the noiseless branch a_0 alpha + a_1 beta onto the
+target has u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and a_m
+is the branch's t^0 amplitude at s = 1. The key spaces are finite,
+2 x 2 x 72 = 288 branches of 0.9 to 3.4 KB and 16 stacks of 11.8 to
+265.0 KB, so the caches need no size limit and hold at most 0.66 MB of
+Grams and 1.15 MB of stacks; a scan of all 72 rows under both noise kinds
+and the correlated channel fills 144 Grams, 0.23 MB, and 8 stacks, 0.39 MB.
 
-_evaluate samples a stack of blocks at one target on one grid chunk. It
-multiplies the stack by the target's monomials, a (7, 23) matrix cached for
-the last target that puts each monomial against the rows of a block: one
-product gives, for each block on the receiver's powers, the coefficients
-of ||W u||^2 without N_0, of p, of the amplitude's two parts and of the
-trace, and the two eta = 1 folds, whose lowest nonzero power of s in p is
-j0 (see below). For each chunk of GRID_CHUNK = 1024 etas, _tables holds the
-grid side, every power eta^M s^j at each eta, one table for both noise
-kinds and channel modes. A chunk then costs one (5, K) x (K, chunk) product
-per block on the K powers and the amplitude's squares; the product's last
-row is the channel's trace at each eta, the same for every block, whose
-smallest value gives the TraceDeficitWarning check. Both products are
-matrix-matrix, and numpy's stacked matmul runs the same product on each
-block's slice, so a row's samples are bitwise the same from a one-row
-stack and from its table's stack. The first product in a process makes
-BLAS allocate about 0.25 MB of buffers, and numpy's einsum, which avoids
-BLAS, takes about 2.5 times as long at 11 etas. _tables keeps one chunk, at
-most GRID_CHUNK x 91 floats, 0.75 MB. At 1024, the default 11-point grid
-and the 1001-point grid of step 0.001 are one chunk each, so the sweeps of
-a scan after its first reuse the table, whatever their channel; a
-100,001-point grid streams through 98 chunks and holds one at a time
-besides its samples.
+_evaluate samples some rows of a table's stack at one target on one grid
+chunk: one row as a one-row slice, or every row. It multiplies them by the
+target's monomials, a (7, 23) matrix cached for the last target that puts
+each monomial against the rows of a block: one product gives, for each
+block on the receiver's powers, the coefficients of ||W u||^2 without N_0,
+of p, of the amplitude's two parts and of the trace, and the two eta = 1
+folds, whose lowest nonzero power of s in p is j0 (see below). For each
+chunk of GRID_CHUNK = 1024 etas, _tables holds the grid side, every power
+eta^M s^j at each eta, one table for both noise kinds and channel modes. A
+chunk then costs one (5, K) x (K, chunk) product per block on the K powers
+and the amplitude's squares; the product's last row is the channel's trace
+at each eta, the same for every block, whose smallest value gives the
+TraceDeficitWarning check. Both products are matrix-matrix, and numpy's
+stacked matmul runs the same product on each block's slice, so a row's
+samples are bitwise the same from a one-row slice and from the whole
+stack. The first product in a process makes BLAS allocate about 0.25 MB of
+buffers, and numpy's einsum, which avoids BLAS, takes about 2.5 times as
+long at 11 etas. _tables keeps one chunk, at most GRID_CHUNK x 91 floats,
+0.75 MB. At 1024, the default 11-point grid and the 1001-point grid of step
+0.001 are one chunk each, so the sweeps of a scan after its first reuse
+the table, whatever their channel; a 100,001-point grid streams through 98
+chunks and holds one at a time besides its samples.
 
 A sweep reads each chunk's samples from _evaluated, one slot keyed by
 (noise kind, channel mode, table, alpha, beta, grid chunk) that holds the
 samples of the rows evaluated at its key. The first sweep at a key
-evaluates its own row, as a one-row stack. A sweep of another row of the
-same table at that key evaluates every row of the table in one pass, on
-its _stack, and the table's later rows read their samples from the slot.
-So a scan of a table's rows at one target and grid chunk evaluates the
-table once per target and chunk, after its first row; single-row traffic
-(the CLI, a grid of more than one chunk, repeated sweeps of one row) never
-evaluates another row, builds a stack or derives Charlie's whole oracle
-table. The slot holds at most 32 rows x GRID_CHUNK etas x 2 floats,
-0.52 MB. Every sweep still makes the TraceDeficitWarning check.
+evaluates its own row. A sweep of another row of the same table at that
+key evaluates every row of the table in one pass, and the table's later
+rows read their samples from the slot. So a scan of a table's rows at one
+target and grid chunk evaluates the table once per target and chunk, after
+its first row; single-row traffic (the CLI, a grid of more than one chunk,
+repeated sweeps of one row) never evaluates another row, though its first
+sweep builds its table's stack. The slot holds at most 32 rows x GRID_CHUNK
+etas x 2 floats, 0.52 MB. Every sweep still makes the TraceDeficitWarning
+check.
 
 receiver_state reads the branch's cached G, the one the row's curves come
 from: it weighs each coefficient by its power eta^M s^j at its one eta and
@@ -117,8 +120,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .noise import NOISE_KINDS, pair_terms, warn_trace_deficit
-from .protocol import (BRANCHES, CORRECTION_TABLES, DERIVED_TABLE_ROWS,
-                       CorrectionRule, check_row, derived_rule)
+from .protocol import (BRANCHES, CORRECTION_TABLES, TOKENS, CorrectionRule,
+                       check_row, derived_rule)
 from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
                      protocol_state)
 
@@ -138,17 +141,10 @@ class BranchProbabilityError(ValueError):
     """Conditioning on an outcome whose probability is numerically zero."""
 
 
-#: the rows of each table a config may name
-_TABLE_ROWS = {**{table: len(rules) for table, rules in CORRECTION_TABLES.items()},
-               "oracle": DERIVED_TABLE_ROWS}
-
-
-@lru_cache(maxsize=None)
-def _rule(table: str, row: int) -> CorrectionRule:
-    """The rule of a table row that PipelineConfig has checked."""
-    if table == "oracle":
-        return derived_rule("charlie", row)
-    return CORRECTION_TABLES[table][row - 1]
+#: each table a config may name: its receiver, and the branch of each row
+_TABLES = {**{table: (rules[0].receiver, tuple(rule.outcomes for rule in rules))
+              for table, rules in CORRECTION_TABLES.items()},
+           "oracle": ("charlie", BRANCHES["charlie"])}
 
 
 @dataclass(frozen=True)
@@ -184,20 +180,22 @@ class PipelineConfig:
             raise ValueError("eta grid values must lie in [0, 1]")
         if not all(map(lt, grid, grid[1:])):
             raise ValueError("eta grid must be strictly increasing")
-        if self.table not in _TABLE_ROWS:
+        if self.table not in _TABLES:
             raise ValueError(f"unknown table {self.table!r}, expected one of "
-                             f"{tuple(_TABLE_ROWS)}")
+                             f"{tuple(_TABLES)}")
         # a plain int and bool key the caches: True must not find row 1
         object.__setattr__(self, "row", check_row(
-            self.row, _TABLE_ROWS[self.table], f"table {self.table}"))
+            self.row, len(_TABLES[self.table][1]), f"table {self.table}"))
         object.__setattr__(self, "correlated", bool(self.correlated))
-        receiver = self.rule().receiver
-        if receiver != self.receiver:
+        if self.receiver != _TABLES[self.table][0]:
             raise ValueError(f"table {self.table} row {self.row} corrects "
-                             f"{receiver}, not {self.receiver}")
+                             f"{_TABLES[self.table][0]}, not {self.receiver}")
 
     def rule(self) -> CorrectionRule:
-        return _rule(self.table, self.row)
+        """The row's rule: an oracle row's is derived by the oracle search,
+        which the sweeps do not need."""
+        return (derived_rule("charlie", self.row) if self.table == "oracle"
+                else CORRECTION_TABLES[self.table][self.row - 1])
 
 
 class FidelitySample(NamedTuple):
@@ -236,7 +234,7 @@ def _branches(noise_kind: str, correlated: bool,
     channel, all read-only: the channel's trace on |Psi><Psi| by power index;
     every outcome branch of the receiver, keyed by (sender outcome,
     collaborator outcomes); and the receiver's column set, the power indices
-    of its rows' _curve blocks. A branch is read off its amplitudes W_m at the
+    of the columns of its tables' stacks. A branch is read off its amplitudes W_m at the
     unit targets (m = 0 for alpha, 1 for beta), which are real: the nonzero
     coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj at each
     power index P, their flat indices into (_POWERS, 2, 4, 2, 4), and the
@@ -295,63 +293,78 @@ def _branches(noise_kind: str, correlated: bool,
     return trace, branches, columns
 
 
+def _coordinates(index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(P, m, i, n, j) of flat indices into (_POWERS, 2, 4, 2, 4), read off
+    their bits: np.unravel_index takes about ten times as long."""
+    return index >> 6, index >> 5 & 1, index >> 3 & 3, index >> 2 & 1, index & 3
+
+
 @lru_cache(maxsize=None)
-def _curve(noise_kind: str, correlated: bool, table: str,
-           row: int) -> tuple[np.ndarray, np.ndarray]:
-    """One row's exact curves from its branch's Gram and its correction: a
-    read-only block of 23 rows and the power index of each of its columns,
-    its receiver's column set. Its rows go with the columns of
-    _target_monomials: the coefficients of ||W u||^2 (without its eta^0
-    part) for alpha^4, alpha^3 beta, ..., beta^4, then those of p, and of the
-    real and of the imaginary part of the t^0 amplitude W u, each for
-    alpha^2, alpha beta, beta^2, and the channel's trace; then ||W u||^2 and
-    p at eta = 1, by power of s in the columns of the powers eta^0 s^j."""
-    rule = _rule(table, row)
-    trace, branches, columns = _branches(noise_kind, correlated, rule.receiver)
-    gram, index, amplitude = branches[rule.outcomes]
-    # u = O^T xi* = alpha v_0 + beta v_1, and ||W u||^2 = u^dag G u
-    v = rule.unitary()[[0, 3]]
-    power, m, i, n, j = np.unravel_index(index, (_POWERS, 2, 4, 2, 4))
-    # a coefficient g of G[P, m, i, n, j] adds g conj(v_p,i) v_q,j to the
-    # monomial with m + n + p + q factors beta
-    pq = np.add.outer(np.arange(2), np.arange(2))[..., None]
-    wu2 = (gram * v[:, None, i].conj() * v[:, j]).real
-    rows = np.zeros((23, _POWERS))
-    rows[:5] = np.bincount(((m + n + pq) * _POWERS + power).reshape(-1),
-                           wu2.reshape(-1), 5 * _POWERS).reshape(5, _POWERS)
-    diagonal = i == j
-    rows[5:8] = np.bincount((m + n)[diagonal] * _POWERS + power[diagonal],
-                            gram[diagonal], 3 * _POWERS).reshape(3, _POWERS)
+def _stack(noise_kind: str, correlated: bool,
+           table: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's exact curves, from its branch's Gram and its correction: a
+    read-only (rows, 23, K) stack of blocks in row order, and the power index
+    of each of the K columns, its receiver's column set. A block's rows go
+    with the columns of _target_monomials: the coefficients of ||W u||^2
+    (without its eta^0 part) for alpha^4, alpha^3 beta, ..., beta^4, then
+    those of p, and of the real and of the imaginary part of the t^0
+    amplitude W u, each for alpha^2, alpha beta, beta^2, and the channel's
+    trace; then ||W u||^2 and p at eta = 1, by power of s in the columns of
+    the powers eta^0 s^j."""
+    receiver, keys = _TABLES[table]
+    trace, branches, columns = _branches(noise_kind, correlated, receiver)
+    # the coefficients of every row's branch in one array, each with its row
+    gram, index, amplitude = zip(*map(branches.get, keys))
+    row = np.repeat(np.arange(len(keys)), list(map(len, gram)))
+    gram, amplitude = np.concatenate(gram), np.array(amplitude)   # [row, m, i, s^j]
+    power, m, i, n, j = _coordinates(np.concatenate(index))
+    if table == "oracle":
+        # a correction O that takes the noiseless branch a_0 alpha + a_1 beta
+        # onto the target has O a_m = c e_m, so u = O^T xi* = alpha v_0 +
+        # beta v_1 with v_m = a_m / ||a_0||, up to a global phase; a_m is the
+        # t^0 amplitude at s = 1, eta = 0
+        v = amplitude.sum(axis=-1)
+        v /= np.linalg.norm(v[:, :1], axis=-1, keepdims=True)
+    else:
+        # every rule's unitary at once, one token position at a time: a rule
+        # of fewer tokens starts later, on identity tokens, and I @ I is
+        # exactly I, so each is bitwise its rule's unitary()
+        gates = [rule.gates for rule in CORRECTION_TABLES[table]]
+        v = eye = np.eye(4, dtype=complex)
+        for k in range(-max(map(len, gates)), 0):
+            v = np.array([TOKENS[g[k]] if -k <= len(g) else eye for g in gates]) @ v
+        v = v[:, [0, 3]]
+    # u = O^T xi* = alpha v_0 + beta v_1, and ||W u||^2 = u^dag G u: a
+    # coefficient g of G[P, m, i, n, j] of a row adds g conj(v_p,i) v_q,j,
+    # p, q = 0, 1, to the row's monomial m + n + p + q of ||W u||^2 at power
+    # P, and g where i = j (0 elsewhere) to its monomial 5 + m + n, that of p
+    wu2 = (gram * v[row, :, i].T[:, None].conj() * v[row, :, j].T).real
+    weight = np.concatenate([wu2.reshape(4, -1), [gram * (i == j)]])
+    at = (row * 8 + m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
+    curves = np.bincount(at.reshape(-1), weight.reshape(-1), len(keys) * 8 * _POWERS)
+    curves = curves.reshape(-1, 8, ETA_ORDERS, S_ORDERS)
+    stack = np.zeros((len(keys), 23, len(columns)))
+    stack[:, :8] = curves.reshape(-1, 8, _POWERS)[..., columns]
     # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
     # part, all of it at eta = 0, as the square of its amplitude: a fidelity
     # of 0 there stays 0, not the root of the ~1e-18 rounding left where
-    # squared coefficients cancel
-    rows[15:, :S_ORDERS] = rows[:8].reshape(8, ETA_ORDERS, S_ORDERS).sum(axis=1)
-    rows[:5, :S_ORDERS] = 0.0
+    # squared coefficients cancel. The powers eta^0 s^j are the first columns
+    eta0 = columns[columns < S_ORDERS]
+    stack[:, 15:, :len(eta0)] = curves.sum(2)[..., eta0]
+    stack[:, :5, :len(eta0)] = 0.0
     # real and imaginary parts apart: a complex block would make every chunk
     # product complex, and copy the chunk's table to complex
-    y = v @ amplitude               # [m, p, j]: v_p . a_m at s^j
-    amplitude = np.stack([y[0, 0], y[0, 1] + y[1, 0], y[1, 1]])
-    rows[8:11, :S_ORDERS], rows[11:14, :S_ORDERS] = amplitude.real, amplitude.imag
-    rows[14] = trace
-    block = rows[:, columns]
-    block.setflags(write=False)
-    return block, columns
-
-
-@lru_cache(maxsize=None)
-def _stack(noise_kind: str, correlated: bool, table: str) -> np.ndarray:
-    """The _curve blocks of every row of a table, in row order: read-only,
-    shape (rows, 23, K) on the receiver's K columns."""
-    stack = np.stack([_curve(noise_kind, correlated, table, row)[0]
-                      for row in range(1, _TABLE_ROWS[table] + 1)])
+    y = v[:, None] @ amplitude      # [row, m, p, j]: v_p . a_m at s^j
+    amplitude = np.stack([y[:, 0, 0], y[:, 0, 1] + y[:, 1, 0], y[:, 1, 1]], axis=1)
+    stack[:, 8:14, :len(eta0)] = np.hstack([amplitude.real, amplitude.imag])[..., eta0]
+    stack[:, 14] = trace[columns]
     stack.setflags(write=False)
-    return stack
+    return stack, columns
 
 
 @lru_cache(maxsize=1)
 def _target_monomials(a: float, b: float) -> np.ndarray:
-    """The target's monomials, laid out to weigh the rows of a _curve block:
+    """The target's monomials, laid out to weigh the rows of a _stack block:
     alpha^4, alpha^3 beta, ..., beta^4 in rows 0 and 5, for ||W u||^2 and its
     fold, alpha^2, alpha beta, beta^2 in rows 1 to 3 and 6, for p, the
     amplitude's two parts and the fold of p, and the trace alone in row 4.
@@ -387,8 +400,8 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
     trace, branches, _ = _branches(config.noise_kind, config.correlated,
                                    config.receiver)
     warn_trace_deficit(1.0 - float(trace @ monomials))
-    gram, index, _ = branches[config.rule().outcomes]
-    power, m, i, n, j = np.unravel_index(index, (_POWERS, 2, 4, 2, 4))
+    gram, index, _ = branches[_TABLES[config.table][1][config.row - 1]]
+    power, m, i, n, j = _coordinates(index)
     target = np.array([config.spec.alpha, config.spec.beta])
     g = np.bincount(i * 4 + j, gram * monomials[power] * target[m]
                     * target[n], 16).reshape(4, 4)
@@ -416,14 +429,13 @@ def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
     """The samples of some rows of a table at one target on one grid chunk,
     by row: its fidelities and branch probabilities at the chunk's etas, the
     smallest channel trace there and whether its last eta is the exact limit
-    eta -> 1. One row is a one-row stack, a table's every row its _stack:
-    one target product and one chunk product either way, and numpy's stacked
-    matmul runs the same product on each row's slice."""
-    block, columns = _curve(noise_kind, correlated, table, rows[0])
-    blocks = _stack(noise_kind, correlated, table) if len(rows) > 1 else block[None]
+    eta -> 1. The rows are one row or all of them, a slice of the table's
+    _stack: one target product and one chunk product either way, and numpy's
+    stacked matmul runs the same product on each row's block."""
+    stack, columns = _stack(noise_kind, correlated, table)
     # rows ||W u||^2 without its t^0 part, p, the t^0 amplitude's real and
     # imaginary parts and the trace, then ||W u||^2 and p at eta = 1
-    curves = _target_monomials(alpha, beta) @ blocks
+    curves = _target_monomials(alpha, beta) @ stack[rows[0] - 1:rows[-1]]
     wu2, p, real, imag, trace = (curves[:, :5] @ _tables(chunk).take(
         columns, axis=0)).transpose(1, 0, 2)
     wu2 += real * real + imag * imag
@@ -436,10 +448,9 @@ def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
     folds = curves[np.arange(len(rows)), 5:, j0]
     lives = folds[:, 1].tolist()
     if 0.0 in lives:
-        row = rows[lives.index(0.0)]
         raise BranchProbabilityError(
-            f"{noise_kind} {_rule(table, row).receiver} table {table} row "
-            f"{row}: the branch probability vanishes at every eta")
+            f"{noise_kind} {_TABLES[table][0]} table {table} row "
+            f"{rows[lives.index(0.0)]}: the branch probability vanishes at every eta")
     ends = ((columns[j0] > 0) & (chunk[-1] == 1.0)).tolist()
     probability = p.copy()
     for at in compress(range(len(rows)), ends):
@@ -447,9 +458,8 @@ def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
     # clipped: where F = 0, rounding in the squared coefficients of the
     # eta^M, M >= 1, parts can leave F^2 at -1e-17
     fidelity = np.sqrt(np.maximum(wu2, 0.0) / p)
-    # the trace rows are one row of every block, so one of them serves; a
-    # list's min: at 11 etas, numpy's costs twice as much
-    low = min(trace[0].tolist())
+    # the trace rows are one row of every block, so one of them serves
+    low = float(trace[0].min())
     return dict(zip(rows, zip(fidelity, probability, repeat(low), ends)))
 
 
@@ -474,7 +484,7 @@ def sweep(config: PipelineConfig) -> SweepResult:
         done = _evaluated[1]
         if row not in done:
             done.update(_evaluate(*key, tuple(range(
-                1, _TABLE_ROWS[config.table] + 1)) if done else (row,)))
+                1, len(_TABLES[config.table][1]) + 1)) if done else (row,)))
         f, p, low, ends = done[row]
         fidelity += f.tolist()
         branch_probability += p.tolist()

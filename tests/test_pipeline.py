@@ -454,7 +454,7 @@ class TestExactCurve:
                 assert abs(sample.branch_probability - p) < 1e-15
 
     def test_every_block_lies_on_its_lattice(self):
-        """Every coefficient of every _curve block is a small multiple of a
+        """Every coefficient of every _stack block is a small multiple of a
         dyadic step: the squared rows (||W u||^2, p, the trace, the eta = 1
         folds) of 2^-9, the t^0 amplitude rows of 2^-4 / sqrt(2); so is every
         coefficient of every branch Gram, of 2^-9. This checks the kernel
@@ -464,9 +464,9 @@ class TestExactCurve:
         worst = [0.0, 0.0, 0.0]
         for noise, correlated, (table, row, receiver) in itertools.product(
                 ["ad", "pd"], [True, False], ALL_ROWS):
-            block, _ = pipeline._curve(noise, correlated, table, row)
+            block = pipeline._stack(noise, correlated, table)[0][row - 1]
             gram, _, _ = pipeline._branches(noise, correlated, receiver)[1][
-                pipeline._rule(table, row).outcomes]
+                pipeline._TABLES[table][1][row - 1]]
             for i, (rows, scale) in enumerate(
                     ((block[squared], 2**9), (block[8:14], 2**4 * np.sqrt(2)),
                      (gram, 2**9))):
@@ -477,10 +477,10 @@ class TestExactCurve:
         assert worst[2] < 1e-11
 
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
-        block, powers = pipeline._curve("ad", True, "I", 1)
-        zeros = np.zeros_like(block)
-        assert zeros.shape == block.shape
-        monkeypatch.setattr(pipeline, "_curve", lambda *key: (zeros, powers))
+        stack, columns = pipeline._stack("ad", True, "I")
+        zeros = np.zeros_like(stack)
+        assert zeros.shape == stack.shape
+        monkeypatch.setattr(pipeline, "_stack", lambda *key: (zeros, columns))
         # a fresh slot: an earlier sweep at this key would be read, not redone
         monkeypatch.setattr(pipeline, "_evaluated", [None, {}])
         with pytest.raises(BranchProbabilityError, match="vanishes at every eta"):
@@ -489,7 +489,6 @@ class TestExactCurve:
 
 def clear_noisy_caches():
     pipeline._stack.cache_clear()
-    pipeline._curve.cache_clear()
     pipeline._branches.cache_clear()
     pipeline._evaluated[:] = None, {}
 
@@ -579,12 +578,9 @@ class TestKernelCalls:
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_grid_tables_hold_one_chunk(self, noise, correlated):
-        # a single row on a long grid: no chunk evaluates another row, so
-        # no table stack is built
+        # a single row on a long grid: one grid table at a time
         grid = default_grid(1e-5)
-        stacks = pipeline._stack.cache_info()
         sweep(default_config(noise, step=1e-5, correlated=correlated))
-        assert pipeline._stack.cache_info() == stacks
         assert pipeline._tables.cache_info().currsize == 1
         # the slot holds the grid's last chunk: fetching it is a hit
         misses = pipeline._tables.cache_info().misses
@@ -597,29 +593,26 @@ class TestKernelCalls:
 
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
-        # pipeline docstring quotes: the Grams of every branch, the blocks of
-        # every row and the stacks of every table, in all and for a
-        # correlated scan, and the evaluation slot at its largest table
-        blocks = {(noise, correlated, table, row): sum(
-                      a.nbytes for a in pipeline._curve(noise, correlated, table, row))
-                  for noise in ("ad", "pd") for correlated in (True, False)
-                  for table, row, _ in ALL_ROWS}
+        # pipeline docstring quotes: the Grams of every branch and the stacks
+        # of every table, in all and for a correlated scan, and the
+        # evaluation slot at its largest table
         grams = {(noise, correlated, receiver, branch): sum(a.nbytes for a in arrays)
                  for noise in ("ad", "pd") for correlated in (True, False)
                  for receiver in ("bob", "david", "charlie")
                  for branch, arrays in pipeline._branches(
                      noise, correlated, receiver)[1].items()}
         stacks = {(noise, correlated, table): pipeline._stack(
-                      noise, correlated, table).nbytes
+                      noise, correlated, table)[0].nbytes
                   for noise in ("ad", "pd") for correlated in (True, False)
                   for table in ("I", "II", "III", "oracle")}
-        assert len(blocks) == len(grams) == 288 and len(stacks) == 16
+        assert len(grams) == 288 and len(stacks) == 16
         chunk = (pipeline.GRID_CHUNK * pipeline.ETA_ORDERS * pipeline.S_ORDERS
                  * 8)
         # fidelity and branch probability of each row at each eta of a chunk
-        slot = max(pipeline._TABLE_ROWS.values()) * pipeline.GRID_CHUNK * 2 * 8
+        slot = max(len(rows) for _, rows in pipeline._TABLES.values()) * (
+            pipeline.GRID_CHUNK * 2 * 8)
         figures = [f"{chunk / 1e6:.2f} MB", f"{slot / 1e6:.2f} MB"]
-        for sizes in (grams, blocks, stacks):
+        for sizes in (grams, stacks):
             scan = sum(size for (_, correlated, *_), size in sizes.items()
                        if correlated)
             figures += [f"{min(sizes.values()) / 1e3:.1f} to "
@@ -631,7 +624,7 @@ class TestKernelCalls:
             assert figure in doc
 
     def test_every_block_column_is_used(self):
-        # a row's block lies on its receiver's column set, and every column is
+        # a table's stack lies on its receiver's column set, and every column is
         # nonzero in some block of that receiver and channel, except where
         # Bob's uncorrelated AD Grams pair basis states that no table I
         # correction reads: u = O^T xi* lives on the two states O maps onto
@@ -642,11 +635,12 @@ class TestKernelCalls:
                 _, _, columns = pipeline._branches(noise, correlated, receiver)
                 assert np.all(np.diff(columns.astype(int)) > 0)
                 used = np.zeros(len(columns), bool)
-                for table, row, _ in (r for r in ALL_ROWS if r[2] == receiver):
-                    block, powers = pipeline._curve(noise, correlated, table, row)
+                for table in {r[0] for r in ALL_ROWS if r[2] == receiver}:
+                    stack, powers = pipeline._stack(noise, correlated, table)
                     assert powers is columns
-                    assert block.shape == (23, len(columns))
-                    used |= block.any(axis=0)
+                    assert stack.shape == (len(pipeline._TABLES[table][1]), 23,
+                                           len(columns))
+                    used |= stack.any(axis=(0, 1))
                 unused = set(columns[~used].tolist())
                 assert unused == ({7, 9, 14, 22, 27, 33, 66} if (
                     noise, correlated, receiver) == ("ad", False, "bob") else set())
@@ -701,16 +695,16 @@ class TestTableEvaluation:
         table = tuple(range(1, 17))
         assert evaluations == [(1,), table, (1,), table]
         # a grid of two chunks: every sweep meets a new key, so each
-        # evaluates its own row and no stack is built
+        # evaluates its own row
         del evaluations[:]
-        stacks = pipeline._stack.cache_info()
         for row in (1, 2, 3):
             sweep(default_config("ad", "bob", step=0.0005, row=row))
         assert evaluations == [(1,), (1,), (2,), (2,), (3,), (3,)]
-        assert pipeline._stack.cache_info() == stacks
 
-    def test_cold_oracle_row_derives_one_rule(self, monkeypatch):
-        # a single Charlie row derives its own rule, not the whole table
+    def test_oracle_rows_are_swept_without_a_search(self, monkeypatch):
+        # configs, sweeps and receiver_state read a Charlie row's branch from
+        # the table map and its correction from the branch itself; only the
+        # public rule() runs the oracle search, once per row
         found = []
         search = protocol.oracle_find_correction
 
@@ -720,11 +714,40 @@ class TestTableEvaluation:
 
         monkeypatch.setattr(protocol, "oracle_find_correction", counted)
         protocol._cached_oracle.cache_clear()
-        pipeline._rule.cache_clear()
         clear_noisy_caches()
-        sweep(default_config("ad", "charlie", row=7))
-        assert found == [("charlie", *protocol.BRANCHES["charlie"][6])]
-        assert pipeline._stack.cache_info().currsize == 0
+        for row in range(1, 33):
+            config = default_config("ad", "charlie", row=row)
+            sweep(config)
+            receiver_state(config, 0.5)
+        assert found == []
+        config.rule()
+        assert found == [("charlie", *protocol.BRANCHES["charlie"][31])]
+
+
+class TestDerivedCorrection:
+    """Charlie's stack takes its correction u = O^T xi* from the branch: the
+    noiseless amplitudes at the unit targets, normalized. Every correction
+    that maps the branch onto the target has that u, up to a global phase."""
+
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_branch_u_is_the_corrections_u(self, noise, correlated):
+        differ = []
+        for table, row, receiver in ALL_ROWS:
+            key = pipeline._TABLES[table][1][row - 1]
+            # the t^0 amplitude at s = 1: the branch at eta = 0
+            a = pipeline._branches(noise, correlated, receiver)[1][key][2].sum(
+                axis=-1)
+            u = a / np.linalg.norm(a[0])
+            rule = (protocol.oracle_find_correction(receiver, *key)
+                    if table == "oracle" else CORRECTION_TABLES[table][row - 1])
+            distance = protocol.phase_aligned_distance(rule.unitary()[[0, 3]], u)
+            if table == "oracle":
+                assert distance < 1e-15
+            elif distance >= 1e-15:
+                differ.append(f"{table}-{row}")
+        # the published rows that verify_table finds to be mismatches
+        assert differ == ["II-15", "III-6", "III-14", "III-16"]
 
 
 #: (noise, receiver, table, row): a dead endpoint (exact limit), a David and
@@ -884,13 +907,14 @@ class TestConfig:
     @pytest.mark.parametrize("table,receiver", [("I", "bob"),
                                                 ("oracle", "charlie")])
     def test_bad_row_rejected_after_its_rule_is_cached(self, table, receiver):
-        # the rule lookup is cached for int rows: True, 1.0 and "1" must not
-        # find row 1's entry, and an unhashable row is still a bad row
-        PipelineConfig("ad", receiver, table, 1, BALANCED, (0.0, 1.0))
+        # row 1's rule is cached (an oracle row's by its branch), and the
+        # caches are keyed by int rows: True, 1.0 and "1" must not find row
+        # 1's entry, and an unhashable row is still a bad row
+        config = PipelineConfig("ad", receiver, table, 1, BALANCED, (0.0, 1.0))
+        assert config.rule() is config.rule()
         for row in (True, 1.0, "1", 2.5, [1], np.array([1])):
             with pytest.raises(ValueError, match="row must be an integer"):
                 PipelineConfig("ad", receiver, table, row, BALANCED, (0.0, 1.0))
-        assert pipeline._rule(table, 1) is pipeline._rule(table, 1)
 
     @pytest.mark.parametrize("table,receiver", [("I", "bob"),
                                                 ("oracle", "charlie")])
@@ -951,18 +975,16 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_is_read_only(self, noise, correlated):
-        # the cached coefficients are shared by every later sweep of the row,
-        # and the branch's Gram by every row and receiver_state call
-        block, powers = pipeline._curve(noise, correlated, "II", 3)
-        assert block is pipeline._curve(noise, correlated, "II", 3)[0]
+        # the cached coefficients are shared by every later sweep of the
+        # table, and the branch's Gram by every row and receiver_state call
+        stack, powers = pipeline._stack(noise, correlated, "II")
+        assert stack is pipeline._stack(noise, correlated, "II")[0]
         trace, branches, columns = pipeline._branches(noise, correlated, "david")
+        assert powers is columns
         branch = branches["zeta1", ("-+", "++")]
         table = pipeline._tables(default_grid(0.1))
         target = pipeline._target_monomials(0.6, 0.8)
-        stack = pipeline._stack(noise, correlated, "II")
-        assert np.array_equal(stack[2], block)
-        for coef in (block, powers, table, target, trace, columns, stack,
-                     *branch):
+        for coef in (stack, stack[2], table, target, trace, columns, *branch):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0
         # the trace curve, indexed M * S_ORDERS + j, against the oracle's
@@ -979,7 +1001,8 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_trace_matches_channel_trace(self, noise, correlated):
         # the trace row of a sweep's chunk product, at each eta
-        block, powers = pipeline._curve(noise, correlated, "I", 2)
+        stack, powers = pipeline._stack(noise, correlated, "I")
+        block = stack[1]
         etas = np.linspace(0.0, 1.0, 9)
         coef = pipeline._target_monomials(0.6, 0.8) @ block
         got = coef[4] @ pipeline._monomials(etas)[powers]
