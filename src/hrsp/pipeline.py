@@ -1,37 +1,39 @@
 """End-to-end noisy protocol runs: one exact fidelity curve per table row.
 
 The receiver's state on one branch is read off the amplitudes W of
-states.branch_amplitudes: its rows w_k make rho = W^T W* / p, with
+states.branch_amplitudes: its rows w_k make rho = W^T W / p, with
 p = ||W||^2 the branch probability. The target xi = alpha|00> + beta|11> is
-pure, so the fidelity of the corrected state O rho O^dag is
-sqrt(<xi|O rho O^dag|xi>) = ||W u|| / sqrt(p) with u = O^T xi*: no 4x4
-matrix is formed. This is the package's only route to the receiver's state;
-the dense 128x128 chain (channel, measurement operator, partial trace) and
-the Uhlmann fidelity that the tests hold it against live in
-tests/dense_oracle.py.
+pure, so the fidelity of the corrected state O rho O^T is
+sqrt(<xi|O rho O^T|xi>) = ||W u|| / sqrt(p) with u = O^T xi: no 4x4
+matrix is formed. All of it is real: |Psi>, the targets, the pair terms
+and every correction a sweep applies (tables I to III hold no Y token, and
+Charlie's u is read off the branch). This is the package's only route to
+the receiver's state; the dense 128x128 chain (channel, measurement
+operator, partial trace) and the Uhlmann fidelity that the tests hold it
+against live in tests/dense_oracle.py.
 
 The state has one cached form per outcome branch, its Gram matrix
-G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^dag G u and
+G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^T G u and
 rho = G^T / p. Every receiver-pair Kraus operator is t^M times a
 polynomial in s of degree <= 2 (noise.pair_terms), with t = sqrt(eta) and
 s = sqrt(1 - eta), and W is linear in (alpha, beta): W = alpha W_0 + beta W_1,
-with W_0 and W_1 the amplitudes at the targets (1, 0) and (0, 1), which are
-real. So G is, at each power eta^M s^j (M <= 6, j <= 12), a real 8 x 8
-matrix over (unit target, receiver basis) pairs: a finite set of
-coefficients that gives G at every eta and every target. _branches builds
-them for every branch of one receiver at once, once per process for each
-(noise kind, channel mode, receiver): one kernel call per branch on the
-nonzero terms, then one product per power for all branches. It stores only
-the nonzero coefficients, with their indices, about 4 % of the entries at
-the powers the correlated AD channel reaches and 31 % for PD, and the t^0
-amplitude of W_0 and W_1 by power of s. The same pass gives the channel's
-trace on |Psi><Psi|, by power, which is the same for every receiver.
+with W_0 and W_1 the amplitudes at the targets (1, 0) and (0, 1). So G
+is, at each power eta^M s^j (M <= 6, j <= 12), an 8 x 8 matrix over
+(unit target, receiver basis) pairs: a finite set of coefficients that
+gives G at every eta and every target. _branches builds them for every
+branch of one receiver at once, once per process for each (noise kind,
+channel mode, receiver): one kernel call per branch on the nonzero terms,
+then one product per power for all branches. It stores only the nonzero
+coefficients, with their indices, about 4 % of the entries at the powers
+the correlated AD channel reaches and 31 % for PD, and the t^0 amplitude
+of W_0 and W_1 by power of s. The same pass gives the channel's trace on
+|Psi><Psi|, by power, which is the same for every receiver.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
 M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
 in the rows of the grid tables. A table is the only store of its rows'
 curves: _stack derives every row's curves from its branch's G and its
-correction u = O^T xi*, in one pass for the whole table, once per process
+correction u = O^T xi, in one pass for the whole table, once per process
 for each (noise kind, channel mode, table):
 
     p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),
@@ -40,35 +42,35 @@ with D_M and N_M polynomials whose coefficients are fixed quadratic (D) and
 quartic (N) forms in (alpha, beta). N_0, the part that survives at eta = 0,
 is kept as the square of its amplitude polynomial instead, so that a
 fidelity of 0 comes out as 0 and not as the square root of rounding noise.
-A row's curves are one block of 23 rows, one per monomial of (alpha, beta)
-of ||W u||^2 without N_0, of p and of the N_0 amplitude's two parts, one
-for the channel's trace on |Psi><Psi|, and one per monomial of ||W u||^2
-and p at eta = 1, by power of s. Its columns are its receiver's column set,
+A row's curves are one block of 20 rows, one per monomial of (alpha, beta)
+of ||W u||^2 without N_0, of p and of the N_0 amplitude, one for the
+channel's trace on |Psi><Psi|, and one per monomial of ||W u||^2 and p at
+eta = 1, by power of s. Its columns are its receiver's column set,
 which _branches derives with the Grams: the powers that some Gram or the
 trace reaches, the Grams' powers of s (for the eta = 1 folds) and those of
-the t^0 amplitude. So a table's blocks are one read-only (rows, 23, K)
+the t^0 amplitude. So a table's blocks are one read-only (rows, 20, K)
 array, built by one product and one bincount over the coefficients of all
 its rows' branches, each tagged with its row. A published row's u is read
 off its rule's unitary. Charlie's derived table needs no oracle search: any
 correction that maps the noiseless branch a_0 alpha + a_1 beta onto the
-target has u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and a_m
-is the branch's t^0 amplitude at s = 1. The key spaces are finite,
-2 x 2 x 72 = 288 branches of 0.9 to 3.4 KB and 16 stacks of 11.8 to
-265.0 KB, so the caches need no size limit and hold at most 0.66 MB of
-Grams and 1.15 MB of stacks; a scan of all 72 rows under both noise kinds
-and the correlated channel fills 144 Grams, 0.23 MB, and 8 stacks, 0.39 MB.
+target has u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and
+a_m is the branch's t^0 amplitude at s = 1. The key spaces are finite,
+2 x 2 x 72 = 288 branches of 0.9 to 3.4 KB and 16 stacks of 10.2 to
+230.4 KB, so the caches need no size limit and hold at most 0.66 MB of
+Grams and 1.00 MB of stacks; a scan of all 72 rows under both noise kinds
+and the correlated channel fills 144 Grams, 0.23 MB, and 8 stacks, 0.34 MB.
 
 _evaluate samples some rows of a table's stack at one target on one grid
 chunk: one row as a one-row slice, or every row. It multiplies them by the
-target's monomials, a (7, 23) matrix cached for the last target that puts
+target's monomials, a (6, 20) matrix cached for the last target that puts
 each monomial against the rows of a block: one product gives, for each
 block on the receiver's powers, the coefficients of ||W u||^2 without N_0,
-of p, of the amplitude's two parts and of the trace, and the two eta = 1
-folds, whose lowest nonzero power of s in p is j0 (see below). For each
-chunk of GRID_CHUNK = 1024 etas, _tables holds the grid side, every power
-eta^M s^j at each eta, one table for both noise kinds and channel modes. A
-chunk then costs one (5, K) x (K, chunk) product per block on the K powers
-and the amplitude's squares; the product's last row is the channel's trace
+of p, of the amplitude and of the trace, and the two eta = 1 folds, whose
+lowest nonzero power of s in p is j0 (see below). For each chunk of
+GRID_CHUNK = 1024 etas, _tables holds the grid side, every power eta^M s^j
+at each eta, one table for both noise kinds and channel modes. A chunk
+then costs one (4, K) x (K, chunk) product per block on the K powers
+and the amplitude's square; the product's last row is the channel's trace
 at each eta, the same for every block, whose smallest value gives the
 TraceDeficitWarning check. Both products are matrix-matrix, and numpy's
 stacked matmul runs the same product on each block's slice, so a row's
@@ -120,8 +122,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .noise import NOISE_KINDS, pair_terms, warn_trace_deficit
-from .protocol import (BRANCHES, CORRECTION_TABLES, TOKENS, CorrectionRule,
-                       check_row, derived_rule)
+from .protocol import (BRANCHES, CORRECTION_TABLES, CorrectionRule, check_row,
+                       derived_rule)
 from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
                      protocol_state)
 
@@ -234,12 +236,12 @@ def _branches(noise_kind: str, correlated: bool,
     channel, all read-only: the channel's trace on |Psi><Psi| by power index;
     every outcome branch of the receiver, keyed by (sender outcome,
     collaborator outcomes); and the receiver's column set, the power indices
-    of the columns of its tables' stacks. A branch is read off its amplitudes W_m at the
-    unit targets (m = 0 for alpha, 1 for beta), which are real: the nonzero
-    coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj at each
-    power index P, their flat indices into (_POWERS, 2, 4, 2, 4), and the
-    t^0 part of W_m, shape (2, 4, S_ORDERS) by power s^j. One kernel call
-    per branch, then one product per power for all of them."""
+    of the columns of its tables' stacks. A branch is read off its
+    amplitudes W_m at the unit targets (m = 0 for alpha, 1 for beta): the
+    nonzero coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj
+    at each power index P, their flat indices into (_POWERS, 2, 4, 2, 4),
+    and the t^0 part of W_m, shape (2, 4, S_ORDERS) by power s^j. One
+    kernel call per branch, then one product per power for all of them."""
     ops, kraus, power, degree = pair_terms(noise_kind, correlated)
     # a triple is one pair of terms (of one Kraus operator) per party: the
     # channel weighs the product of the kernel's entries at its first and
@@ -255,13 +257,13 @@ def _branches(noise_kind: str, correlated: bool,
     # the trace is <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k, and
     # M is diagonal, as every single-qubit K^dag K is: sum |Psi_abcd|^2
     # d_b d_c d_d, with d the diagonal of each party's pair in a triple
-    d = np.einsum("pji,pji->pi", ops[first].conj(), ops[second]).real
+    d = np.einsum("pji,pji->pi", ops[first], ops[second])
     weight = np.abs(protocol_state().reshape(2, 4, 4, 4)) ** 2
     trace = np.bincount(powers, np.einsum("abcd,xb,yc,zd->xyz", weight, d, d,
                                           d).reshape(-1), _POWERS)
     keys = BRANCHES[receiver]
-    # [branch, triple, (m, i)]; at real targets the imaginary parts are 0
-    w = np.array([branch_amplitudes(receiver, *key, _UNIT_TARGETS, ops).real
+    # [branch, triple, (m, i)]
+    w = np.array([branch_amplitudes(receiver, *key, _UNIT_TARGETS, ops)
                   for key in keys]).transpose(0, 2, 3, 4, 1, 5).reshape(
                       len(keys), -1, 8)
     first, second = (triples(x * n * n, x * n, x) for x in (first, second))
@@ -303,14 +305,13 @@ def _coordinates(index: np.ndarray) -> tuple[np.ndarray, ...]:
 def _stack(noise_kind: str, correlated: bool,
            table: str) -> tuple[np.ndarray, np.ndarray]:
     """Every row's exact curves, from its branch's Gram and its correction: a
-    read-only (rows, 23, K) stack of blocks in row order, and the power index
+    read-only (rows, 20, K) stack of blocks in row order, and the power index
     of each of the K columns, its receiver's column set. A block's rows go
     with the columns of _target_monomials: the coefficients of ||W u||^2
     (without its eta^0 part) for alpha^4, alpha^3 beta, ..., beta^4, then
-    those of p, and of the real and of the imaginary part of the t^0
-    amplitude W u, each for alpha^2, alpha beta, beta^2, and the channel's
-    trace; then ||W u||^2 and p at eta = 1, by power of s in the columns of
-    the powers eta^0 s^j."""
+    those of p and of the t^0 amplitude W u, each for alpha^2, alpha beta,
+    beta^2, and the channel's trace; then ||W u||^2 and p at eta = 1, by
+    power of s in the columns of the powers eta^0 s^j."""
     receiver, keys = _TABLES[table]
     trace, branches, columns = _branches(noise_kind, correlated, receiver)
     # the coefficients of every row's branch in one array, each with its row
@@ -320,44 +321,37 @@ def _stack(noise_kind: str, correlated: bool,
     power, m, i, n, j = _coordinates(np.concatenate(index))
     if table == "oracle":
         # a correction O that takes the noiseless branch a_0 alpha + a_1 beta
-        # onto the target has O a_m = c e_m, so u = O^T xi* = alpha v_0 +
+        # onto the target has O a_m = c e_m, so u = O^T xi = alpha v_0 +
         # beta v_1 with v_m = a_m / ||a_0||, up to a global phase; a_m is the
         # t^0 amplitude at s = 1, eta = 0
         v = amplitude.sum(axis=-1)
         v /= np.linalg.norm(v[:, :1], axis=-1, keepdims=True)
     else:
-        # every rule's unitary at once, one token position at a time: a rule
-        # of fewer tokens starts later, on identity tokens, and I @ I is
-        # exactly I, so each is bitwise its rule's unitary()
-        gates = [rule.gates for rule in CORRECTION_TABLES[table]]
-        v = eye = np.eye(4, dtype=complex)
-        for k in range(-max(map(len, gates)), 0):
-            v = np.array([TOKENS[g[k]] if -k <= len(g) else eye for g in gates]) @ v
-        v = v[:, [0, 3]]
-    # u = O^T xi* = alpha v_0 + beta v_1, and ||W u||^2 = u^dag G u: a
-    # coefficient g of G[P, m, i, n, j] of a row adds g conj(v_p,i) v_q,j,
-    # p, q = 0, 1, to the row's monomial m + n + p + q of ||W u||^2 at power
-    # P, and g where i = j (0 elsewhere) to its monomial 5 + m + n, that of p
-    wu2 = (gram * v[row, :, i].T[:, None].conj() * v[row, :, j].T).real
+        # rows 0 and 3 of O, the ones that xi = (alpha, 0, 0, beta) weighs
+        v = np.array([rule.unitary()[[0, 3]]
+                      for rule in CORRECTION_TABLES[table]])
+    # u = O^T xi = alpha v_0 + beta v_1, and ||W u||^2 = u^T G u: a
+    # coefficient g of G[P, m, i, n, j] of a row adds g v_p,i v_q,j, p, q =
+    # 0, 1, to the row's monomial m + n + p + q of ||W u||^2 at power P, and
+    # g where i = j (0 elsewhere) to its monomial 5 + m + n, that of p
+    wu2 = gram * v[row, :, i].T[:, None] * v[row, :, j].T
     weight = np.concatenate([wu2.reshape(4, -1), [gram * (i == j)]])
     at = (row * 8 + m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
     curves = np.bincount(at.reshape(-1), weight.reshape(-1), len(keys) * 8 * _POWERS)
     curves = curves.reshape(-1, 8, ETA_ORDERS, S_ORDERS)
-    stack = np.zeros((len(keys), 23, len(columns)))
+    stack = np.zeros((len(keys), 20, len(columns)))
     stack[:, :8] = curves.reshape(-1, 8, _POWERS)[..., columns]
     # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
     # part, all of it at eta = 0, as the square of its amplitude: a fidelity
     # of 0 there stays 0, not the root of the ~1e-18 rounding left where
     # squared coefficients cancel. The powers eta^0 s^j are the first columns
     eta0 = columns[columns < S_ORDERS]
-    stack[:, 15:, :len(eta0)] = curves.sum(2)[..., eta0]
+    stack[:, 12:, :len(eta0)] = curves.sum(2)[..., eta0]
     stack[:, :5, :len(eta0)] = 0.0
-    # real and imaginary parts apart: a complex block would make every chunk
-    # product complex, and copy the chunk's table to complex
     y = v[:, None] @ amplitude      # [row, m, p, j]: v_p . a_m at s^j
     amplitude = np.stack([y[:, 0, 0], y[:, 0, 1] + y[:, 1, 0], y[:, 1, 1]], axis=1)
-    stack[:, 8:14, :len(eta0)] = np.hstack([amplitude.real, amplitude.imag])[..., eta0]
-    stack[:, 14] = trace[columns]
+    stack[:, 8:11, :len(eta0)] = amplitude[..., eta0]
+    stack[:, 11] = trace[columns]
     stack.setflags(write=False)
     return stack, columns
 
@@ -365,17 +359,16 @@ def _stack(noise_kind: str, correlated: bool,
 @lru_cache(maxsize=1)
 def _target_monomials(a: float, b: float) -> np.ndarray:
     """The target's monomials, laid out to weigh the rows of a _stack block:
-    alpha^4, alpha^3 beta, ..., beta^4 in rows 0 and 5, for ||W u||^2 and its
-    fold, alpha^2, alpha beta, beta^2 in rows 1 to 3 and 6, for p, the
-    amplitude's two parts and the fold of p, and the trace alone in row 4.
+    alpha^4, alpha^3 beta, ..., beta^4 in rows 0 and 4, for ||W u||^2 and its
+    fold, alpha^2, alpha beta, beta^2 in rows 1, 2 and 5, for p, the
+    amplitude and the fold of p, and the trace alone in row 3.
     Cached for the last target: the sweeps of a row scan share one target."""
     quartic = a**4, a**3 * b, a**2 * b**2, a * b**3, b**4
     quadratic = a * a, a * b, b * b
-    monomials = np.zeros((7, 23))
-    monomials[0, :5] = monomials[5, 15:20] = quartic
-    monomials[1, 5:8] = monomials[2, 8:11] = monomials[3, 11:14] = (
-        monomials[6, 20:]) = quadratic
-    monomials[4, 14] = 1.0
+    monomials = np.zeros((6, 20))
+    monomials[0, :5] = monomials[4, 12:17] = quartic
+    monomials[1, 5:8] = monomials[2, 8:11] = monomials[5, 17:] = quadratic
+    monomials[3, 11] = 1.0
     monomials.setflags(write=False)
     return monomials
 
@@ -433,19 +426,19 @@ def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
     _stack: one target product and one chunk product either way, and numpy's
     stacked matmul runs the same product on each row's block."""
     stack, columns = _stack(noise_kind, correlated, table)
-    # rows ||W u||^2 without its t^0 part, p, the t^0 amplitude's real and
-    # imaginary parts and the trace, then ||W u||^2 and p at eta = 1
+    # rows ||W u||^2 without its t^0 part, p, the t^0 amplitude and the
+    # trace, then ||W u||^2 and p at eta = 1
     curves = _target_monomials(alpha, beta) @ stack[rows[0] - 1:rows[-1]]
-    wu2, p, real, imag, trace = (curves[:, :5] @ _tables(chunk).take(
+    wu2, p, amplitude, trace = (curves[:, :4] @ _tables(chunk).take(
         columns, axis=0)).transpose(1, 0, 2)
-    wu2 += real * real + imag * imag
+    wu2 += amplitude * amplitude
     # ||W u||^2 and p at eta = 1 in the block column of s^j0 (see below); a
     # branch dies at eta = 1 where j0 > 0, and the grid increases, so only a
     # chunk's last eta can be 1: its fidelity there is the limit, its
     # probability the computed 0. Lists: numpy's reductions of a few bools
     # cost several times as much
-    j0 = (curves[:, 6] != 0.0).argmax(axis=1)
-    folds = curves[np.arange(len(rows)), 5:, j0]
+    j0 = (curves[:, 5] != 0.0).argmax(axis=1)
+    folds = curves[np.arange(len(rows)), 4:, j0]
     lives = folds[:, 1].tolist()
     if 0.0 in lives:
         raise BranchProbabilityError(

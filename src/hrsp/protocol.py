@@ -42,12 +42,12 @@ ORACLE_MAX_DEPTH = 6
 
 SENDER_OUTCOMES = ("zeta1", "zeta2")
 
-_IY = np.array([[0, 1], [-1, 0]], dtype=complex)
-_P0 = np.diag([1, 0]).astype(complex)
-_P1 = np.diag([0, 1]).astype(complex)
+_IY = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 
 #: every gate token, keyed by its table notation, as its read-only 4x4
-#: matrix on the receiver register (local qubit 1 is the high bit)
+#: matrix on the receiver register (local qubit 1 is the high bit); real
+#: but for Y1 and Y2
 TOKENS = {
     **{f"{name}{q}": kron(g, I2) if q == 1 else kron(I2, g)
        for name, g in (("H", H), ("X", X), ("Y", Y), ("iY", _IY),
@@ -64,7 +64,7 @@ for _m in TOKENS.values():
 
 def correction_unitary(gates) -> np.ndarray:
     """Composite unitary of a gate sequence, first token applied first."""
-    u = np.eye(4, dtype=complex)
+    u = np.eye(4)
     for tok in gates:
         u = TOKENS[tok] @ u
     return u

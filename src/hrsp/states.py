@@ -26,8 +26,8 @@ NORM_TOL = 1e-12
 #: a branch at or below this probability is not normalized
 BRANCH_PROBABILITY_FLOOR = 1e-12
 
-KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
+KET0 = np.array([1.0, 0.0])
+KET1 = np.array([0.0, 1.0])
 PLUS = (KET0 + KET1) / np.sqrt(2)
 MINUS = (KET0 - KET1) / np.sqrt(2)
 
@@ -40,7 +40,7 @@ BROWN_TERMS = (
 
 def basis_ket(bits: str) -> np.ndarray:
     """Computational basis vector |bits>, big-endian."""
-    v = np.zeros(2 ** len(bits), dtype=complex)
+    v = np.zeros(2 ** len(bits))
     v[int(bits, 2)] = 1.0
     return v
 
@@ -59,7 +59,7 @@ def hadamard_ket(labels: str) -> np.ndarray:
 
 def brown_state() -> np.ndarray:
     """Five-qubit Brown state as a 32-component amplitude vector."""
-    out = np.zeros(32, dtype=complex)
+    out = np.zeros(32)
     for bits, sign in BROWN_TERMS:
         out[int(bits, 2)] = sign
     return out / (2 * np.sqrt(2))
@@ -72,10 +72,10 @@ def extend_with_ancillas(brown: np.ndarray) -> np.ndarray:
     controls and the ancillas (qubits 5 and 6) as targets. Amplitudes only
     get permuted: |b0..b4 00> -> |b0..b4 b3 b4>.
     """
-    brown = np.asarray(brown, dtype=complex)
+    brown = np.asarray(brown)
     if brown.shape != (32,):
         raise ValueError("expected a five-qubit state vector")
-    out = np.zeros(128, dtype=complex)
+    out = np.zeros(128, dtype=brown.dtype)
     for idx in np.nonzero(np.abs(brown) > 0)[0]:
         bits = format(idx, "05b")
         out[int(bits + bits[3] + bits[4], 2)] = brown[idx]
@@ -118,14 +118,14 @@ class TargetSpec:
 
 def target_state(spec: TargetSpec) -> np.ndarray:
     """Two-qubit target vector (alpha, 0, 0, beta)."""
-    return np.array([spec.alpha, 0, 0, spec.beta], dtype=complex)
+    return np.array([spec.alpha, 0.0, 0.0, spec.beta])
 
 
 def zeta_basis(spec: TargetSpec) -> dict[str, np.ndarray]:
     """Sender measurement basis {alpha|0> + beta|1>, beta|0> - alpha|1>},
     keyed by outcome label."""
-    return {"zeta1": np.array([spec.alpha, spec.beta], dtype=complex),
-            "zeta2": np.array([spec.beta, -spec.alpha], dtype=complex)}
+    return {"zeta1": np.array([spec.alpha, spec.beta]),
+            "zeta2": np.array([spec.beta, -spec.alpha])}
 
 
 #: per receiver, how many collaborator labels an outcome has, and their values:
@@ -179,7 +179,7 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     IDENTITY_STACK for no noise; the tests also pass the per-eta pair Kraus
     operators of their oracle. For collaborators projected onto |x>, |y> and
     receiver R, W[k_X, k_Y, k_R, :]
-    = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W*
+    = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W
     (W as (-1, 4)) with trace the branch probability when S is the pair
     Kraus operators. spec is a TargetSpec, or a sequence of them: W then
     gains a leading axis, one entry per spec.
@@ -193,9 +193,9 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     specs = [spec] if isinstance(spec, TargetSpec) else spec
     kets = [outcome_kets(receiver, sender_outcome, collaborator_outcomes, s)
             for s in specs]
-    zbras = np.array([zvec for zvec, _ in kets]).conj()
+    zbras = np.array([zvec for zvec, _ in kets])
     r, x, y = _AXES[receiver]
-    bx, by = (ket.conj() for ket in kets[0][1].values())
+    bx, by = kets[0][1].values()
     psi = protocol_state().reshape(2, 4, 4, 4)
     n = len(kraus)
     phi = np.einsum(f"sa,abcd->s{x}{y}{r}", zbras, psi).reshape(-1, 4, 16)
@@ -271,13 +271,13 @@ DAVID_EXPANSION = {
 }
 
 
-def _coef(tag: str, spec: TargetSpec) -> complex:
+def _coef(tag: str, spec: TargetSpec) -> float:
     sign = 1.0 if tag[0] == "+" else -1.0
     return sign * (spec.alpha if tag[1] == "a" else spec.beta)
 
 
 def _combo(parts, spec: TargetSpec, basis: str) -> np.ndarray:
-    out = np.zeros(4, dtype=complex)
+    out = np.zeros(4)
     for tag, label in parts:
         v = basis_ket(label) if basis == "computational" else hadamard_ket(label)
         out += _coef(tag, spec) * v
@@ -322,10 +322,10 @@ def verify_factorization(variant: str, spec: TargetSpec) -> FactorizationReport:
         raise ValueError(f"unknown factorization variant {variant!r}")
     bob = variant == "bob"
     expansion, norm = (BOB_EXPANSION, 2.0) if bob else (DAVID_EXPANSION, 4.0)
-    total = np.zeros(128, dtype=complex)
+    total = np.zeros(128)
     lines = []
     for outcome, zvec in zeta_basis(spec).items():
-        branch = np.zeros(64, dtype=complex)
+        branch = np.zeros(64)
         for i, line in enumerate(expansion[outcome], start=1):
             if bob:
                 # every published line gives Charlie and David one label

@@ -460,7 +460,7 @@ class TestExactCurve:
         coefficient of every branch Gram, of 2^-9. This checks the kernel
         against its own structure; an exact derivation of the blocks that
         shares no code with it is still open."""
-        squared = np.r_[0:8, 14:23]
+        squared = np.r_[0:8, 11:20]
         worst = [0.0, 0.0, 0.0]
         for noise, correlated, (table, row, receiver) in itertools.product(
                 ["ad", "pd"], [True, False], ALL_ROWS):
@@ -468,7 +468,7 @@ class TestExactCurve:
             gram, _, _ = pipeline._branches(noise, correlated, receiver)[1][
                 pipeline._TABLES[table][1][row - 1]]
             for i, (rows, scale) in enumerate(
-                    ((block[squared], 2**9), (block[8:14], 2**4 * np.sqrt(2)),
+                    ((block[squared], 2**9), (block[8:11], 2**4 * np.sqrt(2)),
                      (gram, 2**9))):
                 scaled = rows * scale
                 worst[i] = max(worst[i], np.max(np.abs(scaled - np.round(scaled))))
@@ -638,7 +638,7 @@ class TestKernelCalls:
                 for table in {r[0] for r in ALL_ROWS if r[2] == receiver}:
                     stack, powers = pipeline._stack(noise, correlated, table)
                     assert powers is columns
-                    assert stack.shape == (len(pipeline._TABLES[table][1]), 23,
+                    assert stack.shape == (len(pipeline._TABLES[table][1]), 20,
                                            len(columns))
                     used |= stack.any(axis=(0, 1))
                 unused = set(columns[~used].tolist())
@@ -1005,6 +1005,6 @@ class TestChannelBlockCache:
         block = stack[1]
         etas = np.linspace(0.0, 1.0, 9)
         coef = pipeline._target_monomials(0.6, 0.8) @ block
-        got = coef[4] @ pipeline._monomials(etas)[powers]
+        got = coef[3] @ pipeline._monomials(etas)[powers]
         stacks = party_kraus_stack(kraus_operators(noise, etas), correlated)
         assert np.max(np.abs(got - channel_trace(stacks))) < 1e-12

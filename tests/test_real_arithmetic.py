@@ -1,0 +1,71 @@
+"""hrsp computes in real arithmetic from |Psi> to the fidelity: the states,
+the channel's pair terms, the branch store and the curve stacks are float64,
+and only the Y gate tokens, which no published table uses, are complex."""
+
+import numpy as np
+import pytest
+
+from hrsp import linalg, noise, pipeline, protocol, states
+from hrsp.states import IDENTITY_STACK, TargetSpec
+
+REAL = np.dtype(np.float64)
+#: real targets of both signs, balanced and not
+TARGETS = (TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2)), TargetSpec(0.6, 0.8),
+           TargetSpec(-0.6, 0.8), TargetSpec(0.8, -0.6))
+
+
+def test_states_are_real():
+    spec = TARGETS[2]
+    brown = states.brown_state()
+    for array in (states.protocol_state(), brown,
+                  states.extend_with_ancillas(brown), states.basis_ket("0110"),
+                  states.hadamard_ket("+-"), states.target_state(spec),
+                  *states.zeta_basis(spec).values()):
+        assert array.dtype == REAL
+
+
+@pytest.mark.parametrize("kind", noise.NOISE_KINDS)
+@pytest.mark.parametrize("correlated", [True, False])
+def test_branch_amplitudes_are_real(kind, correlated):
+    # noiseless and through the channel's pair terms, every branch of every
+    # receiver at once per target set
+    ops = noise.pair_terms(kind, correlated)[0]
+    assert ops.dtype == REAL
+    for receiver, branches in protocol.BRANCHES.items():
+        for key in branches:
+            for kraus in (IDENTITY_STACK, ops):
+                w = states.branch_amplitudes(receiver, *key, TARGETS, kraus)
+                assert w.dtype == REAL
+
+
+@pytest.mark.parametrize("kind", noise.NOISE_KINDS)
+@pytest.mark.parametrize("correlated", [True, False])
+def test_branch_store_and_stacks_are_real(kind, correlated):
+    for receiver in protocol.BRANCHES:
+        trace, branches, columns = pipeline._branches(kind, correlated, receiver)
+        assert trace.dtype == REAL and columns.dtype.kind == "u"
+        for gram, index, amplitude in branches.values():
+            assert gram.dtype == amplitude.dtype == REAL
+            assert index.dtype.kind == "u"
+    for table in pipeline._TABLES:
+        assert pipeline._stack(kind, correlated, table)[0].dtype == REAL
+
+
+def test_kron_keeps_its_factors_dtype():
+    assert linalg.kron(linalg.X, linalg.H, linalg.Z).dtype == REAL
+    assert linalg.kron(states.KET0, states.PLUS).dtype == REAL
+    for factors in ((linalg.Y, linalg.I2), (linalg.I2, linalg.X, linalg.Y)):
+        out = linalg.kron(*factors)
+        assert out.dtype == np.complex128 and out.imag.any()
+
+
+def test_only_the_y_tokens_are_complex():
+    complex_tokens = {name for name, m in protocol.TOKENS.items()
+                      if m.dtype != REAL}
+    assert complex_tokens == {"Y1", "Y2"}
+    for name in complex_tokens:
+        assert protocol.TOKENS[name].dtype == np.complex128
+    # so every published correction is a real matrix
+    for rules in protocol.CORRECTION_TABLES.values():
+        for rule in rules:
+            assert rule.unitary().dtype == REAL
