@@ -26,6 +26,8 @@ import warnings
 
 import numpy as np
 
+from .linalg import P0, P1
+
 TRACE_DEFICIT_WARN = 1e-9
 
 NOISE_KINDS = ("ad", "pd")
@@ -35,17 +37,16 @@ class TraceDeficitWarning(UserWarning):
     """The correlated channel deliberately loses trace (see module docs)."""
 
 
-_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 _LOWER, _NONE = np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))
 
 #: Kraus operator i of a noise kind as t^power[i] (fixed[i] + s damped[i]):
 #: per kind, the powers and the (2, n, 2, 2) stack of fixed and damped parts
 _TEMPLATES = {
     # K0 = diag(1, s), K1 = t|0><1|
-    "ad": (np.array([0, 1]), np.array([[_P0, _LOWER], [_P1, _NONE]])),
+    "ad": (np.array([0, 1]), np.array([[P0, _LOWER], [P1, _NONE]])),
     # E0 = s I, E1 = t|0><0|, E2 = t|1><1|
-    "pd": (np.array([0, 1, 1]), np.array([[_NONE, _P0, _P1],
-                                          [_P0 + _P1, _NONE, _NONE]])),
+    "pd": (np.array([0, 1, 1]), np.array([[_NONE, P0, P1],
+                                          [P0 + P1, _NONE, _NONE]])),
 }
 
 

@@ -60,41 +60,33 @@ a_m is the branch's t^0 amplitude at s = 1. The key spaces are finite,
 Grams and 1.00 MB of stacks; a scan of all 72 rows under both noise kinds
 and the correlated channel fills 144 Grams, 0.23 MB, and 8 stacks, 0.34 MB.
 
-_evaluate samples some rows of a table's stack at one target on one grid
-chunk: one row as a one-row slice, or every row. It multiplies them by the
-target's monomials, a (6, 20) matrix cached for the last target that puts
-each monomial against the rows of a block: one product gives, for each
-block on the receiver's powers, the coefficients of ||W u||^2 without N_0,
-of p, of the amplitude and of the trace, and the two eta = 1 folds, whose
-lowest nonzero power of s in p is j0 (see below). For each chunk of
-GRID_CHUNK = 1024 etas, _tables holds the grid side, every power eta^M s^j
-at each eta, one table for both noise kinds and channel modes. A chunk
-then costs one (4, K) x (K, chunk) product per block on the K powers
+_evaluate samples every row of a table's stack at one target on one grid
+chunk. It multiplies the stack by the target's monomials, a (6, 20) matrix
+that puts each monomial against the rows of a block: one product gives,
+for each block on the receiver's powers, the coefficients of ||W u||^2
+without N_0, of p, of the amplitude and of the trace, and the two eta = 1
+folds, whose lowest nonzero power of s in p is j0 (see below). For each
+chunk of GRID_CHUNK = 1024 etas, _tables holds the grid side, every power
+eta^M s^j at each eta, one table for both noise kinds and channel modes. A
+chunk then costs one (4, K) x (K, chunk) product per block on the K powers
 and the amplitude's square; the product's last row is the channel's trace
 at each eta, the same for every block, whose smallest value gives the
-TraceDeficitWarning check. Both products are matrix-matrix, and numpy's
-stacked matmul runs the same product on each block's slice, so a row's
-samples are bitwise the same from a one-row slice and from the whole
-stack. The first product in a process makes BLAS allocate about 0.25 MB of
-buffers, and numpy's einsum, which avoids BLAS, takes about 2.5 times as
-long at 11 etas. _tables keeps one chunk, at most GRID_CHUNK x 91 floats,
-0.75 MB. At 1024, the default 11-point grid and the 1001-point grid of step
-0.001 are one chunk each, so the sweeps of a scan after its first reuse
-the table, whatever their channel; a 100,001-point grid streams through 98
-chunks and holds one at a time besides its samples.
+TraceDeficitWarning check. Both products are matrix-matrix. The first
+product in a process makes BLAS allocate about 0.25 MB of buffers, and
+numpy's einsum, which avoids BLAS, takes about 2.5 times as long at 11
+etas. _tables keeps one chunk, at most GRID_CHUNK x 91 floats, 0.75 MB. At
+1024, the default 11-point grid and the 1001-point grid of step 0.001 are
+one chunk each, so the sweeps of a scan after its first reuse the table,
+whatever their channel; a 100,001-point grid streams through 98 chunks and
+holds one at a time besides its samples.
 
-A sweep reads each chunk's samples from _evaluated, one slot keyed by
-(noise kind, channel mode, table, alpha, beta, grid chunk) that holds the
-samples of the rows evaluated at its key. The first sweep at a key
-evaluates its own row. A sweep of another row of the same table at that
-key evaluates every row of the table in one pass, and the table's later
-rows read their samples from the slot. So a scan of a table's rows at one
-target and grid chunk evaluates the table once per target and chunk, after
-its first row; single-row traffic (the CLI, a grid of more than one chunk,
-repeated sweeps of one row) never evaluates another row, though its first
-sweep builds its table's stack. The slot holds at most 32 rows x GRID_CHUNK
-etas x 2 floats, 0.52 MB. Every sweep still makes the TraceDeficitWarning
-check.
+_evaluate keeps its last evaluation, one slot keyed by (noise kind,
+channel mode, table, alpha, beta, grid chunk), and a sweep reads its own
+row of it for each chunk. So a scan of a table's rows at one target and
+grid chunk evaluates the table once; a single-row sweep evaluates its
+whole table, 8 to 32 rows, once per chunk. The slot holds at most 32 rows
+x GRID_CHUNK etas x 2 floats, 0.52 MB, read-only, as every sweep at its
+key shares it. Every sweep still makes the TraceDeficitWarning check.
 
 receiver_state reads the branch's cached G, the one the row's curves come
 from: it weighs each coefficient by its power eta^M s^j at its one eta and
@@ -115,7 +107,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from operator import lt
 from typing import NamedTuple
 
@@ -178,7 +170,9 @@ class PipelineConfig:
         object.__setattr__(self, "eta_grid", grid)
         # one pass: an increasing grid lies within its endpoints, and a <
         # chain fails on NaN
-        if not (grid and 0.0 <= grid[0] and grid[-1] <= 1.0):
+        if not grid:
+            raise ValueError("eta grid is empty")
+        if not (0.0 <= grid[0] and grid[-1] <= 1.0):
             raise ValueError("eta grid values must lie in [0, 1]")
         if not all(map(lt, grid, grid[1:])):
             raise ValueError("eta grid must be strictly increasing")
@@ -356,13 +350,11 @@ def _stack(noise_kind: str, correlated: bool,
     return stack, columns
 
 
-@lru_cache(maxsize=1)
 def _target_monomials(a: float, b: float) -> np.ndarray:
     """The target's monomials, laid out to weigh the rows of a _stack block:
     alpha^4, alpha^3 beta, ..., beta^4 in rows 0 and 4, for ||W u||^2 and its
     fold, alpha^2, alpha beta, beta^2 in rows 1, 2 and 5, for p, the
-    amplitude and the fold of p, and the trace alone in row 3.
-    Cached for the last target: the sweeps of a row scan share one target."""
+    amplitude and the fold of p, and the trace alone in row 3."""
     quartic = a**4, a**3 * b, a**2 * b**2, a * b**3, b**4
     quadratic = a * a, a * b, b * b
     monomials = np.zeros((6, 20))
@@ -417,73 +409,60 @@ def _tables(chunk: tuple) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1)
 def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
-              beta: float, chunk: tuple, rows: tuple[int, ...]) -> dict:
-    """The samples of some rows of a table at one target on one grid chunk,
-    by row: its fidelities and branch probabilities at the chunk's etas, the
-    smallest channel trace there and whether its last eta is the exact limit
-    eta -> 1. The rows are one row or all of them, a slice of the table's
-    _stack: one target product and one chunk product either way, and numpy's
-    stacked matmul runs the same product on each row's block."""
+              beta: float, chunk: tuple) -> tuple:
+    """The samples of every row of a table at one target on one grid chunk,
+    all read-only: the fidelities and the branch probabilities, one row of
+    each per table row, at the chunk's etas; whether each row's last eta is
+    the exact limit eta -> 1; and the smallest channel trace there. One
+    target product and one chunk product for the table's whole _stack.
+    Cached for the last key: the sweeps of a row scan share it."""
     stack, columns = _stack(noise_kind, correlated, table)
     # rows ||W u||^2 without its t^0 part, p, the t^0 amplitude and the
     # trace, then ||W u||^2 and p at eta = 1
-    curves = _target_monomials(alpha, beta) @ stack[rows[0] - 1:rows[-1]]
+    curves = _target_monomials(alpha, beta) @ stack
     wu2, p, amplitude, trace = (curves[:, :4] @ _tables(chunk).take(
         columns, axis=0)).transpose(1, 0, 2)
     wu2 += amplitude * amplitude
     # ||W u||^2 and p at eta = 1 in the block column of s^j0 (see below); a
     # branch dies at eta = 1 where j0 > 0, and the grid increases, so only a
     # chunk's last eta can be 1: its fidelity there is the limit, its
-    # probability the computed 0. Lists: numpy's reductions of a few bools
-    # cost several times as much
+    # probability the computed 0. A list: numpy's reductions of a few
+    # floats cost several times as much
     j0 = (curves[:, 5] != 0.0).argmax(axis=1)
-    folds = curves[np.arange(len(rows)), 4:, j0]
+    folds = curves[np.arange(len(stack)), 4:, j0]
     lives = folds[:, 1].tolist()
     if 0.0 in lives:
         raise BranchProbabilityError(
             f"{noise_kind} {_TABLES[table][0]} table {table} row "
-            f"{rows[lives.index(0.0)]}: the branch probability vanishes at every eta")
-    ends = ((columns[j0] > 0) & (chunk[-1] == 1.0)).tolist()
+            f"{lives.index(0.0) + 1}: the branch probability vanishes at every eta")
+    ends = (columns[j0] > 0) & (chunk[-1] == 1.0)
     probability = p.copy()
-    for at in compress(range(len(rows)), ends):
-        wu2[at, -1], p[at, -1] = folds[at]
+    wu2[ends, -1], p[ends, -1] = folds[ends].T
     # clipped: where F = 0, rounding in the squared coefficients of the
     # eta^M, M >= 1, parts can leave F^2 at -1e-17
     fidelity = np.sqrt(np.maximum(wu2, 0.0) / p)
+    fidelity.setflags(write=False)
+    probability.setflags(write=False)
     # the trace rows are one row of every block, so one of them serves
-    low = float(trace[0].min())
-    return dict(zip(rows, zip(fidelity, probability, repeat(low), ends)))
-
-
-#: the last evaluation: its key (noise kind, channel mode, table, alpha, beta,
-#: grid chunk) and the _evaluate samples of the rows evaluated there
-_evaluated: list = [None, {}]
+    return fidelity, probability, tuple(ends.tolist()), float(trace[0].min())
 
 
 def sweep(config: PipelineConfig) -> SweepResult:
     """Fidelity at every grid value, in grid order, from the branch's cached
-    curves; where the branch dies at eta = 1, the exact limit. The first
-    sweep at an _evaluated key evaluates its own row; a sweep of another row
-    of the table at that key evaluates every row, which the later sweeps
-    there read."""
-    spec, grid, row = config.spec, config.eta_grid, config.row
+    curves; where the branch dies at eta = 1, the exact limit. Each grid
+    chunk's samples are the config's row of the table's _evaluate."""
+    grid, row, spec = config.eta_grid, config.row - 1, config.spec
+    key = config.noise_kind, config.correlated, config.table, spec.alpha, spec.beta
     fidelity, branch_probability, deficit = [], [], 0.0
     for start in range(0, len(grid), GRID_CHUNK):
-        key = (config.noise_kind, config.correlated, config.table, spec.alpha,
-               spec.beta, grid[start:start + GRID_CHUNK])
-        if _evaluated[0] != key:
-            _evaluated[:] = key, {}
-        done = _evaluated[1]
-        if row not in done:
-            done.update(_evaluate(*key, tuple(range(
-                1, len(_TABLES[config.table][1]) + 1)) if done else (row,)))
-        f, p, low, ends = done[row]
-        fidelity += f.tolist()
-        branch_probability += p.tolist()
+        f, p, ends, low = _evaluate(*key, grid[start:start + GRID_CHUNK])
+        fidelity += f[row].tolist()
+        branch_probability += p[row].tolist()
         deficit = max(deficit, 1.0 - low)
     warn_trace_deficit(deficit)
-    live = len(grid) - ends
+    live = len(grid) - ends[row]
     # tuple.__new__ on each sample's fields: the NamedTuple's own __new__ is
     # a Python function, and took 40 % of building the samples
     return SweepResult(config=config, samples=tuple(map(

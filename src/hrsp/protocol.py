@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import H, I2, X, Y, Z, kron
+from .linalg import H, I2, P0, P1, X, Y, Z, kron
 from .states import (BRANCH_PROBABILITY_FLOOR, COLLABORATOR_LABELS, TargetSpec,
                      branch_amplitudes, target_state)
 
@@ -43,7 +43,6 @@ ORACLE_MAX_DEPTH = 6
 SENDER_OUTCOMES = ("zeta1", "zeta2")
 
 _IY = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 
 #: every gate token, keyed by its table notation, as its read-only 4x4
 #: matrix on the receiver register (local qubit 1 is the high bit); real
@@ -53,10 +52,10 @@ TOKENS = {
        for name, g in (("H", H), ("X", X), ("Y", Y), ("iY", _IY),
                        ("-iY", -_IY), ("Z", Z))
        for q in (1, 2)},
-    "CX1-2": kron(_P1, X) + kron(_P0, I2),
-    "CX2-1": kron(X, _P1) + kron(I2, _P0),
-    "RCX1-2": kron(_P0, X) + kron(_P1, I2),
-    "RCX2-1": kron(X, _P0) + kron(I2, _P1),
+    "CX1-2": kron(P1, X) + kron(P0, I2),
+    "CX2-1": kron(X, P1) + kron(I2, P0),
+    "RCX1-2": kron(P0, X) + kron(P1, I2),
+    "RCX2-1": kron(X, P0) + kron(I2, P1),
 }
 for _m in TOKENS.values():
     _m.setflags(write=False)

@@ -37,6 +37,17 @@ UNCORRELATED_CSV_DIGESTS = {
     ("pd", "david"): "daef9320d869c17800f66150bb16f65e53f91ebebde9709744e699034b5ce555",
 }
 
+#: SHA-256 of the CSV of each default correlated sweep at --step 0.0005: 2001
+#: points, two grid chunks
+FINE_CSV_DIGESTS = {
+    ("ad", "bob"): "89b1041932697a1cd07b0da5a21a67c0889740ffaf2f8c84548b90f0682e2b0f",
+    ("ad", "charlie"): "8e6e30c4e67644c622f1017804e8b85b198a6bb7d42ef257f70e85a3540781a0",
+    ("ad", "david"): "68075f62e8c7d6b05a73a14c9693ae6c6baefd35a12adb9f54a51d39175663fd",
+    ("pd", "bob"): "7619144b148d69dc1afe48496e6814db6db3609a832e6bc6a14966aa1f56853e",
+    ("pd", "charlie"): "d9f9d19bb2a968b65b5301b3f69c9583db5223e7020aee47d903566e292decc6",
+    ("pd", "david"): "e8f670bb4064e3255211b967a01dbb1b4a6244d4ca56304dd61845cc4779c2c6",
+}
+
 #: SHA-256 of the standard output of each verify command
 VERIFY_STDOUT_DIGESTS = {
     ("verify-tables",):
@@ -249,6 +260,14 @@ class TestGoldenCsv:
                      "--uncorrelated-noise", "--out", str(out_path)]) == 0
         digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
         assert digest == UNCORRELATED_CSV_DIGESTS[(noise, receiver)]
+
+    @pytest.mark.parametrize("noise,receiver", list(FINE_CSV_DIGESTS))
+    def test_two_chunk_default(self, noise, receiver, tmp_path):
+        out_path = tmp_path / "fine.csv"
+        assert main(["sweep", "--noise", noise, "--receiver", receiver,
+                     "--step", "0.0005", "--out", str(out_path)]) == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == FINE_CSV_DIGESTS[(noise, receiver)]
 
     @pytest.mark.parametrize("argv", list(VERIFY_STDOUT_DIGESTS))
     def test_verify_stdout(self, argv, capsys):

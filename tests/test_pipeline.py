@@ -481,8 +481,8 @@ class TestExactCurve:
         zeros = np.zeros_like(stack)
         assert zeros.shape == stack.shape
         monkeypatch.setattr(pipeline, "_stack", lambda *key: (zeros, columns))
-        # a fresh slot: an earlier sweep at this key would be read, not redone
-        monkeypatch.setattr(pipeline, "_evaluated", [None, {}])
+        # an empty slot: an earlier sweep at this key would be read, not redone
+        pipeline._evaluate.cache_clear()
         with pytest.raises(BranchProbabilityError, match="vanishes at every eta"):
             sweep(row1_config())
 
@@ -490,7 +490,7 @@ class TestExactCurve:
 def clear_noisy_caches():
     pipeline._stack.cache_clear()
     pipeline._branches.cache_clear()
-    pipeline._evaluated[:] = None, {}
+    pipeline._evaluate.cache_clear()
 
 
 class TestKernelCalls:
@@ -652,21 +652,15 @@ def sample_bits(result):
 
 
 class TestTableEvaluation:
-    """The first sweep at an evaluation key evaluates its own row, the next
-    row of its table every row; a row's samples do not depend on which."""
+    """A sweep reads its row of its table's one evaluation per target and
+    grid chunk, whichever sweep made it: _evaluate's one-slot cache,
+    counted by its misses."""
 
     @pytest.fixture
-    def evaluations(self, monkeypatch):
-        made = []
-        evaluate = pipeline._evaluate
-
-        def counted(*args):
-            made.append(args[-1])
-            return evaluate(*args)
-
-        monkeypatch.setattr(pipeline, "_evaluate", counted)
-        monkeypatch.setattr(pipeline, "_evaluated", [None, {}])
-        return made
+    def evaluations(self):
+        pipeline._evaluate.cache_clear()
+        yield lambda: pipeline._evaluate.cache_info().misses
+        pipeline._evaluate.cache_clear()
 
     @pytest.mark.parametrize("step", [0.1, 0.001])
     @pytest.mark.parametrize("noise", ["ad", "pd"])
@@ -679,27 +673,31 @@ class TestTableEvaluation:
                    for table, row, receiver in ALL_ROWS}
         alone = {}
         for key, config in configs.items():
-            pipeline._evaluated[:] = None, {}
+            pipeline._evaluate.cache_clear()
             alone[key] = sample_bits(sweep(config))
-        assert all(len(rows) == 1 for rows in evaluations)
         for order in (list(configs), list(reversed(configs))):
-            pipeline._evaluated[:] = None, {}
+            pipeline._evaluate.cache_clear()
             assert {key: sample_bits(sweep(configs[key])) for key in order} == alone
-        # each table: its first row alone, then every row
-        assert len(evaluations) == len(configs) + 2 * 2 * 4
+            # each table once
+            assert evaluations() == 4
 
     def test_table_is_evaluated_once_per_target_and_chunk(self, evaluations):
-        for spec in (BALANCED, TargetSpec(0.6, 0.8)):
-            for row in range(1, 17):
-                sweep(default_config("pd", "david", spec, table="III", row=row))
-        table = tuple(range(1, 17))
-        assert evaluations == [(1,), table, (1,), table]
-        # a grid of two chunks: every sweep meets a new key, so each
-        # evaluates its own row
-        del evaluations[:]
-        for row in (1, 2, 3):
-            sweep(default_config("ad", "bob", step=0.0005, row=row))
-        assert evaluations == [(1,), (1,), (2,), (2,), (3,), (3,)]
+        for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
+            # a 72-row scan evaluates each of the four tables once, and a
+            # second target as many times again
+            pipeline._evaluate.cache_clear()
+            for spec, misses in ((BALANCED, 4), (TargetSpec(0.6, 0.8), 8)):
+                for table, row, receiver in ALL_ROWS:
+                    sweep(default_config(noise, receiver, spec, table=table,
+                                         row=row, correlated=correlated))
+                assert evaluations() == misses
+            # a grid of two chunks: a single-row sweep evaluates its table
+            # once per chunk, and the slot holds the last one
+            pipeline._evaluate.cache_clear()
+            for row in (1, 2, 3):
+                sweep(default_config(noise, "bob", step=0.0005, row=row,
+                                     correlated=correlated))
+                assert evaluations() == 2 * row
 
     def test_oracle_rows_are_swept_without_a_search(self, monkeypatch):
         # configs, sweeps and receiver_state read a Charlie row's branch from
@@ -857,7 +855,7 @@ class TestConfig:
         nan, order, lie_in = float("nan"), "strictly increasing", r"lie in \["
         for grid, match in (((0.0, 0.0, 1.0), order), ((0.0, 1.5), lie_in),
                             ((0.0, nan, 1.0), order), ((nan,), lie_in),
-                            ((0.0, 0.5, 0.5), order), ((), lie_in)):
+                            ((0.0, 0.5, 0.5), order), ((), "empty")):
             with pytest.raises(ValueError, match=match):
                 PipelineConfig("ad", "bob", "I", 1, BALANCED, grid)
 
@@ -996,6 +994,26 @@ class TestChannelBlockCache:
                         trace.reshape(pipeline.ETA_ORDERS, pipeline.S_ORDERS),
                         np.sqrt(1 - etas)[:, None] ** np.arange(pipeline.S_ORDERS))
         assert np.max(np.abs(got - channel_trace(stacks))) < 1e-14
+
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_evaluation_is_read_only(self, noise, correlated):
+        # every sweep of the table at one target and grid chunk reads the
+        # one cached evaluation
+        config = default_config(noise, "david", TargetSpec(0.6, 0.8),
+                                table="III", correlated=correlated)
+        key = (noise, correlated, "III", config.spec.alpha, config.spec.beta,
+               config.eta_grid)
+        sweep(config)
+        evaluation = pipeline._evaluate(*key)
+        assert evaluation is pipeline._evaluate(*key)
+        fidelity, probability, ends, low = evaluation
+        assert fidelity.shape == probability.shape == (16, len(config.eta_grid))
+        for array in (fidelity, probability, fidelity[2], probability[:, -1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert type(ends) is tuple and len(ends) == 16
+        assert type(low) is float
 
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
