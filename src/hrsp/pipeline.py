@@ -105,6 +105,7 @@ boundary_extended = True and branch probability 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -114,8 +115,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .noise import NOISE_KINDS, pair_terms, warn_trace_deficit
-from .protocol import (BRANCHES, CORRECTION_TABLES, CorrectionRule, check_row,
-                       derived_rule)
+from .protocol import BRANCHES, CORRECTION_TABLES
 from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
                      protocol_state)
 
@@ -143,7 +143,14 @@ _TABLES = {**{table: (rules[0].receiver, tuple(rule.outcomes for rule in rules))
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One sweep: noise kind, receiver row, target parameters, eta grid."""
+    """One sweep: noise kind, receiver row, target parameters, eta grid.
+
+    Validated on construction. The row is an int in 1..rows of its table:
+    a published table of CORRECTION_TABLES, or "oracle", Charlie's derived
+    table, whose row r is protocol.derive_receiver_table("charlie")[r - 1].
+    A config names its branch and correction only through (table, row): the
+    sweeps read a published row's rule from its table and a derived row's
+    correction off its branch, so no config runs the oracle search."""
 
     noise_kind: str
     receiver: str
@@ -179,19 +186,19 @@ class PipelineConfig:
         if self.table not in _TABLES:
             raise ValueError(f"unknown table {self.table!r}, expected one of "
                              f"{tuple(_TABLES)}")
-        # a plain int and bool key the caches: True must not find row 1
-        object.__setattr__(self, "row", check_row(
-            self.row, len(_TABLES[self.table][1]), f"table {self.table}"))
+        # a plain int and bool key the caches: True must not find row 1; an
+        # int skips the ABC check, which costs more than the rest
+        row, rows = self.row, len(_TABLES[self.table][1])
+        if type(row) is not int and (isinstance(row, bool)
+                                     or not isinstance(row, numbers.Integral)):
+            raise ValueError(f"row must be an integer, got {row!r}")
+        if not 1 <= row <= rows:
+            raise ValueError(f"table {self.table} has rows 1..{rows}, got {row}")
+        object.__setattr__(self, "row", int(row))
         object.__setattr__(self, "correlated", bool(self.correlated))
         if self.receiver != _TABLES[self.table][0]:
             raise ValueError(f"table {self.table} row {self.row} corrects "
                              f"{_TABLES[self.table][0]}, not {self.receiver}")
-
-    def rule(self) -> CorrectionRule:
-        """The row's rule: an oracle row's is derived by the oracle search,
-        which the sweeps do not need."""
-        return (derived_rule("charlie", self.row) if self.table == "oracle"
-                else CORRECTION_TABLES[self.table][self.row - 1])
 
 
 class FidelitySample(NamedTuple):

@@ -17,12 +17,15 @@ The brute-force oracle enumerates sequences over a fixed ten-token
 vocabulary, shortest first, lexicographic within a length, and returns the
 first sequence that maps the collapsed branch onto the target at two
 independent parameter points. It is the authority whenever a published rule
-disagrees with it.
+disagrees with it. The search and the collapsed branches it reads have one
+entry point each, oracle_find_correction and branch_vector, and each caches
+its own read-only results: a frozen rule per branch, and a normalized vector
+per branch and parameter point. The noisy sweeps never search:
+hrsp.pipeline reads a derived row's correction off its branch.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -85,18 +88,6 @@ def parse_gate_string(text: str) -> tuple[str, ...]:
             raise ValueError(f"unknown gate token {word!r} at position {pos}")
         tokens += expanded
     return tuple(tokens)
-
-
-def check_row(row, rows: int, table: str) -> int:
-    """Reject a row that is not an integer in 1..rows (bool is not a row);
-    return it as an int."""
-    # an int skips the ABC check, which costs more than the rest
-    if type(row) is not int and (isinstance(row, bool)
-                                 or not isinstance(row, numbers.Integral)):
-        raise ValueError(f"row must be an integer, got {row!r}")
-    if not 1 <= row <= rows:
-        raise ValueError(f"{table} has rows 1..{rows}, got {row}")
-    return int(row)
 
 
 @dataclass(frozen=True)
@@ -189,27 +180,22 @@ CORRECTION_TABLES = {"I": TABLE_I, "II": TABLE_II, "III": TABLE_III}
 
 
 @lru_cache(maxsize=256)
-def _collapse(*branch) -> np.ndarray:
-    """states.branch_amplitudes(receiver, sender outcome, collaborator
-    outcomes, spec) through the noiseless identity stack, as 4 read-only
-    values. Cached: the oracle search, the row verdicts and the report
-    collapse each branch at each of ORACLE_POINTS once; all 72 branches at
-    both points are 144 entries."""
-    v = branch_amplitudes(*branch).reshape(4)
-    v.setflags(write=False)
-    return v
-
-
 def branch_vector(receiver: str, sender_outcome: str,
                   collaborator_outcomes: tuple[str, ...],
                   spec: TargetSpec):
-    """Receiver's collapsed (normalized) two-qubit state and its probability:
-    the cached noiseless collapse, normalized."""
-    v = _collapse(receiver, sender_outcome, collaborator_outcomes, spec)
+    """Receiver's collapsed two-qubit state, normalized, and its probability:
+    states.branch_amplitudes through the noiseless identity stack. Cached and
+    read-only: the oracle search, the row verdicts and the report read each
+    branch at each of ORACLE_POINTS once, 72 branches x 2 points = 144
+    entries. A vanishing branch raises, and is not cached."""
+    v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
+                          spec).reshape(4)
     prob = float(np.linalg.norm(v) ** 2)
     if prob <= BRANCH_PROBABILITY_FLOOR:
         raise ValueError("outcome branch has vanishing probability")
-    return v / np.sqrt(prob), prob
+    v = v / np.sqrt(prob)
+    v.setflags(write=False)
+    return v, prob
 
 
 def noiseless_fidelity(rule: CorrectionRule, spec: TargetSpec) -> float:
@@ -233,6 +219,7 @@ class OracleSearchError(RuntimeError):
     """No gate sequence up to the depth cap corrects the branch."""
 
 
+@lru_cache(maxsize=None)
 def oracle_find_correction(receiver: str, sender_outcome: str,
                            collaborator_outcomes: tuple[str, ...]) -> CorrectionRule:
     """Exhaustively derive the correction for one outcome.
@@ -240,7 +227,9 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
     Enumerates token sequences in order of length, lexicographic by the
     vocabulary order within a length, and returns the first whose action
     takes the collapsed branch to the target with fidelity >= 1 - 1e-10 at
-    both validation points. Deterministic by construction.
+    both validation points. Deterministic by construction, so cached: each
+    of the 72 branches is searched once per process, and every caller
+    shares its frozen rule. A search that raises is not cached.
     """
     vectors = np.array([branch_vector(receiver, sender_outcome,
                                       collaborator_outcomes, spec)[0]
@@ -271,13 +260,12 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
         f"{sender_outcome} {collaborator_outcomes}")
 
 
-@lru_cache(maxsize=None)
-def _cached_oracle(receiver, sender_outcome, collaborator_outcomes):
-    return oracle_find_correction(receiver, sender_outcome, collaborator_outcomes)
-
-
 def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over theta of max |a - e^{i theta} b|."""
+    """max |a - e^{i theta} b|, theta aligning a and b at b's largest entry
+    (the first in flat order), or theta = 0 where that entry of b or of a is
+    below 1e-12. 0 (to rounding) when a = e^{i theta} b; otherwise an upper
+    bound on the min over theta of max |a - e^{i theta} b|, and at most three
+    times that minimum."""
     idx = np.unravel_index(int(np.argmax(np.abs(b))), b.shape)
     phase = a[idx] / b[idx] if abs(b[idx]) >= 1e-12 else 0.0
     if abs(phase) < 1e-12:
@@ -296,8 +284,11 @@ class RowVerdict:
     published_rule: str
     published_fidelities: tuple[float, float]
     oracle_rule: str
-    matrix_distance: float      # phase-aligned, full 4x4
-    branch_distance: float      # phase-aligned, on the collapsed branch
+    # phase_aligned_distance(oracle, published): 0 where the two agree up to
+    # a global phase, else an upper bound on the distance min over theta
+    matrix_distance: float      # of the full 4x4 unitaries
+    branch_distance: float      # of their outputs on the collapsed branch,
+                                # the larger at the two ORACLE_POINTS
     verdict: str                # confirmed | phase-equivalent | mismatch
 
     def line(self) -> str:
@@ -320,7 +311,7 @@ def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
     """
     rows = []
     for i, rule in enumerate(CORRECTION_TABLES[table_id], start=1):
-        oracle = _cached_oracle(rule.receiver, *rule.outcomes)
+        oracle = oracle_find_correction(rule.receiver, *rule.outcomes)
         up, uo = rule.unitary(), oracle.unitary()
         fids = tuple(noiseless_fidelity(rule, spec) for spec in ORACLE_POINTS)
         if min(fids) < 1.0 - FIDELITY_TOL:
@@ -348,26 +339,17 @@ def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
 BRANCHES = {receiver: tuple(product(SENDER_OUTCOMES, product(labels, repeat=count)))
             for receiver, (count, labels) in COLLABORATOR_LABELS.items()}
 
-#: rows of a derived table: one per sender outcome and collaborator label pair
-DERIVED_TABLE_ROWS = len(BRANCHES["charlie"])
-
-
-def derived_rule(receiver: str, row: int) -> CorrectionRule:
-    """Oracle-derived correction for one row of a Hadamard-collaborator
-    receiver's table: rows 1..16 for zeta1, 17..32 for zeta2, the labels of the
-    first collaborator outermost."""
-    if receiver not in ("charlie", "david"):
-        raise ValueError("derivable tables pair a Hadamard-measured "
-                         "collaborator duo with receiver charlie or david")
-    check_row(row, DERIVED_TABLE_ROWS, "derived table")
-    return _cached_oracle(receiver, *BRANCHES[receiver][row - 1])
-
 
 def derive_receiver_table(receiver: str = "charlie") -> tuple[CorrectionRule, ...]:
     """Oracle-generate the full correction table for a Hadamard-collaborator
-    receiver (used for Charlie, whose table is not published)."""
-    return tuple(derived_rule(receiver, row)
-                 for row in range(1, DERIVED_TABLE_ROWS + 1))
+    receiver (used for Charlie, whose table is not published): rows 1..16
+    for zeta1, 17..32 for zeta2, the labels of the first collaborator
+    outermost. Each row is the cached, frozen rule of its search."""
+    if receiver not in ("charlie", "david"):
+        raise ValueError("derivable tables pair a Hadamard-measured "
+                         "collaborator duo with receiver charlie or david")
+    return tuple(oracle_find_correction(receiver, *branch)
+                 for branch in BRANCHES[receiver])
 
 
 def format_table_report(verdicts: dict[str, tuple[RowVerdict, ...]]) -> str:

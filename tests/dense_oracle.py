@@ -27,6 +27,7 @@ import numpy as np
 
 from hrsp.linalg import I2, kron
 from hrsp.noise import warn_trace_deficit
+from hrsp.protocol import CORRECTION_TABLES, derive_receiver_table
 from hrsp.states import TargetSpec, outcome_kets, protocol_state, target_state
 
 PROJECTOR_TOL = 1e-10
@@ -199,6 +200,15 @@ def build_measurement_operator(scenario: MeasurementScenario) -> np.ndarray:
     if np.max(np.abs(u @ u - u)) > PROJECTOR_TOL:
         raise ValueError("assembled measurement operator is not a projector")
     return u
+
+
+def rule_of(config):
+    """The CorrectionRule of a PipelineConfig's row: the published rule, or
+    for a row of the "oracle" table Charlie's derived rule, found by the
+    oracle search that the sweeps do without."""
+    if config.table == "oracle":
+        return derive_receiver_table("charlie")[config.row - 1]
+    return CORRECTION_TABLES[config.table][config.row - 1]
 
 
 def receiver_block(rho: np.ndarray, rule, spec: TargetSpec) -> np.ndarray:

@@ -13,7 +13,7 @@ from hrsp.protocol import (CORRECTION_TABLES, CorrectionRule,
 from hrsp.states import TargetSpec, protocol_state, verify_factorization
 
 from dense_oracle import (apply_channel, corrected_fidelity, kraus_operators,
-                          projector, receiver_block)
+                          projector, receiver_block, rule_of)
 from reference_data import (BOB_LIMIT, CURVES, ENDPOINT_TOLERANCE, ETA_GRID,
                             REFERENCE_MINIMA)
 
@@ -206,7 +206,7 @@ def test_criterion_8_fidelity_cross_check(default_sweeps):
     psi = projector(protocol_state())
     worst = 0.0
     for (noise, _), result in default_sweeps.items():
-        rule, spec = result.config.rule(), result.config.spec
+        rule, spec = rule_of(result.config), result.config.spec
         for s in result.samples:
             if s.boundary_extended:
                 want = abs(spec.beta)

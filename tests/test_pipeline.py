@@ -21,7 +21,8 @@ from dense_oracle import (apply_channel, build_measurement_operator,
                           channel_trace, corrected_fidelity,
                           einsum_branch_amplitudes, kraus_operators,
                           partial_trace, party_kraus_stack, projector,
-                          receiver_block, scenario_for, uhlmann_fidelity)
+                          receiver_block, rule_of, scenario_for,
+                          uhlmann_fidelity)
 from reference_data import BOB_LIMIT, CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -47,8 +48,8 @@ def dense_fidelity(config, eta):
     Uhlmann formula."""
     block = receiver_block(
         dense_channel(config.noise_kind, eta, config.correlated),
-        config.rule(), config.spec)
-    return corrected_fidelity(block, config.rule(), config.spec)
+        rule_of(config), config.spec)
+    return corrected_fidelity(block, rule_of(config), config.spec)
 
 
 def assert_matches_dense_chain(config, eta):
@@ -56,7 +57,7 @@ def assert_matches_dense_chain(config, eta):
     dense chain; config.eta_grid is (eta,)."""
     want = receiver_block(
         dense_channel(config.noise_kind, eta, config.correlated),
-        config.rule(), config.spec)
+        rule_of(config), config.spec)
     p_want = float(np.trace(want).real)
     if p_want <= BRANCH_PROBABILITY_FLOOR:
         with pytest.raises(BranchProbabilityError, match="branch probability"):
@@ -69,7 +70,7 @@ def assert_matches_dense_chain(config, eta):
     (sample,) = sweep(config).samples
     assert not sample.boundary_extended
     assert abs(sample.fidelity
-               - corrected_fidelity(want, config.rule(), config.spec)) < 1e-9
+               - corrected_fidelity(want, rule_of(config), config.spec)) < 1e-9
 
 
 class TestCollapse:
@@ -202,8 +203,8 @@ class TestKernelContracts:
                                              eta, target):
         table, number, receiver = row
         spec = TargetSpec(*target)
-        rule = PipelineConfig(noise, receiver, table, number, spec,
-                              (eta,)).rule()
+        rule = rule_of(PipelineConfig(noise, receiver, table, number, spec,
+                                      (eta,)))
         branch = (receiver, rule.sender_outcome, rule.collaborator_outcomes,
                   spec)
         stack = party_kraus_stack(kraus_operators(noise, [eta])[0], correlated)
@@ -356,7 +357,7 @@ def kernel_point(config, eta):
     """F = ||W u|| / ||W|| and p = ||W||^2 at one eta, straight from
     states.branch_amplitudes with the oracle's per-eta stack, independent of
     the sweep's curves and of the pair terms."""
-    rule = config.rule()
+    rule = rule_of(config)
     stack = party_kraus_stack(kraus_operators(config.noise_kind, [eta])[0],
                               config.correlated)
     w = branch_amplitudes(config.receiver, rule.sender_outcome,
@@ -699,27 +700,25 @@ class TestTableEvaluation:
                                      correlated=correlated))
                 assert evaluations() == 2 * row
 
-    def test_oracle_rows_are_swept_without_a_search(self, monkeypatch):
+    def test_oracle_rows_are_swept_without_a_search(self):
         # configs, sweeps and receiver_state read a Charlie row's branch from
-        # the table map and its correction from the branch itself; only the
-        # public rule() runs the oracle search, once per row
-        found = []
-        search = protocol.oracle_find_correction
-
-        def counted(*branch):
-            found.append(branch)
-            return search(*branch)
-
-        monkeypatch.setattr(protocol, "oracle_find_correction", counted)
-        protocol._cached_oracle.cache_clear()
+        # the table map and its correction from the branch itself: the
+        # package's noisy side cannot reach the search, and makes none
+        oracle = (protocol.oracle_find_correction, protocol.branch_vector,
+                  protocol.derive_receiver_table, protocol.verify_table,
+                  protocol.noiseless_fidelity, protocol)
+        assert not [name for name, value in vars(pipeline).items()
+                    if any(value is x for x in oracle)]
+        protocol.oracle_find_correction.cache_clear()
         clear_noisy_caches()
         for row in range(1, 33):
             config = default_config("ad", "charlie", row=row)
             sweep(config)
             receiver_state(config, 0.5)
-        assert found == []
-        config.rule()
-        assert found == [("charlie", *protocol.BRANCHES["charlie"][31])]
+        assert protocol.oracle_find_correction.cache_info().misses == 0
+        # the tests' rule_of derives the whole table, one search per row
+        assert rule_of(config) is rule_of(config)
+        assert protocol.oracle_find_correction.cache_info().misses == 32
 
 
 class TestDerivedCorrection:
@@ -905,11 +904,13 @@ class TestConfig:
     @pytest.mark.parametrize("table,receiver", [("I", "bob"),
                                                 ("oracle", "charlie")])
     def test_bad_row_rejected_after_its_rule_is_cached(self, table, receiver):
-        # row 1's rule is cached (an oracle row's by its branch), and the
-        # caches are keyed by int rows: True, 1.0 and "1" must not find row
-        # 1's entry, and an unhashable row is still a bad row
+        # row 1 is swept and its rule cached (an oracle row's by its
+        # branch), and the caches are keyed by int rows: True, 1.0 and "1"
+        # must not find row 1's entry, and an unhashable row is still a bad
+        # row
         config = PipelineConfig("ad", receiver, table, 1, BALANCED, (0.0, 1.0))
-        assert config.rule() is config.rule()
+        sweep(config)
+        assert rule_of(config) is rule_of(config)
         for row in (True, 1.0, "1", 2.5, [1], np.array([1])):
             with pytest.raises(ValueError, match="row must be an integer"):
                 PipelineConfig("ad", receiver, table, row, BALANCED, (0.0, 1.0))
@@ -919,8 +920,9 @@ class TestConfig:
     def test_numpy_integer_row_accepted(self, table, receiver):
         config = PipelineConfig("ad", receiver, table, np.int64(2), BALANCED,
                                 (0.0, 1.0))
-        assert config.rule() == replace(config, row=2).rule()
+        assert config == replace(config, row=2)
         assert type(config.row) is int
+        assert sweep(config).samples == sweep(replace(config, row=2)).samples
 
     @pytest.mark.parametrize("correlated", ["False", "", 0, 1, None, 1.0])
     def test_non_bool_correlated_rejected(self, correlated):

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from hrsp import pipeline, protocol
 from hrsp.linalg import kron
+from hrsp.pipeline import PipelineConfig
 from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, TOKENS,
                            branch_vector, correction_unitary,
-                           derive_receiver_table, derived_rule,
+                           derive_receiver_table,
                            format_table_report, noiseless_fidelity,
                            oracle_find_correction, parse_gate_string,
                            phase_aligned_distance, verify_table)
@@ -195,9 +196,15 @@ class TestOracle:
             assert noiseless_fidelity(rule, spec) > 1 - 1e-10
 
     def test_unknown_sender_outcome_rejected(self):
-        # used to be read as zeta2 and returned a rule labelled zeta3
-        with pytest.raises(ValueError, match="unknown sender outcome"):
-            oracle_find_correction("charlie", "zeta3", ("++", "++"))
+        # used to be read as zeta2 and returned a rule labelled zeta3; a
+        # search that raises is not cached, so a second call searches again
+        before = oracle_find_correction.cache_info()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown sender outcome"):
+                oracle_find_correction("charlie", "zeta3", ("++", "++"))
+        after = oracle_find_correction.cache_info()
+        assert after.misses == before.misses + 2
+        assert after.currsize == before.currsize
 
 
 class TestTables:
@@ -274,10 +281,48 @@ class TestTables:
         assert protocol.BRANCH_PROBABILITY_FLOOR is pipeline.BRANCH_PROBABILITY_FLOOR
         _, p = branch_vector("bob", "zeta1", ("01",), BALANCED)
         monkeypatch.setattr(protocol, "BRANCH_PROBABILITY_FLOOR", p)
+        # the branch above is cached under the real floor
+        branch_vector.cache_clear()
         with pytest.raises(ValueError, match="vanishing probability"):
             branch_vector("bob", "zeta1", ("01",), BALANCED)
         monkeypatch.setattr(protocol, "BRANCH_PROBABILITY_FLOOR", p * (1 - 1e-9))
         branch_vector("bob", "zeta1", ("01",), BALANCED)
+
+
+class TestPhaseAlignedDistance:
+    """phase_aligned_distance aligns the phase at one entry: 0 where two
+    arrays agree up to a global phase, else an upper bound on the distance
+    min over theta of max |a - e^{i theta} b|."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, np.pi, 5.0])
+    def test_zero_for_a_global_phase(self, theta):
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        assert phase_aligned_distance(np.exp(1j * theta) * b, b) < 1e-14
+        for rule in CORRECTION_TABLES["II"]:
+            u = rule.unitary()
+            assert phase_aligned_distance(np.exp(1j * theta) * u, u) < 1e-15
+
+    def test_never_below_the_minimum_over_phases(self):
+        # on a grid of phases, the minimum is at most the grid's resolution
+        # times max |b| above the true one, and max |b| <= 1 here
+        theta = np.linspace(0.0, 2 * np.pi, 2001)
+        resolution = theta[1] / 2
+
+        def grid_min(a, b):
+            phased = np.exp(1j * theta)[:, None, None] * b.reshape(1, -1, 1)
+            return np.abs(a.reshape(1, -1, 1) - phased).max(axis=(1, 2)).min()
+
+        for table, rules in CORRECTION_TABLES.items():
+            for rv, rule in zip(verify_table(table), rules, strict=True):
+                up = rule.unitary()
+                uo = correction_unitary(parse_gate_string(rv.oracle_rule))
+                assert rv.matrix_distance >= grid_min(uo, up) - resolution
+                below = [grid_min(uo @ v, up @ v) - resolution
+                         for v, _ in (branch_vector(rule.receiver,
+                                                    *rule.outcomes, spec)
+                                      for spec in ORACLE_POINTS)]
+                assert rv.branch_distance >= max(below)
 
 
 class TestCharlieTable:
@@ -297,29 +342,33 @@ class TestCharlieTable:
         labels = ("++", "+-", "-+", "--")
         keys = [(z, (a, b)) for z in ("zeta1", "zeta2")
                 for a in labels for b in labels]
-        for row, key in enumerate(keys, start=1):
-            rule = derived_rule("charlie", row)
-            assert (rule.sender_outcome, rule.collaborator_outcomes) == key
-            assert rule == oracle_find_correction("charlie", *key)
+        assert list(protocol.BRANCHES["charlie"]) == keys
+        for rule, key in zip(derive_receiver_table("charlie"), keys,
+                             strict=True):
+            assert rule.outcomes == key
+            assert rule is oracle_find_correction("charlie", *key)
         assert derive_receiver_table("david") == tuple(
-            derived_rule("david", row) for row in range(1, 33))
+            oracle_find_correction("david", *key)
+            for key in protocol.BRANCHES["david"])
 
     @pytest.mark.parametrize("receiver,row,match",
                              [("charlie", 0, "rows 1..32, got 0"),
                               ("charlie", 33, "rows 1..32, got 33"),
                               ("bob", 1, "charlie or david")])
     def test_bad_row_or_receiver_rejected(self, receiver, row, match):
+        # a derived table's rows are named only by the "oracle" table of a
+        # config; Bob's outcomes have no Hadamard-measured collaborator duo
         with pytest.raises(ValueError, match=match):
-            derived_rule(receiver, row)
+            if receiver == "bob":
+                derive_receiver_table(receiver)
+            else:
+                PipelineConfig("ad", receiver, "oracle", row, BALANCED, (0.5,))
 
     @pytest.mark.parametrize("row", [True, False, 2.0, 1.5, "1", None])
     def test_non_integer_row_rejected(self, row):
         # True used to return row 1's rule, 2.0 raised TypeError
         with pytest.raises(ValueError, match="row must be an integer"):
-            derived_rule("charlie", row)
-
-    def test_numpy_integer_row_accepted(self):
-        assert derived_rule("charlie", np.int64(2)) == derived_rule("charlie", 2)
+            PipelineConfig("ad", "charlie", "oracle", row, BALANCED, (0.5,))
 
 
 class TestReport:
@@ -333,7 +382,8 @@ class TestReport:
 
     def test_each_branch_collapses_once_per_oracle_point(self, monkeypatch):
         # the oracle search, the row verdicts and Charlie's report lines read
-        # one cached collapse per branch and point: 72 branches x 2 points
+        # one cached collapse per branch and point, 72 branches x 2 points,
+        # and search each branch once; a second report reads the caches only
         made = []
         kernel = protocol.branch_amplitudes
 
@@ -342,10 +392,15 @@ class TestReport:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "branch_amplitudes", counted)
-        protocol._collapse.cache_clear()
-        protocol._cached_oracle.cache_clear()
-        format_table_report({t: verify_table(t) for t in CORRECTION_TABLES})
-        assert len(made) == len(set(made)) == 72 * len(ORACLE_POINTS)
+        branch_vector.cache_clear()
+        oracle_find_correction.cache_clear()
+        for _ in range(2):
+            format_table_report({t: verify_table(t) for t in CORRECTION_TABLES})
+            assert len(made) == len(set(made)) == 72 * len(ORACLE_POINTS)
+            searches = oracle_find_correction.cache_info()
+            assert searches.misses == searches.currsize == 72
         # shared by every later caller
-        assert not protocol._collapse("bob", "zeta1", ("01",),
-                                      BALANCED).flags.writeable
+        vector, _ = branch_vector("bob", "zeta1", ("01",), BALANCED)
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 0.0
+        assert len(made) == 72 * len(ORACLE_POINTS)
