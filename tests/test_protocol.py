@@ -370,6 +370,14 @@ class TestCharlieTable:
         with pytest.raises(ValueError, match="row must be an integer"):
             PipelineConfig("ad", "charlie", "oracle", row, BALANCED, (0.5,))
 
+    def test_numpy_integer_row_accepted(self):
+        # a numpy integer names the same row of Charlie's derived table
+        config = PipelineConfig("ad", "charlie", "oracle", np.int64(2),
+                                BALANCED, (0.5,))
+        assert type(config.row) is int
+        assert config == PipelineConfig("ad", "charlie", "oracle", 2,
+                                        BALANCED, (0.5,))
+
 
 class TestReport:
     def test_report_covers_all_tables_and_charlie(self):
