@@ -20,21 +20,23 @@ s = sqrt(1 - eta), and W is linear in (alpha, beta): W = alpha W_0 + beta W_1,
 with W_0 and W_1 the amplitudes at the targets (1, 0) and (0, 1). So G
 is, at each power eta^M s^j (M <= 6, j <= 12), an 8 x 8 matrix over
 (unit target, receiver basis) pairs: a finite set of coefficients that
-gives G at every eta and every target. _branches builds them for every
-branch of one receiver at once, once per process for each (noise kind,
-channel mode, receiver): one kernel call per branch on the nonzero terms,
-then one product per power for all branches. It stores only the nonzero
-coefficients, with their indices, about 4 % of the entries at the powers
-the correlated AD channel reaches and 31 % for PD, and the t^0 amplitude
-of W_0 and W_1 by power of s. The same pass gives the channel's trace on
-|Psi><Psi|, by power, which is the same for every receiver.
+gives G at every eta and every target. Each outcome branch is read by
+exactly one table row (table I for Bob, II or III for David, the derived
+table for Charlie), so the noisy side has one store, one entry of _stack
+per (noise kind, channel mode, table), built once per process from that
+table's rows alone: one kernel call per row's branch on the nonzero terms,
+then one product per power for all of them. It keeps only the nonzero
+coefficients, each with its row and its index, about 4 % of the entries at
+the powers the correlated AD channel reaches and 31 % for PD; the t^0
+amplitude of W_0 and W_1 by power of s goes into the stack and is not
+kept. The same pass gives the channel's trace on |Psi><Psi|, by power,
+which is the same for every table.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
 M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
 in the rows of the grid tables. A table is the only store of its rows'
-curves: _stack derives every row's curves from its branch's G and its
-correction u = O^T xi, in one pass for the whole table, once per process
-for each (noise kind, channel mode, table):
+curves: the same _stack pass derives every row's curves from its branch's
+G and its correction u = O^T xi, for the whole table at once:
 
     p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),
 
@@ -45,25 +47,28 @@ fidelity of 0 comes out as 0 and not as the square root of rounding noise.
 A row's curves are one block of 20 rows, one per monomial of (alpha, beta)
 of ||W u||^2 without N_0, of p and of the N_0 amplitude, one for the
 channel's trace on |Psi><Psi|, and one per monomial of ||W u||^2 and p at
-eta = 1, by power of s. Its columns are its receiver's column set,
-which _branches derives with the Grams: the powers that some Gram or the
-trace reaches, the Grams' powers of s (for the eta = 1 folds) and those of
-the t^0 amplitude. So a table's blocks are one read-only (rows, 20, K)
-array, built by one product and one bincount over the coefficients of all
-its rows' branches, each tagged with its row. A published row's u is read
-off its rule's unitary. Charlie's derived table needs no oracle search: any
-correction that maps the noiseless branch a_0 alpha + a_1 beta onto the
-target has u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and
-a_m is the branch's t^0 amplitude at s = 1. The key spaces are finite,
-2 x 2 x 72 = 288 branches of 0.9 to 3.4 KB and 16 stacks of 10.2 to
-230.4 KB, so the caches need no size limit and hold at most 0.66 MB of
-Grams and 1.00 MB of stacks; a scan of all 72 rows under both noise kinds
-and the correlated channel fills 144 Grams, 0.23 MB, and 8 stacks, 0.34 MB.
+eta = 1, by power of s. Its columns are the table's column set, derived
+with the Grams: the powers that some Gram or the trace reaches, the Grams'
+powers of s (for the eta = 1 folds) and those of the t^0 amplitude; David's
+tables II and III have the same one under every channel. So a table's
+blocks are one read-only (rows, 20, K) array, built by one product and one
+bincount over the coefficients of all its rows' branches, each tagged with
+its row. A published row's u is read off its rule's unitary. Charlie's
+derived table needs no oracle search: any correction that maps the
+noiseless branch a_0 alpha + a_1 beta onto the target has
+u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and a_m is the
+branch's t^0 amplitude at s = 1. The key space is finite,
+2 x 2 x 4 = 16 tables, whose Gram coefficients (with their rows and
+indices) take 0.5 to 90.1 KB and whose stacks take 10.2 to 230.4 KB, so
+the cache needs no size limit and holds at most 0.46 MB of Grams and
+1.00 MB of stacks; a scan of all 72 rows under both noise kinds and the
+correlated channel fills 8 entries, 0.12 MB of Grams and 0.34 MB of
+stacks.
 
 _evaluate samples every row of a table's stack at one target on one grid
 chunk. It multiplies the stack by the target's monomials, a (6, 20) matrix
 that puts each monomial against the rows of a block: one product gives,
-for each block on the receiver's powers, the coefficients of ||W u||^2
+for each block on the table's powers, the coefficients of ||W u||^2
 without N_0, of p, of the amplitude and of the trace, and the two eta = 1
 folds, whose lowest nonzero power of s in p is j0 (see below). For each
 chunk of GRID_CHUNK = 1024 etas, _tables holds the grid side, every power
@@ -89,11 +94,12 @@ x GRID_CHUNK etas x 2 floats, 0.52 MB, read-only, as every sweep at its
 key shares it. Every sweep still makes the TraceDeficitWarning check.
 
 receiver_state reads the branch's cached G, the one the row's curves come
-from: it weighs each coefficient by its power eta^M s^j at its one eta and
-by the target's alpha^2, alpha beta or beta^2, and returns rho = G^T / p.
-It makes no kernel call once the receiver's branches are built, and
-evaluates those powers, and the trace curve, with the same _monomials as
-the chunk tables, without touching the one-slot _tables cache.
+from: the coefficients of its table's _stack entry tagged with its row. It
+weighs each by its power eta^M s^j at its one eta and by the target's
+alpha^2, alpha beta or beta^2, and returns rho = G^T / p. It makes no
+kernel call once the row's table is built, and evaluates those powers, and
+the trace curve, with the same _monomials as the chunk tables, without
+touching the one-slot _tables cache.
 
 Where a Bob outcome's probability vanishes at eta = 1 (every damping path
 annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
@@ -230,19 +236,35 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
     return tuple(round(i * step, 10) for i in range(n + 1))
 
 
+def _coordinates(index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(P, m, i, n, j) of flat indices into (_POWERS, 2, 4, 2, 4), read off
+    their bits: np.unravel_index takes about ten times as long."""
+    return index >> 6, index >> 5 & 1, index >> 3 & 3, index >> 2 & 1, index & 3
+
+
 @lru_cache(maxsize=None)
-def _branches(noise_kind: str, correlated: bool,
-              receiver: str) -> tuple[np.ndarray, dict, np.ndarray]:
-    """What the sweeps and receiver_state read of one receiver under one
-    channel, all read-only: the channel's trace on |Psi><Psi| by power index;
-    every outcome branch of the receiver, keyed by (sender outcome,
-    collaborator outcomes); and the receiver's column set, the power indices
-    of the columns of its tables' stacks. A branch is read off its
-    amplitudes W_m at the unit targets (m = 0 for alpha, 1 for beta): the
-    nonzero coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj
-    at each power index P, their flat indices into (_POWERS, 2, 4, 2, 4),
-    and the t^0 part of W_m, shape (2, 4, S_ORDERS) by power s^j. One
-    kernel call per branch, then one product per power for all of them."""
+def _stack(noise_kind: str, correlated: bool,
+           table: str) -> tuple[np.ndarray, ...]:
+    """What the sweeps and receiver_state read of one table under one
+    channel, all read-only, built from its rows' branches alone:
+
+    - the stack, every row's exact curves from its branch's Gram and its
+      correction: (rows, 20, K) blocks in row order, whose rows go with the
+      columns of _target_monomials: the coefficients of ||W u||^2 (without
+      its eta^0 part) for alpha^4, alpha^3 beta, ..., beta^4, then those of
+      p and of the t^0 amplitude W u, each for alpha^2, alpha beta, beta^2,
+      and the channel's trace; then ||W u||^2 and p at eta = 1, by power of
+      s in the columns of the powers eta^0 s^j;
+    - the columns, the power index of each of the K columns;
+    - the channel's trace on |Psi><Psi| by power index;
+    - the nonzero coefficients of the rows' branch Grams G[P, m, i, n, j] =
+      sum_k W_m,ki W_n,kj, with the row of each and its flat index into
+      (_POWERS, 2, 4, 2, 4), for receiver_state.
+
+    A branch is read off its amplitudes W_m at the unit targets (m = 0 for
+    alpha, 1 for beta): one kernel call per row, then one product per power
+    for all rows, whose nonzero entries come out tagged with their row."""
+    receiver, keys = _TABLES[table]
     ops, kraus, power, degree = pair_terms(noise_kind, correlated)
     # a triple is one pair of terms (of one Kraus operator) per party: the
     # channel weighs the product of the kernel's entries at its first and
@@ -262,64 +284,39 @@ def _branches(noise_kind: str, correlated: bool,
     weight = np.abs(protocol_state().reshape(2, 4, 4, 4)) ** 2
     trace = np.bincount(powers, np.einsum("abcd,xb,yc,zd->xyz", weight, d, d,
                                           d).reshape(-1), _POWERS)
-    keys = BRANCHES[receiver]
-    # [branch, triple, (m, i)]
+    # [row, triple, (m, i)]
     w = np.array([branch_amplitudes(receiver, *key, _UNIT_TARGETS, ops)
                   for key in keys]).transpose(0, 2, 3, 4, 1, 5).reshape(
                       len(keys), -1, 8)
     first, second = (triples(x * n * n, x * n, x) for x in (first, second))
     (reached,) = np.nonzero(np.bincount(powers))
-    gram = np.stack([w[:, first[at]].transpose(0, 2, 1) @ w[:, second[at]]
-                     for at in powers == reached[:, None]], axis=1)
-    index = (reached[:, None] * 64 + np.arange(64)).astype(np.uint16).reshape(-1)
     # one Kraus operator per noise kind carries t^0, so the t^0 terms of the
     # three parties make up one Kraus triple, the channel at eta = 0; its
-    # amplitude has degree <= 6 in s, and a triple with a t^1 term lands
-    # past the powers of s
+    # amplitude, [row, m, i, s^j], has degree <= 6 in s, and a triple with a
+    # t^1 term lands past the powers of s
     free = np.where(power == 0, degree, S_ORDERS)
-    amplitude = w.transpose(0, 2, 1) @ (
-        triples(free, free, free)[:, None] == np.arange(S_ORDERS))
-    branches = {key: (g[g != 0.0], index[g != 0.0], a.reshape(2, 4, -1))
-                for key, g, a in zip(keys, gram.reshape(len(keys), -1), amplitude)}
+    amplitude = (w.transpose(0, 2, 1) @ (triples(free, free, free)[:, None]
+                 == np.arange(S_ORDERS))).reshape(len(keys), 2, 4, S_ORDERS)
+    gram = np.stack([w[:, first[at]].transpose(0, 2, 1) @ w[:, second[at]]
+                     for at in powers == reached[:, None]], axis=1)
+    # the kernel output and the dense Grams are freed before the stack is
+    # built: kept, they raise a cold sweep's peak memory
+    del w
     # the columns: the powers some Gram reaches, their powers of s (for the
     # eta = 1 folds), those of the t^0 amplitude and those of the trace; an
     # index below _POWERS fits a byte
     used = np.zeros(_POWERS, bool)
     used[reached] = gram.any(axis=(0, 2, 3))
     used[:S_ORDERS] |= (used.reshape(ETA_ORDERS, S_ORDERS).any(axis=0)
-                        | amplitude.any(axis=(0, 1)))
+                        | amplitude.any(axis=(0, 1, 2)))
     (columns,) = np.nonzero(used | (trace != 0.0))
     columns = columns.astype(np.uint8)
-    for array in (trace, columns,
-                  *(x for branch in branches.values() for x in branch)):
-        array.setflags(write=False)
-    return trace, branches, columns
-
-
-def _coordinates(index: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(P, m, i, n, j) of flat indices into (_POWERS, 2, 4, 2, 4), read off
-    their bits: np.unravel_index takes about ten times as long."""
-    return index >> 6, index >> 5 & 1, index >> 3 & 3, index >> 2 & 1, index & 3
-
-
-@lru_cache(maxsize=None)
-def _stack(noise_kind: str, correlated: bool,
-           table: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's exact curves, from its branch's Gram and its correction: a
-    read-only (rows, 20, K) stack of blocks in row order, and the power index
-    of each of the K columns, its receiver's column set. A block's rows go
-    with the columns of _target_monomials: the coefficients of ||W u||^2
-    (without its eta^0 part) for alpha^4, alpha^3 beta, ..., beta^4, then
-    those of p and of the t^0 amplitude W u, each for alpha^2, alpha beta,
-    beta^2, and the channel's trace; then ||W u||^2 and p at eta = 1, by
-    power of s in the columns of the powers eta^0 s^j."""
-    receiver, keys = _TABLES[table]
-    trace, branches, columns = _branches(noise_kind, correlated, receiver)
-    # the coefficients of every row's branch in one array, each with its row
-    gram, index, amplitude = zip(*map(branches.get, keys))
-    row = np.repeat(np.arange(len(keys)), list(map(len, gram)))
-    gram, amplitude = np.concatenate(gram), np.array(amplitude)   # [row, m, i, s^j]
-    power, m, i, n, j = _coordinates(np.concatenate(index))
+    # the nonzero coefficients in row order, each with its row and with its
+    # power's index in place of its position among the reached powers
+    row, at = np.nonzero(gram.reshape(len(keys), -1))
+    gram = gram.reshape(len(keys), -1)[row, at]
+    index = (reached[at >> 6] * 64 + (at & 63)).astype(np.uint16)
+    power, m, i, n, j = _coordinates(index)
     if table == "oracle":
         # a correction O that takes the noiseless branch a_0 alpha + a_1 beta
         # onto the target has O a_m = c e_m, so u = O^T xi = alpha v_0 +
@@ -353,8 +350,11 @@ def _stack(noise_kind: str, correlated: bool,
     amplitude = np.stack([y[:, 0, 0], y[:, 0, 1] + y[:, 1, 0], y[:, 1, 1]], axis=1)
     stack[:, 8:11, :len(eta0)] = amplitude[..., eta0]
     stack[:, 11] = trace[columns]
-    stack.setflags(write=False)
-    return stack, columns
+    # a table has at most 32 rows: a row fits a byte
+    row = row.astype(np.uint8)
+    for array in (stack, columns, trace, gram, row, index):
+        array.setflags(write=False)
+    return stack, columns, trace, gram, row, index
 
 
 def _target_monomials(a: float, b: float) -> np.ndarray:
@@ -384,18 +384,19 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
     """The receiver's normalized state G^T / p on the config's branch at one
     eta, before correction, and the branch probability p = tr G: the
     branch's cached Gram, the one the sweep's curves come from, weighed at
-    that eta and at the config's target. No kernel call once the receiver's
-    branches are built."""
+    that eta and at the config's target. No kernel call once the row's table
+    is built."""
     if not 0.0 <= eta <= 1.0:   # False for NaN
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
     monomials = _monomials(np.array([eta]))[:, 0]
-    trace, branches, _ = _branches(config.noise_kind, config.correlated,
-                                   config.receiver)
+    _, _, trace, gram, row, index = _stack(config.noise_kind, config.correlated,
+                                           config.table)
     warn_trace_deficit(1.0 - float(trace @ monomials))
-    gram, index, _ = branches[_TABLES[config.table][1][config.row - 1]]
-    power, m, i, n, j = _coordinates(index)
+    # the row tags increase: the row's coefficients are one slice
+    mine = slice(row.searchsorted(config.row - 1), row.searchsorted(config.row))
+    power, m, i, n, j = _coordinates(index[mine])
     target = np.array([config.spec.alpha, config.spec.beta])
-    g = np.bincount(i * 4 + j, gram * monomials[power] * target[m]
+    g = np.bincount(i * 4 + j, gram[mine] * monomials[power] * target[m]
                     * target[n], 16).reshape(4, 4)
     p = float(np.trace(g))
     if p <= BRANCH_PROBABILITY_FLOOR:
@@ -425,7 +426,7 @@ def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
     the exact limit eta -> 1; and the smallest channel trace there. One
     target product and one chunk product for the table's whole _stack.
     Cached for the last key: the sweeps of a row scan share it."""
-    stack, columns = _stack(noise_kind, correlated, table)
+    stack, columns, *_ = _stack(noise_kind, correlated, table)
     # rows ||W u||^2 without its t^0 part, p, the t^0 amplitude and the
     # trace, then ||W u||^2 and p at eta = 1
     curves = _target_monomials(alpha, beta) @ stack

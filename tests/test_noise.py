@@ -230,9 +230,9 @@ class TestChannelTrace:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_matches_dense_channel(self, kind, correlated):
-        # one curve per channel, whichever receiver's branches carry it
-        trace, *others = (pipeline._branches(kind, correlated, receiver)[0]
-                          for receiver in ("bob", "charlie", "david"))
+        # one curve per channel, whichever table's entry carries it
+        trace, *others = (pipeline._stack(kind, correlated, table)[2]
+                          for table in pipeline._TABLES)
         assert all(np.array_equal(trace, other) for other in others)
         curve = trace @ pipeline._monomials(np.array(self.ETAS))
         stacks = party_kraus_stack(kraus_operators(kind, self.ETAS), correlated)

@@ -465,9 +465,9 @@ class TestExactCurve:
         worst = [0.0, 0.0, 0.0]
         for noise, correlated, (table, row, receiver) in itertools.product(
                 ["ad", "pd"], [True, False], ALL_ROWS):
-            block = pipeline._stack(noise, correlated, table)[0][row - 1]
-            gram, _, _ = pipeline._branches(noise, correlated, receiver)[1][
-                pipeline._TABLES[table][1][row - 1]]
+            stack, _, _, grams, tags, _ = pipeline._stack(noise, correlated,
+                                                          table)
+            block, gram = stack[row - 1], grams[tags == row - 1]
             for i, (rows, scale) in enumerate(
                     ((block[squared], 2**9), (block[8:11], 2**4 * np.sqrt(2)),
                      (gram, 2**9))):
@@ -478,10 +478,10 @@ class TestExactCurve:
         assert worst[2] < 1e-11
 
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
-        stack, columns = pipeline._stack("ad", True, "I")
+        stack, *rest = pipeline._stack("ad", True, "I")
         zeros = np.zeros_like(stack)
         assert zeros.shape == stack.shape
-        monkeypatch.setattr(pipeline, "_stack", lambda *key: (zeros, columns))
+        monkeypatch.setattr(pipeline, "_stack", lambda *key: (zeros, *rest))
         # an empty slot: an earlier sweep at this key would be read, not redone
         pipeline._evaluate.cache_clear()
         with pytest.raises(BranchProbabilityError, match="vanishes at every eta"):
@@ -490,14 +490,14 @@ class TestExactCurve:
 
 def clear_noisy_caches():
     pipeline._stack.cache_clear()
-    pipeline._branches.cache_clear()
     pipeline._evaluate.cache_clear()
 
 
 class TestKernelCalls:
-    """A receiver's branches cost one kernel call each per process, whatever
-    the grid, the target or the rule: states.branch_amplitudes calls
-    counted, no timing."""
+    """A table's branches cost one kernel call each per process, whatever
+    the grid, the target or the rule, and no other table's: each outcome
+    branch is read by one table row. states.branch_amplitudes calls counted,
+    no timing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -513,34 +513,48 @@ class TestKernelCalls:
         yield made
         clear_noisy_caches()
 
+    def test_tables_partition_the_branches(self):
+        # every branch is read by exactly one (table, row), and a receiver's
+        # tables read all of its branches
+        rows = [(receiver, key) for receiver, keys in pipeline._TABLES.values()
+                for key in keys]
+        assert len(rows) == len(set(rows)) == 72
+        for receiver, branches in protocol.BRANCHES.items():
+            assert {key for r, key in rows if r == receiver} == set(branches)
+            assert len(branches) == len(set(branches))
+
     @pytest.mark.parametrize("noise,receiver,table,row", [
-        ("ad", "bob", "I", 1), ("pd", "david", "III", 6),
-        ("ad", "charlie", "oracle", 20)])
+        ("ad", "bob", "I", 1), ("ad", "david", "II", 1),
+        ("pd", "david", "III", 6), ("ad", "charlie", "oracle", 20)])
     def test_cold_then_warm_sweep(self, calls, noise, receiver, table, row):
-        # a cold sweep builds every branch of its receiver once: 8 for Bob,
-        # 32 for David and for Charlie
+        # a cold sweep builds the branches of its table's rows once, in row
+        # order: 8 for table I, 16 for II and for III, 32 for Charlie's
         config = PipelineConfig(noise, receiver, table, row, BALANCED,
                                 default_grid(0.1))
         sweep(config)
-        assert len(calls) == len(set(calls)) == {"bob": 8}.get(receiver, 32)
-        assert {call[0] for call in calls} == {receiver}
-        cold = len(calls)
+        cold = {"I": 8, "II": 16, "III": 16, "oracle": 32}[table]
+        assert calls == [(receiver, *key) for key in pipeline._TABLES[table][1]]
+        assert len(calls) == cold
         sweep(replace(config, spec=TargetSpec(0.6, -0.8),
                       eta_grid=default_grid(0.001)))
         receiver_state(config, 0.5)
         assert len(calls) == cold
 
     def test_receiver_state_reads_the_sweeps_branches(self, calls):
-        # another row of a built receiver, and another target, make no call;
-        # receiver_state on a cold receiver builds it as a sweep would
+        # table III after table II builds its own 16 branches; another row of
+        # a built table, and another target, make no call; receiver_state on
+        # a cold table builds that table only, as a sweep would
         sweep(default_config("pd", "david", row=1))
-        cold = len(calls)
-        for row in (2, 16):
+        assert len(calls) == 16
+        sweep(default_config("pd", "david", table="III", row=1))
+        assert len(calls) == 32
+        for table, row in (("II", 2), ("III", 2), ("III", 16)):
             receiver_state(default_config("pd", "david", TargetSpec(0.6, 0.8),
-                                          table="III", row=row), 0.3)
-        assert len(calls) == cold
+                                          table=table, row=row), 0.3)
+        assert len(calls) == 32
         receiver_state(default_config("pd", "bob", row=3), 0.3)
-        assert len(calls) == cold + 8
+        assert len(calls) == 40
+        assert pipeline._stack.cache_info().currsize == 3
 
     def test_grid_size_does_not_add_calls(self, calls):
         config = default_config("pd", "bob", step=0.1)
@@ -594,19 +608,17 @@ class TestKernelCalls:
 
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
-        # pipeline docstring quotes: the Grams of every branch and the stacks
-        # of every table, in all and for a correlated scan, and the
-        # evaluation slot at its largest table
-        grams = {(noise, correlated, receiver, branch): sum(a.nbytes for a in arrays)
-                 for noise in ("ad", "pd") for correlated in (True, False)
-                 for receiver in ("bob", "david", "charlie")
-                 for branch, arrays in pipeline._branches(
-                     noise, correlated, receiver)[1].items()}
-        stacks = {(noise, correlated, table): pipeline._stack(
-                      noise, correlated, table)[0].nbytes
-                  for noise in ("ad", "pd") for correlated in (True, False)
-                  for table in ("I", "II", "III", "oracle")}
-        assert len(grams) == 288 and len(stacks) == 16
+        # pipeline docstring quotes: the Gram coefficients (with their rows
+        # and indices) and the stack of every table, in all and for a
+        # correlated scan, and the evaluation slot at its largest table
+        entries = {(noise, correlated, table): pipeline._stack(
+                       noise, correlated, table)
+                   for noise in ("ad", "pd") for correlated in (True, False)
+                   for table in ("I", "II", "III", "oracle")}
+        grams = {key: sum(a.nbytes for a in entry[3:])
+                 for key, entry in entries.items()}
+        stacks = {key: entry[0].nbytes for key, entry in entries.items()}
+        assert len(entries) == pipeline._stack.cache_info().currsize == 16
         chunk = (pipeline.GRID_CHUNK * pipeline.ETA_ORDERS * pipeline.S_ORDERS
                  * 8)
         # fidelity and branch probability of each row at each eta of a chunk
@@ -625,26 +637,23 @@ class TestKernelCalls:
             assert figure in doc
 
     def test_every_block_column_is_used(self):
-        # a table's stack lies on its receiver's column set, and every column is
-        # nonzero in some block of that receiver and channel, except where
+        # a table's stack lies on its own column set, and every column is
+        # nonzero in some block of that table and channel, except where
         # Bob's uncorrelated AD Grams pair basis states that no table I
         # correction reads: u = O^T xi* lives on the two states O maps onto
         # |00> and |11> (14, 22, 33, 66 and their powers of s, 7 and 9), and
-        # a rounding residue of 6e-18 at 27
+        # a rounding residue of 6e-18 at 27. David's tables II and III share
+        # one column set, so their chunk products have one shape
         for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
-            for receiver in ("bob", "david", "charlie"):
-                _, _, columns = pipeline._branches(noise, correlated, receiver)
+            for table, (_, keys) in pipeline._TABLES.items():
+                stack, columns, *_ = pipeline._stack(noise, correlated, table)
                 assert np.all(np.diff(columns.astype(int)) > 0)
-                used = np.zeros(len(columns), bool)
-                for table in {r[0] for r in ALL_ROWS if r[2] == receiver}:
-                    stack, powers = pipeline._stack(noise, correlated, table)
-                    assert powers is columns
-                    assert stack.shape == (len(pipeline._TABLES[table][1]), 20,
-                                           len(columns))
-                    used |= stack.any(axis=(0, 1))
-                unused = set(columns[~used].tolist())
+                assert stack.shape == (len(keys), 20, len(columns))
+                unused = set(columns[~stack.any(axis=(0, 1))].tolist())
                 assert unused == ({7, 9, 14, 22, 27, 33, 66} if (
-                    noise, correlated, receiver) == ("ad", False, "bob") else set())
+                    noise, correlated, table) == ("ad", False, "I") else set())
+            assert np.array_equal(pipeline._stack(noise, correlated, "II")[1],
+                                  pipeline._stack(noise, correlated, "III")[1])
 
 
 def sample_bits(result):
@@ -729,12 +738,19 @@ class TestDerivedCorrection:
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_branch_u_is_the_corrections_u(self, noise, correlated):
+        stack = party_kraus_stack(kraus_operators(noise, [0.0])[0], correlated)
         differ = []
         for table, row, receiver in ALL_ROWS:
             key = pipeline._TABLES[table][1][row - 1]
-            # the t^0 amplitude at s = 1: the branch at eta = 0
-            a = pipeline._branches(noise, correlated, receiver)[1][key][2].sum(
-                axis=-1)
+            # the noiseless branch at the unit targets; the channel at eta = 0
+            # leaves it whole, in one Kraus triple, so it is the t^0
+            # amplitude at s = 1 that the stack reads
+            a = branch_amplitudes(receiver, *key, pipeline._UNIT_TARGETS,
+                                  IDENTITY_STACK).reshape(2, 4)
+            w = branch_amplitudes(receiver, *key, pipeline._UNIT_TARGETS,
+                                  stack).reshape(2, -1, 4)
+            assert np.array_equal(w.sum(axis=1), a)
+            assert np.count_nonzero(w.any(axis=(0, 2))) == 1
             u = a / np.linalg.norm(a[0])
             rule = (protocol.oracle_find_correction(receiver, *key)
                     if table == "oracle" else CORRECTION_TABLES[table][row - 1])
@@ -976,15 +992,14 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_is_read_only(self, noise, correlated):
         # the cached coefficients are shared by every later sweep of the
-        # table, and the branch's Gram by every row and receiver_state call
-        stack, powers = pipeline._stack(noise, correlated, "II")
-        assert stack is pipeline._stack(noise, correlated, "II")[0]
-        trace, branches, columns = pipeline._branches(noise, correlated, "david")
-        assert powers is columns
-        branch = branches["zeta1", ("-+", "++")]
+        # table, and its branches' Grams by every receiver_state call
+        entry = pipeline._stack(noise, correlated, "II")
+        assert entry is pipeline._stack(noise, correlated, "II")
+        stack, columns, trace, gram, rows, index = entry
         table = pipeline._tables(default_grid(0.1))
         target = pipeline._target_monomials(0.6, 0.8)
-        for coef in (stack, stack[2], table, target, trace, columns, *branch):
+        for coef in (stack, stack[2], table, target, trace, columns, gram,
+                     rows, index):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0
         # the trace curve, indexed M * S_ORDERS + j, against the oracle's
@@ -1021,7 +1036,7 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_trace_matches_channel_trace(self, noise, correlated):
         # the trace row of a sweep's chunk product, at each eta
-        stack, powers = pipeline._stack(noise, correlated, "I")
+        stack, powers, *_ = pipeline._stack(noise, correlated, "I")
         block = stack[1]
         etas = np.linspace(0.0, 1.0, 9)
         coef = pipeline._target_monomials(0.6, 0.8) @ block

@@ -41,14 +41,11 @@ def test_branch_amplitudes_are_real(kind, correlated):
 @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
 @pytest.mark.parametrize("correlated", [True, False])
 def test_branch_store_and_stacks_are_real(kind, correlated):
-    for receiver in protocol.BRANCHES:
-        trace, branches, columns = pipeline._branches(kind, correlated, receiver)
-        assert trace.dtype == REAL and columns.dtype.kind == "u"
-        for gram, index, amplitude in branches.values():
-            assert gram.dtype == amplitude.dtype == REAL
-            assert index.dtype.kind == "u"
     for table in pipeline._TABLES:
-        assert pipeline._stack(kind, correlated, table)[0].dtype == REAL
+        stack, columns, trace, gram, rows, index = pipeline._stack(
+            kind, correlated, table)
+        assert stack.dtype == trace.dtype == gram.dtype == REAL
+        assert columns.dtype.kind == rows.dtype.kind == index.dtype.kind == "u"
 
 
 def test_kron_keeps_its_factors_dtype():
