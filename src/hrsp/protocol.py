@@ -17,7 +17,9 @@ The brute-force oracle enumerates sequences over a fixed ten-token
 vocabulary, shortest first, lexicographic within a length, and returns the
 first sequence that maps the collapsed branch onto the target at two
 independent parameter points. It is the authority whenever a published rule
-disagrees with it. The search and the collapsed branches it reads have one
+disagrees with it. It searches in real arithmetic: iY stands in for Y, equal
+to it up to the phase -i, which the overlap |<xi|U|v>| does not see, and the
+rules it returns keep Y. The search and the collapsed branches it reads have one
 entry point each, oracle_find_correction and branch_vector, and each caches
 its own read-only results: a frozen rule per branch, and a normalized vector
 per branch and parameter point. The noisy sweeps never search:
@@ -211,8 +213,11 @@ ORACLE_VOCABULARY = ("H1", "H2", "X1", "X2", "Y1", "Y2", "Z1", "Z2",
                      "CX1-2", "CX2-1")
 
 #: the vocabulary's transposes side by side: v @ _ORACLE_STEP holds v @ m.T
-#: for every token m, in vocabulary order
-_ORACLE_STEP = np.concatenate([TOKENS[t].T for t in ORACLE_VOCABULARY], axis=1)
+#: for every token m, in vocabulary order. Real: the Y1/Y2 slots hold iY,
+#: and iY = i Y, so a sequence with k Y tokens acts as (-i)^k times its iY
+#: form, a global phase that |<xi|U|v>| does not see
+_ORACLE_STEP = np.concatenate([TOKENS["i" + t if t[0] == "Y" else t].T
+                               for t in ORACLE_VOCABULARY], axis=1)
 
 
 class OracleSearchError(RuntimeError):
@@ -227,30 +232,30 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
     Enumerates token sequences in order of length, lexicographic by the
     vocabulary order within a length, and returns the first whose action
     takes the collapsed branch to the target with fidelity >= 1 - 1e-10 at
-    both validation points. Deterministic by construction, so cached: each
+    both validation points. The arithmetic is real: the Y1/Y2 steps use
+    iY, which differs from Y by the global phase -i, so the hits are those
+    of the complex search, and the returned rule names Y1/Y2 as the true
+    complex TOKENS. Deterministic by construction, so cached: each
     of the 72 branches is searched once per process, and every caller
     shares its frozen rule. A search that raises is not cached.
     """
     vectors = np.array([branch_vector(receiver, sender_outcome,
                                       collaborator_outcomes, spec)[0]
                         for spec in ORACLE_POINTS])[:, None, :]
-    targets = np.array([target_state(spec).conj() for spec in ORACLE_POINTS])
+    targets = np.array([target_state(spec) for spec in ORACLE_POINTS])
     n = len(ORACLE_VOCABULARY)
-    # probes[p][:, j] = m_j.T xi_p*: v @ probes[p] holds <xi_p| m_j |v> for
+    # probes[p][:, j] = m_j.T xi_p: v @ probes[p] holds <xi_p| m_j |v> for
     # every token j, so a depth is tested before its vectors are built
     probes = (_ORACLE_STEP.reshape(4, n, 4) @ targets[:, None, :, None])[..., 0]
     for depth in range(1, ORACLE_MAX_DEPTH + 1):
         # row i*n + j extends sequence i with vocabulary token j, so row
         # order stays lexicographic with the first-applied token outermost
         overlap = (vectors @ probes).reshape(len(ORACLE_POINTS), -1)
-        hit = (np.abs(overlap) ** 2 >= 1.0 - FIDELITY_TOL).all(axis=0)
+        hit = (overlap * overlap >= 1.0 - FIDELITY_TOL).all(axis=0)
         first = int(np.argmax(hit))
         if hit[first]:
-            digits = []
-            for _ in range(depth):
-                digits.append(first % n)
-                first //= n
-            gates = tuple(ORACLE_VOCABULARY[d] for d in reversed(digits))
+            gates = tuple(ORACLE_VOCABULARY[d]
+                          for d in np.unravel_index(first, (n,) * depth))
             return CorrectionRule(receiver=receiver, sender_outcome=sender_outcome,
                                   collaborator_outcomes=collaborator_outcomes,
                                   gates=gates, source="oracle")

@@ -17,6 +17,10 @@ The package scores the pure target by its overlap with the branch amplitudes.
 This module scores it with the general Uhlmann fidelity
 Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) (uhlmann_fidelity, via psd_sqrt), which
 equals that overlap only because the target is pure.
+
+complex_oracle_search is the correction search in complex arithmetic: the
+true complex Y tokens in its step matrix, conjugated targets and |overlap|^2.
+The package's real search, which steps with iY, must return the same gates.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import numpy as np
 
 from hrsp.linalg import I2, kron
 from hrsp.noise import warn_trace_deficit
-from hrsp.protocol import CORRECTION_TABLES, derive_receiver_table
+from hrsp.protocol import (CORRECTION_TABLES, FIDELITY_TOL, ORACLE_MAX_DEPTH,
+                           ORACLE_POINTS, ORACLE_VOCABULARY, TOKENS,
+                           branch_vector, derive_receiver_table)
 from hrsp.states import TargetSpec, outcome_kets, protocol_state, target_state
 
 PROJECTOR_TOL = 1e-10
@@ -263,3 +269,33 @@ def corrected_fidelity(block: np.ndarray, rule, spec: TargetSpec) -> float:
     o = rule.unitary()
     rho_n = o @ block @ o.conj().T / np.trace(block).real
     return float(uhlmann_fidelity(projector(target_state(spec)), rho_n))
+
+
+# --------------------------------------------------------------------------
+# Complex correction search.
+def complex_oracle_search(receiver: str, sender_outcome: str,
+                          collaborator_outcomes: tuple[str, ...]
+                          ) -> tuple[str, ...] | None:
+    """The gates of the first sequence over ORACLE_VOCABULARY, shortest first
+    and lexicographic within a length, that takes the collapsed branch to the
+    target with fidelity >= 1 - FIDELITY_TOL at every ORACLE_POINTS, searched
+    in complex128 with the true Y tokens; None if none up to ORACLE_MAX_DEPTH."""
+    step = np.concatenate([TOKENS[t].T for t in ORACLE_VOCABULARY], axis=1)
+    vectors = np.array([branch_vector(receiver, sender_outcome,
+                                      collaborator_outcomes, spec)[0]
+                        for spec in ORACLE_POINTS])[:, None, :]
+    targets = np.array([target_state(spec).conj() for spec in ORACLE_POINTS])
+    n = len(ORACLE_VOCABULARY)
+    probes = (step.reshape(4, n, 4) @ targets[:, None, :, None])[..., 0]
+    for depth in range(1, ORACLE_MAX_DEPTH + 1):
+        overlap = (vectors @ probes).reshape(len(ORACLE_POINTS), -1)
+        hit = (np.abs(overlap) ** 2 >= 1.0 - FIDELITY_TOL).all(axis=0)
+        first = int(np.argmax(hit))
+        if hit[first]:
+            digits = []
+            for _ in range(depth):
+                digits.append(first % n)
+                first //= n
+            return tuple(ORACLE_VOCABULARY[d] for d in reversed(digits))
+        vectors = (vectors @ step).reshape(len(ORACLE_POINTS), -1, 4)
+    return None

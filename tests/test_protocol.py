@@ -15,7 +15,7 @@ from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, TOKENS,
 from hrsp.states import TargetSpec, basis_ket, target_state
 
 from dense_oracle import (MeasurementScenario, build_measurement_operator,
-                          projector, scenario_for)
+                          complex_oracle_search, projector, scenario_for)
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -194,6 +194,24 @@ class TestOracle:
         rule = oracle_find_correction("david", "zeta2", ("--", "+-"))
         for spec in ORACLE_POINTS:
             assert noiseless_fidelity(rule, spec) > 1 - 1e-10
+
+    def test_real_search_equals_complex_reference(self):
+        # the search steps with iY for Y; the complex search with the true Y
+        # finds the same first sequence on every branch, 27 of them with Y,
+        # and the rule's true unitary, complex where it has a Y, corrects its
+        # branch
+        with_y = 0
+        for receiver, branches in protocol.BRANCHES.items():
+            for key in branches:
+                rule = oracle_find_correction(receiver, *key)
+                assert rule.gates == complex_oracle_search(receiver, *key)
+                uses_y = any(g[0] == "Y" for g in rule.gates)
+                assert (rule.unitary().dtype == np.complex128) == uses_y
+                with_y += uses_y
+                for spec in ORACLE_POINTS:
+                    assert (noiseless_fidelity(rule, spec)
+                            >= 1 - protocol.FIDELITY_TOL)
+        assert with_y == 27
 
     def test_unknown_sender_outcome_rejected(self):
         # used to be read as zeta2 and returned a rule labelled zeta3; a

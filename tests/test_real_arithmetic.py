@@ -1,6 +1,8 @@
 """hrsp computes in real arithmetic from |Psi> to the fidelity: the states,
-the channel's pair terms, the branch store and the curve stacks are float64,
-and only the Y gate tokens, which no published table uses, are complex."""
+the channel's pair terms, the branch store, the curve stacks and the
+correction search are float64, and only the Y gate tokens, which no published
+table uses, are complex. The search steps with iY in their place, equal to Y
+up to a global phase."""
 
 import numpy as np
 import pytest
@@ -66,3 +68,8 @@ def test_only_the_y_tokens_are_complex():
     for rules in protocol.CORRECTION_TABLES.values():
         for rule in rules:
             assert rule.unitary().dtype == REAL
+
+
+def test_the_oracle_search_is_real():
+    # iY stands in for Y1/Y2, so every candidate, probe and overlap is real
+    assert protocol._ORACLE_STEP.dtype == REAL
