@@ -7,10 +7,10 @@ pure, so the fidelity of the corrected state O rho O^T is
 sqrt(<xi|O rho O^T|xi>) = ||W u|| / sqrt(p) with u = O^T xi: no 4x4
 matrix is formed. All of it is real: |Psi>, the targets, the pair terms
 and every correction a sweep applies (tables I to III hold no Y token, and
-Charlie's u is read off the branch). This is the package's only route to
-the receiver's state; the dense 128x128 chain (channel, measurement
-operator, partial trace) and the Uhlmann fidelity that the tests hold it
-against live in tests/dense_oracle.py.
+a derived row's u is read off its branch). This is the package's only
+route to the receiver's state; the dense 128x128 chain (channel,
+measurement operator, partial trace) and the Uhlmann fidelity that the
+tests hold it against live in tests/dense_oracle.py.
 
 The state has one cached form per outcome branch, its Gram matrix
 G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^T G u and
@@ -20,17 +20,19 @@ s = sqrt(1 - eta), and W is linear in (alpha, beta): W = alpha W_0 + beta W_1,
 with W_0 and W_1 the amplitudes at the targets (1, 0) and (0, 1). So G
 is, at each power eta^M s^j (M <= 6, j <= 12), an 8 x 8 matrix over
 (unit target, receiver basis) pairs: a finite set of coefficients that
-gives G at every eta and every target. Each outcome branch is read by
-exactly one table row (table I for Bob, II or III for David, the derived
-table for Charlie), so the noisy side has one store, one entry of _stack
-per (noise kind, channel mode, table), built once per process from that
-table's rows alone: one kernel call per row's branch on the nonzero terms,
-then one product per power for all of them. It keeps only the nonzero
-coefficients, each with its row and its index, about 4 % of the entries at
-the powers the correlated AD channel reaches and 31 % for PD; the t^0
-amplitude of W_0 and W_1 by power of s goes into the stack and is not
-kept. The same pass gives the channel's trace on |Psi><Psi|, by power,
-which is the same for every table.
+gives G at every eta and every target. Table I reads Bob's 8 branches,
+tables II and III David's 32 between them, and the derived table "oracle"
+David's 32 again, for both Hadamard receivers: |Psi> is symmetric under
+swapping Charlie and David, so Charlie's branches are David's, bitwise,
+and no sweep contracts one of Charlie's. The noisy side has one store, one
+entry of _stack per (noise kind, channel mode, table), built once per
+process from that table's rows alone: one kernel call per row's branch on
+the nonzero terms, then one product per power for all of them. It keeps
+only the nonzero coefficients, each with its row and its index, about 4 %
+of the entries at the powers the correlated AD channel reaches and 31 %
+for PD; the t^0 amplitude of W_0 and W_1 by power of s goes into the stack
+and is not kept. The same pass gives the channel's trace on |Psi><Psi|, by
+power, which is the same for every table.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
 M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
@@ -53,8 +55,8 @@ powers of s (for the eta = 1 folds) and those of the t^0 amplitude; David's
 tables II and III have the same one under every channel. So a table's
 blocks are one read-only (rows, 20, K) array, built by one product and one
 bincount over the coefficients of all its rows' branches, each tagged with
-its row. A published row's u is read off its rule's unitary. Charlie's
-derived table needs no oracle search: any correction that maps the
+its row. A published row's u is read off its rule's unitary. The derived
+table needs no oracle search: any correction that maps the
 noiseless branch a_0 alpha + a_1 beta onto the target has
 u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and a_m is the
 branch's t^0 amplitude at s = 1. The key space is finite,
@@ -141,10 +143,12 @@ class BranchProbabilityError(ValueError):
     """Conditioning on an outcome whose probability is numerically zero."""
 
 
-#: each table a config may name: its receiver, and the branch of each row
-_TABLES = {**{table: (rules[0].receiver, tuple(rule.outcomes for rule in rules))
+#: each table a config may name: the receivers it corrects (the last is the
+#: one whose branches it reads) and the branch of each row. The derived table
+#: reads David's for Charlie too: |Psi> is symmetric under swapping the two
+_TABLES = {**{table: ((rules[0].receiver,), tuple(rule.outcomes for rule in rules))
               for table, rules in CORRECTION_TABLES.items()},
-           "oracle": ("charlie", BRANCHES["charlie"])}
+           "oracle": (("charlie", "david"), BRANCHES["david"])}
 
 
 @dataclass(frozen=True)
@@ -152,11 +156,14 @@ class PipelineConfig:
     """One sweep: noise kind, receiver row, target parameters, eta grid.
 
     Validated on construction. The row is an int in 1..rows of its table:
-    a published table of CORRECTION_TABLES, or "oracle", Charlie's derived
-    table, whose row r is protocol.derive_receiver_table("charlie")[r - 1].
-    A config names its branch and correction only through (table, row): the
-    sweeps read a published row's rule from its table and a derived row's
-    correction off its branch, so no config runs the oracle search."""
+    a published table of CORRECTION_TABLES, for its receiver, or "oracle",
+    the derived table, for charlie or david, whose row r is
+    protocol.derive_receiver_table()[r - 1] on David's branch r. Charlie
+    has no published table, and Charlie's curves on the derived table are
+    David's, as Charlie's branch r equals David's. A config names its
+    branch and correction only through (table, row): the sweeps read a
+    published row's rule from its table and a derived row's correction off
+    its branch, so no config runs the oracle search."""
 
     noise_kind: str
     receiver: str
@@ -202,9 +209,10 @@ class PipelineConfig:
             raise ValueError(f"table {self.table} has rows 1..{rows}, got {row}")
         object.__setattr__(self, "row", int(row))
         object.__setattr__(self, "correlated", bool(self.correlated))
-        if self.receiver != _TABLES[self.table][0]:
+        receivers = _TABLES[self.table][0]
+        if self.receiver not in receivers:
             raise ValueError(f"table {self.table} row {self.row} corrects "
-                             f"{_TABLES[self.table][0]}, not {self.receiver}")
+                             f"{' or '.join(receivers)}, not {self.receiver}")
 
 
 class FidelitySample(NamedTuple):
@@ -264,7 +272,7 @@ def _stack(noise_kind: str, correlated: bool,
     A branch is read off its amplitudes W_m at the unit targets (m = 0 for
     alpha, 1 for beta): one kernel call per row, then one product per power
     for all rows, whose nonzero entries come out tagged with their row."""
-    receiver, keys = _TABLES[table]
+    receivers, keys = _TABLES[table]
     ops, kraus, power, degree = pair_terms(noise_kind, correlated)
     # a triple is one pair of terms (of one Kraus operator) per party: the
     # channel weighs the product of the kernel's entries at its first and
@@ -285,7 +293,7 @@ def _stack(noise_kind: str, correlated: bool,
     trace = np.bincount(powers, np.einsum("abcd,xb,yc,zd->xyz", weight, d, d,
                                           d).reshape(-1), _POWERS)
     # [row, triple, (m, i)]
-    w = np.array([branch_amplitudes(receiver, *key, _UNIT_TARGETS, ops)
+    w = np.array([branch_amplitudes(receivers[-1], *key, _UNIT_TARGETS, ops)
                   for key in keys]).transpose(0, 2, 3, 4, 1, 5).reshape(
                       len(keys), -1, 8)
     first, second = (triples(x * n * n, x * n, x) for x in (first, second))
@@ -382,10 +390,10 @@ def _monomials(eta: np.ndarray) -> np.ndarray:
 
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
     """The receiver's normalized state G^T / p on the config's branch at one
-    eta, before correction, and the branch probability p = tr G: the
-    branch's cached Gram, the one the sweep's curves come from, weighed at
-    that eta and at the config's target. No kernel call once the row's table
-    is built."""
+    eta, before correction, as a real (float64) 4x4 array, and the branch
+    probability p = tr G: the branch's cached Gram, the one the sweep's
+    curves come from, weighed at that eta and at the config's target. No
+    kernel call once the row's table is built."""
     if not 0.0 <= eta <= 1.0:   # False for NaN
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
     monomials = _monomials(np.array([eta]))[:, 0]
@@ -404,7 +412,7 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
             f"{config.noise_kind} eta={eta:g} {config.receiver} table {config.table} "
             f"row {config.row}: branch probability {p:.3e} is below "
             f"{BRANCH_PROBABILITY_FLOOR:g}, cannot normalize")
-    return (g.T / p).astype(complex), p
+    return g.T / p, p
 
 
 @lru_cache(maxsize=1)
@@ -443,7 +451,7 @@ def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
     lives = folds[:, 1].tolist()
     if 0.0 in lives:
         raise BranchProbabilityError(
-            f"{noise_kind} {_TABLES[table][0]} table {table} row "
+            f"{noise_kind} {' or '.join(_TABLES[table][0])} table {table} row "
             f"{lives.index(0.0) + 1}: the branch probability vanishes at every eta")
     ends = (columns[j0] > 0) & (chunk[-1] == 1.0)
     probability = p.copy()

@@ -188,8 +188,9 @@ def branch_vector(receiver: str, sender_outcome: str,
     """Receiver's collapsed two-qubit state, normalized, and its probability:
     states.branch_amplitudes through the noiseless identity stack. Cached and
     read-only: the oracle search, the row verdicts and the report read each
-    branch at each of ORACLE_POINTS once, 72 branches x 2 points = 144
-    entries. A vanishing branch raises, and is not cached."""
+    branch at each of ORACLE_POINTS once, Bob's 8 and David's 32 branches x 2
+    points = 80 entries (the derived table reads David's branches for
+    Charlie too). A vanishing branch raises, and is not cached."""
     v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
                           spec).reshape(4)
     prob = float(np.linalg.norm(v) ** 2)
@@ -235,9 +236,10 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
     both validation points. The arithmetic is real: the Y1/Y2 steps use
     iY, which differs from Y by the global phase -i, so the hits are those
     of the complex search, and the returned rule names Y1/Y2 as the true
-    complex TOKENS. Deterministic by construction, so cached: each
-    of the 72 branches is searched once per process, and every caller
-    shares its frozen rule. A search that raises is not cached.
+    complex TOKENS. Deterministic by construction, so cached: each branch
+    is searched once per process, and every caller shares its frozen rule;
+    the tables and the report search Bob's 8 and David's 32. A search that
+    raises is not cached.
     """
     vectors = np.array([branch_vector(receiver, sender_outcome,
                                       collaborator_outcomes, spec)[0]
@@ -292,8 +294,6 @@ class RowVerdict:
     # phase_aligned_distance(oracle, published): 0 where the two agree up to
     # a global phase, else an upper bound on the distance min over theta
     matrix_distance: float      # of the full 4x4 unitaries
-    branch_distance: float      # of their outputs on the collapsed branch,
-                                # the larger at the two ORACLE_POINTS
     verdict: str                # confirmed | phase-equivalent | mismatch
 
     def line(self) -> str:
@@ -325,17 +325,12 @@ def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
             verdict = "confirmed"
         else:
             verdict = "phase-equivalent"
-        branches = (branch_vector(rule.receiver, *rule.outcomes, spec)[0]
-                    for spec in ORACLE_POINTS)
         rows.append(RowVerdict(
             table=table_id, row=i, sender_outcome=rule.sender_outcome,
             collaborator_outcomes=rule.collaborator_outcomes,
             published_rule=rule.gate_string,
             published_fidelities=fids, oracle_rule=oracle.gate_string,
-            matrix_distance=phase_aligned_distance(uo, up),
-            branch_distance=max(phase_aligned_distance(uo @ branch, up @ branch)
-                                for branch in branches),
-            verdict=verdict))
+            matrix_distance=phase_aligned_distance(uo, up), verdict=verdict))
     return tuple(rows)
 
 
@@ -345,27 +340,26 @@ BRANCHES = {receiver: tuple(product(SENDER_OUTCOMES, product(labels, repeat=coun
             for receiver, (count, labels) in COLLABORATOR_LABELS.items()}
 
 
-def derive_receiver_table(receiver: str = "charlie") -> tuple[CorrectionRule, ...]:
-    """Oracle-generate the full correction table for a Hadamard-collaborator
-    receiver (used for Charlie, whose table is not published): rows 1..16
-    for zeta1, 17..32 for zeta2, the labels of the first collaborator
-    outermost. Each row is the cached, frozen rule of its search."""
-    if receiver not in ("charlie", "david"):
-        raise ValueError("derivable tables pair a Hadamard-measured "
-                         "collaborator duo with receiver charlie or david")
-    return tuple(oracle_find_correction(receiver, *branch)
-                 for branch in BRANCHES[receiver])
+def derive_receiver_table() -> tuple[CorrectionRule, ...]:
+    """Oracle-generate the full correction table of the Hadamard-collaborator
+    receivers, on David's branches: rows 1..16 for zeta1, 17..32 for zeta2,
+    the labels of the first collaborator outermost. It is Charlie's table as
+    well (not published): |Psi> is symmetric under swapping Charlie and
+    David, so their branches, and the rules the search finds for them, are
+    equal. Each row is the cached, frozen rule of its search."""
+    return tuple(oracle_find_correction("david", *branch)
+                 for branch in BRANCHES["david"])
 
 
 def format_table_report(verdicts: dict[str, tuple[RowVerdict, ...]]) -> str:
     """Structured text report: one line per row of verdicts (table id ->
-    verify_table(table id)), plus Charlie's derived rows."""
+    verify_table(table id)), plus the derived rows of Charlie and David."""
     lines = [" table row  sender collab  published rule            "
              "noiseless fidelity          oracle rule            distance verdict"]
     lines += (rv.line() for rows in verdicts.values() for rv in rows)
     lines.append("derived correction table for receiver charlie "
                  "(oracle, 16 rows per sender outcome):")
-    for rule in derive_receiver_table("charlie"):
+    for rule in derive_receiver_table():
         fids = tuple(noiseless_fidelity(rule, spec) for spec in ORACLE_POINTS)
         lines.append(
             f"oracle      {rule.sender_outcome:5s} "

@@ -25,7 +25,7 @@ The package's real search, which steps with iY, must return the same gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -210,10 +210,14 @@ def build_measurement_operator(scenario: MeasurementScenario) -> np.ndarray:
 
 def rule_of(config):
     """The CorrectionRule of a PipelineConfig's row: the published rule, or
-    for a row of the "oracle" table Charlie's derived rule, found by the
-    oracle search that the sweeps do without."""
+    for a row of the "oracle" table the derived rule, found by the oracle
+    search that the sweeps do without, for the config's own receiver. The
+    derived rule is searched on David's branch; carried over to Charlie,
+    the dense route collapses Charlie's own qubits, an independent check of
+    the swap symmetry the package relies on."""
     if config.table == "oracle":
-        return derive_receiver_table("charlie")[config.row - 1]
+        return replace(derive_receiver_table()[config.row - 1],
+                       receiver=config.receiver)
     return CORRECTION_TABLES[config.table][config.row - 1]
 
 

@@ -204,7 +204,7 @@ class TestSweep:
                                 "oracle", "--out", str(tmp_path / "x.csv")],
                                capsys)
         assert code == 2
-        assert "table oracle row 1 corrects charlie, not bob" in err
+        assert "table oracle row 1 corrects charlie or david, not bob" in err
 
     def test_unwritable_path_exits_one(self, tmp_path, capsys):
         code, _, err = run_cli(["sweep", "--step", "0.5", "--out",
@@ -219,6 +219,24 @@ class TestSweep:
         assert code == 0
         rows = out_path.read_text().splitlines()[1:]
         assert all(r.startswith("ad,charlie,oracle,1,") for r in rows)
+
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    def test_david_reads_charlies_derived_rows(self, noise, tmp_path, capsys):
+        # the derived table serves both Hadamard receivers: every row prints
+        # the same CSV for David as for Charlie, but for the receiver column
+        def csv(receiver, row):
+            out_path = tmp_path / f"{receiver}.csv"
+            code, _, _ = run_cli(["sweep", "--noise", noise, "--receiver",
+                                  receiver, "--table", "oracle", "--row",
+                                  str(row), "--out", str(out_path)], capsys)
+            assert code == 0
+            return [line.split(",") for line in out_path.read_text().splitlines()]
+
+        for row in range(1, 33):
+            charlie, david = csv("charlie", row), csv("david", row)
+            assert [line[1] for line in david[1:]] == ["david"] * 11
+            assert ([line[:1] + line[2:] for line in david]
+                    == [line[:1] + line[2:] for line in charlie])
 
     def test_uncorrelated_flag_is_labeled(self, tmp_path, capsys):
         code, out, _ = run_cli(["sweep", "--step", "0.5",

@@ -235,8 +235,8 @@ class TestKernelContracts:
             rho, p = receiver_state(config, eta)
         except BranchProbabilityError:
             return
-        # G is real at a real target, so rho is real symmetric, kept complex
-        assert rho.dtype == complex and not rho.imag.any()
+        # G is real at a real target, so rho is real symmetric
+        assert rho.dtype == np.float64
         assert np.max(np.abs(rho - rho.T)) < 1e-15
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-14
@@ -514,26 +514,33 @@ class TestKernelCalls:
         clear_noisy_caches()
 
     def test_tables_partition_the_branches(self):
-        # every branch is read by exactly one (table, row), and a receiver's
-        # tables read all of its branches
-        rows = [(receiver, key) for receiver, keys in pipeline._TABLES.values()
-                for key in keys]
-        assert len(rows) == len(set(rows)) == 72
-        for receiver, branches in protocol.BRANCHES.items():
+        # tables I to III read each of Bob's 8 and David's 32 branches in
+        # exactly one row; the derived table reads David's 32 again, in
+        # BRANCHES order, for Charlie as for David
+        rows = [(receivers[-1], key) for table, (receivers, keys)
+                in pipeline._TABLES.items() if table != "oracle" for key in keys]
+        assert len(rows) == len(set(rows)) == 40
+        for receiver in ("bob", "david"):
+            branches = protocol.BRANCHES[receiver]
             assert {key for r, key in rows if r == receiver} == set(branches)
             assert len(branches) == len(set(branches))
+        assert pipeline._TABLES["oracle"] == (("charlie", "david"),
+                                              protocol.BRANCHES["david"])
 
     @pytest.mark.parametrize("noise,receiver,table,row", [
         ("ad", "bob", "I", 1), ("ad", "david", "II", 1),
-        ("pd", "david", "III", 6), ("ad", "charlie", "oracle", 20)])
+        ("pd", "david", "III", 6), ("ad", "charlie", "oracle", 20),
+        ("pd", "david", "oracle", 20)])
     def test_cold_then_warm_sweep(self, calls, noise, receiver, table, row):
         # a cold sweep builds the branches of its table's rows once, in row
-        # order: 8 for table I, 16 for II and for III, 32 for Charlie's
+        # order: 8 for table I, 16 for II and for III, 32 for the derived
+        # table, David's for either receiver
         config = PipelineConfig(noise, receiver, table, row, BALANCED,
                                 default_grid(0.1))
         sweep(config)
         cold = {"I": 8, "II": 16, "III": 16, "oracle": 32}[table]
-        assert calls == [(receiver, *key) for key in pipeline._TABLES[table][1]]
+        read = "david" if table == "oracle" else receiver
+        assert calls == [(read, *key) for key in pipeline._TABLES[table][1]]
         assert len(calls) == cold
         sweep(replace(config, spec=TargetSpec(0.6, -0.8),
                       eta_grid=default_grid(0.001)))
@@ -710,7 +717,7 @@ class TestTableEvaluation:
                 assert evaluations() == 2 * row
 
     def test_oracle_rows_are_swept_without_a_search(self):
-        # configs, sweeps and receiver_state read a Charlie row's branch from
+        # configs, sweeps and receiver_state read a derived row's branch from
         # the table map and its correction from the branch itself: the
         # package's noisy side cannot reach the search, and makes none
         oracle = (protocol.oracle_find_correction, protocol.branch_vector,
@@ -725,8 +732,10 @@ class TestTableEvaluation:
             sweep(config)
             receiver_state(config, 0.5)
         assert protocol.oracle_find_correction.cache_info().misses == 0
-        # the tests' rule_of derives the whole table, one search per row
-        assert rule_of(config) is rule_of(config)
+        # the tests' rule_of derives the whole table, one search per row on
+        # David's branches, and carries the rule to the config's receiver
+        assert rule_of(config) == rule_of(config)
+        assert rule_of(config).receiver == "charlie"
         assert protocol.oracle_find_correction.cache_info().misses == 32
 
 
@@ -761,6 +770,28 @@ class TestDerivedCorrection:
                 differ.append(f"{table}-{row}")
         # the published rows that verify_table finds to be mismatches
         assert differ == ["II-15", "III-6", "III-14", "III-16"]
+
+    @pytest.mark.parametrize("noise", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_verified_rows_sweep_as_the_derived_rows(self, noise, correlated):
+        # so a verified rule's curve depends only on its branch: each David
+        # row of tables II and III but the mismatches gives the curve of the
+        # derived row on its branch, which is also Charlie's
+        keys = protocol.BRANCHES["david"]
+        differ = set()
+        for spec in (BALANCED, TargetSpec(0.6, 0.8), TargetSpec(-0.6, 0.8)):
+            for table in ("II", "III"):
+                for row, rule in enumerate(CORRECTION_TABLES[table], start=1):
+                    config = default_config(noise, "david", spec, step=0.01,
+                                            table=table, row=row,
+                                            correlated=correlated)
+                    derived = replace(config, receiver="charlie", table="oracle",
+                                      row=keys.index(rule.outcomes) + 1)
+                    gap = np.subtract(sweep(config).fidelities(),
+                                      sweep(derived).fidelities())
+                    if np.max(np.abs(gap)) > 1e-13:
+                        differ.add(f"{table}-{row}")
+        assert differ == {"II-15", "III-6", "III-14", "III-16"}
 
 
 #: (noise, receiver, table, row): a dead endpoint (exact limit), a David and
@@ -926,7 +957,7 @@ class TestConfig:
         # row
         config = PipelineConfig("ad", receiver, table, 1, BALANCED, (0.0, 1.0))
         sweep(config)
-        assert rule_of(config) is rule_of(config)
+        assert rule_of(config) == rule_of(config)
         for row in (True, 1.0, "1", 2.5, [1], np.array([1])):
             with pytest.raises(ValueError, match="row must be an integer"):
                 PipelineConfig("ad", receiver, table, row, BALANCED, (0.0, 1.0))

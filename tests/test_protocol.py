@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, TOKENS,
                            format_table_report, noiseless_fidelity,
                            oracle_find_correction, parse_gate_string,
                            phase_aligned_distance, verify_table)
-from hrsp.states import TargetSpec, basis_ket, target_state
+from hrsp.states import TargetSpec, basis_ket, branch_amplitudes, target_state
 
 from dense_oracle import (MeasurementScenario, build_measurement_operator,
                           complex_oracle_search, projector, scenario_for)
@@ -236,7 +238,6 @@ class TestTables:
         # oracle found a shorter sequence differing off the branch
         matrix_equal = {rv.row for rv in rows if rv.matrix_distance < 1e-10}
         assert matrix_equal == {1, 2, 3, 5, 7}
-        assert all(rv.branch_distance < 1e-10 for rv in rows)
 
     def test_table_two_has_one_mismatch(self):
         rows = verify_table("II")
@@ -246,8 +247,6 @@ class TestTables:
         fifteen = rows[14]
         assert fifteen.oracle_rule == "H1 H2 Z1 CX1-2"
         assert min(fifteen.published_fidelities) < 0.5
-        # the two rules' outputs on the branch differ beyond a global phase
-        assert abs(fifteen.branch_distance - np.sqrt(2)) < 1e-12
 
     def test_table_three_has_three_mismatches(self):
         rows = verify_table("III")
@@ -277,8 +276,9 @@ class TestTables:
         rules = [(f"{table}-{i}", rule)
                  for table, rows in CORRECTION_TABLES.items()
                  for i, rule in enumerate(rows, start=1)]
-        rules += [(f"oracle-{i}", rule) for i, rule
-                  in enumerate(derive_receiver_table("charlie"), start=1)]
+        rules += [(f"oracle-{i}-{receiver}", replace(rule, receiver=receiver))
+                  for i, rule in enumerate(derive_receiver_table(), start=1)
+                  for receiver in ("charlie", "david")]
         failing = [name for name, rule in rules
                    if noiseless_fidelity(rule, spec) < 1 - 1e-10]
         assert set(failing) <= MISMATCH_ROWS, failing
@@ -336,23 +336,44 @@ class TestPhaseAlignedDistance:
                 up = rule.unitary()
                 uo = correction_unitary(parse_gate_string(rv.oracle_rule))
                 assert rv.matrix_distance >= grid_min(uo, up) - resolution
-                below = [grid_min(uo @ v, up @ v) - resolution
-                         for v, _ in (branch_vector(rule.receiver,
-                                                    *rule.outcomes, spec)
-                                      for spec in ORACLE_POINTS)]
-                assert rv.branch_distance >= max(below)
+
+
+class TestRuleOnItsBranch:
+    """A rule that maps the noiseless branch a_0 alpha + a_1 beta onto the
+    target has rows 0 and 3, those that xi weighs, equal to v_m = a_m /
+    ||a_0|| up to sign: the correction the derived table reads off its
+    branch."""
+
+    def test_published_rows_are_the_normalized_branch(self):
+        units = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
+        for table, rules in CORRECTION_TABLES.items():
+            for i, rule in enumerate(rules, start=1):
+                a = branch_amplitudes(rule.receiver, *rule.outcomes,
+                                      units).reshape(2, 4)
+                v = a / np.linalg.norm(a[0])
+                rows = rule.unitary()[[0, 3]]
+                gap = min(np.max(np.abs(rows - v)), np.max(np.abs(rows + v)))
+                if f"{table}-{i}" in MISMATCH_ROWS:
+                    assert abs(gap - 1.0) < 1e-15, (table, i, gap)
+                else:
+                    assert gap < 1e-15, (table, i, gap)
+                # the entries are 0, +-1/2 and +-1
+                assert np.max(np.abs(2 * rows - np.rint(2 * rows))) < 1e-15
 
 
 class TestCharlieTable:
     def test_thirtytwo_rows_all_reach_fidelity_one(self):
-        rules = derive_receiver_table("charlie")
+        # on David's branches, and carried over to Charlie's own
+        rules = derive_receiver_table()
         assert len(rules) == 32
         per_outcome = {}
         for rule in rules:
             per_outcome.setdefault(rule.sender_outcome, []).append(rule)
             assert rule.source == "oracle"
             for spec in ORACLE_POINTS:
-                assert noiseless_fidelity(rule, spec) > 1 - 1e-10
+                for receiver in ("charlie", "david"):
+                    assert noiseless_fidelity(replace(rule, receiver=receiver),
+                                              spec) > 1 - 1e-10
         assert len(per_outcome["zeta1"]) == 16
         assert len(per_outcome["zeta2"]) == 16
 
@@ -360,14 +381,13 @@ class TestCharlieTable:
         labels = ("++", "+-", "-+", "--")
         keys = [(z, (a, b)) for z in ("zeta1", "zeta2")
                 for a in labels for b in labels]
-        assert list(protocol.BRANCHES["charlie"]) == keys
-        for rule, key in zip(derive_receiver_table("charlie"), keys,
-                             strict=True):
+        assert list(protocol.BRANCHES["david"]) == keys
+        assert protocol.BRANCHES["charlie"] == protocol.BRANCHES["david"]
+        for rule, key in zip(derive_receiver_table(), keys, strict=True):
             assert rule.outcomes == key
-            assert rule is oracle_find_correction("charlie", *key)
-        assert derive_receiver_table("david") == tuple(
-            oracle_find_correction("david", *key)
-            for key in protocol.BRANCHES["david"])
+            assert rule is oracle_find_correction("david", *key)
+            # Charlie's own search, on Charlie's qubits, finds the same rule
+            assert oracle_find_correction("charlie", *key).gates == rule.gates
 
     @pytest.mark.parametrize("receiver,row,match",
                              [("charlie", 0, "rows 1..32, got 0"),
@@ -377,10 +397,7 @@ class TestCharlieTable:
         # a derived table's rows are named only by the "oracle" table of a
         # config; Bob's outcomes have no Hadamard-measured collaborator duo
         with pytest.raises(ValueError, match=match):
-            if receiver == "bob":
-                derive_receiver_table(receiver)
-            else:
-                PipelineConfig("ad", receiver, "oracle", row, BALANCED, (0.5,))
+            PipelineConfig("ad", receiver, "oracle", row, BALANCED, (0.5,))
 
     @pytest.mark.parametrize("row", [True, False, 2.0, 1.5, "1", None])
     def test_non_integer_row_rejected(self, row):
@@ -407,9 +424,11 @@ class TestReport:
         assert len(text.splitlines()) == 74
 
     def test_each_branch_collapses_once_per_oracle_point(self, monkeypatch):
-        # the oracle search, the row verdicts and Charlie's report lines read
-        # one cached collapse per branch and point, 72 branches x 2 points,
-        # and search each branch once; a second report reads the caches only
+        # the oracle search, the row verdicts and the derived report lines
+        # read one cached collapse per branch and point, Bob's 8 and David's
+        # 32 branches x 2 points, and search each branch once; the derived
+        # rows are David's, so no Charlie branch is read; a second report
+        # reads the caches only
         made = []
         kernel = protocol.branch_amplitudes
 
@@ -422,11 +441,12 @@ class TestReport:
         oracle_find_correction.cache_clear()
         for _ in range(2):
             format_table_report({t: verify_table(t) for t in CORRECTION_TABLES})
-            assert len(made) == len(set(made)) == 72 * len(ORACLE_POINTS)
+            assert len(made) == len(set(made)) == 40 * len(ORACLE_POINTS)
+            assert {args[0] for args in made} == {"bob", "david"}
             searches = oracle_find_correction.cache_info()
-            assert searches.misses == searches.currsize == 72
+            assert searches.misses == searches.currsize == 40
         # shared by every later caller
         vector, _ = branch_vector("bob", "zeta1", ("01",), BALANCED)
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = 0.0
-        assert len(made) == 72 * len(ORACLE_POINTS)
+        assert len(made) == 40 * len(ORACLE_POINTS)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import kron
-from hrsp.protocol import (CORRECTION_TABLES, derive_receiver_table,
-                           oracle_find_correction)
+from hrsp.noise import pair_terms
+from hrsp.protocol import BRANCHES, CORRECTION_TABLES, oracle_find_correction
 from hrsp.states import (BOB_EXPANSION, IDENTITY_STACK, TargetSpec, basis_ket,
                          branch_amplitudes, brown_state, extend_with_ancillas,
                          protocol_state, target_state, verify_factorization,
@@ -16,6 +16,12 @@ from dense_oracle import (einsum_branch_amplitudes, kraus_operators,
                           party_kraus_stack)
 
 INV_2RT2 = 1 / (2 * np.sqrt(2))
+
+#: (receiver, sender outcome, collaborator outcomes) of every published row,
+#: then of Charlie's 32 branches, on Charlie's own qubits
+BRANCH_KEYS = ([(r.receiver, *r.outcomes) for rows in CORRECTION_TABLES.values()
+                for r in rows]
+               + [("charlie", *key) for key in BRANCHES["charlie"]])
 
 
 def bell_pair_brown():
@@ -198,6 +204,29 @@ class TestFactorization:
             verify_factorization("charlie", TargetSpec(1, 0))
 
 
+class TestSwapSymmetry:
+    """|Psi> is symmetric under swapping Charlie and David, so the derived
+    table reads David's branches for both receivers."""
+
+    def test_psi_equals_its_charlie_david_transpose(self):
+        psi = protocol_state().reshape(2, 4, 4, 4)
+        assert np.array_equal(psi, psi.transpose(0, 1, 3, 2))
+
+    @pytest.mark.parametrize("channel", [None, ("ad", True), ("ad", False),
+                                         ("pd", True), ("pd", False)],
+                             ids=["noiseless", "ad-correlated", "ad-product",
+                                  "pd-correlated", "pd-product"])
+    def test_charlie_branches_equal_davids_bitwise(self, channel):
+        # the unit targets the stacks are built at, and one other
+        stack = IDENTITY_STACK if channel is None else pair_terms(*channel)[0]
+        specs = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0),
+                 TargetSpec(0.6, -0.8))
+        assert BRANCHES["charlie"] == BRANCHES["david"]
+        for key in BRANCHES["david"]:
+            assert np.array_equal(branch_amplitudes("charlie", *key, specs, stack),
+                                  branch_amplitudes("david", *key, specs, stack))
+
+
 class TestBranchAmplitudes:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
@@ -206,13 +235,10 @@ class TestBranchAmplitudes:
         # the reference's contraction of all of them at once
         etas = [0.0, 0.25, 0.6, 1 - 1e-9, 1.0]
         stacks = party_kraus_stack(kraus_operators(kind, etas), correlated)
-        rules = [r for rows in CORRECTION_TABLES.values() for r in rows]
-        rules += derive_receiver_table("charlie")
-        for i, rule in enumerate(rules):
+        for i, key in enumerate(BRANCH_KEYS):
             theta = 0.37 * i
             spec = TargetSpec(np.cos(theta), np.sin(theta))
-            branch = (rule.receiver, rule.sender_outcome,
-                      rule.collaborator_outcomes, spec)
+            branch = (*key, spec)
             want = einsum_branch_amplitudes(*branch, stacks)
             noiseless = einsum_branch_amplitudes(*branch, IDENTITY_STACK)
             pairs = [(branch_amplitudes(*branch, stack), ref)
@@ -228,11 +254,7 @@ class TestBranchAmplitudes:
         stacks = party_kraus_stack(kraus_operators(kind, [0.0, 0.45]), correlated)
         units = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
         spec = TargetSpec(0.28, -0.96)
-        rules = [r for rows in CORRECTION_TABLES.values() for r in rows]
-        for rule, stack in itertools.product(
-                rules + list(derive_receiver_table("charlie")), stacks):
-            branch = (rule.receiver, rule.sender_outcome,
-                      rule.collaborator_outcomes)
+        for branch, stack in itertools.product(BRANCH_KEYS, stacks):
             both = branch_amplitudes(*branch, units, stack)
             assert both.shape == (2, *branch_amplitudes(*branch, spec, stack).shape)
             for unit, got in zip(units, both):
