@@ -21,6 +21,10 @@ equals that overlap only because the target is pure.
 complex_oracle_search is the correction search in complex arithmetic: the
 true complex Y tokens in its step matrix, conjugated targets and |overlap|^2.
 The package's real search, which steps with iY, must return the same gates.
+complex_correction_unitary, complex_noiseless_fidelity and
+complex_verify_table multiply the true complex tokens as well, where the
+package carries a real product and its count of Y tokens; the row verdicts
+must come out equal.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ import numpy as np
 from hrsp.linalg import I2, kron
 from hrsp.noise import warn_trace_deficit
 from hrsp.protocol import (CORRECTION_TABLES, FIDELITY_TOL, ORACLE_MAX_DEPTH,
-                           ORACLE_POINTS, ORACLE_VOCABULARY, TOKENS,
-                           branch_vector, derive_receiver_table)
+                           ORACLE_POINTS, ORACLE_VOCABULARY, TOKENS, RowVerdict,
+                           branch_vector, derive_receiver_table,
+                           oracle_find_correction, phase_aligned_distance)
 from hrsp.states import TargetSpec, outcome_kets, protocol_state, target_state
 
 PROJECTOR_TOL = 1e-10
@@ -303,3 +308,47 @@ def complex_oracle_search(receiver: str, sender_outcome: str,
             return tuple(ORACLE_VOCABULARY[d] for d in reversed(digits))
         vectors = (vectors @ step).reshape(len(ORACLE_POINTS), -1, 4)
     return None
+
+
+# --------------------------------------------------------------------------
+# Complex row verification.
+def complex_correction_unitary(gates) -> np.ndarray:
+    """Composite unitary of a gate sequence, first token applied first, as
+    the product of the true TOKENS: complex128 from the first Y on."""
+    u = np.eye(4)
+    for tok in gates:
+        u = TOKENS[tok] @ u
+    return u
+
+
+def complex_noiseless_fidelity(rule, spec: TargetSpec) -> float:
+    """|<xi| U_rule |branch>| with the rule's complex unitary."""
+    branch, _ = branch_vector(rule.receiver, *rule.outcomes, spec)
+    out = complex_correction_unitary(rule.gates) @ branch
+    return float(abs(np.vdot(target_state(spec), out)))
+
+
+def complex_verify_table(table_id: str) -> tuple[RowVerdict, ...]:
+    """protocol.verify_table on the complex unitaries: confirmed where the
+    oracle's unitary equals the published one entry by entry, and the
+    matrix distance taken between the two complex unitaries."""
+    rows = []
+    for i, rule in enumerate(CORRECTION_TABLES[table_id], start=1):
+        oracle = oracle_find_correction(rule.receiver, *rule.outcomes)
+        up = complex_correction_unitary(rule.gates)
+        uo = complex_correction_unitary(oracle.gates)
+        fids = tuple(complex_noiseless_fidelity(rule, spec)
+                     for spec in ORACLE_POINTS)
+        if min(fids) < 1.0 - FIDELITY_TOL:
+            verdict = "mismatch"
+        elif np.max(np.abs(uo - up)) < 1e-10:
+            verdict = "confirmed"
+        else:
+            verdict = "phase-equivalent"
+        rows.append(RowVerdict(
+            table=table_id, row=i, sender_outcome=rule.sender_outcome,
+            collaborator_outcomes=rule.collaborator_outcomes,
+            published_rule=rule.gate_string,
+            published_fidelities=fids, oracle_rule=oracle.gate_string,
+            matrix_distance=phase_aligned_distance(uo, up), verdict=verdict))
+    return tuple(rows)

@@ -1,14 +1,17 @@
 """hrsp computes in real arithmetic from |Psi> to the fidelity: the states,
-the channel's pair terms, the branch store, the curve stacks and the
-correction search are float64, and only the Y gate tokens, which no published
-table uses, are complex. The search steps with iY in their place, equal to Y
-up to a global phase."""
+the channel's pair terms, the branch store, the curve stacks, the correction
+search, the row verdicts and the table report are float64, and only the Y
+gate tokens, which no published table uses, are complex. Every gate product
+steps with iY in their place, equal to Y up to a global phase, and counts
+its Y tokens."""
 
 import numpy as np
 import pytest
 
 from hrsp import linalg, noise, pipeline, protocol, states
 from hrsp.states import IDENTITY_STACK, TargetSpec
+
+from dense_oracle import complex_correction_unitary, complex_verify_table
 
 REAL = np.dtype(np.float64)
 #: real targets of both signs, balanced and not
@@ -73,3 +76,46 @@ def test_only_the_y_tokens_are_complex():
 def test_the_oracle_search_is_real():
     # iY stands in for Y1/Y2, so every candidate, probe and overlap is real
     assert protocol._ORACLE_STEP.dtype == REAL
+
+
+def test_table_verification_is_real(monkeypatch):
+    # the row verdicts and the report, the derived rows with a Y included,
+    # come out the same with the complex Y tokens made unreadable
+    def run():
+        verdicts = {table: protocol.verify_table(table)
+                    for table in protocol.CORRECTION_TABLES}
+        return verdicts, protocol.format_table_report(verdicts)
+
+    expected = run()
+    poison = np.full((4, 4), np.nan, dtype=np.complex128)
+    poison.setflags(write=False)
+    for name in ("Y1", "Y2"):
+        monkeypatch.setitem(protocol.TOKENS, name, poison)
+    protocol.oracle_find_correction.cache_clear()
+    protocol.branch_vector.cache_clear()
+    assert run() == expected
+
+
+def test_verdicts_equal_complex_reference():
+    # every field of every row, fidelities and matrix distance included
+    for table in protocol.CORRECTION_TABLES:
+        assert protocol.verify_table(table) == complex_verify_table(table)
+
+
+def test_correction_unitary_equals_complex_chain():
+    # (-i)^k R is the product of the true tokens, entry by entry, for every
+    # published rule and every rule of the search, 27 of them with a Y
+    rules = [rule for rules in protocol.CORRECTION_TABLES.values()
+             for rule in rules]
+    rules += [protocol.oracle_find_correction(receiver, *key)
+              for receiver, branches in protocol.BRANCHES.items()
+              for key in branches]
+    assert len(rules) == 40 + 72
+    with_y = 0
+    for rule in rules:
+        u = protocol.correction_unitary(rule.gates)
+        reference = complex_correction_unitary(rule.gates)
+        assert u.dtype == reference.dtype
+        assert np.array_equal(u, reference), rule.gate_string
+        with_y += u.dtype == np.complex128
+    assert with_y == 27
