@@ -51,7 +51,7 @@ FINE_CSV_DIGESTS = {
 #: SHA-256 of the standard output of each verify command
 VERIFY_STDOUT_DIGESTS = {
     ("verify-tables",):
-        "6e8c7a6b9b4e2d774af12ba88bf0fd8e619c353755437dd145d6a807f8e2ab5c",
+        "1d34027650148fd1faf56aee64f881d7ebc8a510af6b167e15783e45b28b0804",
     ("verify-factorization", "--variant", "bob"):
         "f53a8536113020d620aecfa6449cbf093acbb8c62e17e274608f2b4f4779c5f0",
     ("verify-factorization", "--variant", "david"):

@@ -308,9 +308,21 @@ class TestTables:
 
 
 class TestPhaseAlignedDistance:
-    """phase_aligned_distance aligns the phase at one entry: 0 where two
-    arrays agree up to a global phase, else an upper bound on the distance
-    min over theta of max |a - e^{i theta} b|."""
+    """phase_aligned_distance is the exact min over theta of
+    max |a - e^{i theta} b|: 0 where two arrays agree up to a global phase,
+    and the minimum over a fine grid of phases, to the grid's resolution."""
+
+    #: published rows whose unitary differs from the oracle's off the branch,
+    #: by sqrt(2) (table I) or by 1 / sqrt(2) (tables II and III); the
+    #: distance of every other row is 0
+    DISTANT_ROWS = {"I-4": np.sqrt(2), "I-6": np.sqrt(2), "I-8": np.sqrt(2),
+                    **{f"II-{r}": np.sqrt(0.5) for r in (2, 3, 11, 12, 13, 15)},
+                    **{f"III-{r}": np.sqrt(0.5) for r in (4, 5, 6, 12, 14, 16)}}
+
+    @staticmethod
+    def grid_min(a, b, theta):
+        phased = np.exp(1j * theta)[:, None] * np.ravel(b)
+        return np.abs(np.ravel(a) - phased).max(axis=1).min()
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 2, np.pi, 5.0])
     def test_zero_for_a_global_phase(self, theta):
@@ -320,22 +332,38 @@ class TestPhaseAlignedDistance:
         for rule in CORRECTION_TABLES["II"]:
             u = rule.unitary()
             assert phase_aligned_distance(np.exp(1j * theta) * u, u) < 1e-15
+            assert phase_aligned_distance(-u, u) == 0.0
 
-    def test_never_below_the_minimum_over_phases(self):
+    def test_rows_equal_the_minimum_over_phases(self):
         # on a grid of phases, the minimum is at most the grid's resolution
         # times max |b| above the true one, and max |b| <= 1 here
         theta = np.linspace(0.0, 2 * np.pi, 2001)
         resolution = theta[1] / 2
-
-        def grid_min(a, b):
-            phased = np.exp(1j * theta)[:, None, None] * b.reshape(1, -1, 1)
-            return np.abs(a.reshape(1, -1, 1) - phased).max(axis=(1, 2)).min()
-
+        distances = {}
         for table, rules in CORRECTION_TABLES.items():
             for rv, rule in zip(verify_table(table), rules, strict=True):
                 up = rule.unitary()
                 uo = correction_unitary(parse_gate_string(rv.oracle_rule))
-                assert rv.matrix_distance >= grid_min(uo, up) - resolution
+                grid = self.grid_min(uo, up, theta)
+                assert grid - resolution <= rv.matrix_distance <= grid + 1e-15
+                distances[f"{table}-{rv.row}"] = rv.matrix_distance
+        assert len(distances) == 40
+        for name, distance in distances.items():
+            expected = self.DISTANT_ROWS.get(name, 0.0)
+            assert abs(distance - expected) < 1e-15, (name, distance)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_arrays_equal_the_minimum_over_phases(self, seed):
+        # complex pairs, and real ones, whose minimum lies where two entries
+        # cross as well as where one is least
+        rng = np.random.default_rng(seed)
+        theta = np.linspace(0.0, 2 * np.pi, 20001)
+        resolution = theta[1] / 2
+        a, b = (rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+                if seed % 2 else rng.normal(size=(2, 3, 4)))
+        grid = self.grid_min(a, b, theta)
+        assert (grid - resolution * np.abs(b).max()
+                <= phase_aligned_distance(a, b) <= grid + 1e-15)
 
 
 class TestRuleOnItsBranch:
