@@ -11,8 +11,9 @@ Conventions, each validated by the noiseless oracle below:
   phases and drop out under density-matrix conjugation.
 * Every gate product is real: a sequence's unitary is (-i)^k R, with R the
   real product in which iY stands for Y (Y = -i iY) and k its count of Y
-  tokens. The search, the row verdicts and the report read R and k only;
-  the complex Y lives in TOKENS and in a unitary() that has a Y.
+  tokens (real_product). The search, the row verdicts, their matrix
+  distances and the report read R and k only; the complex Y lives in TOKENS
+  and in the unitary() of a rule that has a Y, for callers.
 * RCX is the zero-controlled CNOT: it flips the target when the control is
   |0>. The alternative reading (control/target swap) fails several table
   rows that this one confirms, so it is rejected.
@@ -21,9 +22,8 @@ The brute-force oracle enumerates sequences over a fixed ten-token
 vocabulary, shortest first, lexicographic within a length, and returns the
 first sequence that maps the collapsed branch onto the target at two
 independent parameter points. It is the authority whenever a published rule
-disagrees with it. It searches in real arithmetic: iY stands in for Y, equal
-to it up to the phase -i, which the overlap |<xi|U|v>| does not see, and the
-rules it returns keep Y. The search and the collapsed branches it reads have one
+disagrees with it. It searches with iY for Y, a phase that the overlap
+|<xi|U|v>| does not see, and the rules it returns keep Y. The search and the collapsed branches it reads have one
 entry point each, oracle_find_correction and branch_vector, and each caches
 its own read-only results: a frozen rule per branch, and a normalized vector
 per branch and parameter point. The noisy sweeps never search:
