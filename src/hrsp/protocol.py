@@ -23,11 +23,12 @@ vocabulary, shortest first, lexicographic within a length, and returns the
 first sequence that maps the collapsed branch onto the target at two
 independent parameter points. It is the authority whenever a published rule
 disagrees with it. It searches with iY for Y, a phase that the overlap
-|<xi|U|v>| does not see, and the rules it returns keep Y. The search and the collapsed branches it reads have one
-entry point each, oracle_find_correction and branch_vector, and each caches
-its own read-only results: a frozen rule per branch, and a normalized vector
-per branch and parameter point. The noisy sweeps never search:
-hrsp.pipeline reads a derived row's correction off its branch.
+|<xi|U|v>| does not see, and the rules it returns keep Y. The search and the
+collapsed branches it reads have one entry point each, oracle_find_correction
+and branch_vector, and each caches its own read-only results: a frozen rule
+per branch, and a normalized vector per branch and parameter point. The
+noisy sweeps never search: hrsp.pipeline reads a derived row's correction
+off its branch.
 """
 
 from __future__ import annotations

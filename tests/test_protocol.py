@@ -312,9 +312,9 @@ class TestPhaseAlignedDistance:
     max |a - e^{i theta} b|: 0 where two arrays agree up to a global phase,
     and the minimum over a fine grid of phases, to the grid's resolution."""
 
-    #: published rows whose unitary differs from the oracle's off the branch,
-    #: by sqrt(2) (table I) or by 1 / sqrt(2) (tables II and III); the
-    #: distance of every other row is 0
+    #: published rows whose unitary is not the oracle's up to a global
+    #: phase, with their distance: sqrt(2) in table I, 1 / sqrt(2) in tables
+    #: II and III; that of every other row is 0
     DISTANT_ROWS = {"I-4": np.sqrt(2), "I-6": np.sqrt(2), "I-8": np.sqrt(2),
                     **{f"II-{r}": np.sqrt(0.5) for r in (2, 3, 11, 12, 13, 15)},
                     **{f"III-{r}": np.sqrt(0.5) for r in (4, 5, 6, 12, 14, 16)}}
