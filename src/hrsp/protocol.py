@@ -293,9 +293,9 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     |a - e^{i theta} b|^2 / 2 = (|a|^2 + |b|^2) / 2 - x cos theta + y sin theta
     is affine in the point (cos theta, sin theta) of the unit circle. So the
     minimum of their maximum lies where one entry's is least, at
-    conj(z) / |z|, or where two entries' cross on the circle: with theta = 0,
-    at most n^2 + 1 candidates for n entries, each scored directly. The
-    arithmetic is real, on the real and imaginary parts."""
+    conj(z) / |z|, or where two entries' cross on the circle. Those points
+    and theta = 0 are at most n^2 + 1 candidates for n entries, each scored
+    directly. The arithmetic is real, on the real and imaginary parts."""
     ar, ai, br, bi = (part(np.ravel(m)) for m in (a, b)
                       for part in (np.real, np.imag))
     x, y = ar * br + ai * bi, ar * bi - ai * br
