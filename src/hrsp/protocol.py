@@ -21,14 +21,17 @@ Conventions, each validated by the noiseless oracle below:
 The brute-force oracle enumerates sequences over a fixed ten-token
 vocabulary, shortest first, lexicographic within a length, and returns the
 first sequence that maps the collapsed branch onto the target at two
-independent parameter points. It is the authority whenever a published rule
-disagrees with it. It searches with iY for Y, a phase that the overlap
-|<xi|U|v>| does not see, and the rules it returns keep Y. The search and the
-collapsed branches it reads have one entry point each, oracle_find_correction
-and branch_vector, and each caches its own read-only results: a frozen rule
-per branch, and a normalized vector per branch and parameter point. The
-noisy sweeps never search: hrsp.pipeline reads a derived row's correction
-off its branch.
+independent parameter points. It tests a length in blocks of 256 prefixes
+(ORACLE_BLOCK), in order: the first hit stays the first in that order, and
+no overlap temporary outgrows about 41 KB, where testing a whole length at
+once took 160 KB at length 4 and ten times more per further token. It is
+the authority whenever a published rule disagrees with it. It searches with
+iY for Y, a phase that the overlap |<xi|U|v>| does not see, and the rules
+it returns keep Y. The search and the collapsed branches it reads have one
+entry point each, oracle_find_correction and branch_vector, and each caches
+its own read-only results: a frozen rule per branch, and a normalized
+vector per branch and parameter point. The noisy sweeps never search:
+hrsp.pipeline reads a derived row's correction off its branch.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ FIDELITY_TOL = 1e-10
 ORACLE_POINTS = (TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2)), TargetSpec(0.6, 0.8))
 
 ORACLE_MAX_DEPTH = 6
+
+#: prefixes per overlap test of the oracle search, which bounds its overlap
+#: temporaries near 41 KB at any depth
+ORACLE_BLOCK = 256
 
 SENDER_OUTCOMES = ("zeta1", "zeta2")
 
@@ -256,10 +263,19 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
     both validation points. The arithmetic is real: the Y1/Y2 steps use
     iY, which differs from Y by the global phase -i, so the hits are those
     of the complex search, and the returned rule names Y1/Y2 as the true
-    complex TOKENS. Deterministic by construction, so cached: each branch
-    is searched once per process, and every caller shares its frozen rule;
-    the tables and the report search Bob's 8 and David's 32. A search that
-    raises is not cached.
+    complex TOKENS.
+
+    A depth is tested in blocks of ORACLE_BLOCK = 256 prefixes, in order,
+    so the first hit is still the first in shortlex order, and no overlap
+    temporary exceeds about 41 KB, where testing the whole depth at once
+    took 160 KB at depth 4 and 16 MB at depth 6. The search stops after
+    testing depth ORACLE_MAX_DEPTH, so a branch with no rule builds no
+    longer sequences that nothing reads.
+
+    Deterministic by construction, so cached: each branch is searched once
+    per process, and every caller shares its frozen rule; the tables and the
+    report search Bob's 8 and David's 32. A search that raises is not
+    cached.
     """
     vectors = np.array([branch_vector(receiver, sender_outcome,
                                       collaborator_outcomes, spec)[0]
@@ -270,18 +286,22 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
     # every token j, so a depth is tested before its vectors are built
     probes = (_ORACLE_STEP.reshape(4, n, 4) @ targets[:, None, :, None])[..., 0]
     for depth in range(1, ORACLE_MAX_DEPTH + 1):
-        # row i*n + j extends sequence i with vocabulary token j, so row
+        if depth > 1:
+            vectors = (vectors @ _ORACLE_STEP).reshape(len(ORACLE_POINTS), -1, 4)
+        # row i*n + j extends prefix lo + i with vocabulary token j, so row
         # order stays lexicographic with the first-applied token outermost
-        overlap = (vectors @ probes).reshape(len(ORACLE_POINTS), -1)
-        hit = (overlap * overlap >= 1.0 - FIDELITY_TOL).all(axis=0)
-        first = int(np.argmax(hit))
-        if hit[first]:
-            gates = tuple(ORACLE_VOCABULARY[d]
-                          for d in np.unravel_index(first, (n,) * depth))
-            return CorrectionRule(receiver=receiver, sender_outcome=sender_outcome,
-                                  collaborator_outcomes=collaborator_outcomes,
-                                  gates=gates, source="oracle")
-        vectors = (vectors @ _ORACLE_STEP).reshape(len(ORACLE_POINTS), -1, 4)
+        for lo in range(0, vectors.shape[1], ORACLE_BLOCK):
+            overlap = (vectors[:, lo:lo + ORACLE_BLOCK] @ probes).reshape(
+                len(ORACLE_POINTS), -1)
+            hit = (overlap * overlap >= 1.0 - FIDELITY_TOL).all(axis=0)
+            first = int(np.argmax(hit))
+            if hit[first]:
+                gates = tuple(ORACLE_VOCABULARY[d] for d in
+                              np.unravel_index(lo * n + first, (n,) * depth))
+                return CorrectionRule(receiver=receiver,
+                                      sender_outcome=sender_outcome,
+                                      collaborator_outcomes=collaborator_outcomes,
+                                      gates=gates, source="oracle")
     raise OracleSearchError(
         f"no correction up to depth {ORACLE_MAX_DEPTH} for {receiver} "
         f"{sender_outcome} {collaborator_outcomes}")

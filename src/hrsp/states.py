@@ -160,8 +160,10 @@ def outcome_kets(receiver: str, sender_outcome: str,
     return zvec, dict(zip(others, map(hadamard_ket, collaborator_outcomes)))
 
 
-#: psi axis of the receiver, then of its collaborators in qubit order
-_AXES = {"bob": "bcd", "charlie": "cbd", "david": "dbc"}
+#: per receiver, the transpose of <zeta|Psi> from its (spec, bob, charlie,
+#: david) axes to the kernel's (spec, x, y, R): the collaborators in qubit
+#: order, then the receiver
+_AXES = {"bob": (0, 2, 3, 1), "charlie": (0, 1, 3, 2), "david": (0, 1, 2, 3)}
 
 #: the noiseless channel as a one-operator stack on every receiver pair
 IDENTITY_STACK = np.eye(4)[None]
@@ -184,9 +186,10 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     Kraus operators. spec is a TargetSpec, or a sequence of them: W then
     gains a leading axis, one entry per spec.
 
-    The contraction is matrix products: <zeta| meets |Psi> once, the
-    collaborator bras meet the stack as <x|S[k], and two batched matmuls fold
-    in the collaborators' and then the receiver's operators.
+    The contraction is matrix products: <zeta| meets |Psi> once, in one
+    matmul on |Psi> as (2, 64) whose result is transposed to the (x, y, R)
+    axes, the collaborator bras meet the stack as <x|S[k], and two batched
+    matmuls fold in the collaborators' and then the receiver's operators.
     """
     if kraus.ndim != 3 or kraus.shape[1:] != (4, 4):
         raise ValueError(f"expected an (n, 4, 4) stack, got shape {kraus.shape}")
@@ -194,11 +197,10 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     kets = [outcome_kets(receiver, sender_outcome, collaborator_outcomes, s)
             for s in specs]
     zbras = np.array([zvec for zvec, _ in kets])
-    r, x, y = _AXES[receiver]
     bx, by = kets[0][1].values()
-    psi = protocol_state().reshape(2, 4, 4, 4)
     n = len(kraus)
-    phi = np.einsum(f"sa,abcd->s{x}{y}{r}", zbras, psi).reshape(-1, 4, 16)
+    phi = (zbras @ protocol_state().reshape(2, 64)).reshape(-1, 4, 4, 4)
+    phi = phi.transpose(_AXES[receiver]).reshape(-1, 4, 16)   # [x, yR]
     fx, fy = bx @ kraus, by @ kraus                     # (n, 4): <x|S[k]
     t = (fx @ phi).reshape(-1, n, 4, 4)                 # [k, y, r]
     w = (fy @ t).reshape(-1, n * n, 4)                  # [kl, r]

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +226,40 @@ class TestOracle:
         after = oracle_find_correction.cache_info()
         assert after.misses == before.misses + 2
         assert after.currsize == before.currsize
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocked_search_equals_complex_reference(self, monkeypatch, block):
+        # these blocks split each depth at other prefixes than 256 do, so a
+        # hit past the first block is decoded with its block's offset
+        monkeypatch.setattr(protocol, "ORACLE_BLOCK", block)
+        oracle_find_correction.cache_clear()
+        try:
+            for receiver, branches in protocol.BRANCHES.items():
+                for key in branches:
+                    assert (oracle_find_correction(receiver, *key).gates
+                            == complex_oracle_search(receiver, *key))
+        finally:
+            oracle_find_correction.cache_clear()
+
+    def test_depth_cap_raises_without_extending_past_it(self, monkeypatch):
+        # the branch's rule has 4 gates; capped at depth 3, the search fails
+        # after testing depth 3 and builds no depth 4 sequences, whose
+        # (2, 1000, 4) vectors take 64 KB; a search that raises is not cached
+        key = ("zeta1", ("++", "++"))
+        assert len(oracle_find_correction("david", *key).gates) == 4
+        monkeypatch.setattr(protocol, "ORACLE_MAX_DEPTH", 3)
+        oracle_find_correction.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(protocol.OracleSearchError,
+                               match="no correction up to depth 3 for david"):
+                oracle_find_correction("david", *key)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1000 * 4 * 8
+        searches = oracle_find_correction.cache_info()
+        assert searches.misses == 1 and searches.currsize == 0
 
 
 class TestTables:
