@@ -36,9 +36,9 @@ power, which is the same for every table.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
 M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
-in the rows of the grid tables. A table is the only store of its rows'
-curves: the same _stack pass derives every row's curves from its branch's
-G and its correction u = O^T xi, for the whole table at once:
+in the rows of an evaluation's grid side. A table is the only store of its
+rows' curves: the same _stack pass derives every row's curves from its
+branch's G and its correction u = O^T xi, for the whole table at once:
 
     p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),
 
@@ -49,9 +49,9 @@ fidelity of 0 comes out as 0 and not as the square root of rounding noise.
 A row's curves are one block of 20 rows, one per monomial of (alpha, beta)
 of ||W u||^2 without N_0, of p and of the N_0 amplitude, one for the
 channel's trace on |Psi><Psi|, and one per monomial of ||W u||^2 and p at
-eta = 1, by power of s. Its columns are the table's column set, derived
-with the Grams: the powers that some Gram or the trace reaches, the Grams'
-powers of s (for the eta = 1 folds) and those of the t^0 amplitude; David's
+eta = 1, by power of s. Its columns are the table's column set, read off
+the blocks it stores: the powers at which some row of some block, a curve,
+an eta = 1 fold, the t^0 amplitude or the trace, is nonzero; David's
 tables II and III have the same one under every channel. So a table's
 blocks are one read-only (rows, 20, K) array, built by one product and one
 bincount over the coefficients of all its rows' branches, each tagged with
@@ -63,29 +63,30 @@ branch's t^0 amplitude at s = 1. The key space is finite,
 2 x 2 x 4 = 16 tables, whose Gram coefficients (with their rows and
 indices) take 0.5 to 90.1 KB and whose stacks take 10.2 to 230.4 KB, so
 the cache needs no size limit and holds at most 0.46 MB of Grams and
-1.00 MB of stacks; a scan of all 72 rows under both noise kinds and the
+0.99 MB of stacks; a scan of all 72 rows under both noise kinds and the
 correlated channel fills 8 entries, 0.12 MB of Grams and 0.34 MB of
 stacks.
 
 _evaluate samples every row of a table's stack at one target on one grid
-chunk. It multiplies the stack by the target's monomials, a (6, 20) matrix
-that puts each monomial against the rows of a block: one product gives,
-for each block on the table's powers, the coefficients of ||W u||^2
-without N_0, of p, of the amplitude and of the trace, and the two eta = 1
-folds, whose lowest nonzero power of s in p is j0 (see below). For each
-chunk of GRID_CHUNK = 1024 etas, _tables holds the grid side, every power
-eta^M s^j at each eta, one table for both noise kinds and channel modes. A
-chunk then costs one (4, K) x (K, chunk) product per block on the K powers
-and the amplitude's square; the product's last row is the channel's trace
-at each eta, the same for every block, whose smallest value gives the
-TraceDeficitWarning check. Both products are matrix-matrix. The first
-product in a process makes BLAS allocate about 0.25 MB of buffers, and
-numpy's einsum, which avoids BLAS, takes about 2.5 times as long at 11
-etas. _tables keeps one chunk, at most GRID_CHUNK x 91 floats, 0.75 MB. At
-1024, the default 11-point grid and the 1001-point grid of step 0.001 are
-one chunk each, so the sweeps of a scan after its first reuse the table,
-whatever their channel; a 100,001-point grid streams through 98 chunks and
-holds one at a time besides its samples.
+chunk of GRID_CHUNK = 1024 etas. It multiplies the stack by the target's
+monomials, a (6, 20) matrix that puts each monomial against the rows of a
+block: one product gives, for each block on the table's powers, the
+coefficients of ||W u||^2 without N_0, of p, of the amplitude and of the
+trace, and the two eta = 1 folds, whose lowest nonzero power of s in p is
+j0 (see below). The grid side is _monomials at the table's K columns
+alone, 8 to 45 of the 91 powers: eta^0..eta^6 and s^0..s^12 are raised at
+each eta, and each of the K powers is one product of two of them. It is
+at most 45 x GRID_CHUNK floats, 0.37 MB, and is not kept: a scan's later
+sweeps read the evaluation instead (below). A chunk then costs one
+(4, K) x (K, chunk) product per block and the amplitude's square; the
+product's last row is the channel's trace at each eta, the same for every
+block, whose smallest value gives the TraceDeficitWarning check. Both
+products are matrix-matrix. The first product in a process makes BLAS
+allocate about 0.25 MB of buffers, and numpy's einsum, which avoids BLAS,
+takes about 2.5 times as long at 11 etas. At 1024, the default 11-point
+grid and the 1001-point grid of step 0.001 are one chunk each; a
+100,001-point grid streams through 98 chunks and holds one at a time
+besides its samples.
 
 _evaluate keeps its last evaluation, one slot keyed by (noise kind,
 channel mode, table, alpha, beta, grid chunk), and a sweep reads its own
@@ -99,9 +100,9 @@ receiver_state reads the branch's cached G, the one the row's curves come
 from: the coefficients of its table's _stack entry tagged with its row. It
 weighs each by its power eta^M s^j at its one eta and by the target's
 alpha^2, alpha beta or beta^2, and returns rho = G^T / p. It makes no
-kernel call once the row's table is built, and evaluates those powers, and
-the trace curve, with the same _monomials as the chunk tables, without
-touching the one-slot _tables cache.
+kernel call once the row's table is built, and evaluates all 91 powers
+at its one eta, for the Gram and the trace curve, with the same _monomials
+as an evaluation.
 
 Where a Bob outcome's probability vanishes at eta = 1 (every damping path
 annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
@@ -132,7 +133,7 @@ MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
 ETA_ORDERS, S_ORDERS = 7, 13
 #: the power eta^M s^j has the index M * S_ORDERS + j, below _POWERS
 _POWERS = ETA_ORDERS * S_ORDERS
-#: grid etas per _tables entry: a 1001-point grid is one chunk (see above)
+#: grid etas per _evaluate entry: a 1001-point grid is one chunk (see above)
 GRID_CHUNK = 1024
 
 #: W and u are linear in (alpha, beta): the Grams are built at these two
@@ -263,7 +264,8 @@ def _stack(noise_kind: str, correlated: bool,
       p and of the t^0 amplitude W u, each for alpha^2, alpha beta, beta^2,
       and the channel's trace; then ||W u||^2 and p at eta = 1, by power of
       s in the columns of the powers eta^0 s^j;
-    - the columns, the power index of each of the K columns;
+    - the columns, the power index of each of the K columns: the powers at
+      which some row of some block is nonzero;
     - the channel's trace on |Psi><Psi| by power index;
     - the nonzero coefficients of the rows' branch Grams G[P, m, i, n, j] =
       sum_k W_m,ki W_n,kj, with the row of each and its flat index into
@@ -310,15 +312,6 @@ def _stack(noise_kind: str, correlated: bool,
     # the kernel output and the dense Grams are freed before the stack is
     # built: kept, they raise a cold sweep's peak memory
     del w
-    # the columns: the powers some Gram reaches, their powers of s (for the
-    # eta = 1 folds), those of the t^0 amplitude and those of the trace; an
-    # index below _POWERS fits a byte
-    used = np.zeros(_POWERS, bool)
-    used[reached] = gram.any(axis=(0, 2, 3))
-    used[:S_ORDERS] |= (used.reshape(ETA_ORDERS, S_ORDERS).any(axis=0)
-                        | amplitude.any(axis=(0, 1, 2)))
-    (columns,) = np.nonzero(used | (trace != 0.0))
-    columns = columns.astype(np.uint8)
     # the nonzero coefficients in row order, each with its row and with its
     # power's index in place of its position among the reached powers
     row, at = np.nonzero(gram.reshape(len(keys), -1))
@@ -339,25 +332,32 @@ def _stack(noise_kind: str, correlated: bool,
     # u = O^T xi = alpha v_0 + beta v_1, and ||W u||^2 = u^T G u: a
     # coefficient g of G[P, m, i, n, j] of a row adds g v_p,i v_q,j, p, q =
     # 0, 1, to the row's monomial m + n + p + q of ||W u||^2 at power P, and
-    # g where i = j (0 elsewhere) to its monomial 5 + m + n, that of p
-    wu2 = gram * v[row, :, i].T[:, None] * v[row, :, j].T
-    weight = np.concatenate([wu2.reshape(4, -1), [gram * (i == j)]])
-    at = (row * 8 + m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
-    curves = np.bincount(at.reshape(-1), weight.reshape(-1), len(keys) * 8 * _POWERS)
-    curves = curves.reshape(-1, 8, ETA_ORDERS, S_ORDERS)
-    stack = np.zeros((len(keys), 20, len(columns)))
-    stack[:, :8] = curves.reshape(-1, 8, _POWERS)[..., columns]
+    # g where i = j (0 elsewhere) to its monomial 5 + m + n, that of p: rows
+    # 0 to 7 of the row's block, over all _POWERS powers until the column
+    # set is read off the blocks below
+    weight = np.concatenate([
+        (gram * v[row, :, i].T[:, None] * v[row, :, j].T).reshape(4, -1),
+        [gram * (i == j)]])
+    at = (row * 20 + m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
+    stack = np.bincount(at.reshape(-1), weight.reshape(-1), len(keys) * 20
+                        * _POWERS).reshape(len(keys), 20, _POWERS)
     # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
     # part, all of it at eta = 0, as the square of its amplitude: a fidelity
     # of 0 there stays 0, not the root of the ~1e-18 rounding left where
-    # squared coefficients cancel. The powers eta^0 s^j are the first columns
-    eta0 = columns[columns < S_ORDERS]
-    stack[:, 12:, :len(eta0)] = curves.sum(2)[..., eta0]
-    stack[:, :5, :len(eta0)] = 0.0
+    # squared coefficients cancel. The powers eta^0 s^j are the first
+    # S_ORDERS columns, and stay the first of the column set
+    stack[:, 12:, :S_ORDERS] = stack[:, :8].reshape(
+        -1, 8, ETA_ORDERS, S_ORDERS).sum(2)
+    stack[:, :5, :S_ORDERS] = 0.0
     y = v[:, None] @ amplitude      # [row, m, p, j]: v_p . a_m at s^j
-    amplitude = np.stack([y[:, 0, 0], y[:, 0, 1] + y[:, 1, 0], y[:, 1, 1]], axis=1)
-    stack[:, 8:11, :len(eta0)] = amplitude[..., eta0]
-    stack[:, 11] = trace[columns]
+    stack[:, 8:11, :S_ORDERS] = np.stack([y[:, 0, 0], y[:, 0, 1] + y[:, 1, 0],
+                                          y[:, 1, 1]], axis=1)
+    stack[:, 11] = trace
+    # the columns: the powers that some block reaches; an index below
+    # _POWERS fits a byte
+    (columns,) = np.nonzero(stack.any(axis=(0, 1)))
+    stack = stack[..., columns]
+    columns = columns.astype(np.uint8)
     # a table has at most 32 rows: a row fits a byte
     row = row.astype(np.uint8)
     for array in (stack, columns, trace, gram, row, index):
@@ -380,12 +380,14 @@ def _target_monomials(a: float, b: float) -> np.ndarray:
     return monomials
 
 
-def _monomials(eta: np.ndarray) -> np.ndarray:
-    """Every power eta^M s^j at each eta, by power index: shape
-    (_POWERS, len(eta))."""
-    s_powers = np.sqrt(1.0 - eta) ** np.arange(S_ORDERS)[:, None]
-    return (eta ** np.arange(ETA_ORDERS)[:, None, None]
-            * s_powers).reshape(_POWERS, -1)
+def _monomials(eta: np.ndarray,
+               powers: np.ndarray = np.arange(_POWERS)) -> np.ndarray:
+    """The powers eta^M s^j of the given power indices, all of them by
+    default, at each eta: shape (len(powers), len(eta)). Only eta^0..eta^6
+    and s^0..s^12 are raised; each power is one product of two of them."""
+    m, j = np.divmod(powers, S_ORDERS)
+    return ((eta ** np.arange(ETA_ORDERS)[:, None])[m]
+            * (np.sqrt(1.0 - eta) ** np.arange(S_ORDERS)[:, None])[j])
 
 
 def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, float]:
@@ -416,16 +418,6 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
 
 
 @lru_cache(maxsize=1)
-def _tables(chunk: tuple) -> np.ndarray:
-    """The grid side of a sweep over one chunk of grid etas: its _monomials,
-    read-only. One slot for every channel: the sweeps of a row scan share
-    one grid, and a long grid streams through it."""
-    table = _monomials(np.array(chunk))
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=1)
 def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
               beta: float, chunk: tuple) -> tuple:
     """The samples of every row of a table at one target on one grid chunk,
@@ -438,8 +430,8 @@ def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
     # rows ||W u||^2 without its t^0 part, p, the t^0 amplitude and the
     # trace, then ||W u||^2 and p at eta = 1
     curves = _target_monomials(alpha, beta) @ stack
-    wu2, p, amplitude, trace = (curves[:, :4] @ _tables(chunk).take(
-        columns, axis=0)).transpose(1, 0, 2)
+    wu2, p, amplitude, trace = (curves[:, :4] @ _monomials(
+        np.array(chunk), columns)).transpose(1, 0, 2)
     wu2 += amplitude * amplitude
     # ||W u||^2 and p at eta = 1 in the block column of s^j0 (see below); a
     # branch dies at eta = 1 where j0 > 0, and the grid increases, so only a

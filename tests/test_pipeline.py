@@ -571,53 +571,12 @@ class TestKernelCalls:
         sweep(replace(config, eta_grid=default_grid(1e-5)))
         assert len(calls) - small <= small
 
-    @pytest.mark.parametrize("noise", ["ad", "pd"])
-    @pytest.mark.parametrize("correlated", [True, False])
-    def test_warm_sweeps_reuse_grid_tables(self, noise, correlated):
-        # a row scan: 72 sweeps on one grid and channel build its tables once
-        configs = [default_config(noise, receiver, spec=TargetSpec(0.6, -0.8),
-                                  table=table, row=row, correlated=correlated)
-                   for table, row, receiver in ALL_ROWS]
-        sweep(configs[0])
-        misses = pipeline._tables.cache_info().misses
-        for config in configs[1:]:
-            sweep(config)
-        assert pipeline._tables.cache_info().misses == misses
-
-    def test_noise_kinds_share_grid_tables(self):
-        # the tables hold powers of eta alone: a scan that switches noise
-        # kind and channel mode on one grid builds them once
-        configs = [default_config(noise, receiver, table=table, row=row,
-                                  correlated=correlated)
-                   for table, row, receiver in ALL_ROWS[::7]
-                   for noise in ("ad", "pd") for correlated in (True, False)]
-        sweep(configs[0])
-        misses = pipeline._tables.cache_info().misses
-        for config in configs[1:]:
-            sweep(config)
-        assert pipeline._tables.cache_info().misses == misses
-
-    @pytest.mark.parametrize("noise", ["ad", "pd"])
-    @pytest.mark.parametrize("correlated", [True, False])
-    def test_grid_tables_hold_one_chunk(self, noise, correlated):
-        # a single row on a long grid: one grid table at a time
-        grid = default_grid(1e-5)
-        sweep(default_config(noise, step=1e-5, correlated=correlated))
-        assert pipeline._tables.cache_info().currsize == 1
-        # the slot holds the grid's last chunk: fetching it is a hit
-        misses = pipeline._tables.cache_info().misses
-        last = grid[(len(grid) - 1) // pipeline.GRID_CHUNK * pipeline.GRID_CHUNK:]
-        table = pipeline._tables(last)
-        assert pipeline._tables.cache_info().misses == misses
-        powers = pipeline.ETA_ORDERS * pipeline.S_ORDERS
-        assert table.shape == (powers, len(last))
-        assert table.nbytes <= pipeline.GRID_CHUNK * powers * 8
-
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
         # pipeline docstring quotes: the Gram coefficients (with their rows
         # and indices) and the stack of every table, in all and for a
-        # correlated scan, and the evaluation slot at its largest table
+        # correlated scan, the evaluation slot at its largest table, and
+        # the grid side of a chunk at the largest column set
         entries = {(noise, correlated, table): pipeline._stack(
                        noise, correlated, table)
                    for noise in ("ad", "pd") for correlated in (True, False)
@@ -626,8 +585,8 @@ class TestKernelCalls:
                  for key, entry in entries.items()}
         stacks = {key: entry[0].nbytes for key, entry in entries.items()}
         assert len(entries) == pipeline._stack.cache_info().currsize == 16
-        chunk = (pipeline.GRID_CHUNK * pipeline.ETA_ORDERS * pipeline.S_ORDERS
-                 * 8)
+        chunk = max(len(entry[1]) for entry in entries.values()) * (
+            pipeline.GRID_CHUNK * 8)
         # fidelity and branch probability of each row at each eta of a chunk
         slot = max(len(rows) for _, rows in pipeline._TABLES.values()) * (
             pipeline.GRID_CHUNK * 2 * 8)
@@ -645,20 +604,15 @@ class TestKernelCalls:
 
     def test_every_block_column_is_used(self):
         # a table's stack lies on its own column set, and every column is
-        # nonzero in some block of that table and channel, except where
-        # Bob's uncorrelated AD Grams pair basis states that no table I
-        # correction reads: u = O^T xi* lives on the two states O maps onto
-        # |00> and |11> (14, 22, 33, 66 and their powers of s, 7 and 9), and
-        # a rounding residue of 6e-18 at 27. David's tables II and III share
-        # one column set, so their chunk products have one shape
+        # nonzero in some block of that table and channel. David's tables II
+        # and III share one column set, so their chunk products have one
+        # shape
         for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
             for table, (_, keys) in pipeline._TABLES.items():
                 stack, columns, *_ = pipeline._stack(noise, correlated, table)
                 assert np.all(np.diff(columns.astype(int)) > 0)
                 assert stack.shape == (len(keys), 20, len(columns))
-                unused = set(columns[~stack.any(axis=(0, 1))].tolist())
-                assert unused == ({7, 9, 14, 22, 27, 33, 66} if (
-                    noise, correlated, table) == ("ad", False, "I") else set())
+                assert stack.any(axis=(0, 1)).all()
             assert np.array_equal(pipeline._stack(noise, correlated, "II")[1],
                                   pipeline._stack(noise, correlated, "III")[1])
 
@@ -1027,10 +981,9 @@ class TestChannelBlockCache:
         entry = pipeline._stack(noise, correlated, "II")
         assert entry is pipeline._stack(noise, correlated, "II")
         stack, columns, trace, gram, rows, index = entry
-        table = pipeline._tables(default_grid(0.1))
         target = pipeline._target_monomials(0.6, 0.8)
-        for coef in (stack, stack[2], table, target, trace, columns, gram,
-                     rows, index):
+        for coef in (stack, stack[2], target, trace, columns, gram, rows,
+                     index):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0
         # the trace curve, indexed M * S_ORDERS + j, against the oracle's
@@ -1062,6 +1015,24 @@ class TestChannelBlockCache:
                 array[...] = 0
         assert type(ends) is tuple and len(ends) == 16
         assert type(low) is float
+
+    def test_chunk_powers_are_those_of_the_full_table(self):
+        # an evaluation raises only its table's powers on a chunk: each is
+        # bitwise the one the full table holds, on both chunks of a
+        # two-chunk grid and for every table and channel
+        grid = default_grid(0.0005)
+        chunks = [np.array(grid[start:start + pipeline.GRID_CHUNK])
+                  for start in range(0, len(grid), pipeline.GRID_CHUNK)]
+        assert len(chunks) == 2
+        for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
+            for table in pipeline._TABLES:
+                columns = pipeline._stack(noise, correlated, table)[1]
+                for etas in chunks:
+                    got = pipeline._monomials(etas, columns)
+                    full = pipeline._monomials(etas)[columns]
+                    assert got.shape == (len(columns), len(etas))
+                    assert np.array_equal(got.view(np.uint64),
+                                          full.view(np.uint64))
 
     @pytest.mark.parametrize("noise", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
