@@ -26,13 +26,14 @@ David's 32 again, for both Hadamard receivers: |Psi> is symmetric under
 swapping Charlie and David, so Charlie's branches are David's, bitwise,
 and no sweep contracts one of Charlie's. The noisy side has one store, one
 entry of _stack per (noise kind, channel mode, table), built once per
-process from that table's rows alone: one kernel call per row's branch on
-the nonzero terms, then one product per power for all of them. It keeps
-only the nonzero coefficients, each with its row and its index, about 4 %
-of the entries at the powers the correlated AD channel reaches and 31 %
-for PD; the t^0 amplitude of W_0 and W_1 by power of s goes into the stack
-and is not kept. The same pass gives the channel's trace on |Psi><Psi|, by
-power, which is the same for every table.
+process from that table's rows alone, STACK_BLOCK rows at a time (below):
+one kernel call per row's branch on the nonzero terms, then one product per
+power for the block's rows. It keeps only the nonzero coefficients, each
+with its row and its index, about 4 % of the entries at the powers the
+correlated AD channel reaches and 31 % for PD; the t^0 amplitude of W_0
+and W_1 by power of s goes into the stack and is not kept. The same pass
+gives the channel's trace on |Psi><Psi|, by power, which is the same for
+every table.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
 M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
@@ -53,9 +54,8 @@ eta = 1, by power of s. Its columns are the table's column set, read off
 the blocks it stores: the powers at which some row of some block, a curve,
 an eta = 1 fold, the t^0 amplitude or the trace, is nonzero; David's
 tables II and III have the same one under every channel. So a table's
-blocks are one read-only (rows, 20, K) array, built by one product and one
-bincount over the coefficients of all its rows' branches, each tagged with
-its row. A published row's u is read off its rule's unitary. The derived
+blocks are one read-only (rows, 20, K) array, built block by block (below).
+A published row's u is read off its rule's unitary. The derived
 table needs no oracle search: any correction that maps the
 noiseless branch a_0 alpha + a_1 beta onto the target has
 u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and a_m is the
@@ -66,6 +66,20 @@ the cache needs no size limit and holds at most 0.46 MB of Grams and
 0.99 MB of stacks; a scan of all 72 rows under both noise kinds and the
 correlated channel fills 8 entries, 0.12 MB of Grams and 0.34 MB of
 stacks.
+
+_stack builds a table in blocks of STACK_BLOCK = 8 rows, so that its
+transient memory does not grow with the table. A block makes its rows'
+kernel calls, their t^0 amplitude, one product per reached power and the
+nonzero coefficients of those products, each tagged with its row. It
+bincounts its rows' curves over all 91 powers, 116.5 KB for 8 rows, folds
+them there, and writes them into the table's one stack, allocated up front
+on the span: the powers the channel reaches and eta^0 s^0..s^12, 16 to 49
+of the 91. The column set is then read off that stack. So a cold build's
+transient, its traced peak less the bytes it keeps, is one block's work
+and the span-wide stack: 0.18 to 1.19 MB over the 16 entries (tracemalloc,
+numpy 2.4), and 3 to 12 % more for a 32-row table than for a 16-row one
+under the same channel. Building every row at once took 0.14 to 3.68 MB,
+about twice as much for 32 rows as for 16.
 
 _evaluate samples every row of a table's stack at one target on one grid
 chunk of GRID_CHUNK = 1024 etas. It multiplies the stack by the target's
@@ -81,9 +95,10 @@ sweeps read the evaluation instead (below). A chunk then costs one
 (4, K) x (K, chunk) product per block and the amplitude's square; the
 product's last row is the channel's trace at each eta, the same for every
 block, whose smallest value gives the TraceDeficitWarning check. Both
-products are matrix-matrix. The first product in a process makes BLAS
-allocate about 0.25 MB of buffers, and numpy's einsum, which avoids BLAS,
-takes about 2.5 times as long at 11 etas. At 1024, the default 11-point
+products are matrix-matrix. The first product in a process maps about
+0.33 MB of BLAS code (file-backed pages, RssFile in /proc/self/status) and
+allocates no heap; numpy's einsum, which avoids BLAS, takes about 2.5
+times as long at 11 etas. At 1024, the default 11-point
 grid and the 1001-point grid of step 0.001 are one chunk each; a
 100,001-point grid streams through 98 chunks and holds one at a time
 besides its samples.
@@ -135,6 +150,8 @@ ETA_ORDERS, S_ORDERS = 7, 13
 _POWERS = ETA_ORDERS * S_ORDERS
 #: grid etas per _evaluate entry: a 1001-point grid is one chunk (see above)
 GRID_CHUNK = 1024
+#: table rows per block of a _stack build, which bounds its transient (above)
+STACK_BLOCK = 8
 
 #: W and u are linear in (alpha, beta): the Grams are built at these two
 _UNIT_TARGETS = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
@@ -273,7 +290,9 @@ def _stack(noise_kind: str, correlated: bool,
 
     A branch is read off its amplitudes W_m at the unit targets (m = 0 for
     alpha, 1 for beta): one kernel call per row, then one product per power
-    for all rows, whose nonzero entries come out tagged with their row."""
+    for a block of STACK_BLOCK rows, whose nonzero entries come out tagged
+    with their row. Each block writes its rows' curves into the stack before
+    the next block's kernel calls."""
     receivers, keys = _TABLES[table]
     ops, kraus, power, degree = pair_terms(noise_kind, correlated)
     # a triple is one pair of terms (of one Kraus operator) per party: the
@@ -294,70 +313,88 @@ def _stack(noise_kind: str, correlated: bool,
     weight = np.abs(protocol_state().reshape(2, 4, 4, 4)) ** 2
     trace = np.bincount(powers, np.einsum("abcd,xb,yc,zd->xyz", weight, d, d,
                                           d).reshape(-1), _POWERS)
-    # [row, triple, (m, i)]
-    w = np.array([branch_amplitudes(receivers[-1], *key, _UNIT_TARGETS, ops)
-                  for key in keys]).transpose(0, 2, 3, 4, 1, 5).reshape(
-                      len(keys), -1, 8)
     first, second = (triples(x * n * n, x * n, x) for x in (first, second))
-    (reached,) = np.nonzero(np.bincount(powers))
+    counts = np.bincount(powers, None, _POWERS)
+    (reached,) = np.nonzero(counts)
     # one Kraus operator per noise kind carries t^0, so the t^0 terms of the
     # three parties make up one Kraus triple, the channel at eta = 0; its
     # amplitude, [row, m, i, s^j], has degree <= 6 in s, and a triple with a
     # t^1 term lands past the powers of s
     free = np.where(power == 0, degree, S_ORDERS)
-    amplitude = (w.transpose(0, 2, 1) @ (triples(free, free, free)[:, None]
-                 == np.arange(S_ORDERS))).reshape(len(keys), 2, 4, S_ORDERS)
-    gram = np.stack([w[:, first[at]].transpose(0, 2, 1) @ w[:, second[at]]
-                     for at in powers == reached[:, None]], axis=1)
-    # the kernel output and the dense Grams are freed before the stack is
-    # built: kept, they raise a cold sweep's peak memory
-    del w
-    # the nonzero coefficients in row order, each with its row and with its
-    # power's index in place of its position among the reached powers
-    row, at = np.nonzero(gram.reshape(len(keys), -1))
-    gram = gram.reshape(len(keys), -1)[row, at]
-    index = (reached[at >> 6] * 64 + (at & 63)).astype(np.uint16)
-    power, m, i, n, j = _coordinates(index)
-    if table == "oracle":
-        # a correction O that takes the noiseless branch a_0 alpha + a_1 beta
-        # onto the target has O a_m = c e_m, so u = O^T xi = alpha v_0 +
-        # beta v_1 with v_m = a_m / ||a_0||, up to a global phase; a_m is the
-        # t^0 amplitude at s = 1, eta = 0
-        v = amplitude.sum(axis=-1)
-        v /= np.linalg.norm(v[:, :1], axis=-1, keepdims=True)
-    else:
-        # rows 0 and 3 of O, the ones that xi = (alpha, 0, 0, beta) weighs
-        v = np.array([rule.unitary()[[0, 3]]
-                      for rule in CORRECTION_TABLES[table]])
-    # u = O^T xi = alpha v_0 + beta v_1, and ||W u||^2 = u^T G u: a
-    # coefficient g of G[P, m, i, n, j] of a row adds g v_p,i v_q,j, p, q =
-    # 0, 1, to the row's monomial m + n + p + q of ||W u||^2 at power P, and
-    # g where i = j (0 elsewhere) to its monomial 5 + m + n, that of p: rows
-    # 0 to 7 of the row's block, over all _POWERS powers until the column
-    # set is read off the blocks below
-    weight = np.concatenate([
-        (gram * v[row, :, i].T[:, None] * v[row, :, j].T).reshape(4, -1),
-        [gram * (i == j)]])
-    at = (row * 20 + m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
-    stack = np.bincount(at.reshape(-1), weight.reshape(-1), len(keys) * 20
-                        * _POWERS).reshape(len(keys), 20, _POWERS)
-    # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
-    # part, all of it at eta = 0, as the square of its amplitude: a fidelity
-    # of 0 there stays 0, not the root of the ~1e-18 rounding left where
-    # squared coefficients cancel. The powers eta^0 s^j are the first
-    # S_ORDERS columns, and stay the first of the column set
-    stack[:, 12:, :S_ORDERS] = stack[:, :8].reshape(
-        -1, 8, ETA_ORDERS, S_ORDERS).sum(2)
-    stack[:, :5, :S_ORDERS] = 0.0
-    y = v[:, None] @ amplitude      # [row, m, p, j]: v_p . a_m at s^j
-    stack[:, 8:11, :S_ORDERS] = np.stack([y[:, 0, 0], y[:, 0, 1] + y[:, 1, 0],
-                                          y[:, 1, 1]], axis=1)
-    stack[:, 11] = trace
+    # each reached power's triples, as the indices of their first and second
+    # terms into the kernel output
+    pairs = [(first[at], second[at]) for at in powers == reached[:, None]]
+    # the span: the reached powers, where the curves and the trace lie, and
+    # eta^0 s^0..s^12, where the amplitude and the eta = 1 folds lie
+    (span,) = np.nonzero(counts + (np.arange(_POWERS) < S_ORDERS))
+    stack = np.zeros((len(keys), 20, len(span)))
+
+    def block(start):
+        """Write the curves of the STACK_BLOCK rows from start on into the
+        stack, on the span; return their Gram's nonzero coefficients, with
+        the row and the index of each."""
+        rows = slice(start, start + STACK_BLOCK)
+        # [triple, row, (m, i)]: a power's triples are gathered as whole rows
+        w = np.array([branch_amplitudes(receivers[-1], *key, _UNIT_TARGETS, ops)
+                      for key in keys[rows]]).transpose(2, 3, 4, 0, 1, 5)
+        w = w.reshape(-1, w.shape[3], 8)
+        amplitude = (w.transpose(1, 2, 0) @ (triples(free, free, free)[:, None]
+                     == np.arange(S_ORDERS))).reshape(-1, 2, 4, S_ORDERS)
+        gram = np.stack([w[f].transpose(1, 2, 0) @ w[g].transpose(1, 0, 2)
+                         for f, g in pairs], axis=1)
+        # freed before the curves are built: kept, it adds to their peak
+        del w
+        # the nonzero coefficients in row order, each with its row and with
+        # its power's index in place of its position among the reached powers
+        row, at = np.nonzero(gram.reshape(len(gram), -1))
+        gram = gram.reshape(len(gram), -1)[row, at]
+        index = (reached[at >> 6] * 64 + (at & 63)).astype(np.uint16)
+        power, m, i, n, j = _coordinates(index)
+        if table == "oracle":
+            # a correction O that takes the noiseless branch a_0 alpha + a_1
+            # beta onto the target has O a_m = c e_m, so u = O^T xi = alpha
+            # v_0 + beta v_1 with v_m = a_m / ||a_0||, up to a global phase;
+            # a_m is the t^0 amplitude at s = 1, eta = 0
+            v = amplitude.sum(axis=-1)
+            v /= np.linalg.norm(v[:, :1], axis=-1, keepdims=True)
+        else:
+            # rows 0 and 3 of O, the ones that xi = (alpha, 0, 0, beta) weighs
+            v = np.array([rule.unitary()[[0, 3]]
+                          for rule in CORRECTION_TABLES[table][rows]])
+        # u = O^T xi = alpha v_0 + beta v_1, and ||W u||^2 = u^T G u: a
+        # coefficient g of G[P, m, i, n, j] of a row adds g v_p,i v_q,j, p, q
+        # = 0, 1, to the row's monomial m + n + p + q of ||W u||^2 at power
+        # P, and g where i = j (0 elsewhere) to its monomial 5 + m + n, that
+        # of p: rows 0 to 7 of the row's block, over all _POWERS powers
+        # until the blocks are cut to the span
+        weight = np.concatenate([
+            (gram * v[row, :, i].T[:, None] * v[row, :, j].T).reshape(4, -1),
+            [gram * (i == j)]])
+        at = (row * 20 + m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
+        curves = np.bincount(at.reshape(-1), weight.reshape(-1), len(v) * 20
+                             * _POWERS).reshape(len(v), 20, _POWERS)
+        # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
+        # part, all of it at eta = 0, as the square of its amplitude: a
+        # fidelity of 0 there stays 0, not the root of the ~1e-18 rounding
+        # left where squared coefficients cancel. The powers eta^0 s^j are
+        # the first S_ORDERS columns, of the span and of the column set
+        curves[:, 12:, :S_ORDERS] = curves[:, :8].reshape(
+            -1, 8, ETA_ORDERS, S_ORDERS).sum(2)
+        curves[:, :5, :S_ORDERS] = 0.0
+        y = v[:, None] @ amplitude      # [row, m, p, j]: v_p . a_m at s^j
+        curves[:, 8:11, :S_ORDERS] = np.stack([y[:, 0, 0], y[:, 0, 1] + y[:, 1, 0],
+                                               y[:, 1, 1]], axis=1)
+        curves[:, 11] = trace
+        stack[rows] = curves[..., span]
+        return gram, row + start, index
+
+    gram, row, index = map(np.concatenate, zip(*map(
+        block, range(0, len(keys), STACK_BLOCK))))
     # the columns: the powers that some block reaches; an index below
     # _POWERS fits a byte
     (columns,) = np.nonzero(stack.any(axis=(0, 1)))
     stack = stack[..., columns]
-    columns = columns.astype(np.uint8)
+    columns = span[columns].astype(np.uint8)
     # a table has at most 32 rows: a row fits a byte
     row = row.astype(np.uint8)
     for array in (stack, columns, trace, gram, row, index):

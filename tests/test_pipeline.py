@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import lru_cache
@@ -575,8 +576,9 @@ class TestKernelCalls:
         # the worst case of each cache, computed, is the figure that the
         # pipeline docstring quotes: the Gram coefficients (with their rows
         # and indices) and the stack of every table, in all and for a
-        # correlated scan, the evaluation slot at its largest table, and
-        # the grid side of a chunk at the largest column set
+        # correlated scan, the evaluation slot at its largest table, the
+        # grid side of a chunk at the largest column set, and a build
+        # block's curves on all 91 powers
         entries = {(noise, correlated, table): pipeline._stack(
                        noise, correlated, table)
                    for noise in ("ad", "pd") for correlated in (True, False)
@@ -590,7 +592,9 @@ class TestKernelCalls:
         # fidelity and branch probability of each row at each eta of a chunk
         slot = max(len(rows) for _, rows in pipeline._TABLES.values()) * (
             pipeline.GRID_CHUNK * 2 * 8)
-        figures = [f"{chunk / 1e6:.2f} MB", f"{slot / 1e6:.2f} MB"]
+        curves = pipeline.STACK_BLOCK * 20 * pipeline._POWERS * 8
+        figures = [f"{chunk / 1e6:.2f} MB", f"{slot / 1e6:.2f} MB",
+                   f"{curves / 1e3:.1f} KB for {pipeline.STACK_BLOCK} rows"]
         for sizes in (grams, stacks):
             scan = sum(size for (_, correlated, *_), size in sizes.items()
                        if correlated)
@@ -601,6 +605,47 @@ class TestKernelCalls:
         doc = " ".join(pipeline.__doc__.split())
         for figure in figures:
             assert figure in doc
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_block_size_does_not_change_the_stack(self, monkeypatch, block):
+        # a table is built STACK_BLOCK rows at a time; 5 divides none of the
+        # table sizes 8, 16 and 32, so each table ends on a short block, and
+        # a row offset that slips at a block edge would show here
+        keys = list(itertools.product(("ad", "pd"), (True, False),
+                                      pipeline._TABLES))
+        want = [pipeline._stack(*key) for key in keys]
+        monkeypatch.setattr(pipeline, "STACK_BLOCK", block)
+        clear_noisy_caches()
+        try:
+            for key, entry in zip(keys, want):
+                got = pipeline._stack(*key)
+                assert len(got) == len(entry) == 6
+                for a, b in zip(got, entry):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), key
+        finally:
+            clear_noisy_caches()
+
+    def test_build_transient_does_not_grow_with_the_rows(self):
+        # a cold build's transient, its traced peak less the bytes it keeps,
+        # is one block's work and the table's stack on its span, so the
+        # 32-row derived table's is at most 1.25 times the 16-row table II's
+        # under each channel; a build of every row at once made it 1.8 to 2
+        # times as large. Each entry is built once first, so that no
+        # first-use allocation is counted
+        for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
+            transients = []
+            for table in ("II", "oracle"):
+                pipeline._stack(noise, correlated, table)
+                clear_noisy_caches()
+                tracemalloc.start()
+                try:
+                    entry = pipeline._stack(noise, correlated, table)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                transients.append(peak - sum(a.nbytes for a in entry))
+            assert transients[1] <= 1.25 * transients[0], (noise, correlated,
+                                                           transients)
 
     def test_every_block_column_is_used(self):
         # a table's stack lies on its own column set, and every column is
