@@ -24,22 +24,42 @@ gives G at every eta and every target. Table I reads Bob's 8 branches,
 tables II and III David's 32 between them, and the derived table "oracle"
 David's 32 again, for both Hadamard receivers: |Psi> is symmetric under
 swapping Charlie and David, so Charlie's branches are David's, bitwise,
-and no sweep contracts one of Charlie's. The noisy side has one store, one
-entry of _stack per (noise kind, channel mode, table), built once per
-process from that table's rows alone, STACK_BLOCK rows at a time (below):
-one kernel call per row's branch on the nonzero terms, then one product per
-power for the block's rows. It keeps only the nonzero coefficients, each
-with its row and its index, about 4 % of the entries at the powers the
-correlated AD channel reaches and 31 % for PD; the t^0 amplitude of W_0
-and W_1 by power of s goes into the stack and is not kept. The same pass
-gives the channel's trace on |Psi><Psi|, by power, which is the same for
-every table.
+and no sweep contracts one of Charlie's.
+
+The noisy side has three stores, lru_caches filled on first use, all
+read-only:
+
+- _channel, one entry per (noise kind, channel mode): the pair terms, the
+  channel's trace on |Psi><Psi| by power, the powers it reaches, the span
+  (those powers and eta^0 s^0..s^12, 16 to 49 of the 91), each reached
+  power's triples of pair terms and the t^0 map. Every branch and table of
+  the channel reads it. An entry takes 2.1 to 102.5 KB, most of it the
+  triples' indices into the kernel output.
+- _branch, one entry per (noise kind, channel mode, receiver, outcome
+  branch), the receiver being Bob or David: one kernel call on the nonzero
+  terms, then one product per reached power. It keeps the t^0 amplitude of
+  W_0 and W_1 by power of s, and the nonzero Gram coefficients in
+  (P, m, i, n, j) order, those five coordinates of each in one uint8
+  array: about 4 % of the entries at the powers the correlated AD channel
+  reaches and 28 % for PD. Every table that reads the branch shares the
+  entry, Charlie and David included, and so does receiver_state.
+- _stack, one entry per (noise kind, channel mode, table): the table's
+  curve stack and its column set (below), folded from its rows' _branch
+  entries and corrections.
+
+So each branch is contracted once per process, whichever tables read it:
+a process that sweeps rows II-1, III-1 and oracle-1 makes 32 kernel calls.
+The key spaces are finite: 2 x 2 x (8 + 32) = 160 branches, which take
+0.9 to 4.2 KB each and 0.41 MB in all, and 2 x 2 x 4 = 16 tables, whose
+stacks take 10.2 to 230.4 KB and 0.99 MB in all, so no cache needs a size
+limit. A scan of all 72 rows under both noise kinds and the correlated
+channel fills 80 branches, 0.14 MB, and 8 stacks, 0.34 MB.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
 M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
 in the rows of an evaluation's grid side. A table is the only store of its
-rows' curves: the same _stack pass derives every row's curves from its
-branch's G and its correction u = O^T xi, for the whole table at once:
+rows' curves: _stack derives each row's curves from its branch's G and its
+correction u = O^T xi:
 
     p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),
 
@@ -54,32 +74,20 @@ eta = 1, by power of s. Its columns are the table's column set, read off
 the blocks it stores: the powers at which some row of some block, a curve,
 an eta = 1 fold, the t^0 amplitude or the trace, is nonzero; David's
 tables II and III have the same one under every channel. So a table's
-blocks are one read-only (rows, 20, K) array, built block by block (below).
-A published row's u is read off its rule's unitary. The derived
-table needs no oracle search: any correction that maps the
-noiseless branch a_0 alpha + a_1 beta onto the target has
-u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and a_m is the
-branch's t^0 amplitude at s = 1. The key space is finite,
-2 x 2 x 4 = 16 tables, whose Gram coefficients (with their rows and
-indices) take 0.5 to 90.1 KB and whose stacks take 10.2 to 230.4 KB, so
-the cache needs no size limit and holds at most 0.46 MB of Grams and
-0.99 MB of stacks; a scan of all 72 rows under both noise kinds and the
-correlated channel fills 8 entries, 0.12 MB of Grams and 0.34 MB of
-stacks.
+blocks are one read-only (rows, 20, K) array. A published row's u is read
+off its rule's unitary. The derived table needs no oracle search: any
+correction that maps the noiseless branch a_0 alpha + a_1 beta onto the
+target has u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and
+a_m is the branch's t^0 amplitude at s = 1.
 
-_stack builds a table in blocks of STACK_BLOCK = 8 rows, so that its
-transient memory does not grow with the table. A block makes its rows'
-kernel calls, their t^0 amplitude, one product per reached power and the
-nonzero coefficients of those products, each tagged with its row. It
-bincounts its rows' curves over all 91 powers, 116.5 KB for 8 rows, folds
-them there, and writes them into the table's one stack, allocated up front
-on the span: the powers the channel reaches and eta^0 s^0..s^12, 16 to 49
-of the 91. The column set is then read off that stack. So a cold build's
-transient, its traced peak less the bytes it keeps, is one block's work
-and the span-wide stack: 0.18 to 1.19 MB over the 16 entries (tracemalloc,
-numpy 2.4), and 3 to 12 % more for a 32-row table than for a 16-row one
-under the same channel. Building every row at once took 0.14 to 3.68 MB,
-about twice as much for 32 rows as for 16.
+_stack folds one row at a time: it bincounts the row's curves over all 91
+powers, 14.6 KB, folds them there, and writes them into the table's one
+stack, allocated up front on the channel's span. The column set is then
+read off that stack. So a cold build's transient, its traced peak less the
+traced bytes still held after it (the entry, and the channel and branch
+entries it filled), is one branch's work, the channel's set-up where that
+is cold, and the span-wide stack, most of it for a 32-row table: 0.04 to
+0.29 MB over the 16 entries (tracemalloc, numpy 2.4).
 
 _evaluate samples every row of a table's stack at one target on one grid
 chunk of GRID_CHUNK = 1024 etas. It multiplies the stack by the target's
@@ -111,13 +119,13 @@ whole table, 8 to 32 rows, once per chunk. The slot holds at most 32 rows
 x GRID_CHUNK etas x 2 floats, 0.52 MB, read-only, as every sweep at its
 key shares it. Every sweep still makes the TraceDeficitWarning check.
 
-receiver_state reads the branch's cached G, the one the row's curves come
-from: the coefficients of its table's _stack entry tagged with its row. It
-weighs each by its power eta^M s^j at its one eta and by the target's
-alpha^2, alpha beta or beta^2, and returns rho = G^T / p. It makes no
-kernel call once the row's table is built, and evaluates all 91 powers
-at its one eta, for the Gram and the trace curve, with the same _monomials
-as an evaluation.
+receiver_state reads its row's _branch entry, the Gram the row's curves
+come from, and the channel's trace curve. It weighs each Gram coefficient
+by its power eta^M s^j at its one eta and by the target's alpha^2,
+alpha beta or beta^2, and returns rho = G^T / p. It builds no table: a
+cold call makes one kernel call, for its own branch, and a warm one none.
+It evaluates all 91 powers at its one eta, for the Gram and the trace
+curve, with the same _monomials as an evaluation.
 
 Where a Bob outcome's probability vanishes at eta = 1 (every damping path
 annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
@@ -150,8 +158,6 @@ ETA_ORDERS, S_ORDERS = 7, 13
 _POWERS = ETA_ORDERS * S_ORDERS
 #: grid etas per _evaluate entry: a 1001-point grid is one chunk (see above)
 GRID_CHUNK = 1024
-#: table rows per block of a _stack build, which bounds its transient (above)
-STACK_BLOCK = 8
 
 #: W and u are linear in (alpha, beta): the Grams are built at these two
 _UNIT_TARGETS = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
@@ -262,38 +268,14 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
     return tuple(round(i * step, 10) for i in range(n + 1))
 
 
-def _coordinates(index: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(P, m, i, n, j) of flat indices into (_POWERS, 2, 4, 2, 4), read off
-    their bits: np.unravel_index takes about ten times as long."""
-    return index >> 6, index >> 5 & 1, index >> 3 & 3, index >> 2 & 1, index & 3
-
-
 @lru_cache(maxsize=None)
-def _stack(noise_kind: str, correlated: bool,
-           table: str) -> tuple[np.ndarray, ...]:
-    """What the sweeps and receiver_state read of one table under one
-    channel, all read-only, built from its rows' branches alone:
-
-    - the stack, every row's exact curves from its branch's Gram and its
-      correction: (rows, 20, K) blocks in row order, whose rows go with the
-      columns of _target_monomials: the coefficients of ||W u||^2 (without
-      its eta^0 part) for alpha^4, alpha^3 beta, ..., beta^4, then those of
-      p and of the t^0 amplitude W u, each for alpha^2, alpha beta, beta^2,
-      and the channel's trace; then ||W u||^2 and p at eta = 1, by power of
-      s in the columns of the powers eta^0 s^j;
-    - the columns, the power index of each of the K columns: the powers at
-      which some row of some block is nonzero;
-    - the channel's trace on |Psi><Psi| by power index;
-    - the nonzero coefficients of the rows' branch Grams G[P, m, i, n, j] =
-      sum_k W_m,ki W_n,kj, with the row of each and its flat index into
-      (_POWERS, 2, 4, 2, 4), for receiver_state.
-
-    A branch is read off its amplitudes W_m at the unit targets (m = 0 for
-    alpha, 1 for beta): one kernel call per row, then one product per power
-    for a block of STACK_BLOCK rows, whose nonzero entries come out tagged
-    with their row. Each block writes its rows' curves into the stack before
-    the next block's kernel calls."""
-    receivers, keys = _TABLES[table]
+def _channel(noise_kind: str, correlated: bool) -> tuple:
+    """What every branch and table of one channel reads, all read-only: its
+    pair terms; its trace on |Psi><Psi| by power index; the powers it
+    reaches; the span, those powers and eta^0 s^0..s^12, where a table's
+    curves, amplitude and eta = 1 folds lie; each reached power's triples,
+    as the indices of their first and second terms into the kernel output;
+    and the t^0 map, which sums the t^0 triples by power of s."""
     ops, kraus, power, degree = pair_terms(noise_kind, correlated)
     # a triple is one pair of terms (of one Kraus operator) per party: the
     # channel weighs the product of the kernel's entries at its first and
@@ -316,90 +298,105 @@ def _stack(noise_kind: str, correlated: bool,
     first, second = (triples(x * n * n, x * n, x) for x in (first, second))
     counts = np.bincount(powers, None, _POWERS)
     (reached,) = np.nonzero(counts)
+    (span,) = np.nonzero(counts + (np.arange(_POWERS) < S_ORDERS))
+    # one mask per reached power: a (powers, triples) mask at once took
+    # 0.29 MB under uncorrelated AD
+    pairs = tuple((first[at], second[at]) for at in (powers == p for p in reached))
     # one Kraus operator per noise kind carries t^0, so the t^0 terms of the
     # three parties make up one Kraus triple, the channel at eta = 0; its
-    # amplitude, [row, m, i, s^j], has degree <= 6 in s, and a triple with a
-    # t^1 term lands past the powers of s
+    # amplitude has degree <= 6 in s, and a triple with a t^1 term lands past
+    # the powers of s
     free = np.where(power == 0, degree, S_ORDERS)
-    # each reached power's triples, as the indices of their first and second
-    # terms into the kernel output
-    pairs = [(first[at], second[at]) for at in powers == reached[:, None]]
-    # the span: the reached powers, where the curves and the trace lie, and
-    # eta^0 s^0..s^12, where the amplitude and the eta = 1 folds lie
-    (span,) = np.nonzero(counts + (np.arange(_POWERS) < S_ORDERS))
-    stack = np.zeros((len(keys), 20, len(span)))
+    free = triples(free, free, free)[:, None] == np.arange(S_ORDERS)
+    for array in (ops, trace, reached, span, free, *sum(pairs, ())):
+        array.setflags(write=False)
+    return ops, trace, reached, span, pairs, free
 
-    def block(start):
-        """Write the curves of the STACK_BLOCK rows from start on into the
-        stack, on the span; return their Gram's nonzero coefficients, with
-        the row and the index of each."""
-        rows = slice(start, start + STACK_BLOCK)
-        # [triple, row, (m, i)]: a power's triples are gathered as whole rows
-        w = np.array([branch_amplitudes(receivers[-1], *key, _UNIT_TARGETS, ops)
-                      for key in keys[rows]]).transpose(2, 3, 4, 0, 1, 5)
-        w = w.reshape(-1, w.shape[3], 8)
-        amplitude = (w.transpose(1, 2, 0) @ (triples(free, free, free)[:, None]
-                     == np.arange(S_ORDERS))).reshape(-1, 2, 4, S_ORDERS)
-        gram = np.stack([w[f].transpose(1, 2, 0) @ w[g].transpose(1, 0, 2)
-                         for f, g in pairs], axis=1)
-        # freed before the curves are built: kept, it adds to their peak
-        del w
-        # the nonzero coefficients in row order, each with its row and with
-        # its power's index in place of its position among the reached powers
-        row, at = np.nonzero(gram.reshape(len(gram), -1))
-        gram = gram.reshape(len(gram), -1)[row, at]
-        index = (reached[at >> 6] * 64 + (at & 63)).astype(np.uint16)
-        power, m, i, n, j = _coordinates(index)
+
+@lru_cache(maxsize=None)
+def _branch(noise_kind: str, correlated: bool, receiver: str,
+            sender_outcome: str, collaborator_outcomes: tuple) -> tuple:
+    """One of Bob's or David's outcome branches under one channel, read-only,
+    from one kernel call on its amplitudes W_m at the unit targets (m = 0
+    for alpha, 1 for beta): its t^0 amplitude [m, i, s^j], and the nonzero
+    coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj, in that
+    order, with the (P, m, i, n, j) of each as the rows of one uint8 array."""
+    ops, _, reached, _, pairs, free = _channel(noise_kind, correlated)
+    # [triple, (m, i)]: a power's triples are gathered as whole rows
+    w = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
+                          _UNIT_TARGETS, ops).transpose(1, 2, 3, 0, 4).reshape(-1, 8)
+    amplitude = (w.T @ free).reshape(2, 4, S_ORDERS)
+    gram = np.array([w[f].T @ w[g] for f, g in pairs]).reshape(-1, 2, 4, 2, 4)
+    at = np.nonzero(gram)
+    # a power index, below _POWERS, fits a byte
+    coordinates = np.array([reached[at[0]], *at[1:]], dtype=np.uint8)
+    gram = gram[at]
+    for array in (amplitude, gram, coordinates):
+        array.setflags(write=False)
+    return amplitude, gram, coordinates
+
+
+@lru_cache(maxsize=None)
+def _stack(noise_kind: str, correlated: bool,
+           table: str) -> tuple[np.ndarray, np.ndarray]:
+    """What the sweeps read of one table under one channel, both read-only,
+    folded from its rows' _branch entries and corrections:
+
+    - the stack, every row's exact curves from its branch's Gram and its
+      correction: (rows, 20, K) blocks in row order, whose rows go with the
+      columns of _target_monomials: the coefficients of ||W u||^2 (without
+      its eta^0 part) for alpha^4, alpha^3 beta, ..., beta^4, then those of
+      p and of the t^0 amplitude W u, each for alpha^2, alpha beta, beta^2,
+      and the channel's trace; then ||W u||^2 and p at eta = 1, by power of
+      s in the columns of the powers eta^0 s^j;
+    - the columns, the power index of each of the K columns: the powers at
+      which some row of some block is nonzero."""
+    receivers, keys = _TABLES[table]
+    _, trace, _, span, _, _ = _channel(noise_kind, correlated)
+    stack = np.zeros((len(keys), 20, len(span)))
+    for row, key in enumerate(keys):
+        amplitude, gram, (power, m, i, n, j) = _branch(
+            noise_kind, correlated, receivers[-1], *key)
         if table == "oracle":
             # a correction O that takes the noiseless branch a_0 alpha + a_1
             # beta onto the target has O a_m = c e_m, so u = O^T xi = alpha
             # v_0 + beta v_1 with v_m = a_m / ||a_0||, up to a global phase;
             # a_m is the t^0 amplitude at s = 1, eta = 0
             v = amplitude.sum(axis=-1)
-            v /= np.linalg.norm(v[:, :1], axis=-1, keepdims=True)
+            v /= np.linalg.norm(v[:1], axis=-1, keepdims=True)
         else:
             # rows 0 and 3 of O, the ones that xi = (alpha, 0, 0, beta) weighs
-            v = np.array([rule.unitary()[[0, 3]]
-                          for rule in CORRECTION_TABLES[table][rows]])
+            v = CORRECTION_TABLES[table][row].unitary()[[0, 3]]
         # u = O^T xi = alpha v_0 + beta v_1, and ||W u||^2 = u^T G u: a
-        # coefficient g of G[P, m, i, n, j] of a row adds g v_p,i v_q,j, p, q
-        # = 0, 1, to the row's monomial m + n + p + q of ||W u||^2 at power
-        # P, and g where i = j (0 elsewhere) to its monomial 5 + m + n, that
-        # of p: rows 0 to 7 of the row's block, over all _POWERS powers
-        # until the blocks are cut to the span
-        weight = np.concatenate([
-            (gram * v[row, :, i].T[:, None] * v[row, :, j].T).reshape(4, -1),
-            [gram * (i == j)]])
-        at = (row * 20 + m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
-        curves = np.bincount(at.reshape(-1), weight.reshape(-1), len(v) * 20
-                             * _POWERS).reshape(len(v), 20, _POWERS)
+        # coefficient g of G[P, m, i, n, j] adds g v_p,i v_q,j, p, q = 0, 1,
+        # to the monomial m + n + p + q of ||W u||^2 at power P, and g where
+        # i = j (0 elsewhere) to its monomial 5 + m + n, that of p: rows 0 to
+        # 7 of the row's block, over all _POWERS powers until it is cut to
+        # the span
+        weight = np.concatenate([(gram * v[:, i][:, None] * v[:, j]).reshape(4, -1),
+                                 [gram * (i == j)]])
+        at = (m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
+        curves = np.bincount(at.reshape(-1), weight.reshape(-1),
+                             20 * _POWERS).reshape(20, _POWERS)
         # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
         # part, all of it at eta = 0, as the square of its amplitude: a
         # fidelity of 0 there stays 0, not the root of the ~1e-18 rounding
         # left where squared coefficients cancel. The powers eta^0 s^j are
         # the first S_ORDERS columns, of the span and of the column set
-        curves[:, 12:, :S_ORDERS] = curves[:, :8].reshape(
-            -1, 8, ETA_ORDERS, S_ORDERS).sum(2)
-        curves[:, :5, :S_ORDERS] = 0.0
-        y = v[:, None] @ amplitude      # [row, m, p, j]: v_p . a_m at s^j
-        curves[:, 8:11, :S_ORDERS] = np.stack([y[:, 0, 0], y[:, 0, 1] + y[:, 1, 0],
-                                               y[:, 1, 1]], axis=1)
-        curves[:, 11] = trace
-        stack[rows] = curves[..., span]
-        return gram, row + start, index
-
-    gram, row, index = map(np.concatenate, zip(*map(
-        block, range(0, len(keys), STACK_BLOCK))))
+        curves[12:, :S_ORDERS] = curves[:8].reshape(8, ETA_ORDERS, S_ORDERS).sum(1)
+        curves[:5, :S_ORDERS] = 0.0
+        y = v @ amplitude       # [m, p, j]: v_p . a_m at s^j
+        curves[8:11, :S_ORDERS] = y[0, 0], y[0, 1] + y[1, 0], y[1, 1]
+        curves[11] = trace
+        stack[row] = curves[:, span]
     # the columns: the powers that some block reaches; an index below
     # _POWERS fits a byte
     (columns,) = np.nonzero(stack.any(axis=(0, 1)))
     stack = stack[..., columns]
     columns = span[columns].astype(np.uint8)
-    # a table has at most 32 rows: a row fits a byte
-    row = row.astype(np.uint8)
-    for array in (stack, columns, trace, gram, row, index):
+    for array in (stack, columns):
         array.setflags(write=False)
-    return stack, columns, trace, gram, row, index
+    return stack, columns
 
 
 def _target_monomials(a: float, b: float) -> np.ndarray:
@@ -431,19 +428,18 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
     """The receiver's normalized state G^T / p on the config's branch at one
     eta, before correction, as a real (float64) 4x4 array, and the branch
     probability p = tr G: the branch's cached Gram, the one the sweep's
-    curves come from, weighed at that eta and at the config's target. No
-    kernel call once the row's table is built."""
+    curves come from, weighed at that eta and at the config's target. One
+    kernel call, for the branch alone, if it is cold."""
     if not 0.0 <= eta <= 1.0:   # False for NaN
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
     monomials = _monomials(np.array([eta]))[:, 0]
-    _, _, trace, gram, row, index = _stack(config.noise_kind, config.correlated,
-                                           config.table)
+    trace = _channel(config.noise_kind, config.correlated)[1]
     warn_trace_deficit(1.0 - float(trace @ monomials))
-    # the row tags increase: the row's coefficients are one slice
-    mine = slice(row.searchsorted(config.row - 1), row.searchsorted(config.row))
-    power, m, i, n, j = _coordinates(index[mine])
+    receivers, keys = _TABLES[config.table]
+    _, gram, (power, m, i, n, j) = _branch(config.noise_kind, config.correlated,
+                                           receivers[-1], *keys[config.row - 1])
     target = np.array([config.spec.alpha, config.spec.beta])
-    g = np.bincount(i * 4 + j, gram[mine] * monomials[power] * target[m]
+    g = np.bincount(i * 4 + j, gram * monomials[power] * target[m]
                     * target[n], 16).reshape(4, 4)
     p = float(np.trace(g))
     if p <= BRANCH_PROBABILITY_FLOOR:
@@ -463,7 +459,7 @@ def _evaluate(noise_kind: str, correlated: bool, table: str, alpha: float,
     the exact limit eta -> 1; and the smallest channel trace there. One
     target product and one chunk product for the table's whole _stack.
     Cached for the last key: the sweeps of a row scan share it."""
-    stack, columns, *_ = _stack(noise_kind, correlated, table)
+    stack, columns = _stack(noise_kind, correlated, table)
     # rows ||W u||^2 without its t^0 part, p, the t^0 amplitude and the
     # trace, then ||W u||^2 and p at eta = 1
     curves = _target_monomials(alpha, beta) @ stack

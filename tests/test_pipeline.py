@@ -459,24 +459,26 @@ class TestExactCurve:
         """Every coefficient of every _stack block is a small multiple of a
         dyadic step: the squared rows (||W u||^2, p, the trace, the eta = 1
         folds) of 2^-9, the t^0 amplitude rows of 2^-4 / sqrt(2); so is every
-        coefficient of every branch Gram, of 2^-9. This checks the kernel
-        against its own structure; an exact derivation of the blocks that
-        shares no code with it is still open."""
+        coefficient of each of the 160 branch Grams, of 2^-9. This checks the
+        kernel against its own structure; an exact derivation of the blocks
+        that shares no code with it is still open."""
         squared = np.r_[0:8, 11:20]
-        worst = [0.0, 0.0, 0.0]
-        for noise, correlated, (table, row, receiver) in itertools.product(
-                ["ad", "pd"], [True, False], ALL_ROWS):
-            stack, _, _, grams, tags, _ = pipeline._stack(noise, correlated,
-                                                          table)
-            block, gram = stack[row - 1], grams[tags == row - 1]
-            for i, (rows, scale) in enumerate(
-                    ((block[squared], 2**9), (block[8:11], 2**4 * np.sqrt(2)),
-                     (gram, 2**9))):
-                scaled = rows * scale
-                worst[i] = max(worst[i], np.max(np.abs(scaled - np.round(scaled))))
-        assert worst[0] < 1e-11
-        assert worst[1] < 1e-13
-        assert worst[2] < 1e-11
+        blocks = [pipeline._stack(noise, correlated, table)[0][row - 1]
+                  for noise, correlated, (table, row, _) in itertools.product(
+                      ["ad", "pd"], [True, False], ALL_ROWS)]
+        grams = [pipeline._branch(noise, correlated, receiver, *key)[1]
+                 for noise, correlated, receiver in itertools.product(
+                     ["ad", "pd"], [True, False], ["bob", "david"])
+                 for key in protocol.BRANCHES[receiver]]
+        assert len(grams) == 160
+
+        def worst(arrays, scale):
+            return max(np.max(np.abs(a * scale - np.round(a * scale)))
+                       for a in arrays)
+
+        assert worst([block[squared] for block in blocks], 2**9) < 1e-11
+        assert worst([block[8:11] for block in blocks], 2**4 * np.sqrt(2)) < 1e-13
+        assert worst(grams, 2**9) < 1e-11
 
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
         stack, *rest = pipeline._stack("ad", True, "I")
@@ -490,15 +492,16 @@ class TestExactCurve:
 
 
 def clear_noisy_caches():
-    pipeline._stack.cache_clear()
-    pipeline._evaluate.cache_clear()
+    for cache in (pipeline._channel, pipeline._branch, pipeline._stack,
+                  pipeline._evaluate):
+        cache.cache_clear()
 
 
 class TestKernelCalls:
-    """A table's branches cost one kernel call each per process, whatever
-    the grid, the target or the rule, and no other table's: each outcome
-    branch is read by one table row. states.branch_amplitudes calls counted,
-    no timing."""
+    """Each outcome branch costs one kernel call per process, whatever the
+    grid, the target, the rule or the table that reads it: the tables and
+    receiver_state share one _branch entry per branch.
+    states.branch_amplitudes calls counted, no timing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -549,20 +552,30 @@ class TestKernelCalls:
         assert len(calls) == cold
 
     def test_receiver_state_reads_the_sweeps_branches(self, calls):
-        # table III after table II builds its own 16 branches; another row of
-        # a built table, and another target, make no call; receiver_state on
-        # a cold table builds that table only, as a sweep would
-        sweep(default_config("pd", "david", row=1))
+        # a cold receiver_state contracts its own row's branch and builds no
+        # table
+        receiver_state(default_config("ad", "bob", row=3), 0.3)
+        assert calls == [("bob", *pipeline._TABLES["I"][1][2])]
+        assert pipeline._stack.cache_info().currsize == 0
+        clear_noisy_caches()
+        calls.clear()
+        # tables II and III read David's 32 branches between them, and the
+        # derived table reads them again, for either receiver; no other
+        # sweep or receiver_state on those tables makes a call
+        sweep(default_config("ad", "david", row=1))
         assert len(calls) == 16
-        sweep(default_config("pd", "david", table="III", row=1))
+        sweep(default_config("ad", "david", table="III", row=1))
         assert len(calls) == 32
-        for table, row in (("II", 2), ("III", 2), ("III", 16)):
-            receiver_state(default_config("pd", "david", TargetSpec(0.6, 0.8),
+        sweep(default_config("ad", "charlie", row=1))
+        assert len(calls) == 32
+        for receiver, table, row in (("david", "II", 2), ("david", "III", 16),
+                                     ("charlie", "oracle", 5),
+                                     ("david", "oracle", 32)):
+            receiver_state(default_config("ad", receiver, TargetSpec(0.6, 0.8),
                                           table=table, row=row), 0.3)
-        assert len(calls) == 32
-        receiver_state(default_config("pd", "bob", row=3), 0.3)
-        assert len(calls) == 40
+        assert len(calls) == len(set(calls)) == 32
         assert pipeline._stack.cache_info().currsize == 3
+        assert pipeline._branch.cache_info().currsize == 32
 
     def test_grid_size_does_not_add_calls(self, calls):
         config = default_config("pd", "bob", step=0.1)
@@ -574,28 +587,38 @@ class TestKernelCalls:
 
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
-        # pipeline docstring quotes: the Gram coefficients (with their rows
-        # and indices) and the stack of every table, in all and for a
-        # correlated scan, the evaluation slot at its largest table, the
-        # grid side of a chunk at the largest column set, and a build
-        # block's curves on all 91 powers
+        # pipeline docstring quotes: the channels, the branches (in all and
+        # for a correlated scan) and the stacks (likewise), the evaluation
+        # slot at its largest table, the grid side of a chunk at the largest
+        # column set, and a row's curves on all 91 powers. The 16 tables
+        # read all 160 branches
+        clear_noisy_caches()
+        channels = {(noise, correlated): pipeline._channel(noise, correlated)
+                    for noise in ("ad", "pd") for correlated in (True, False)}
         entries = {(noise, correlated, table): pipeline._stack(
                        noise, correlated, table)
-                   for noise in ("ad", "pd") for correlated in (True, False)
-                   for table in ("I", "II", "III", "oracle")}
-        grams = {key: sum(a.nbytes for a in entry[3:])
-                 for key, entry in entries.items()}
-        stacks = {key: entry[0].nbytes for key, entry in entries.items()}
+                   for noise, correlated in channels for table in pipeline._TABLES}
+        branches = {(noise, correlated, receiver, key): pipeline._branch(
+                        noise, correlated, receiver, *key)
+                    for noise, correlated in channels
+                    for receiver in ("bob", "david")
+                    for key in protocol.BRANCHES[receiver]}
         assert len(entries) == pipeline._stack.cache_info().currsize == 16
-        chunk = max(len(entry[1]) for entry in entries.values()) * (
+        assert len(branches) == pipeline._branch.cache_info().currsize == 160
+        chunk = max(len(columns) for _, columns in entries.values()) * (
             pipeline.GRID_CHUNK * 8)
         # fidelity and branch probability of each row at each eta of a chunk
         slot = max(len(rows) for _, rows in pipeline._TABLES.values()) * (
             pipeline.GRID_CHUNK * 2 * 8)
-        curves = pipeline.STACK_BLOCK * 20 * pipeline._POWERS * 8
+        curves = 20 * pipeline._POWERS * 8
+        channel = [sum(a.nbytes for a in (*entry[:4], *sum(entry[4], ()), entry[5]))
+                   for entry in channels.values()]
         figures = [f"{chunk / 1e6:.2f} MB", f"{slot / 1e6:.2f} MB",
-                   f"{curves / 1e3:.1f} KB for {pipeline.STACK_BLOCK} rows"]
-        for sizes in (grams, stacks):
+                   f"{curves / 1e3:.1f} KB",
+                   f"{min(channel) / 1e3:.1f} to {max(channel) / 1e3:.1f} KB"]
+        for sizes in ({key: sum(a.nbytes for a in entry)
+                       for key, entry in branches.items()},
+                      {key: entry[0].nbytes for key, entry in entries.items()}):
             scan = sum(size for (_, correlated, *_), size in sizes.items()
                        if correlated)
             figures += [f"{min(sizes.values()) / 1e3:.1f} to "
@@ -606,46 +629,46 @@ class TestKernelCalls:
         for figure in figures:
             assert figure in doc
 
-    @pytest.mark.parametrize("block", [1, 5])
-    def test_block_size_does_not_change_the_stack(self, monkeypatch, block):
-        # a table is built STACK_BLOCK rows at a time; 5 divides none of the
-        # table sizes 8, 16 and 32, so each table ends on a short block, and
-        # a row offset that slips at a block edge would show here
+    def test_build_order_does_not_change_the_stacks(self):
+        # the tables share their channel's and their branches' entries: each
+        # table's (stack, columns) is bitwise the same whether it is built
+        # first in a cold process or after the tables that read its branches
+        # or the channel's other branches
         keys = list(itertools.product(("ad", "pd"), (True, False),
                                       pipeline._TABLES))
-        want = [pipeline._stack(*key) for key in keys]
-        monkeypatch.setattr(pipeline, "STACK_BLOCK", block)
-        clear_noisy_caches()
-        try:
-            for key, entry in zip(keys, want):
-                got = pipeline._stack(*key)
-                assert len(got) == len(entry) == 6
-                for a, b in zip(got, entry):
-                    assert a.dtype == b.dtype and np.array_equal(a, b), key
-        finally:
+        alone = {}
+        for key in keys:
             clear_noisy_caches()
+            alone[key] = pipeline._stack(*key)
+        for order in (("oracle", "II", "III", "I"), ("I", "II", "III", "oracle")):
+            clear_noisy_caches()
+            for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
+                for table in order:
+                    got = pipeline._stack(noise, correlated, table)
+                    want = alone[noise, correlated, table]
+                    assert len(got) == len(want) == 2
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and np.array_equal(a, b), (
+                            order, noise, correlated, table)
 
     def test_build_transient_does_not_grow_with_the_rows(self):
-        # a cold build's transient, its traced peak less the bytes it keeps,
-        # is one block's work and the table's stack on its span, so the
-        # 32-row derived table's is at most 1.25 times the 16-row table II's
-        # under each channel; a build of every row at once made it 1.8 to 2
-        # times as large. Each entry is built once first, so that no
-        # first-use allocation is counted
-        for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
-            transients = []
-            for table in ("II", "oracle"):
-                pipeline._stack(noise, correlated, table)
-                clear_noisy_caches()
-                tracemalloc.start()
-                try:
-                    entry = pipeline._stack(noise, correlated, table)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                transients.append(peak - sum(a.nbytes for a in entry))
-            assert transients[1] <= 1.25 * transients[0], (noise, correlated,
-                                                           transients)
+        # a cold build's transient, its traced peak less the traced bytes
+        # still held after it (the entry and the channel and branch entries
+        # it filled), is one branch's work and the table's stack on its
+        # span: at most 0.4 MB for each of the 16 entries, of 8 to 32 rows.
+        # Each entry is built once first, so that no first-use allocation
+        # is counted
+        for key in itertools.product(("ad", "pd"), (True, False),
+                                     pipeline._TABLES):
+            pipeline._stack(*key)
+            clear_noisy_caches()
+            tracemalloc.start()
+            try:
+                pipeline._stack(*key)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - held <= 0.4e6, (key, peak - held)
 
     def test_every_block_column_is_used(self):
         # a table's stack lies on its own column set, and every column is
@@ -654,7 +677,7 @@ class TestKernelCalls:
         # shape
         for noise, correlated in itertools.product(("ad", "pd"), (True, False)):
             for table, (_, keys) in pipeline._TABLES.items():
-                stack, columns, *_ = pipeline._stack(noise, correlated, table)
+                stack, columns = pipeline._stack(noise, correlated, table)
                 assert np.all(np.diff(columns.astype(int)) > 0)
                 assert stack.shape == (len(keys), 20, len(columns))
                 assert stack.any(axis=(0, 1)).all()
@@ -1022,13 +1045,20 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_is_read_only(self, noise, correlated):
         # the cached coefficients are shared by every later sweep of the
-        # table, and its branches' Grams by every receiver_state call
+        # table, the branches' by every table and receiver_state call, and
+        # the channel's by every branch and table
         entry = pipeline._stack(noise, correlated, "II")
         assert entry is pipeline._stack(noise, correlated, "II")
-        stack, columns, trace, gram, rows, index = entry
+        stack, columns = entry
+        key = CORRECTION_TABLES["II"][0].outcomes
+        branch = pipeline._branch(noise, correlated, "david", *key)
+        assert branch is pipeline._branch(noise, correlated, "david", *key)
+        channel = pipeline._channel(noise, correlated)
+        assert channel is pipeline._channel(noise, correlated)
+        ops, trace, reached, span, pairs, free = channel
         target = pipeline._target_monomials(0.6, 0.8)
-        for coef in (stack, stack[2], target, trace, columns, gram, rows,
-                     index):
+        for coef in (stack, stack[2], columns, target, *branch, ops, trace,
+                     reached, span, *sum(pairs, ()), free):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0
         # the trace curve, indexed M * S_ORDERS + j, against the oracle's
@@ -1083,7 +1113,7 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_trace_matches_channel_trace(self, noise, correlated):
         # the trace row of a sweep's chunk product, at each eta
-        stack, powers, *_ = pipeline._stack(noise, correlated, "I")
+        stack, powers = pipeline._stack(noise, correlated, "I")
         block = stack[1]
         etas = np.linspace(0.0, 1.0, 9)
         coef = pipeline._target_monomials(0.6, 0.8) @ block

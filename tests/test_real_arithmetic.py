@@ -46,11 +46,18 @@ def test_branch_amplitudes_are_real(kind, correlated):
 @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
 @pytest.mark.parametrize("correlated", [True, False])
 def test_branch_store_and_stacks_are_real(kind, correlated):
+    ops, trace, reached, span, pairs, free = pipeline._channel(kind, correlated)
+    assert ops.dtype == trace.dtype == REAL
+    for receiver in ("bob", "david"):
+        for key in protocol.BRANCHES[receiver]:
+            amplitude, gram, coordinates = pipeline._branch(
+                kind, correlated, receiver, *key)
+            assert amplitude.dtype == gram.dtype == REAL
+            assert coordinates.dtype.kind == "u"
     for table in pipeline._TABLES:
-        stack, columns, trace, gram, rows, index = pipeline._stack(
-            kind, correlated, table)
-        assert stack.dtype == trace.dtype == gram.dtype == REAL
-        assert columns.dtype.kind == rows.dtype.kind == index.dtype.kind == "u"
+        stack, columns = pipeline._stack(kind, correlated, table)
+        assert stack.dtype == REAL
+        assert columns.dtype.kind == "u"
 
 
 def test_kron_keeps_its_factors_dtype():
