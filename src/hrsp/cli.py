@@ -8,19 +8,19 @@ sweep                  fidelity vs noise, CSV output
 
 Exit codes follow the documented contract: 0 success, 1 for a failed check
 or unwritable output, 2 for bad parameters.
+
+Only the verify commands and a sweep of more than GRID_CHUNK points import
+numpy: a shorter sweep runs hrsp.exact.sweep (see hrsp.exact).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-import numpy as np
-
-from . import __version__
-from .pipeline import default_config, sweep
-from .protocol import CORRECTION_TABLES, format_table_report, verify_table
-from .states import TargetSpec, verify_factorization
+from . import __version__, exact
+from .exact import GRID_CHUNK, TargetSpec, default_config
 
 RESIDUAL_GATE = 1e-12
 
@@ -34,6 +34,8 @@ def _target_spec(alpha: float, beta: float) -> TargetSpec:
 
 
 def _cmd_verify_factorization(args) -> int:
+    from .states import verify_factorization
+
     spec = _target_spec(args.alpha, args.beta)
     report = verify_factorization(args.variant, spec)
     print(f"variant={report.variant} alpha={args.alpha:g} beta={args.beta:g} "
@@ -51,6 +53,8 @@ def _cmd_verify_factorization(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    from .protocol import CORRECTION_TABLES, format_table_report, verify_table
+
     verdicts = {t: verify_table(t) for t in CORRECTION_TABLES}
     print(format_table_report(verdicts))
     bad = [rv for rv in verdicts["I"] if rv.verdict == "mismatch"]
@@ -73,6 +77,13 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # the exact path imports no numpy; the library's streams long grids
+    if len(config.eta_grid) <= GRID_CHUNK:
+        sweep = exact.sweep
+    else:
+        from . import pipeline
+
+        sweep = pipeline.sweep
     result = sweep(config)
     rows = ["noise,receiver,table,row,eta,fidelity"]
     for s in result.samples:
@@ -111,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reassemble a published factorization and report "
                             "the residual against the protocol state")
     p.add_argument("--variant", choices=("bob", "david"), default="bob")
-    p.add_argument("--alpha", type=float, default=1 / np.sqrt(2))
-    p.add_argument("--beta", type=float, default=1 / np.sqrt(2))
+    p.add_argument("--alpha", type=float, default=1 / math.sqrt(2))
+    p.add_argument("--beta", type=float, default=1 / math.sqrt(2))
     p.set_defaults(func=_cmd_verify_factorization)
 
     p = sub.add_parser("verify-tables",
@@ -124,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=("ad", "pd"), default="ad")
     p.add_argument("--receiver", choices=("bob", "charlie", "david"),
                    default="bob")
-    p.add_argument("--alpha", type=float, default=1 / np.sqrt(2))
-    p.add_argument("--beta", type=float, default=1 / np.sqrt(2))
+    p.add_argument("--alpha", type=float, default=1 / math.sqrt(2))
+    p.add_argument("--beta", type=float, default=1 / math.sqrt(2))
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--table", choices=("I", "II", "III", "oracle"), default=None)
     p.add_argument("--row", type=int, default=1)

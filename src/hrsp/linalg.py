@@ -14,8 +14,6 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Y = np.array([[0, -1j], [1j, 0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-#: the projectors |0><0| and |1><1|
-P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:

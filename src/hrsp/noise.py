@@ -22,32 +22,17 @@ single-qubit operators and the dense 128x128 channel are test oracles
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .linalg import P0, P1
-
-TRACE_DEFICIT_WARN = 1e-9
-
-NOISE_KINDS = ("ad", "pd")
-
-
-class TraceDeficitWarning(UserWarning):
-    """The correlated channel deliberately loses trace (see module docs)."""
-
-
-_LOWER, _NONE = np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))
+# the noise kinds, the templates and the trace-deficit warning live in
+# hrsp.exact, which a CLI sweep reads without numpy
+from .exact import (KRAUS_TEMPLATES, NOISE_KINDS, TRACE_DEFICIT_WARN,
+                    TraceDeficitWarning, warn_trace_deficit)
 
 #: Kraus operator i of a noise kind as t^power[i] (fixed[i] + s damped[i]):
 #: per kind, the powers and the (2, n, 2, 2) stack of fixed and damped parts
-_TEMPLATES = {
-    # K0 = diag(1, s), K1 = t|0><1|
-    "ad": (np.array([0, 1]), np.array([[P0, _LOWER], [P1, _NONE]])),
-    # E0 = s I, E1 = t|0><0|, E2 = t|1><1|
-    "pd": (np.array([0, 1, 1]), np.array([[_NONE, P0, P1],
-                                          [P0 + P1, _NONE, _NONE]])),
-}
+_TEMPLATES = {kind: (np.array(power), np.array(parts, dtype=float))
+              for kind, (power, parts) in KRAUS_TEMPLATES.items()}
 
 
 def pair_terms(kind: str, correlated: bool = True):
@@ -72,13 +57,3 @@ def pair_terms(kind: str, correlated: bool = True):
     i, j, degree = np.nonzero(keep)
     return by_degree[i, j, degree], i * n + j, power[i] + power[j], degree
 
-
-def warn_trace_deficit(deficit: float) -> None:
-    """Warn when a channel output lost more than TRACE_DEFICIT_WARN of trace."""
-    if deficit > TRACE_DEFICIT_WARN:
-        # constant message, reported at the measuring function's caller: shown once
-        warnings.warn(
-            "the correlated channel ties one Kraus index to both qubits "
-            "of a receiver and is not trace preserving; the lost weight "
-            "is restored at post-measurement normalization",
-            TraceDeficitWarning, stacklevel=3)

@@ -7,10 +7,23 @@ pure, so the fidelity of the corrected state O rho O^T is
 sqrt(<xi|O rho O^T|xi>) = ||W u|| / sqrt(p) with u = O^T xi: no 4x4
 matrix is formed. All of it is real: |Psi>, the targets, the pair terms
 and every correction a sweep applies (tables I to III hold no Y token, and
-a derived row's u is read off its branch). This is the package's only
-route to the receiver's state; the dense 128x128 chain (channel,
-measurement operator, partial trace) and the Uhlmann fidelity that the
-tests hold it against live in tests/dense_oracle.py.
+a derived row's u is read off its branch). This is the library's route to
+the receiver's state; the dense 128x128 chain (channel, measurement
+operator, partial trace) and the Uhlmann fidelity that the tests hold it
+against live in tests/dense_oracle.py.
+
+Two entry points sweep a row. sweep() here serves every library caller
+(hrsp.sweep) and a CLI sweep of more than GRID_CHUNK points: it evaluates
+a whole table per grid chunk with numpy, which a scan of many rows shares
+and which streams a 100,001-point grid in about 0.2 s. A CLI sweep of at
+most GRID_CHUNK points, the default grid's 11 included, runs
+hrsp.exact.sweep instead: it builds its one branch in exact integers and
+evaluates its one row in plain floats, so the process never imports
+numpy, whose import was most of its time and memory. _branch keeps its
+numpy build: a row scan's set-up builds 80 branches at about 0.15 ms
+each, where the exact build takes about 0.5 ms. The two paths agree to
+1e-12 on every row, the numpy Grams match the exact ones to 1e-15, and
+each path is the other's test oracle (tests/test_exact.py).
 
 The state has one cached form per outcome branch, its Gram matrix
 G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^T G u and
@@ -137,135 +150,26 @@ boundary_extended = True and branch probability 0.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import lt
-from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NOISE_KINDS, pair_terms, warn_trace_deficit
-from .protocol import BRANCHES, CORRECTION_TABLES
+# the config, its grid, the samples and their error live in hrsp.exact, which
+# a CLI sweep reads without numpy
+from .exact import (ETA_ORDERS, GRID_CHUNK, MAX_GRID_POINTS, S_ORDERS, _TABLES,
+                    BranchProbabilityError, FidelitySample, PipelineConfig,
+                    SweepResult, default_config, default_grid)
+from .noise import pair_terms, warn_trace_deficit
+from .protocol import CORRECTION_TABLES
 from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
                      protocol_state)
 
-MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
-#: a curve's coefficients: powers eta^0..eta^6 times s^0..s^12
-ETA_ORDERS, S_ORDERS = 7, 13
 #: the power eta^M s^j has the index M * S_ORDERS + j, below _POWERS
 _POWERS = ETA_ORDERS * S_ORDERS
-#: grid etas per _evaluate entry: a 1001-point grid is one chunk (see above)
-GRID_CHUNK = 1024
 
 #: W and u are linear in (alpha, beta): the Grams are built at these two
 _UNIT_TARGETS = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
-
-
-class BranchProbabilityError(ValueError):
-    """Conditioning on an outcome whose probability is numerically zero."""
-
-
-#: each table a config may name: the receivers it corrects (the last is the
-#: one whose branches it reads) and the branch of each row. The derived table
-#: reads David's for Charlie too: |Psi> is symmetric under swapping the two
-_TABLES = {**{table: ((rules[0].receiver,), tuple(rule.outcomes for rule in rules))
-              for table, rules in CORRECTION_TABLES.items()},
-           "oracle": (("charlie", "david"), BRANCHES["david"])}
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """One sweep: noise kind, receiver row, target parameters, eta grid.
-
-    Validated on construction. The row is an int in 1..rows of its table:
-    a published table of CORRECTION_TABLES, for its receiver, or "oracle",
-    the derived table, for charlie or david, whose row r is
-    protocol.derive_receiver_table()[r - 1] on David's branch r. Charlie
-    has no published table, and Charlie's curves on the derived table are
-    David's, as Charlie's branch r equals David's. A config names its
-    branch and correction only through (table, row): the sweeps read a
-    published row's rule from its table and a derived row's correction off
-    its branch, so no config runs the oracle search."""
-
-    noise_kind: str
-    receiver: str
-    table: str
-    row: int
-    spec: TargetSpec
-    eta_grid: tuple[float, ...]
-    correlated: bool = True
-
-    def __post_init__(self):
-        if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
-        # any other truthy value would pick the correlated channel
-        if not isinstance(self.correlated, (bool, np.bool_)):
-            raise ValueError(f"correlated must be a bool, got {self.correlated!r}")
-        if not isinstance(self.spec, TargetSpec):
-            raise ValueError(f"spec must be a TargetSpec, got {self.spec!r}")
-        if len(self.eta_grid) > MAX_GRID_POINTS:
-            raise ValueError(f"eta grid has {len(self.eta_grid)} points, more "
-                             f"than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
-        # stored as a tuple of floats: an array or a list is accepted, and
-        # the config stays hashable and immutable
-        grid = tuple(map(float, self.eta_grid))
-        object.__setattr__(self, "eta_grid", grid)
-        # one pass: an increasing grid lies within its endpoints, and a <
-        # chain fails on NaN
-        if not grid:
-            raise ValueError("eta grid is empty")
-        if not (0.0 <= grid[0] and grid[-1] <= 1.0):
-            raise ValueError("eta grid values must lie in [0, 1]")
-        if not all(map(lt, grid, grid[1:])):
-            raise ValueError("eta grid must be strictly increasing")
-        if self.table not in _TABLES:
-            raise ValueError(f"unknown table {self.table!r}, expected one of "
-                             f"{tuple(_TABLES)}")
-        # a plain int and bool key the caches: True must not find row 1; an
-        # int skips the ABC check, which costs more than the rest
-        row, rows = self.row, len(_TABLES[self.table][1])
-        if type(row) is not int and (isinstance(row, bool)
-                                     or not isinstance(row, numbers.Integral)):
-            raise ValueError(f"row must be an integer, got {row!r}")
-        if not 1 <= row <= rows:
-            raise ValueError(f"table {self.table} has rows 1..{rows}, got {row}")
-        object.__setattr__(self, "row", int(row))
-        object.__setattr__(self, "correlated", bool(self.correlated))
-        receivers = _TABLES[self.table][0]
-        if self.receiver not in receivers:
-            raise ValueError(f"table {self.table} row {self.row} corrects "
-                             f"{' or '.join(receivers)}, not {self.receiver}")
-
-
-class FidelitySample(NamedTuple):
-    eta: float                  # grid value
-    fidelity: float
-    branch_probability: float
-    boundary_extended: bool     # branch dies at eta: fidelity is the exact limit
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    config: PipelineConfig
-    samples: tuple[FidelitySample, ...]
-
-    def fidelities(self) -> tuple[float, ...]:
-        return tuple(s.fidelity for s in self.samples)
-
-
-@lru_cache(maxsize=1, typed=True)
-def default_grid(step: float = 0.1) -> tuple[float, ...]:
-    """0, step, ..., 1.0; step must divide 1 into a whole number of cells.
-    The last grid is cached: the configs of a row scan do not rebuild it."""
-    n = round(1.0 / step) if step > 0 else 0
-    if n < 1 or abs(n * step - 1.0) > 1e-9:
-        raise ValueError(f"step {step} does not divide [0, 1] evenly")
-    if n + 1 > MAX_GRID_POINTS:
-        raise ValueError(f"step {step} gives {n + 1} grid points, more than "
-                         f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
-    return tuple(round(i * step, 10) for i in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -510,18 +414,3 @@ def sweep(config: PipelineConfig) -> SweepResult:
         tuple.__new__, repeat(FidelitySample), zip(
             grid, fidelity, branch_probability,
             [False] * live + [True] * (len(grid) - live)))))
-
-
-def default_config(noise_kind: str = "ad", receiver: str = "bob",
-                   spec: TargetSpec | None = None, step: float = 0.1,
-                   table: str | None = None, row: int = 1,
-                   correlated: bool = True) -> PipelineConfig:
-    """Reference configuration: Bob uses table I row 1, David table II row 1,
-    Charlie the derived table, alpha = beta = 1/sqrt(2)."""
-    if spec is None:
-        spec = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
-    if table is None:
-        table = {"bob": "I", "david": "II", "charlie": "oracle"}[receiver]
-    return PipelineConfig(noise_kind=noise_kind, receiver=receiver, table=table,
-                          row=row, spec=spec, eta_grid=default_grid(step),
-                          correlated=correlated)

@@ -38,13 +38,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .linalg import H, I2, P0, P1, X, Y, Z, kron
-from .states import (BRANCH_PROBABILITY_FLOOR, COLLABORATOR_LABELS, TargetSpec,
-                     branch_amplitudes, target_state)
+# the raw tables, the branch keys, the sender outcomes and the notation
+# parser live in hrsp.exact, which a CLI sweep reads without numpy
+from .exact import (BRANCHES, GATES, PUBLISHED_TABLES, SENDER_OUTCOMES,
+                    parse_gate_string)
+from .linalg import I2, Y, kron
+from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
+                     target_state)
 
 FIDELITY_TOL = 1e-10
 
@@ -57,23 +60,11 @@ ORACLE_MAX_DEPTH = 6
 #: temporaries near 41 KB at any depth
 ORACLE_BLOCK = 256
 
-SENDER_OUTCOMES = ("zeta1", "zeta2")
-
-_IY = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 #: every gate token, keyed by its table notation, as its read-only 4x4
-#: matrix on the receiver register (local qubit 1 is the high bit); real
-#: but for Y1 and Y2
-TOKENS = {
-    **{f"{name}{q}": kron(g, I2) if q == 1 else kron(I2, g)
-       for name, g in (("H", H), ("X", X), ("Y", Y), ("iY", _IY),
-                       ("-iY", -_IY), ("Z", Z))
-       for q in (1, 2)},
-    "CX1-2": kron(P1, X) + kron(P0, I2),
-    "CX2-1": kron(X, P1) + kron(I2, P0),
-    "RCX1-2": kron(P0, X) + kron(P1, I2),
-    "RCX2-1": kron(X, P0) + kron(I2, P1),
-}
+#: matrix on the receiver register (local qubit 1 is the high bit): the
+#: integer matrices of hrsp.exact.GATES over sqrt(2)^h, real, and Y1 and Y2
+TOKENS = {**{name: np.array(m) / np.sqrt(2) ** h for name, (m, h) in GATES.items()},
+          "Y1": kron(Y, I2), "Y2": kron(I2, Y)}
 for _m in TOKENS.values():
     _m.setflags(write=False)
 
@@ -100,24 +91,6 @@ def correction_unitary(gates) -> np.ndarray:
     return (-1j) ** k * r if k else r
 
 
-def parse_gate_string(text: str) -> tuple[str, ...]:
-    """Split table notation like "-iY2 X1,2 CX2-1" into TOKENS keys.
-
-    O1 / O2 target one qubit, O1,2 expands to O on both, and O1-2 / O2-1
-    give control-target for CX/RCX. An empty string is the identity. Any
-    other word, a non-canonical target such as "X01" included, raises
-    ValueError naming its position.
-    """
-    tokens: list[str] = []
-    for pos, word in enumerate(text.split(), start=1):
-        expanded = ((word[:-3] + "1", word[:-3] + "2") if word.endswith("1,2")
-                    else (word,))
-        if not all(tok in TOKENS for tok in expanded):
-            raise ValueError(f"unknown gate token {word!r} at position {pos}")
-        tokens += expanded
-    return tuple(tokens)
-
-
 @dataclass(frozen=True)
 class CorrectionRule:
     """Conditional local correction for one measurement outcome."""
@@ -142,69 +115,13 @@ class CorrectionRule:
         return correction_unitary(self.gates)
 
 
-# --------------------------------------------------------------------------
-# Published correction tables. Collaborator outcomes: for Bob a single
-# computational label shared by Charlie and David; for David the Bob and
-# Charlie Hadamard-basis labels.
-def _rows(receiver, sender_outcome, entries):
-    return tuple(
-        CorrectionRule(receiver=receiver, sender_outcome=sender_outcome,
-                       collaborator_outcomes=outcomes,
-                       gates=parse_gate_string(rule), source="published")
-        for outcomes, rule in entries)
-
-
-TABLE_I = _rows("bob", "zeta1", [
-    (("01",), "X2 CX2-1"),
-    (("10",), "iY2 CX2-1"),
-    (("00",), "X1 CX2-1"),
-    (("11",), "-iY2 X1,2 CX2-1"),
-]) + _rows("bob", "zeta2", [
-    (("01",), "iY2 X2 CX2-1"),
-    (("10",), "-iY1 RCX2-1"),
-    (("00",), "Z2 X1,2 CX2-1"),
-    (("11",), "iY1 X2 CX2-1"),
-])
-
-TABLE_II = _rows("david", "zeta1", [
-    (("++", "++"), "H1,2 X1 CX1-2"),
-    (("+-", "++"), "H1,2 Z1 RCX1-2"),
-    (("-+", "++"), "H1,2 Z2 RCX1-2"),
-    (("--", "++"), "H1,2 iY1 CX1-2"),
-    (("++", "+-"), "H1,2 X1,2 CX1-2"),
-    (("++", "-+"), "H1,2 CX1-2"),
-    (("++", "--"), "H1,2 RCX1-2"),
-    (("+-", "+-"), "H1,2 Z1 CX1-2"),
-    (("+-", "-+"), "H1,2 X1,2 Z1 CX1-2"),
-    (("+-", "--"), "H1,2 X1 Z1 CX1-2"),
-    (("-+", "+-"), "H1,2 X2 Z2 RCX1-2"),
-    (("-+", "-+"), "H1,2 iY2 X1 CX1-2"),
-    (("-+", "--"), "H1,2 X2 Z2 X1 X2 CX1-2"),
-    (("--", "+-"), "H1,2 iY1 X2 CX1-2"),
-    (("--", "-+"), "H1,2 X2 Z2 RCX1-2"),
-    (("--", "--"), "H1,2 Z2 Z1 RCX1-2"),
-])
-
-TABLE_III = _rows("david", "zeta2", [
-    (("++", "++"), "H1,2 X1 Z1 X1 CX1-2"),
-    (("+-", "++"), "H1,2 X1,2 CX1-2"),
-    (("-+", "++"), "H1,2 X1,2 Z1 CX1-2"),
-    (("--", "++"), "H1,2 X2 Z2 RCX1-2"),
-    (("++", "+-"), "H1,2 iY1 X1,2 CX1-2"),
-    (("++", "-+"), "H1,2 Z1 X2 CX1-2"),
-    (("++", "--"), "H1,2 Z1 X1,2 CX1-2"),
-    (("+-", "+-"), "H1,2 X1 CX1-2"),
-    (("+-", "-+"), "H1,2 X2 CX1-2"),
-    (("+-", "--"), "H1,2 CX1-2"),
-    (("-+", "+-"), "H1,2 iY1 CX1-2"),
-    (("-+", "-+"), "H1,2 X2 Z1 CX1-2"),
-    (("-+", "--"), "H1,2 Z1 CX1-2"),
-    (("--", "+-"), "H1,2 Z1 X1 CX2-1"),
-    (("--", "-+"), "H1,2 X1 CX1-2"),
-    (("--", "--"), "H1,2 Z2 CX1-2"),
-])
-
-CORRECTION_TABLES = {"I": TABLE_I, "II": TABLE_II, "III": TABLE_III}
+#: the published correction tables, read from hrsp.exact.PUBLISHED_TABLES
+CORRECTION_TABLES = {
+    table: tuple(CorrectionRule(receiver=receiver, sender_outcome=sender,
+                                collaborator_outcomes=outcomes,
+                                gates=parse_gate_string(rule), source="published")
+                 for sender, outcomes, rule in rows)
+    for table, (receiver, rows) in PUBLISHED_TABLES.items()}
 
 
 @lru_cache(maxsize=256)
@@ -392,12 +309,6 @@ def verify_table(table_id: str) -> tuple[RowVerdict, ...]:
             published_fidelities=fids, oracle_rule=oracle.gate_string,
             matrix_distance=phase_aligned_distance(ro, rp), verdict=verdict))
     return tuple(rows)
-
-
-#: every outcome branch of each receiver, as (sender outcome, collaborator
-#: outcomes), the labels of the first collaborator outermost
-BRANCHES = {receiver: tuple(product(SENDER_OUTCOMES, product(labels, repeat=count)))
-            for receiver, (count, labels) in COLLABORATOR_LABELS.items()}
 
 
 def derive_receiver_table() -> tuple[CorrectionRule, ...]:

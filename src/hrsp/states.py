@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exact import BROWN_TERMS, COLLABORATOR_LABELS, NORM_TOL, TargetSpec
 from .linalg import kron
 
-NORM_TOL = 1e-12
 #: a branch at or below this probability is not normalized
 BRANCH_PROBABILITY_FLOOR = 1e-12
 
@@ -30,12 +30,6 @@ KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
 PLUS = (KET0 + KET1) / np.sqrt(2)
 MINUS = (KET0 - KET1) / np.sqrt(2)
-
-#: fully expanded Brown state: (basis bits, sign of the 1/(2 sqrt 2) amplitude)
-BROWN_TERMS = (
-    ("00101", +1), ("00110", -1), ("01000", +1), ("01011", -1),
-    ("10001", +1), ("10010", +1), ("11100", +1), ("11111", +1),
-)
 
 
 def basis_ket(bits: str) -> np.ndarray:
@@ -90,32 +84,6 @@ def protocol_state() -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class TargetSpec:
-    """Real amplitudes of the two-qubit target alpha|00> + beta|11>.
-
-    Complex amplitudes are rejected: the sender's measurement basis is
-    orthonormal only for real values. So are NaN and infinite ones, which
-    would pass the norm check (a NaN compares unequal to everything).
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            value = complex(getattr(self, name))
-            if value.imag != 0.0:
-                raise ValueError(f"{name} = {value} is not real; the sender's "
-                                 "measurement basis needs real amplitudes")
-            if not np.isfinite(value.real):
-                raise ValueError(f"{name} = {value.real} is not finite")
-            object.__setattr__(self, name, value.real)
-        n = self.alpha ** 2 + self.beta ** 2
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"|alpha|^2 + |beta|^2 = {n:.12f}, expected 1")
-
-
 def target_state(spec: TargetSpec) -> np.ndarray:
     """Two-qubit target vector (alpha, 0, 0, beta)."""
     return np.array([spec.alpha, 0.0, 0.0, spec.beta])
@@ -126,14 +94,6 @@ def zeta_basis(spec: TargetSpec) -> dict[str, np.ndarray]:
     keyed by outcome label."""
     return {"zeta1": np.array([spec.alpha, spec.beta]),
             "zeta2": np.array([spec.beta, -spec.alpha])}
-
-
-#: per receiver, how many collaborator labels an outcome has, and their values:
-#: Charlie and David share one computational label for Bob, the other two
-#: report a Hadamard label each
-COLLABORATOR_LABELS = {"bob": (1, ("00", "01", "10", "11")),
-                       "charlie": (2, tuple(_HADAMARD_KETS)),
-                       "david": (2, tuple(_HADAMARD_KETS))}
 
 
 def outcome_kets(receiver: str, sender_outcome: str,

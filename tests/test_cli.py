@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import hrsp
 from hrsp.cli import main
 from hrsp.noise import TraceDeficitWarning
 
@@ -295,6 +296,7 @@ class TestGoldenCsv:
 
 
 #: runs `python -m hrsp.cli ARGS` in this process, then checks its modules
+#: and prints whether numpy was imported
 IMPORT_CHECK = """
 import runpy, sys
 sys.argv = ["hrsp", *sys.argv[1:]]
@@ -303,23 +305,54 @@ try:
 except SystemExit as exit:
     assert not exit.code, exit.code
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+print("numpy" in sys.modules)
 """
+
+
+def run_python(argv, cwd):
+    """Run python ARGV on the checkout's src; returns its standard output."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 class TestImports:
     # np.unique, np.union1d and np.isin import numpy.ma on their first call,
-    # 12-89 ms, more than a whole sweep; no command needs it
+    # 12-89 ms, more than a whole sweep; no command needs it. A sweep of at
+    # most GRID_CHUNK points (every receiver, noise kind and channel mode at
+    # the default grid) and --version import no numpy at all; the verify
+    # commands and a 2001-point sweep do
     @pytest.mark.parametrize("argv", [
         ["sweep", "--receiver", "bob"], ["sweep", "--receiver", "charlie"],
         ["sweep", "--receiver", "david"], ["verify-tables"],
-        ["verify-factorization"]])
+        ["verify-factorization"],
+        *(["sweep", "--receiver", receiver, "--noise", noise, *mode]
+          for receiver in ("bob", "charlie", "david") for noise in ("ad", "pd")
+          for mode in ([], ["--uncorrelated-noise"]) if noise == "pd" or mode),
+        ["--version"], ["sweep", "--receiver", "charlie", "--step", "0.0005"]])
     def test_command_leaves_numpy_ma_unimported(self, argv, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        numpy = argv[0].startswith("verify") or "--step" in argv
         if argv[0] == "sweep":
             argv = argv + ["--out", str(tmp_path / "sweep.csv")]
-        run = subprocess.run([sys.executable, "-c", IMPORT_CHECK, *argv],
-                             cwd=tmp_path, env=env, capture_output=True,
-                             text=True)
-        assert run.returncode == 0, run.stderr
+        out = run_python(["-c", IMPORT_CHECK, *argv], tmp_path)
+        assert out.splitlines()[-1] == str(numpy)
+
+    def test_bare_import_leaves_numpy_unimported(self, tmp_path):
+        out = run_python(["-c", "import hrsp, sys; print('numpy' in sys.modules)"],
+                         tmp_path)
+        assert out == "False\n"
+
+    def test_every_export_resolves(self):
+        namespace = {}
+        exec("from hrsp import *", namespace)
+        assert set(hrsp.__all__) <= set(namespace)
+        assert set(hrsp.__all__) <= set(dir(hrsp))
+        for name in hrsp.__all__:
+            assert getattr(hrsp, name) is namespace[name]
+        assert hrsp.sweep is hrsp.pipeline.sweep
+        with pytest.raises(AttributeError, match="has no attribute 'exact_sweep'"):
+            hrsp.exact_sweep
