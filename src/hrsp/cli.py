@@ -9,8 +9,10 @@ sweep                  fidelity vs noise, CSV output
 Exit codes follow the documented contract: 0 success, 1 for a failed check
 or unwritable output, 2 for bad parameters.
 
-Only the verify commands and a sweep of more than GRID_CHUNK points import
-numpy: a shorter sweep runs hrsp.exact.sweep (see hrsp.exact).
+Only the verify commands and a sweep of more than EXACT_SWEEP_POINTS grid
+points import numpy: a shorter sweep runs hrsp.exact.sweep (see
+hrsp.exact). Either way the fidelities print through
+hrsp.exact.fidelity_texts, so the CSV does not depend on the path.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ import math
 import sys
 
 from . import __version__, exact
-from .exact import GRID_CHUNK, TargetSpec, default_config
+from .exact import TargetSpec, default_config
 
 RESIDUAL_GATE = 1e-12
+#: the longest grid a sweep evaluates in pure Python (hrsp.exact): past
+#: about 10,000 to 16,000 points, by row, numpy's evaluation saves more than
+#: its import costs (fresh processes, uncorrelated AD being the widest row)
+EXACT_SWEEP_POINTS = 10_001
 
 
 def _target_spec(alpha: float, beta: float) -> TargetSpec:
@@ -78,17 +84,18 @@ def _cmd_sweep(args) -> int:
         return 2
 
     # the exact path imports no numpy; the library's streams long grids
-    if len(config.eta_grid) <= GRID_CHUNK:
+    if len(config.eta_grid) <= EXACT_SWEEP_POINTS:
         sweep = exact.sweep
     else:
         from . import pipeline
 
         sweep = pipeline.sweep
     result = sweep(config)
+    texts = exact.fidelity_texts(result)
     rows = ["noise,receiver,table,row,eta,fidelity"]
-    for s in result.samples:
+    for s, text in zip(result.samples, texts):
         rows.append(f"{config.noise_kind},{config.receiver},{config.table},"
-                    f"{config.row},{s.eta:g},{s.fidelity:.6f}")
+                    f"{config.row},{s.eta:g},{text}")
     csv_text = "\n".join(rows) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -102,12 +109,12 @@ def _cmd_sweep(args) -> int:
         "uncorrelated baseline (product channel, not the protocol model)")
     print(f"sweep {config.noise_kind} {config.receiver} table {config.table} "
           f"row {config.row}, {mode}, {len(result.samples)} points -> {args.out}")
-    print(f"F({first.eta:g}) = {first.fidelity:.6f}")
+    print(f"F({first.eta:g}) = {texts[0]}")
     tail = ""
     if last.boundary_extended:
         tail = (f"  [branch probability vanishes at eta={last.eta:g}; value is "
                 f"the exact limit as eta -> {last.eta:g}]")
-    print(f"F({last.eta:g}) = {last.fidelity:.6f}{tail}")
+    print(f"F({last.eta:g}) = {texts[-1]}{tail}")
     return 0
 
 

@@ -1,7 +1,7 @@
-"""Exact one-row sweeps in the standard library alone: the CLI's sweep path.
+"""Exact Grams and one-row sweeps in the standard library alone.
 
-A CLI sweep reads one table row on one outcome branch. Its whole answer
-follows from integers: the eight Brown terms are +-1 times 1/(2 sqrt 2), a
+A branch's Gram, and so every sweep of a row on it, follows from
+integers: the eight Brown terms are +-1 times 1/(2 sqrt 2), a
 collaborator's outcome ket is a basis ket or a Hadamard pair ket times 1/2,
 the sender's outcome bras at the unit targets (1, 0) and (0, 1) are 0/+-1,
 and every single-qubit Kraus operator is t^m (F + s D), with t = sqrt(eta),
@@ -9,6 +9,8 @@ s = sqrt(1 - eta), m in {0, 1} and 0/1 matrices F and D (KRAUS_TEMPLATES).
 So this module builds a branch's Gram G(eta) (see hrsp.pipeline) as integer
 coefficients over one power of two, reads the row's correction u exactly,
 and only then turns to floats, to evaluate the row's curves on the grid.
+It is the one Gram builder: hrsp.pipeline's store holds these Grams as
+arrays, and the numpy kernel is their test oracle (tests/test_exact.py).
 
 The Gram is read off the terms in pairs. With tau, tau' two Brown terms,
 c their sender coefficients and X, Y, R the basis states they give the two
@@ -20,20 +22,25 @@ where A_x(X, X') = sum_k <x|K_k|X> <x|K_k|X'> over the receiver-pair Kraus
 operators K_k, the same for y, and E is the pair channel. Each factor is a
 polynomial in eta and s, kept by its power index M * S_ORDERS + j of
 eta^M s^j, as in hrsp.pipeline: a branch costs 64 term pairs, whichever
-channel, where the numpy kernel contracts every triple of pair terms. One
-branch takes about 0.5 ms, and a CLI sweep builds one. The stores are
-lru_caches on finite keys: _channel (4 channels), _branch (Bob's and
+channel, where the numpy kernel contracts every triple of pair terms. A_x
+depends on the channel and the outcome label alone (_factor), so a branch
+takes 0.2 to 0.4 ms, and a CLI sweep builds one. The stores are
+lru_caches on finite keys: _channel (4 channels), _factor (8 labels under
+each), _terms (4: Bob or David, by sender outcome), _branch (Bob's and
 David's 160 branches) and _curves (288 rows under the four channels).
 
-Which path runs: `hrsp sweep` and `python -m hrsp.cli sweep` call sweep()
-here when their grid has at most GRID_CHUNK points, so a default CLI sweep
-never imports numpy, whose import is most of such a process's time and
-memory. A longer grid, and every library caller of hrsp.sweep, runs
-hrsp.pipeline.sweep: its numpy evaluation of a 100,001-point grid takes
-about 0.2 s where this one takes 1.5 s (uncorrelated AD, the widest row),
-and a scan of many rows shares its table evaluations. At 1001 points this
-one takes up to 19 ms, less than numpy's import. Each path is the other's
-test oracle.
+Which evaluation runs: `hrsp sweep` and `python -m hrsp.cli sweep` call
+sweep() here when their grid has at most cli.EXACT_SWEEP_POINTS points,
+so a default CLI sweep never imports numpy, whose import is most of such
+a process's time and memory. A longer grid, and every library caller of
+hrsp.sweep, runs hrsp.pipeline.sweep: its numpy evaluation of a
+100,001-point grid takes about 0.2 s where this one takes 1.5 s
+(uncorrelated AD, the widest row), and a scan of many rows shares its
+table evaluations. In fresh processes this one is the faster up to about
+10,000 to 16,000 points, by row. Each evaluation is the other's test
+oracle. Either way the CLI prints through fidelity_texts, which decides
+a fidelity within float noise of a printed 6-decimal tie from the row's
+integer curves, so the printed digit does not depend on the evaluation.
 
 The module also holds what both paths read and what a CLI sweep touches
 without numpy: the targets, the sweep's config and results, the grid, the
@@ -60,9 +67,9 @@ NORM_TOL = 1e-12
 TRACE_DEFICIT_WARN = 1e-9
 NOISE_KINDS = ("ad", "pd")
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
-#: grid etas per numpy evaluation chunk (hrsp.pipeline); the CLI sweeps a
-#: grid of at most this many points here
-GRID_CHUNK = 1024
+#: how near a printed boundary (k + 1/2) 10^-6, in units of 10^-6, a
+#: fidelity's float must lie for fidelity_texts to decide its digit exactly
+TIE_MARGIN = 1e-4
 #: a curve's coefficients: powers eta^0..eta^6 times s^0..s^12; the power
 #: eta^M s^j has the index M * S_ORDERS + j
 ETA_ORDERS, S_ORDERS = 7, 13
@@ -448,20 +455,10 @@ def _ket(label: str) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _branch(noise_kind: str, correlated: bool, receiver: str,
-            sender_outcome: str, collaborator_outcomes: tuple) -> tuple:
-    """One outcome branch under one channel, exactly: (scale, gram,
-    amplitude), with gram the nonzero coefficients of G[P, m, i, n, j]
-    (hrsp.pipeline._branch) times scale, as sorted ((P, m, i, n, j), int)
-    pairs, and amplitude[m][i] the t^0 amplitude of W_m at receiver basis
-    state i times sqrt(scale), as sorted (power of s, int) pairs. scale is
-    8 |x|^2 |y|^2, |x| and |y| the norms of the integer collaborator kets."""
-    operators, transfer, free, _ = _channel(noise_kind, correlated)
-    labels = collaborator_outcomes * 2 if receiver == "bob" else collaborator_outcomes
-    kets = tuple(map(_ket, labels))
-    # per Brown term and unit target m with a nonzero sender coefficient:
-    # the coefficient, m and the basis states of the collaborators, in qubit
-    # order, and of the receiver
+def _terms(receiver: str, sender_outcome: str) -> tuple:
+    """Per Brown term and unit target m with a nonzero sender coefficient:
+    the coefficient, m and the basis states of the collaborators, in qubit
+    order, and of the receiver."""
     others = tuple(p for p in ("bob", "charlie", "david") if p != receiver)
     terms = []
     for bits, sign in BROWN_TERMS:
@@ -472,16 +469,37 @@ def _branch(noise_kind: str, correlated: bool, receiver: str,
             if zeta[int(bits[0])]:
                 terms.append((sign * zeta[int(bits[0])], m, state[others[0]],
                               state[others[1]], state[receiver]))
-    # A_x(X, X') for each collaborator
-    factors = []
-    for ket in kets:
-        factor: dict = {}
-        for m, entries in operators:
-            row = _bra(entries, ket)
-            for (c, a), (c2, b) in product(row.items(), repeat=2):
-                _add_into(factor.setdefault((c, c2), {}), _times(a, b, m * S_ORDERS))
-        factors.append(factor)
-    ax, ay = factors
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def _factor(noise_kind: str, correlated: bool, label: str) -> tuple:
+    """A collaborator's outcome under one channel: A_x(X, X') by (X, X'),
+    <x|K for the operator K with no t, and |x|^2, with x the integer ket."""
+    operators, _, free, _ = _channel(noise_kind, correlated)
+    ket = _ket(label)
+    factor: dict = {}
+    for m, entries in operators:
+        row = _bra(entries, ket)
+        for (c, a), (c2, b) in product(row.items(), repeat=2):
+            _add_into(factor.setdefault((c, c2), {}), _times(a, b, m * S_ORDERS))
+    return factor, _bra(free, ket), sum(map(mul, ket, ket))
+
+
+@lru_cache(maxsize=None)
+def _branch(noise_kind: str, correlated: bool, receiver: str,
+            sender_outcome: str, collaborator_outcomes: tuple) -> tuple:
+    """One outcome branch under one channel, exactly: (scale, gram,
+    amplitude), with gram the nonzero coefficients of G[P, m, i, n, j]
+    (hrsp.pipeline._branch) times scale, as ((P, m, i, n, j), int) pairs,
+    and amplitude[m][i] the t^0 amplitude of W_m at receiver basis state i
+    times sqrt(scale), as (power of s, int) pairs. scale is 8 |x|^2 |y|^2,
+    |x| and |y| the norms of the integer collaborator kets."""
+    _, transfer, free, _ = _channel(noise_kind, correlated)
+    labels = collaborator_outcomes * 2 if receiver == "bob" else collaborator_outcomes
+    (ax, bx, nx), (ay, by, ny) = (_factor(noise_kind, correlated, label)
+                                  for label in labels)
+    terms = _terms(receiver, sender_outcome)
     # sum the term pairs that meet E at the same (m, R, n, R') first
     weights: dict = {}
     for c, m, x, y, r in terms:
@@ -496,16 +514,14 @@ def _branch(noise_kind: str, correlated: bool, receiver: str,
                 gram[p, m, i, n, j] = gram.get((p, m, i, n, j), 0) + value
     # the t^0 amplitude: sum over terms of c <x|K|X> <y|K|Y> K|R> for the
     # operator K with no t
-    bx, by = (_bra(free, ket) for ket in kets)
     amplitude = [[{} for _ in range(4)] for _ in range(2)]
     for c, m, x, y, r in terms:
         if x in bx and y in by:
             for (i, column), poly in free.items():
                 if column == r:
                     _add_into(amplitude[m][i], _times(_times(bx[x], by[y]), poly), c)
-    scale = 8 * sum(map(mul, kets[0], kets[0])) * sum(map(mul, kets[1], kets[1]))
-    return (scale, tuple(sorted((key, v) for key, v in gram.items() if v)),
-            tuple(tuple(tuple(sorted((j, v) for j, v in poly.items() if v))
+    return (8 * nx * ny, tuple((key, v) for key, v in gram.items() if v),
+            tuple(tuple(tuple((j, v) for j, v in poly.items() if v)
                         for poly in a_m) for a_m in amplitude))
 
 
@@ -554,6 +570,75 @@ def _curves(noise_kind: str, correlated: bool, table: str, row: int) -> tuple:
             wu.setdefault(j, [0] * 3)[m + a] += c * v[a][i]
     return (scale, q, *(MappingProxyType({key: tuple(c) for key, c in curve.items()})
                         for curve in (numerator, probability, wu)))
+
+
+def _side(config: PipelineConfig, sample: FidelitySample, k: int) -> int:
+    """The sign of F - tie, tie = (k + 1/2) 10^-6, exactly, at the floats
+    the sweep holds. F^2 is N / (q P), with N and P the row's numerator and
+    probability curves at alpha, beta and eta: rational but for the odd
+    powers of s = sqrt(r), r = 1 - eta, so N - tie^2 q P = x + y sqrt(r)
+    with x and y rational. At a boundary-extended sample N and P are the
+    eta = 1 folds at j0, as in sweep."""
+    _, q, numerator, probability, _ = _curves(config.noise_kind, config.correlated,
+                                              config.table, config.row)
+    from fractions import Fraction     # 2 ms of import, for the rare tie
+
+    tie = Fraction(2 * k + 1, 2 * 10**6)
+    a, b = Fraction(config.spec.alpha), Fraction(config.spec.beta)
+    eta = Fraction(sample.eta)
+    r = 1 - eta
+    weighed = ((numerator, (a**4, a**3 * b, a * a * b * b, a * b**3, b**4), 1),
+               (probability, (a * a, a * b, b * b), -tie * tie * q))
+    x = y = 0
+    if sample.boundary_extended:
+        folds = [[0, 0] for _ in range(S_ORDERS)]
+        for at, (curve, monomials, weight) in enumerate(weighed):
+            for p, coefficients in curve.items():
+                folds[p % S_ORDERS][at] += weight * sum(map(mul, coefficients,
+                                                            monomials))
+        # j0: the lowest power of s at which P is nonzero
+        x = sum(next(fold for fold in folds if fold[1]))
+    else:
+        for curve, monomials, weight in weighed:
+            for p, coefficients in curve.items():
+                m, j = divmod(p, S_ORDERS)
+                value = weight * sum(map(mul, coefficients, monomials)) * eta**m * r**(j // 2)
+                if j % 2:
+                    y += value
+                else:
+                    x += value
+    if not r:
+        y = 0
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx * sy >= 0:
+        return sx or sy
+    # opposite signs: the larger of x^2 and y^2 r wins
+    return sx * ((x * x > y * y * r) - (x * x < y * y * r))
+
+
+def fidelity_texts(result: SweepResult) -> tuple[str, ...]:
+    """Each sample's fidelity as hrsp sweep prints it, to 6 decimals: the
+    exact fidelity at the floats the sweep holds (alpha, beta and the
+    sample's eta), correctly rounded, a true tie half to even, as Python
+    prints a float. A float within TIE_MARGIN of a boundary (k + 1/2) 10^-6
+    has its digit decided from the row's integer curves (_side); any other
+    prints as itself. So the text depends on the inputs alone, not on which
+    sweep computed the floats or on their last bits. At the CLI's default
+    target alpha = beta = 0.7071067811865475 < 1/sqrt(2), the fidelities
+    that are ties at the true target (91/128, for example) lie just below
+    their boundary and print rounded down."""
+    texts = []
+    for sample in result.samples:
+        x = sample.fidelity * 1e6
+        # False for NaN, the fidelity of a branch with p = 0
+        if abs(x % 1.0 - 0.5) < TIE_MARGIN:
+            k = math.floor(x)
+            side = _side(result.config, sample, k)
+            k += side > 0 or (side == 0 and k % 2 == 1)
+            texts.append(f"{k // 10**6}.{k % 10**6:06d}")
+        else:
+            texts.append(f"{sample.fidelity:.6f}")
+    return tuple(texts)
 
 
 def sweep(config: PipelineConfig) -> SweepResult:

@@ -13,11 +13,11 @@ model and does not reproduce the reference fidelity curves.
 Every single-qubit Kraus operator of both kinds is t^m (A + s B), with
 t = sqrt(eta), s = sqrt(1 - eta), m in {0, 1} and constant A, B: one template
 per noise kind. pair_terms writes the operators on a receiver pair in this
-form without any eta: each is t^M times a polynomial in s of degree <= 2, and
-its nonzero coefficient matrices are the package's only form of the channel,
-from which hrsp.pipeline builds every receiver state. The per-eta
-single-qubit operators and the dense 128x128 channel are test oracles
-(tests/dense_oracle.py).
+form without any eta: each is t^M times a polynomial in s of degree <= 2.
+hrsp.exact builds every receiver state from the same templates in
+integers; the numpy kernel on these terms is its test oracle
+(tests/test_exact.py), and so are the per-eta single-qubit operators and
+the dense 128x128 channel (tests/dense_oracle.py).
 """
 
 from __future__ import annotations

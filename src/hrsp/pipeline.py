@@ -1,7 +1,7 @@
 """End-to-end noisy protocol runs: one exact fidelity curve per table row.
 
-The receiver's state on one branch is read off the amplitudes W of
-states.branch_amplitudes: its rows w_k make rho = W^T W / p, with
+The receiver's state on one branch is read off its amplitudes W, one row
+w_k per Kraus operator of the channel: they make rho = W^T W / p, with
 p = ||W||^2 the branch probability. The target xi = alpha|00> + beta|11> is
 pure, so the fidelity of the corrected state O rho O^T is
 sqrt(<xi|O rho O^T|xi>) = ||W u|| / sqrt(p) with u = O^T xi: no 4x4
@@ -12,18 +12,17 @@ the receiver's state; the dense 128x128 chain (channel, measurement
 operator, partial trace) and the Uhlmann fidelity that the tests hold it
 against live in tests/dense_oracle.py.
 
-Two entry points sweep a row. sweep() here serves every library caller
-(hrsp.sweep) and a CLI sweep of more than GRID_CHUNK points: it evaluates
-a whole table per grid chunk with numpy, which a scan of many rows shares
-and which streams a 100,001-point grid in about 0.2 s. A CLI sweep of at
-most GRID_CHUNK points, the default grid's 11 included, runs
-hrsp.exact.sweep instead: it builds its one branch in exact integers and
+Two entry points sweep a row, both from the Grams that hrsp.exact builds
+in integers. sweep() here serves every library caller (hrsp.sweep) and a
+CLI sweep of more than cli.EXACT_SWEEP_POINTS points: it evaluates a whole
+table per grid chunk with numpy, which a scan of many rows shares and
+which streams a 100,001-point grid in about 0.2 s. A shorter CLI sweep,
+the default grid's 11 points included, runs hrsp.exact.sweep instead: it
 evaluates its one row in plain floats, so the process never imports
-numpy, whose import was most of its time and memory. _branch keeps its
-numpy build: a row scan's set-up builds 80 branches at about 0.15 ms
-each, where the exact build takes about 0.5 ms. The two paths agree to
-1e-12 on every row, the numpy Grams match the exact ones to 1e-15, and
-each path is the other's test oracle (tests/test_exact.py).
+numpy, whose import was most of its time and memory, and it takes longer
+than numpy only past about 10,000 points. The two evaluations agree to
+1e-12 on every row, and each is the other's test oracle; the numpy kernel
+states.branch_amplitudes is the Grams' (tests/test_exact.py).
 
 The state has one cached form per outcome branch, its Gram matrix
 G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^T G u and
@@ -37,34 +36,31 @@ gives G at every eta and every target. Table I reads Bob's 8 branches,
 tables II and III David's 32 between them, and the derived table "oracle"
 David's 32 again, for both Hadamard receivers: |Psi> is symmetric under
 swapping Charlie and David, so Charlie's branches are David's, bitwise,
-and no sweep contracts one of Charlie's.
+and no sweep builds one of Charlie's.
 
 The noisy side has three stores, lru_caches filled on first use, all
 read-only:
 
-- _channel, one entry per (noise kind, channel mode): the pair terms, the
-  channel's trace on |Psi><Psi| by power, the powers it reaches, the span
-  (those powers and eta^0 s^0..s^12, 16 to 49 of the 91), each reached
-  power's triples of pair terms and the t^0 map. Every branch and table of
-  the channel reads it. An entry takes 2.1 to 102.5 KB, most of it the
-  triples' indices into the kernel output.
+- _trace, one entry per (noise kind, channel mode): the channel's trace
+  on |Psi><Psi| by power, 0.73 KB. Every table of the channel and
+  receiver_state read it.
 - _branch, one entry per (noise kind, channel mode, receiver, outcome
-  branch), the receiver being Bob or David: one kernel call on the nonzero
-  terms, then one product per reached power. It keeps the t^0 amplitude of
-  W_0 and W_1 by power of s, and the nonzero Gram coefficients in
-  (P, m, i, n, j) order, those five coordinates of each in one uint8
-  array: about 4 % of the entries at the powers the correlated AD channel
-  reaches and 28 % for PD. Every table that reads the branch shares the
-  entry, Charlie and David included, and so does receiver_state.
+  branch), the receiver being Bob or David: one exact build
+  (hrsp.exact._branch, 0.2 to 0.4 ms; its own cache is left empty), as
+  arrays. It keeps the t^0 amplitude of W_0 and W_1 by power of s, and
+  the nonzero Gram coefficients, exact dyadic values, with the five
+  coordinates (P, m, i, n, j) of each in one uint8 array. Every table that
+  reads the branch shares the entry, Charlie and David included, and so
+  does receiver_state.
 - _stack, one entry per (noise kind, channel mode, table): the table's
   curve stack and its column set (below), folded from its rows' _branch
   entries and corrections.
 
-So each branch is contracted once per process, whichever tables read it:
-a process that sweeps rows II-1, III-1 and oracle-1 makes 32 kernel calls.
+So each branch is built once per process, whichever tables read it: a
+process that sweeps rows II-1, III-1 and oracle-1 makes 32 builds.
 The key spaces are finite: 2 x 2 x (8 + 32) = 160 branches, which take
 0.9 to 4.2 KB each and 0.41 MB in all, and 2 x 2 x 4 = 16 tables, whose
-stacks take 10.2 to 230.4 KB and 0.99 MB in all, so no cache needs a size
+stacks take 10.2 to 225.3 KB and 0.98 MB in all, so no cache needs a size
 limit. A scan of all 72 rows under both noise kinds and the correlated
 channel fills 80 branches, 0.14 MB, and 8 stacks, 0.34 MB.
 
@@ -95,12 +91,13 @@ a_m is the branch's t^0 amplitude at s = 1.
 
 _stack folds one row at a time: it bincounts the row's curves over all 91
 powers, 14.6 KB, folds them there, and writes them into the table's one
-stack, allocated up front on the channel's span. The column set is then
-read off that stack. So a cold build's transient, its traced peak less the
-traced bytes still held after it (the entry, and the channel and branch
-entries it filled), is one branch's work, the channel's set-up where that
-is cold, and the span-wide stack, most of it for a 32-row table: 0.04 to
-0.29 MB over the 16 entries (tracemalloc, numpy 2.4).
+stack, allocated up front on its span: the powers its rows' Grams and the
+trace reach, and eta^0 s^0..s^12. The column set is then read off that
+stack. So a cold build's transient, its traced peak less the traced bytes
+still held after it (the entry, and the trace and branch entries it
+filled), is one branch's work and the span-wide stack, most of it for a
+32-row table: 0.04 to 0.26 MB over the 16 entries (tracemalloc, numpy
+2.4).
 
 _evaluate samples every row of a table's stack at one target on one grid
 chunk of GRID_CHUNK = 1024 etas. It multiplies the stack by the target's
@@ -109,9 +106,9 @@ block: one product gives, for each block on the table's powers, the
 coefficients of ||W u||^2 without N_0, of p, of the amplitude and of the
 trace, and the two eta = 1 folds, whose lowest nonzero power of s in p is
 j0 (see below). The grid side is _monomials at the table's K columns
-alone, 8 to 45 of the 91 powers: eta^0..eta^6 and s^0..s^12 are raised at
+alone, 8 to 44 of the 91 powers: eta^0..eta^6 and s^0..s^12 are raised at
 each eta, and each of the K powers is one product of two of them. It is
-at most 45 x GRID_CHUNK floats, 0.37 MB, and is not kept: a scan's later
+at most 44 x GRID_CHUNK floats, 0.36 MB, and is not kept: a scan's later
 sweeps read the evaluation instead (below). A chunk then costs one
 (4, K) x (K, chunk) product per block and the amplitude's square; the
 product's last row is the channel's trace at each eta, the same for every
@@ -136,7 +133,7 @@ receiver_state reads its row's _branch entry, the Gram the row's curves
 come from, and the channel's trace curve. It weighs each Gram coefficient
 by its power eta^M s^j at its one eta and by the target's alpha^2,
 alpha beta or beta^2, and returns rho = G^T / p. It builds no table: a
-cold call makes one kernel call, for its own branch, and a warm one none.
+cold call makes one build, for its own branch, and a warm one none.
 It evaluates all 91 powers at its one eta, for the Gram and the trace
 curve, with the same _monomials as an evaluation.
 
@@ -155,89 +152,57 @@ from itertools import repeat
 
 import numpy as np
 
+from . import exact
 # the config, its grid, the samples and their error live in hrsp.exact, which
 # a CLI sweep reads without numpy
-from .exact import (ETA_ORDERS, GRID_CHUNK, MAX_GRID_POINTS, S_ORDERS, _TABLES,
+from .exact import (ETA_ORDERS, MAX_GRID_POINTS, S_ORDERS, _TABLES,
                     BranchProbabilityError, FidelitySample, PipelineConfig,
                     SweepResult, default_config, default_grid)
-from .noise import pair_terms, warn_trace_deficit
+from .noise import warn_trace_deficit
 from .protocol import CORRECTION_TABLES
-from .states import (BRANCH_PROBABILITY_FLOOR, TargetSpec, branch_amplitudes,
-                     protocol_state)
+from .states import BRANCH_PROBABILITY_FLOOR, TargetSpec
 
 #: the power eta^M s^j has the index M * S_ORDERS + j, below _POWERS
 _POWERS = ETA_ORDERS * S_ORDERS
-
-#: W and u are linear in (alpha, beta): the Grams are built at these two
-_UNIT_TARGETS = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
+#: grid etas per _evaluate entry: a 1001-point grid is one chunk (see above)
+GRID_CHUNK = 1024
 
 
 @lru_cache(maxsize=None)
-def _channel(noise_kind: str, correlated: bool) -> tuple:
-    """What every branch and table of one channel reads, all read-only: its
-    pair terms; its trace on |Psi><Psi| by power index; the powers it
-    reaches; the span, those powers and eta^0 s^0..s^12, where a table's
-    curves, amplitude and eta = 1 folds lie; each reached power's triples,
-    as the indices of their first and second terms into the kernel output;
-    and the t^0 map, which sums the t^0 triples by power of s."""
-    ops, kraus, power, degree = pair_terms(noise_kind, correlated)
-    # a triple is one pair of terms (of one Kraus operator) per party: the
-    # channel weighs the product of the kernel's entries at its first and
-    # second terms by eta^M s^j, at the triple's power index
-    first, second = np.nonzero(kraus[:, None] == kraus)
-    order = power[first] * S_ORDERS + degree[first] + degree[second]
-    n = len(ops)
-
-    def triples(x, y, z):
-        return (x[:, None, None] + y[:, None] + z).reshape(-1)
-
-    powers = triples(order, order, order)
-    # the trace is <Psi| I (x) M (x) M (x) M |Psi>, M = sum_k S_k^dag S_k, and
-    # M is diagonal, as every single-qubit K^dag K is: sum |Psi_abcd|^2
-    # d_b d_c d_d, with d the diagonal of each party's pair in a triple
-    d = np.einsum("pji,pji->pi", ops[first], ops[second])
-    weight = np.abs(protocol_state().reshape(2, 4, 4, 4)) ** 2
-    trace = np.bincount(powers, np.einsum("abcd,xb,yc,zd->xyz", weight, d, d,
-                                          d).reshape(-1), _POWERS)
-    first, second = (triples(x * n * n, x * n, x) for x in (first, second))
-    counts = np.bincount(powers, None, _POWERS)
-    (reached,) = np.nonzero(counts)
-    (span,) = np.nonzero(counts + (np.arange(_POWERS) < S_ORDERS))
-    # one mask per reached power: a (powers, triples) mask at once took
-    # 0.29 MB under uncorrelated AD
-    pairs = tuple((first[at], second[at]) for at in (powers == p for p in reached))
-    # one Kraus operator per noise kind carries t^0, so the t^0 terms of the
-    # three parties make up one Kraus triple, the channel at eta = 0; its
-    # amplitude has degree <= 6 in s, and a triple with a t^1 term lands past
-    # the powers of s
-    free = np.where(power == 0, degree, S_ORDERS)
-    free = triples(free, free, free)[:, None] == np.arange(S_ORDERS)
-    for array in (ops, trace, reached, span, free, *sum(pairs, ())):
-        array.setflags(write=False)
-    return ops, trace, reached, span, pairs, free
+def _trace(noise_kind: str, correlated: bool) -> np.ndarray:
+    """The channel's trace on |Psi><Psi| by power index, read-only, from
+    hrsp.exact's integers (8 times the trace)."""
+    trace = np.zeros(_POWERS)
+    for power, value in exact._channel(noise_kind, correlated)[3].items():
+        trace[power] = value / 8
+    trace.setflags(write=False)
+    return trace
 
 
 @lru_cache(maxsize=None)
 def _branch(noise_kind: str, correlated: bool, receiver: str,
             sender_outcome: str, collaborator_outcomes: tuple) -> tuple:
     """One of Bob's or David's outcome branches under one channel, read-only,
-    from one kernel call on its amplitudes W_m at the unit targets (m = 0
-    for alpha, 1 for beta): its t^0 amplitude [m, i, s^j], and the nonzero
-    coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj, in that
-    order, with the (P, m, i, n, j) of each as the rows of one uint8 array."""
-    ops, _, reached, _, pairs, free = _channel(noise_kind, correlated)
-    # [triple, (m, i)]: a power's triples are gathered as whole rows
-    w = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
-                          _UNIT_TARGETS, ops).transpose(1, 2, 3, 0, 4).reshape(-1, 8)
-    amplitude = (w.T @ free).reshape(2, 4, S_ORDERS)
-    gram = np.array([w[f].T @ w[g] for f, g in pairs]).reshape(-1, 2, 4, 2, 4)
-    at = np.nonzero(gram)
+    as arrays of hrsp.exact's integer build: its t^0 amplitude [m, i, s^j]
+    of W_m at the unit targets (m = 0 for alpha, 1 for beta), and the
+    nonzero coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj,
+    with the (P, m, i, n, j) of each as the rows of one uint8 array. The
+    Gram is exact: integers over 8 |x|^2 |y|^2, a power of two."""
+    # the uncached build: this store keeps the branch, as arrays
+    scale, gram, amplitude = exact._branch.__wrapped__(
+        noise_kind, correlated, receiver, sender_outcome, collaborator_outcomes)
     # a power index, below _POWERS, fits a byte
-    coordinates = np.array([reached[at[0]], *at[1:]], dtype=np.uint8)
-    gram = gram[at]
-    for array in (amplitude, gram, coordinates):
+    coordinates = np.array([key for key, _ in gram], dtype=np.uint8).T
+    gram = np.array([value for _, value in gram], dtype=float) / scale
+    t0 = np.zeros((2, 4, S_ORDERS))
+    for m, a_m in enumerate(amplitude):
+        for i, poly in enumerate(a_m):
+            for j, value in poly:
+                t0[m, i, j] = value
+    t0 /= np.sqrt(scale)
+    for array in (t0, gram, coordinates):
         array.setflags(write=False)
-    return amplitude, gram, coordinates
+    return t0, gram, coordinates
 
 
 @lru_cache(maxsize=None)
@@ -256,11 +221,18 @@ def _stack(noise_kind: str, correlated: bool,
     - the columns, the power index of each of the K columns: the powers at
       which some row of some block is nonzero."""
     receivers, keys = _TABLES[table]
-    _, trace, _, span, _, _ = _channel(noise_kind, correlated)
+    trace = _trace(noise_kind, correlated)
+    branches = [_branch(noise_kind, correlated, receivers[-1], *key)
+                for key in keys]
+    # the span: the powers the rows' Grams and the trace reach, and eta^0
+    # s^0..s^12, where the amplitude and the eta = 1 folds lie
+    reached = trace != 0.0
+    reached[:S_ORDERS] = True
+    for _, _, coordinates in branches:
+        reached[coordinates[0]] = True
+    (span,) = np.nonzero(reached)
     stack = np.zeros((len(keys), 20, len(span)))
-    for row, key in enumerate(keys):
-        amplitude, gram, (power, m, i, n, j) = _branch(
-            noise_kind, correlated, receivers[-1], *key)
+    for row, (amplitude, gram, (power, m, i, n, j)) in enumerate(branches):
         if table == "oracle":
             # a correction O that takes the noiseless branch a_0 alpha + a_1
             # beta onto the target has O a_m = c e_m, so u = O^T xi = alpha
@@ -333,11 +305,11 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
     eta, before correction, as a real (float64) 4x4 array, and the branch
     probability p = tr G: the branch's cached Gram, the one the sweep's
     curves come from, weighed at that eta and at the config's target. One
-    kernel call, for the branch alone, if it is cold."""
+    exact build, for the branch alone, if it is cold."""
     if not 0.0 <= eta <= 1.0:   # False for NaN
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
     monomials = _monomials(np.array([eta]))[:, 0]
-    trace = _channel(config.noise_kind, config.correlated)[1]
+    trace = _trace(config.noise_kind, config.correlated)
     warn_trace_deficit(1.0 - float(trace @ monomials))
     receivers, keys = _TABLES[config.table]
     _, gram, (power, m, i, n, j) = _branch(config.noise_kind, config.correlated,

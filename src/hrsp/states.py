@@ -137,9 +137,9 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     """Unnormalized receiver amplitudes of one outcome, after the channel.
 
     kraus is an (n, 4, 4) stack of operators on every receiver pair. The
-    package passes the eta-free terms of noise.pair_terms, or the default
-    IDENTITY_STACK for no noise; the tests also pass the per-eta pair Kraus
-    operators of their oracle. For collaborators projected onto |x>, |y> and
+    package passes the default IDENTITY_STACK for no noise; the tests also
+    pass the eta-free terms of noise.pair_terms, the oracle of hrsp.exact's
+    noisy Grams, and the per-eta pair Kraus operators of their dense oracle. For collaborators projected onto |x>, |y> and
     receiver R, W[k_X, k_Y, k_R, :]
     = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W
     (W as (-1, 4)) with trace the branch probability when S is the pair

@@ -39,7 +39,7 @@ UNCORRELATED_CSV_DIGESTS = {
 }
 
 #: SHA-256 of the CSV of each default correlated sweep at --step 0.0005: 2001
-#: points, two grid chunks
+#: points, on the exact path; the library path's two grid chunks print the same
 FINE_CSV_DIGESTS = {
     ("ad", "bob"): "89b1041932697a1cd07b0da5a21a67c0889740ffaf2f8c84548b90f0682e2b0f",
     ("ad", "charlie"): "8e6e30c4e67644c622f1017804e8b85b198a6bb7d42ef257f70e85a3540781a0",
@@ -323,9 +323,9 @@ def run_python(argv, cwd):
 class TestImports:
     # np.unique, np.union1d and np.isin import numpy.ma on their first call,
     # 12-89 ms, more than a whole sweep; no command needs it. A sweep of at
-    # most GRID_CHUNK points (every receiver, noise kind and channel mode at
-    # the default grid) and --version import no numpy at all; the verify
-    # commands and a 2001-point sweep do
+    # most cli.EXACT_SWEEP_POINTS points (every receiver, noise kind and
+    # channel mode at the default grid) and --version import no numpy at
+    # all; the verify commands and a 20,001-point sweep do
     @pytest.mark.parametrize("argv", [
         ["sweep", "--receiver", "bob"], ["sweep", "--receiver", "charlie"],
         ["sweep", "--receiver", "david"], ["verify-tables"],
@@ -333,7 +333,7 @@ class TestImports:
         *(["sweep", "--receiver", receiver, "--noise", noise, *mode]
           for receiver in ("bob", "charlie", "david") for noise in ("ad", "pd")
           for mode in ([], ["--uncorrelated-noise"]) if noise == "pd" or mode),
-        ["--version"], ["sweep", "--receiver", "charlie", "--step", "0.0005"]])
+        ["--version"], ["sweep", "--receiver", "charlie", "--step", "0.00005"]])
     def test_command_leaves_numpy_ma_unimported(self, argv, tmp_path):
         numpy = argv[0].startswith("verify") or "--step" in argv
         if argv[0] == "sweep":

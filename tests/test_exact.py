@@ -1,7 +1,8 @@
 """hrsp.exact, the numpy-free sweep path, against the numpy library path of
 hrsp.pipeline: each is the other's oracle. Every Gram coefficient of the
-numpy build is held to its exact rational, and every row's sweep to the
-library's, at three targets under all four channels."""
+numpy kernel states.branch_amplitudes is held to its exact rational, and
+every row's sweep to the library's, at three targets under all four
+channels."""
 
 import ast
 import itertools
@@ -10,11 +11,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrsp import exact, noise, pipeline, protocol, states
+from hrsp import cli, exact, noise, pipeline, protocol, states
 from hrsp.cli import main
 
 #: (table, row, receiver) of every published row and Charlie's derived rows
@@ -25,11 +27,51 @@ ALL_ROWS = [(table, row, receivers[0])
 #: the CLI's default target, a second one, and one with negative beta
 TARGETS = [(1 / math.sqrt(2), 1 / math.sqrt(2)), (0.6, 0.8), (0.8, -0.6)]
 
-#: printed cells on which the two paths differ, each an exact 6-decimal tie:
-#: (noise, receiver, correlated, grid points, eta) -> (exact, library) text.
-#: At the CLI default target, alpha = beta lies just below 1/sqrt(2), so the
-#: fidelity at the float inputs lies just below each tie (91/128 here)
-TIE_CELLS = {("pd", "david", False, 1025, "0.375"): ("0.710938", "0.710937")}
+#: the two floats nearest 1/sqrt(2): the CLI default, below it, and
+#: np.sqrt(0.5), above it
+BELOW, ABOVE = 0.7071067811865475, 0.7071067811865476
+
+#: uncorrelated PD, step 0.001, alpha = beta: cells whose fidelity at the
+#: true target 1/sqrt(2) is a 6-decimal tie, (table, row, eta) -> text at
+#: BELOW and at ABOVE. F is homogeneous of degree 1 in (alpha, beta), so
+#: each lies just below its boundary at BELOW and just above it at ABOVE
+TIE_CELLS = {("II", 15, 0.125): ("0.101562", "0.101563"),
+             ("II", 1, 0.175): ("0.844062", "0.844063"),
+             ("II", 1, 0.375): ("0.710937", "0.710938"),
+             ("II", 1, 0.625): ("0.601562", "0.601563"),
+             ("II", 1, 0.825): ("0.543437", "0.543438"),
+             ("oracle", 1, 0.375): ("0.710937", "0.710938")}
+
+
+def kernel_branch(noise_kind, correlated, receiver, key):
+    """A branch's t^0 amplitude [m, i, s^j] and its Gram coefficients
+    {(P, m, i, n, j): value} in floats, from the numpy kernel on the
+    channel's pair terms (noise.pair_terms): W_m at the unit targets per
+    Kraus triple, one pair of terms of one Kraus operator per party, and
+    G at each power index P the sum of W^T W over the triples at P."""
+    ops, kraus, power, degree = noise.pair_terms(noise_kind, correlated)
+    first, second = np.nonzero(kraus[:, None] == kraus)
+    order = power[first] * exact.S_ORDERS + degree[first] + degree[second]
+    n = len(ops)
+
+    def triples(x, y, z):
+        return (x[:, None, None] + y[:, None] + z).reshape(-1)
+
+    powers = triples(order, order, order)
+    first, second = (triples(x * n * n, x * n, x) for x in (first, second))
+    w = states.branch_amplitudes(
+        receiver, *key, (states.TargetSpec(1.0, 0.0), states.TargetSpec(0.0, 1.0)),
+        ops).transpose(1, 2, 3, 0, 4).reshape(-1, 8)
+    gram = {}
+    for p in set(powers.tolist()):
+        at = powers == p
+        g = (w[first[at]].T @ w[second[at]]).reshape(2, 4, 2, 4)
+        for m, i, k, j in zip(*np.nonzero(g)):
+            gram[p, m, i, k, j] = float(g[m, i, k, j])
+    # the operator with no t carries the t^0 amplitude, by power of s
+    free = np.where(power == 0, degree, exact.S_ORDERS)
+    free = triples(free, free, free)[:, None] == np.arange(exact.S_ORDERS)
+    return (w.T @ free).reshape(2, 4, exact.S_ORDERS), gram
 
 
 def test_exact_imports_only_the_standard_library():
@@ -49,16 +91,18 @@ def test_moved_names_are_reexported_unchanged():
              protocol: ("BRANCHES", "SENDER_OUTCOMES", "parse_gate_string"),
              pipeline: ("PipelineConfig", "FidelitySample", "SweepResult",
                         "BranchProbabilityError", "default_grid",
-                        "default_config", "GRID_CHUNK", "MAX_GRID_POINTS")}
+                        "default_config", "MAX_GRID_POINTS")}
     for module, names in moved.items():
         for name in names:
             assert getattr(module, name) is getattr(exact, name), name
 
 
 class TestExactGrams:
-    def test_numpy_build_matches_the_exact_rationals(self):
+    def test_numpy_kernel_matches_the_exact_rationals(self):
         # all 160 branches: 2 noise kinds x 2 modes x (Bob's 8 + David's 32);
-        # where the exact coefficient is 0 the numpy one is a rounding residue
+        # where the exact coefficient is 0 the kernel's is a rounding
+        # residue. The library's store is the exact build, divided by its
+        # power-of-two scale
         count = 0
         for noise_kind, correlated, receiver in itertools.product(
                 ("ad", "pd"), (True, False), ("bob", "david")):
@@ -66,9 +110,8 @@ class TestExactGrams:
                 scale, gram, amplitude = exact._branch(noise_kind, correlated,
                                                        receiver, *key)
                 want = {coordinates: value / scale for coordinates, value in gram}
-                numpy_amplitude, values, coordinates = pipeline._branch(
-                    noise_kind, correlated, receiver, *key)
-                got = dict(zip(map(tuple, coordinates.T.tolist()), values.tolist()))
+                kernel_amplitude, got = kernel_branch(noise_kind, correlated,
+                                                      receiver, key)
                 for at in want.keys() | got.keys():
                     if at in want:
                         assert abs(got.get(at, 0.0) - want[at]) <= 1e-15, at
@@ -76,9 +119,13 @@ class TestExactGrams:
                         assert abs(got[at]) < 1e-17, at
                 for m, i in itertools.product(range(2), range(4)):
                     exact_row = dict(amplitude[m][i])
-                    for j, value in enumerate(numpy_amplitude[m, i].tolist()):
+                    for j, value in enumerate(kernel_amplitude[m, i].tolist()):
                         assert abs(value - exact_row.get(j, 0)
                                    / math.sqrt(scale)) <= 1e-15
+                _, values, coordinates = pipeline._branch(noise_kind, correlated,
+                                                          receiver, *key)
+                assert dict(zip(map(tuple, coordinates.T.tolist()),
+                                values.tolist())) == want
                 count += 1
         assert count == 160
 
@@ -144,23 +191,59 @@ class TestExactSweep:
             exact.sweep(exact.default_config())
 
 
+class TestFidelityTexts:
+    @pytest.mark.parametrize("cell", list(TIE_CELLS))
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_tie_cells_print_their_exact_digit_on_either_path(self, cell, side):
+        table, row, eta = cell
+        alpha = (BELOW, ABOVE)[side]
+        config = exact.default_config(
+            "pd", "charlie" if table == "oracle" else "david",
+            exact.TargetSpec(alpha, alpha), step=0.001, table=table, row=row,
+            correlated=False)
+        at = config.eta_grid.index(eta)
+        for run in (exact.sweep, pipeline.sweep):
+            assert exact.fidelity_texts(run(config))[at] == TIE_CELLS[cell][side]
+
+    @pytest.mark.parametrize("fidelity,text", [(91 / 128, "0.710938"),
+                                               (13 / 128, "0.101562")])
+    @pytest.mark.parametrize("ends", [False, True])
+    def test_true_tie_rounds_half_to_even(self, fidelity, text, ends,
+                                          monkeypatch):
+        # F^2 = (k / 128)^2 at the target (1, 0): at eta = 0.5 from the s^0
+        # powers, and at a boundary-extended eta = 1 from the fold at j0 = 1
+        k = round(fidelity * 128)
+        power = 1 if ends else 0
+        monkeypatch.setattr(exact, "_curves", lambda *key: (
+            8, 1, {power: (k * k, 0, 0, 0, 0)}, {power: (128 * 128, 0, 0)}, {}))
+        config = exact.default_config(spec=exact.TargetSpec(1.0, 0.0))
+        sample = exact.FidelitySample(1.0 if ends else 0.5, fidelity, 0.0, ends)
+        result = exact.SweepResult(config, (sample,))
+        assert exact._side(config, sample, round(fidelity * 1e6 - 0.5)) == 0
+        assert exact.fidelity_texts(result) == (text,) == (f"{fidelity:.6f}",)
+
+    def test_far_from_a_tie_prints_the_float(self, monkeypatch):
+        monkeypatch.setattr(exact, "_side", None)
+        samples = tuple(exact.FidelitySample(eta, f, 0.5, False) for eta, f in
+                        ((0.0, 1.0), (0.5, 0.84406249), (1.0, math.nan)))
+        result = exact.SweepResult(exact.default_config(), samples)
+        assert exact.fidelity_texts(result) == ("1.000000", "0.844062", "nan")
+
+
 def csv_lines(config, result):
     return [f"{config.noise_kind},{config.receiver},{config.table},"
-            f"{config.row},{s.eta:g},{s.fidelity:.6f}" for s in result.samples]
+            f"{config.row},{s.eta:g},{text}"
+            for s, text in zip(result.samples, exact.fidelity_texts(result))]
 
 
 class TestCliPathSelection:
-    """A CLI sweep of at most GRID_CHUNK = 1024 points runs exact.sweep, a
-    longer one pipeline.sweep; each prints the other's CSV but for the
-    listed tie cells."""
+    """A CLI sweep of at most cli.EXACT_SWEEP_POINTS points runs exact.sweep,
+    a longer one pipeline.sweep, and both print through fidelity_texts: the
+    CSV does not depend on the path."""
 
-    @pytest.mark.parametrize("receiver", ["bob", "charlie", "david"])
-    @pytest.mark.parametrize("noise_kind", ["ad", "pd"])
-    @pytest.mark.parametrize("correlated", [True, False])
-    @pytest.mark.parametrize("step,points", [(1 / 1023, 1024),
-                                             (0.0009765625, 1025)])
-    def test_csv_matches_the_other_path(self, receiver, noise_kind, correlated,
-                                        step, points, tmp_path, monkeypatch):
+    @staticmethod
+    def run(argv, monkeypatch):
+        """main(argv) with both sweeps spied on: (exit code, [(path, config)])."""
         paths = {"exact": exact.sweep, "library": pipeline.sweep}
         calls = []
 
@@ -172,22 +255,39 @@ class TestCliPathSelection:
 
         monkeypatch.setattr(exact, "sweep", spy("exact"))
         monkeypatch.setattr(pipeline, "sweep", spy("library"))
+        return main(argv), calls
+
+    @pytest.mark.parametrize("receiver", ["bob", "charlie", "david"])
+    @pytest.mark.parametrize("noise_kind", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    @pytest.mark.parametrize("step,points", [(1 / 1023, 1024),
+                                             (0.0009765625, 1025)])
+    def test_csv_matches_the_other_path(self, receiver, noise_kind, correlated,
+                                        step, points, tmp_path, monkeypatch):
+        # the selection moved to 1024 points, so that the 1025-point grid,
+        # which holds the tie eta = 0.375, takes the library path
+        monkeypatch.setattr(cli, "EXACT_SWEEP_POINTS", 1024)
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--noise", noise_kind, "--receiver", receiver,
                 "--step", repr(step), "--out", str(out)]
-        assert main(argv + ([] if correlated else ["--uncorrelated-noise"])) == 0
+        code, calls = self.run(
+            argv + ([] if correlated else ["--uncorrelated-noise"]), monkeypatch)
+        assert code == 0
         ((taken, config),) = calls
-        assert taken == ("exact" if points <= exact.GRID_CHUNK else "library")
+        assert taken == ("exact" if points <= 1024 else "library")
         assert len(config.eta_grid) == points
-        other = "library" if taken == "exact" else "exact"
+        other = {"exact": pipeline, "library": exact}[taken]
         printed = out.read_text().splitlines()
         assert printed[0] == "noise,receiver,table,row,eta,fidelity"
-        expected = csv_lines(config, paths[other](config))
-        texts = {}
-        for line, want in zip(printed[1:], expected):
-            if line != want:
-                cells = {taken: line.split(",")[5], other: want.split(",")[5]}
-                texts[line.split(",")[4]] = cells["exact"], cells["library"]
-        assert len(printed) == points + 1
-        assert texts == {eta: cells for (*key, eta), cells in TIE_CELLS.items()
-                         if key == [noise_kind, receiver, correlated, points]}
+        assert printed[1:] == csv_lines(config, other.sweep(config))
+
+    @pytest.mark.parametrize("step,taken", [(1e-4, "exact"),
+                                            (1 / 10_001, "library")])
+    def test_selection_at_the_measured_crossover(self, step, taken, tmp_path,
+                                                 monkeypatch):
+        code, calls = self.run(["sweep", "--step", repr(step), "--out",
+                                str(tmp_path / "sweep.csv")], monkeypatch)
+        assert code == 0
+        assert [(name, len(config.eta_grid)) for name, config in calls] == [
+            (taken, round(1 / step) + 1)]
+        assert cli.EXACT_SWEEP_POINTS == 10_001

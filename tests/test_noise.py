@@ -230,8 +230,8 @@ class TestChannelTrace:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_matches_dense_channel(self, kind, correlated):
-        # one curve per channel, in its _channel entry
-        trace = pipeline._channel(kind, correlated)[1]
+        # one curve per channel, its _trace entry
+        trace = pipeline._trace(kind, correlated)
         curve = trace @ pipeline._monomials(np.array(self.ETAS))
         stacks = party_kraus_stack(kraus_operators(kind, self.ETAS), correlated)
         rho = protocol_rho()

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrsp.noise import TraceDeficitWarning
-from hrsp import pipeline, protocol
+from hrsp import exact, pipeline, protocol
 from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, MAX_GRID_POINTS,
                            BranchProbabilityError, PipelineConfig,
                            default_config, default_grid, receiver_state, sweep)
@@ -27,6 +27,8 @@ from dense_oracle import (apply_channel, build_measurement_operator,
 from reference_data import BOB_LIMIT, CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
+#: W is linear in (alpha, beta): the branch amplitudes at these two
+UNIT_TARGETS = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0))
 
 #: (table, row, receiver) of every published row and Charlie's derived rows
 ALL_ROWS = ([(t, r, rule.receiver) for t in ("I", "II", "III")
@@ -492,27 +494,27 @@ class TestExactCurve:
 
 
 def clear_noisy_caches():
-    for cache in (pipeline._channel, pipeline._branch, pipeline._stack,
+    for cache in (pipeline._trace, pipeline._branch, pipeline._stack,
                   pipeline._evaluate):
         cache.cache_clear()
 
 
 class TestKernelCalls:
-    """Each outcome branch costs one kernel call per process, whatever the
+    """Each outcome branch costs one exact build per process, whatever the
     grid, the target, the rule or the table that reads it: the tables and
-    receiver_state share one _branch entry per branch.
-    states.branch_amplitudes calls counted, no timing."""
+    receiver_state share one _branch entry per branch. The builds of
+    hrsp.exact that _branch makes are counted, no timing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
-        kernel = pipeline.branch_amplitudes
+        build = exact._branch.__wrapped__
 
-        def counted(*args, **kwargs):
-            made.append(args[:3])
-            return kernel(*args, **kwargs)
+        def counted(*args):
+            made.append(args[2:])
+            return build(*args)
 
-        monkeypatch.setattr(pipeline, "branch_amplitudes", counted)
+        monkeypatch.setattr(exact._branch, "__wrapped__", counted)
         clear_noisy_caches()
         yield made
         clear_noisy_caches()
@@ -587,14 +589,14 @@ class TestKernelCalls:
 
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
-        # pipeline docstring quotes: the channels, the branches (in all and
+        # pipeline docstring quotes: a channel's trace, the branches (in all and
         # for a correlated scan) and the stacks (likewise), the evaluation
         # slot at its largest table, the grid side of a chunk at the largest
         # column set, and a row's curves on all 91 powers. The 16 tables
         # read all 160 branches
         clear_noisy_caches()
-        channels = {(noise, correlated): pipeline._channel(noise, correlated)
-                    for noise in ("ad", "pd") for correlated in (True, False)}
+        channels = [(noise, correlated) for noise in ("ad", "pd")
+                    for correlated in (True, False)]
         entries = {(noise, correlated, table): pipeline._stack(
                        noise, correlated, table)
                    for noise, correlated in channels for table in pipeline._TABLES}
@@ -611,11 +613,9 @@ class TestKernelCalls:
         slot = max(len(rows) for _, rows in pipeline._TABLES.values()) * (
             pipeline.GRID_CHUNK * 2 * 8)
         curves = 20 * pipeline._POWERS * 8
-        channel = [sum(a.nbytes for a in (*entry[:4], *sum(entry[4], ()), entry[5]))
-                   for entry in channels.values()]
+        trace = pipeline._trace(*channels[0]).nbytes
         figures = [f"{chunk / 1e6:.2f} MB", f"{slot / 1e6:.2f} MB",
-                   f"{curves / 1e3:.1f} KB",
-                   f"{min(channel) / 1e3:.1f} to {max(channel) / 1e3:.1f} KB"]
+                   f"{curves / 1e3:.1f} KB", f"{trace / 1e3:.2f} KB"]
         for sizes in ({key: sum(a.nbytes for a in entry)
                        for key, entry in branches.items()},
                       {key: entry[0].nbytes for key, entry in entries.items()}):
@@ -776,9 +776,9 @@ class TestDerivedCorrection:
             # the noiseless branch at the unit targets; the channel at eta = 0
             # leaves it whole, in one Kraus triple, so it is the t^0
             # amplitude at s = 1 that the stack reads
-            a = branch_amplitudes(receiver, *key, pipeline._UNIT_TARGETS,
+            a = branch_amplitudes(receiver, *key, UNIT_TARGETS,
                                   IDENTITY_STACK).reshape(2, 4)
-            w = branch_amplitudes(receiver, *key, pipeline._UNIT_TARGETS,
+            w = branch_amplitudes(receiver, *key, UNIT_TARGETS,
                                   stack).reshape(2, -1, 4)
             assert np.array_equal(w.sum(axis=1), a)
             assert np.count_nonzero(w.any(axis=(0, 2))) == 1
@@ -1053,12 +1053,10 @@ class TestChannelBlockCache:
         key = CORRECTION_TABLES["II"][0].outcomes
         branch = pipeline._branch(noise, correlated, "david", *key)
         assert branch is pipeline._branch(noise, correlated, "david", *key)
-        channel = pipeline._channel(noise, correlated)
-        assert channel is pipeline._channel(noise, correlated)
-        ops, trace, reached, span, pairs, free = channel
+        trace = pipeline._trace(noise, correlated)
+        assert trace is pipeline._trace(noise, correlated)
         target = pipeline._target_monomials(0.6, 0.8)
-        for coef in (stack, stack[2], columns, target, *branch, ops, trace,
-                     reached, span, *sum(pairs, ()), free):
+        for coef in (stack, stack[2], columns, target, *branch, trace):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0
         # the trace curve, indexed M * S_ORDERS + j, against the oracle's
