@@ -554,7 +554,7 @@ class TestKernelCalls:
         assert len(calls) == cold
 
     def test_receiver_state_reads_the_sweeps_branches(self, calls):
-        # a cold receiver_state contracts its own row's branch and builds no
+        # a cold receiver_state builds its own row's branch and no
         # table
         receiver_state(default_config("ad", "bob", row=3), 0.3)
         assert calls == [("bob", *pipeline._TABLES["I"][1][2])]
@@ -653,7 +653,7 @@ class TestKernelCalls:
 
     def test_build_transient_does_not_grow_with_the_rows(self):
         # a cold build's transient, its traced peak less the traced bytes
-        # still held after it (the entry and the channel and branch entries
+        # still held after it (the entry and the trace and branch entries
         # it filled), is one branch's work and the table's stack on its
         # span: at most 0.4 MB for each of the 16 entries, of 8 to 32 rows.
         # Each entry is built once first, so that no first-use allocation
