@@ -3,8 +3,9 @@ entangled state over a seven-qubit Brown-state channel, with correlated
 amplitude- and phase-damping noise.
 
 The exports are lazy (PEP 562): each name imports its submodule on first
-access, so `import hrsp` alone imports no numpy, and `hrsp sweep` reads only
-the numpy-free hrsp.exact on a short grid (see there)."""
+access, so `import hrsp` alone imports no numpy. Of the CLI, only a sweep
+longer than cli.EXACT_SWEEP_POINTS imports it: a shorter one reads the
+numpy-free hrsp.exact, and the verify commands hrsp.protocol (see there)."""
 
 import importlib
 
@@ -21,10 +22,9 @@ _EXPORTS = {
                      "correction_unitary", "derive_receiver_table",
                      "format_table_report", "noiseless_fidelity",
                      "oracle_find_correction", "parse_gate_string",
-                     "verify_table"), "protocol"),
+                     "verify_factorization", "verify_table"), "protocol"),
     **dict.fromkeys(("branch_amplitudes", "brown_state", "extend_with_ancillas",
-                     "protocol_state", "target_state", "verify_factorization",
-                     "zeta_basis"), "states"),
+                     "protocol_state", "target_state", "zeta_basis"), "states"),
 }
 _SUBMODULES = ("linalg", "noise", "pipeline", "protocol", "states")
 

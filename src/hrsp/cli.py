@@ -9,10 +9,11 @@ sweep                  fidelity vs noise, CSV output
 Exit codes follow the documented contract: 0 success, 1 for a failed check
 or unwritable output, 2 for bad parameters.
 
-Only the verify commands and a sweep of more than EXACT_SWEEP_POINTS grid
-points import numpy: a shorter sweep runs hrsp.exact.sweep (see
-hrsp.exact). Either way the fidelities print through
-hrsp.exact.fidelity_texts, so the CSV does not depend on the path.
+Only a sweep of more than EXACT_SWEEP_POINTS grid points imports numpy: a
+shorter sweep runs hrsp.exact.sweep (see hrsp.exact), and the verify
+commands run the integer oracle, verdicts and reassembly of hrsp.protocol.
+Either way a sweep's fidelities print through hrsp.exact.fidelity_texts, so
+the CSV does not depend on the path.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _target_spec(alpha: float, beta: float) -> TargetSpec:
 
 
 def _cmd_verify_factorization(args) -> int:
-    from .states import verify_factorization
+    from .protocol import verify_factorization
 
     spec = _target_spec(args.alpha, args.beta)
     report = verify_factorization(args.variant, spec)

@@ -64,6 +64,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 NORM_TOL = 1e-12
+#: a branch at or below this probability is not normalized
+BRANCH_PROBABILITY_FLOOR = 1e-12
 TRACE_DEFICIT_WARN = 1e-9
 NOISE_KINDS = ("ad", "pd")
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
@@ -205,6 +207,37 @@ def parse_gate_string(text: str) -> tuple[str, ...]:
             raise ValueError(f"unknown gate token {word!r} at position {pos}")
         tokens += expanded
     return tuple(tokens)
+
+
+@lru_cache(maxsize=None)
+def real_product(gates: tuple[str, ...]) -> tuple:
+    """(R, h, k): the real product of a gate sequence, first token applied
+    first and iY for each Y, as integers over sqrt(2)^h, and k its count of
+    Y tokens. The sequence's unitary is (-i)^k R / sqrt(2)^h. Cached: the
+    verdicts and the report read each rule's several times."""
+    r, h = _kron(_I2, _I2), 0
+    for token in gates:
+        gate, k = GATES["i" + token if token in Y_TOKENS else token]
+        r = tuple(tuple(sum(map(mul, g_row, column)) for column in zip(*r))
+                  for g_row in gate)
+        h += k
+    return r, h, sum(token in Y_TOKENS for token in gates)
+
+
+def check_outcome(receiver: str, sender_outcome: str,
+                  collaborator_outcomes: tuple[str, ...]) -> None:
+    """Raise ValueError unless the sender outcome, the receiver and its
+    collaborator labels name one of BRANCHES[receiver]."""
+    if sender_outcome not in SENDER_OUTCOMES:
+        raise ValueError(f"unknown sender outcome {sender_outcome!r}, expected "
+                         f"one of {SENDER_OUTCOMES}")
+    if receiver not in COLLABORATOR_LABELS:
+        raise ValueError(f"unknown receiver {receiver!r}")
+    count, labels = COLLABORATOR_LABELS[receiver]
+    if (len(collaborator_outcomes) != count
+            or not all(label in labels for label in collaborator_outcomes)):
+        raise ValueError(f"{receiver} expects {count} collaborator label(s) "
+                         f"from {labels}, got {collaborator_outcomes!r}")
 
 
 #: Kraus operator i of a noise kind as t^power[i] (fixed[i] + s damped[i]):
@@ -535,12 +568,7 @@ def _correction(table: str, row: int, amplitude: tuple) -> tuple:
     if table == "oracle":
         v = tuple(tuple(sum(c for _, c in poly) for poly in a_m) for a_m in amplitude)
         return v, sum(map(mul, v[0], v[0]))
-    o, h = _kron(_I2, _I2), 0
-    for token in parse_gate_string(PUBLISHED_TABLES[table][1][row - 1][2]):
-        gate, k = GATES[token]
-        o = tuple(tuple(sum(map(mul, g_row, column)) for column in zip(*o))
-                  for g_row in gate)
-        h += k
+    o, h, _ = real_product(parse_gate_string(PUBLISHED_TABLES[table][1][row - 1][2]))
     return (o[0], o[3]), 2 ** h
 
 

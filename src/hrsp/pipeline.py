@@ -27,9 +27,10 @@ states.branch_amplitudes is the Grams' (tests/test_exact.py).
 The state has one cached form per outcome branch, its Gram matrix
 G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^T G u and
 rho = G^T / p. Every receiver-pair Kraus operator is t^M times a
-polynomial in s of degree <= 2 (noise.pair_terms), with t = sqrt(eta) and
-s = sqrt(1 - eta), and W is linear in (alpha, beta): W = alpha W_0 + beta W_1,
-with W_0 and W_1 the amplitudes at the targets (1, 0) and (0, 1). So G
+polynomial in s of degree <= 2 (hrsp.exact.KRAUS_TEMPLATES), with
+t = sqrt(eta) and s = sqrt(1 - eta), and W is linear in (alpha, beta):
+W = alpha W_0 + beta W_1, with W_0 and W_1 the amplitudes at the targets
+(1, 0) and (0, 1). So G
 is, at each power eta^M s^j (M <= 6, j <= 12), an 8 x 8 matrix over
 (unit target, receiver basis) pairs: a finite set of coefficients that
 gives G at every eta and every target. Table I reads Bob's 8 branches,

@@ -15,16 +15,13 @@ correction tables downstream, so the signed form is authoritative here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .exact import BROWN_TERMS, COLLABORATOR_LABELS, NORM_TOL, TargetSpec
+from .exact import (BRANCH_PROBABILITY_FLOOR, BROWN_TERMS, COLLABORATOR_LABELS,
+                    NORM_TOL, TargetSpec, check_outcome)
 from .linalg import kron
-
-#: a branch at or below this probability is not normalized
-BRANCH_PROBABILITY_FLOOR = 1e-12
 
 KET0 = np.array([1.0, 0.0])
 KET1 = np.array([0.0, 1.0])
@@ -100,18 +97,8 @@ def outcome_kets(receiver: str, sender_outcome: str,
                  collaborator_outcomes: tuple[str, ...], spec: TargetSpec):
     """The sender's zeta vector and {collaborator: ket}, in qubit order: the
     states one outcome projects the non-receiver parties onto."""
-    zetas = zeta_basis(spec)
-    if sender_outcome not in zetas:
-        raise ValueError(f"unknown sender outcome {sender_outcome!r}, expected "
-                         f"one of {tuple(zetas)}")
-    zvec = zetas[sender_outcome]
-    if receiver not in COLLABORATOR_LABELS:
-        raise ValueError(f"unknown receiver {receiver!r}")
-    count, labels = COLLABORATOR_LABELS[receiver]
-    if (len(collaborator_outcomes) != count
-            or not all(label in labels for label in collaborator_outcomes)):
-        raise ValueError(f"{receiver} expects {count} collaborator label(s) "
-                         f"from {labels}, got {collaborator_outcomes!r}")
+    check_outcome(receiver, sender_outcome, collaborator_outcomes)
+    zvec = zeta_basis(spec)[sender_outcome]
     if receiver == "bob":
         (shared,) = collaborator_outcomes
         return zvec, {"charlie": basis_ket(shared), "david": basis_ket(shared)}
@@ -138,8 +125,9 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
 
     kraus is an (n, 4, 4) stack of operators on every receiver pair. The
     package passes the default IDENTITY_STACK for no noise; the tests also
-    pass the eta-free terms of noise.pair_terms, the oracle of hrsp.exact's
-    noisy Grams, and the per-eta pair Kraus operators of their dense oracle. For collaborators projected onto |x>, |y> and
+    pass the channel's eta-free pair terms, the oracle of hrsp.exact's noisy
+    Grams, and the per-eta pair Kraus operators, both from
+    tests/dense_oracle.py. For collaborators projected onto |x>, |y> and
     receiver R, W[k_X, k_Y, k_R, :]
     = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>, so rho = W^T W
     (W as (-1, 4)) with trace the branch probability when S is the pair
@@ -168,144 +156,15 @@ def branch_amplitudes(receiver: str, sender_outcome: str,
     return w[0] if isinstance(spec, TargetSpec) else w
 
 
-# --------------------------------------------------------------------------
-# Published factorizations of the resource state, kept verbatim as data so
-# they can be reassembled and checked against protocol_state().
-#
-# Bob variant: |Psi> = (|zeta1>|Xi1> + |zeta2>|Xi2>)/sqrt(2), where each Xi
-# line is  sign * (Bob two-qubit combination) (x) |c>_C (x) |c>_D  and the
-# Bob combination is a list of (coefficient, basis label) with coefficient
-# one of +a, -a, +b, -b.
-BOB_EXPANSION = {
-    "zeta1": (
-        (+1, (("+a", "01"), ("+b", "00")), "01", "01"),
-        (+1, (("+b", "00"), ("-a", "01")), "10", "10"),
-        (+1, (("+a", "10"), ("+b", "11")), "00", "00"),
-        (+1, (("+b", "11"), ("-a", "10")), "11", "11"),
-    ),
-    "zeta2": (
-        (+1, (("+b", "01"), ("-a", "00")), "01", "01"),
-        (-1, (("+a", "00"), ("+b", "01")), "10", "10"),
-        (+1, (("+b", "10"), ("-a", "11")), "00", "00"),
-        (-1, (("+a", "11"), ("+b", "10")), "11", "11"),
-    ),
-}
-
-# David variant: |Psi> = (|zeta1>|phi1> + |zeta2>|phi2>)/sqrt(2); each line is
-# sign * |b>_B (x) |c>_C (x) (David combination), all in the Hadamard basis.
-DAVID_EXPANSION = {
-    "zeta1": (
-        (+1, "++", "++", (("+a", "-+"), ("+b", "++"))),
-        (+1, "+-", "++", (("+a", "+-"), ("-b", "--"))),
-        (-1, "-+", "++", (("+a", "+-"), ("-b", "--"))),
-        (+1, "--", "++", (("+b", "++"), ("-a", "-+"))),
-        (+1, "++", "+-", (("+a", "--"), ("+b", "+-"))),
-        (+1, "++", "-+", (("+a", "++"), ("+b", "-+"))),
-        (+1, "++", "--", (("+a", "+-"), ("+b", "--"))),
-        (+1, "+-", "+-", (("+a", "+-"), ("-b", "-+"))),
-        (+1, "+-", "-+", (("+a", "--"), ("-b", "+-"))),
-        (+1, "+-", "--", (("+a", "-+"), ("-b", "++"))),
-        (-1, "-+", "+-", (("+a", "++"), ("+b", "-+"))),
-        (-1, "-+", "-+", (("+a", "--"), ("+b", "+-"))),
-        (-1, "-+", "--", (("+a", "-+"), ("+b", "++"))),
-        (+1, "--", "+-", (("+b", "+-"), ("-a", "--"))),
-        (+1, "--", "-+", (("+b", "-+"), ("-a", "++"))),
-        (+1, "--", "--", (("+b", "--"), ("-a", "+-"))),
-    ),
-    "zeta2": (
-        (+1, "++", "++", (("+b", "-+"), ("-a", "++"))),
-        (+1, "+-", "++", (("+a", "--"), ("+b", "+-"))),
-        (+1, "-+", "++", (("+a", "--"), ("-b", "+-"))),
-        (-1, "--", "++", (("+a", "++"), ("+b", "-+"))),
-        (+1, "++", "+-", (("+b", "--"), ("-a", "+-"))),
-        (+1, "++", "-+", (("+b", "-+"), ("-a", "-+"))),
-        (+1, "++", "--", (("+b", "+-"), ("-a", "--"))),
-        (+1, "+-", "+-", (("+b", "++"), ("+a", "-+"))),
-        (+1, "+-", "-+", (("+b", "--"), ("+a", "+-"))),
-        (+1, "+-", "--", (("+a", "++"), ("+b", "-+"))),
-        (+1, "-+", "+-", (("+a", "-+"), ("-b", "++"))),
-        (+1, "-+", "-+", (("+a", "+-"), ("-b", "--"))),
-        (+1, "-+", "--", (("+a", "++"), ("-b", "-+"))),
-        (-1, "--", "+-", (("+a", "+-"), ("+b", "--"))),
-        (-1, "--", "-+", (("+a", "-+"), ("+b", "++"))),
-        (-1, "--", "--", (("+a", "--"), ("+b", "+-"))),
-    ),
-}
+#: the published factorizations and their check, which moved to the numpy-free
+#: hrsp.protocol, resolve here too, on first use
+_MOVED = ("BOB_EXPANSION", "DAVID_EXPANSION", "FactorizationReport",
+          "LineReport", "verify_factorization")
 
 
-def _coef(tag: str, spec: TargetSpec) -> float:
-    sign = 1.0 if tag[0] == "+" else -1.0
-    return sign * (spec.alpha if tag[1] == "a" else spec.beta)
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import protocol
 
-
-def _combo(parts, spec: TargetSpec, basis: str) -> np.ndarray:
-    out = np.zeros(4)
-    for tag, label in parts:
-        v = basis_ket(label) if basis == "computational" else hadamard_ket(label)
-        out += _coef(tag, spec) * v
-    return out
-
-
-@dataclass(frozen=True)
-class LineReport:
-    """Comparison of one published expansion line against the true branch."""
-
-    sender_outcome: str
-    line_index: int
-    outcome_labels: tuple[str, ...]
-    max_diff: float
-
-    @property
-    def mismatched(self) -> bool:
-        return self.max_diff > 1e-9
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    variant: str
-    spec: TargetSpec
-    residual: float
-    lines: tuple[LineReport, ...]
-
-    @property
-    def mismatched_lines(self) -> tuple[LineReport, ...]:
-        return tuple(l for l in self.lines if l.mismatched)
-
-
-def verify_factorization(variant: str, spec: TargetSpec) -> FactorizationReport:
-    """Reassemble a published factorization and compare with the true state.
-
-    Returns the max elementwise residual plus per-line diffs between each
-    published line and the projected true branch, which localize any
-    disagreement to specific published terms. The residual is reported,
-    never asserted: the receiver-side expansion is known to carry misprints.
-    """
-    if variant not in ("bob", "david"):
-        raise ValueError(f"unknown factorization variant {variant!r}")
-    bob = variant == "bob"
-    expansion, norm = (BOB_EXPANSION, 2.0) if bob else (DAVID_EXPANSION, 4.0)
-    total = np.zeros(128)
-    lines = []
-    for outcome, zvec in zeta_basis(spec).items():
-        branch = np.zeros(64)
-        for i, line in enumerate(expansion[outcome], start=1):
-            if bob:
-                # every published line gives Charlie and David one label
-                sign, parts, *labels = line
-                published = sign * _combo(parts, spec, "computational")
-                branch += kron(published, *map(basis_ket, labels))
-                outcomes = labels[:1]
-            else:
-                sign, *labels, parts = line
-                published = sign * _combo(parts, spec, "hadamard")
-                branch += kron(*map(hadamard_ket, labels), published)
-                outcomes = labels
-            true = branch_amplitudes(variant, outcome, tuple(outcomes), spec)
-            lines.append(LineReport(
-                sender_outcome=outcome, line_index=i, outcome_labels=tuple(labels),
-                max_diff=float(np.max(np.abs(
-                    true.reshape(4) * (norm * np.sqrt(2)) - published)))))
-        total += kron(zvec, branch / norm)
-    residual = float(np.max(np.abs(total / np.sqrt(2) - protocol_state())))
-    return FactorizationReport(variant=variant, spec=spec, residual=residual,
-                               lines=tuple(lines))
+    return getattr(protocol, name)

@@ -1,8 +1,9 @@
 """Dense 128x128 reference route to the receiver's state, for the tests.
 
-The package computes the receiver's state by one pure-state contraction
-(hrsp.states.branch_amplitudes) with the channel in one eta-free form
-(hrsp.noise.pair_terms). This module reaches the same state the long way:
+The package computes the receiver's state in exact integers (hrsp.exact),
+and its numpy kernel, one pure-state contraction
+(hrsp.states.branch_amplitudes), takes the channel in one eta-free form
+(pair_terms, here). This module reaches the same state the long way:
 the single-qubit Kraus operators at each eta, written out entry by entry
 (kraus_operators), the noise channel on the full seven-qubit density matrix
 (apply_channel), the tensor-product measurement operator U of one outcome
@@ -18,13 +19,17 @@ This module scores it with the general Uhlmann fidelity
 Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) (uhlmann_fidelity, via psd_sqrt), which
 equals that overlap only because the target is pure.
 
-complex_oracle_search is the correction search in complex arithmetic: the
-true complex Y tokens in its step matrix, conjugated targets and |overlap|^2.
-The package's real search, which steps with iY, must return the same gates.
+complex_oracle_search is the correction search in complex arithmetic, on
+normalized float branch vectors (branch_vector): the true complex Y tokens
+in its step matrix, conjugated targets and |overlap|^2 at two parameter
+points, every sequence of a length at once. The package's integer table,
+which steps with iY, must return the same gates.
 complex_correction_unitary, complex_noiseless_fidelity and
-complex_verify_table multiply the true complex tokens as well, where the
-package carries a real product and its count of Y tokens; the row verdicts
-must come out equal.
+complex_verify_table multiply the true complex tokens as well, with the
+complex phase_aligned_distance, where the package carries an integer product
+and its counts of Hadamard and Y tokens; the row verdicts must come out
+equal. dense_verify_factorization is the numpy reassembly of a published
+factorization against the numpy protocol state and branch kernel.
 """
 
 from __future__ import annotations
@@ -33,14 +38,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from hrsp.exact import KRAUS_TEMPLATES, NOISE_KINDS
 from hrsp.linalg import I2, kron
 from hrsp.noise import warn_trace_deficit
-from hrsp.protocol import (CORRECTION_TABLES, FIDELITY_TOL, ORACLE_MAX_DEPTH,
-                           ORACLE_POINTS, ORACLE_VOCABULARY, TOKENS, RowVerdict,
-                           branch_vector, derive_receiver_table,
-                           oracle_find_correction, phase_aligned_distance)
-from hrsp.states import TargetSpec, outcome_kets, protocol_state, target_state
+from hrsp.protocol import (BOB_EXPANSION, CORRECTION_TABLES, DAVID_EXPANSION,
+                           ORACLE_MAX_DEPTH, ORACLE_POINTS, ORACLE_VOCABULARY,
+                           TOKENS, BRANCH_PROBABILITY_FLOOR, FactorizationReport,
+                           LineReport, RowVerdict, derive_receiver_table,
+                           oracle_find_correction)
+from hrsp.states import (TargetSpec, basis_ket, branch_amplitudes, hadamard_ket,
+                         outcome_kets, protocol_state, target_state, zeta_basis)
 
+#: a sequence corrects a branch at a parameter point when its fidelity is at
+#: least 1 - FIDELITY_TOL there
+FIDELITY_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -86,6 +97,37 @@ def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
     dk, dt = 2 ** len(keep), 2 ** len(traced)
     t = t.reshape(dk, dt, dk, dt)
     return np.einsum("abcb->ac", t)
+
+
+# --------------------------------------------------------------------------
+# The channel's eta-free pair terms.
+#: Kraus operator i of a noise kind as t^power[i] (fixed[i] + s damped[i]):
+#: per kind, the powers and the (2, n, 2, 2) stack of fixed and damped parts
+_TEMPLATES = {kind: (np.array(power), np.array(parts, dtype=float))
+              for kind, (power, parts) in KRAUS_TEMPLATES.items()}
+
+
+def pair_terms(kind: str, correlated: bool = True):
+    """The Kraus operators on one receiver's qubit pair, K_i (x) K_i when
+    correlated and K_i (x) K_j over all pairs otherwise, without eta: operator
+    k = i n + j is t^M_k sum_d s^d C_kd, d <= 2. The same stack on every
+    receiver pair, and the identity on the sender's qubit, is the whole
+    seven-qubit channel. Returns the (T, 4, 4) stack of the nonzero C_kd and,
+    per term, k, M_k and d, as arrays. T is 4 for correlated AD, 3 for
+    correlated PD, 8 and 9 for the uncorrelated channels."""
+    if kind not in _TEMPLATES:
+        raise ValueError(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
+    power, parts = _TEMPLATES[kind]
+    n = len(power)
+    # [i, j, x, y]: part x of K_i (x) part y of K_j, x, y = 0 fixed, 1 damped
+    prod = np.einsum("xiab,yjcd->ijxyacbd", parts, parts).reshape(n, n, 2, 2, 4, 4)
+    by_degree = np.stack([prod[:, :, 0, 0], prod[:, :, 0, 1] + prod[:, :, 1, 0],
+                          prod[:, :, 1, 1]], axis=2)
+    keep = np.any(by_degree != 0, axis=(-2, -1))
+    if correlated:
+        keep &= np.eye(n, dtype=bool)[..., None]
+    i, j, degree = np.nonzero(keep)
+    return by_degree[i, j, degree], i * n + j, power[i] + power[j], degree
 
 
 # --------------------------------------------------------------------------
@@ -282,6 +324,19 @@ def corrected_fidelity(block: np.ndarray, rule, spec: TargetSpec) -> float:
 
 # --------------------------------------------------------------------------
 # Complex correction search.
+def branch_vector(receiver: str, sender_outcome: str,
+                  collaborator_outcomes: tuple[str, ...], spec: TargetSpec):
+    """Receiver's collapsed two-qubit state, normalized, and its probability,
+    from the numpy kernel states.branch_amplitudes. A vanishing branch
+    raises."""
+    v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
+                          spec).reshape(4)
+    prob = float(np.linalg.norm(v) ** 2)
+    if prob <= BRANCH_PROBABILITY_FLOOR:
+        raise ValueError("outcome branch has vanishing probability")
+    return v / np.sqrt(prob), prob
+
+
 def complex_oracle_search(receiver: str, sender_outcome: str,
                           collaborator_outcomes: tuple[str, ...]
                           ) -> tuple[str, ...] | None:
@@ -312,6 +367,36 @@ def complex_oracle_search(receiver: str, sender_outcome: str,
 
 # --------------------------------------------------------------------------
 # Complex row verification.
+def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """min over theta of max |a - e^{i theta} b|, exactly: 0 (to rounding)
+    when a = e^{i theta} b. With z = conj(a) b = x + iy, each entry's
+    |a - e^{i theta} b|^2 / 2 = (|a|^2 + |b|^2) / 2 - x cos theta + y sin theta
+    is affine in the point (cos theta, sin theta) of the unit circle. So the
+    minimum of their maximum lies where one entry's is least, at
+    conj(z) / |z|, or where two entries' cross on the circle. Those points
+    and theta = 0 are at most n^2 + 1 candidates for n entries, each scored
+    directly. The arithmetic is real, on the real and imaginary parts."""
+    ar, ai, br, bi = (part(np.ravel(m)) for m in (a, b)
+                      for part in (np.real, np.imag))
+    x, y = ar * br + ai * bi, ar * bi - ai * br
+    mag = np.sqrt(x * x + y * y)
+    half = (ar * ar + ai * ai + br * br + bi * bi) / 2
+    # entries j and k cross on the line u cos + v sin = d, which meets the
+    # circle where d^2 <= n2; (j, k) gives one point and (k, j) the other
+    u, v, d = x[:, None] - x, y - y[:, None], half[:, None] - half
+    n2 = u * u + v * v
+    cross = (n2 > 0) & (d * d <= n2)
+    u, v, d, n2 = u[cross], v[cross], d[cross], n2[cross]
+    h = np.sqrt(n2 - d * d)
+    least = mag > 0
+    cos = np.concatenate([[1.0], x[least] / mag[least], (u * d - v * h) / n2])
+    sin = np.concatenate([[0.0], -y[least] / mag[least], (v * d + u * h) / n2])
+    # |a - (cos + i sin) b| per candidate and entry
+    re = ar - cos[:, None] * br + sin[:, None] * bi
+    im = ai - cos[:, None] * bi - sin[:, None] * br
+    return float(np.sqrt(re * re + im * im).max(axis=1).min())
+
+
 def complex_correction_unitary(gates) -> np.ndarray:
     """Composite unitary of a gate sequence, first token applied first, as
     the product of the true TOKENS: complex128 from the first Y on."""
@@ -352,3 +437,48 @@ def complex_verify_table(table_id: str) -> tuple[RowVerdict, ...]:
             published_fidelities=fids, oracle_rule=oracle.gate_string,
             matrix_distance=phase_aligned_distance(uo, up), verdict=verdict))
     return tuple(rows)
+
+
+# --------------------------------------------------------------------------
+# Numpy reassembly of the published factorizations.
+def _combo(parts, spec: TargetSpec, basis: str) -> np.ndarray:
+    out = np.zeros(4)
+    for tag, label in parts:
+        v = basis_ket(label) if basis == "computational" else hadamard_ket(label)
+        sign = 1.0 if tag[0] == "+" else -1.0
+        out += sign * (spec.alpha if tag[1] == "a" else spec.beta) * v
+    return out
+
+
+def dense_verify_factorization(variant: str, spec: TargetSpec) -> FactorizationReport:
+    """protocol.verify_factorization on numpy arrays: each published line
+    against the numpy kernel's branch, and the reassembly against the numpy
+    protocol state."""
+    if variant not in ("bob", "david"):
+        raise ValueError(f"unknown factorization variant {variant!r}")
+    bob = variant == "bob"
+    expansion, norm = (BOB_EXPANSION, 2.0) if bob else (DAVID_EXPANSION, 4.0)
+    total = np.zeros(128)
+    lines = []
+    for outcome, zvec in zeta_basis(spec).items():
+        branch = np.zeros(64)
+        for i, line in enumerate(expansion[outcome], start=1):
+            if bob:
+                sign, parts, *labels = line
+                published = sign * _combo(parts, spec, "computational")
+                branch += kron(published, *map(basis_ket, labels))
+                outcomes = labels[:1]
+            else:
+                sign, *labels, parts = line
+                published = sign * _combo(parts, spec, "hadamard")
+                branch += kron(*map(hadamard_ket, labels), published)
+                outcomes = labels
+            true = branch_amplitudes(variant, outcome, tuple(outcomes), spec)
+            lines.append(LineReport(
+                sender_outcome=outcome, line_index=i, outcome_labels=tuple(labels),
+                max_diff=float(np.max(np.abs(
+                    true.reshape(4) * (norm * np.sqrt(2)) - published)))))
+        total += kron(zvec, branch / norm)
+    residual = float(np.max(np.abs(total / np.sqrt(2) - protocol_state())))
+    return FactorizationReport(variant=variant, spec=spec, residual=residual,
+                               lines=tuple(lines))

@@ -296,16 +296,17 @@ class TestGoldenCsv:
 
 
 #: runs `python -m hrsp.cli ARGS` in this process, then checks its modules
-#: and prints whether numpy was imported
+#: and prints its exit status and whether numpy was imported
 IMPORT_CHECK = """
 import runpy, sys
 sys.argv = ["hrsp", *sys.argv[1:]]
+code = 0
 try:
     runpy.run_module("hrsp.cli", run_name="__main__")
 except SystemExit as exit:
-    assert not exit.code, exit.code
+    code = exit.code
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
-print("numpy" in sys.modules)
+print(code, "numpy" in sys.modules)
 """
 
 
@@ -324,8 +325,9 @@ class TestImports:
     # np.unique, np.union1d and np.isin import numpy.ma on their first call,
     # 12-89 ms, more than a whole sweep; no command needs it. A sweep of at
     # most cli.EXACT_SWEEP_POINTS points (every receiver, noise kind and
-    # channel mode at the default grid) and --version import no numpy at
-    # all; the verify commands and a 20,001-point sweep do
+    # channel mode at the default grid), the verify commands and --version
+    # import no numpy at all; only a 20,001-point sweep does. The David
+    # factorization reports its misprinted lines with exit status 1
     @pytest.mark.parametrize("argv", [
         ["sweep", "--receiver", "bob"], ["sweep", "--receiver", "charlie"],
         ["sweep", "--receiver", "david"], ["verify-tables"],
@@ -333,13 +335,28 @@ class TestImports:
         *(["sweep", "--receiver", receiver, "--noise", noise, *mode]
           for receiver in ("bob", "charlie", "david") for noise in ("ad", "pd")
           for mode in ([], ["--uncorrelated-noise"]) if noise == "pd" or mode),
-        ["--version"], ["sweep", "--receiver", "charlie", "--step", "0.00005"]])
+        ["--version"], ["sweep", "--receiver", "charlie", "--step", "0.00005"],
+        ["verify-factorization", "--variant", "david", "--alpha", "0.6",
+         "--beta", "-0.8"]])
     def test_command_leaves_numpy_ma_unimported(self, argv, tmp_path):
-        numpy = argv[0].startswith("verify") or "--step" in argv
+        numpy = "--step" in argv
+        code = int(argv[0] == "verify-factorization" and "david" in argv)
         if argv[0] == "sweep":
             argv = argv + ["--out", str(tmp_path / "sweep.csv")]
         out = run_python(["-c", IMPORT_CHECK, *argv], tmp_path)
-        assert out.splitlines()[-1] == str(numpy)
+        assert out.splitlines()[-1] == f"{code} {numpy}"
+
+    def test_protocol_imports_numpy_only_for_its_arrays(self, tmp_path):
+        # the oracle, the verdicts, the report and the factorization check
+        # are integer and float code; TOKENS and a rule's unitary() are
+        # numpy arrays, built on first use
+        out = run_python(["-c", (
+            "import sys; from hrsp import protocol as p; "
+            "p.format_table_report({t: p.verify_table(t) for t in p.CORRECTION_TABLES}); "
+            "p.verify_factorization('david', p.ORACLE_POINTS[1]); "
+            "print('numpy' in sys.modules); p.TOKENS['Y1']; "
+            "print('numpy' in sys.modules)")], tmp_path)
+        assert out == "False\nTrue\n"
 
     def test_bare_import_leaves_numpy_unimported(self, tmp_path):
         out = run_python(["-c", "import hrsp, sys; print('numpy' in sys.modules)"],

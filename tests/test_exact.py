@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from hrsp import cli, exact, noise, pipeline, protocol, states
 from hrsp.cli import main
 
+from dense_oracle import pair_terms
+
 #: (table, row, receiver) of every published row and Charlie's derived rows
 ALL_ROWS = [(table, row, receivers[0])
             for table, (receivers, keys) in exact._TABLES.items()
@@ -46,10 +48,10 @@ TIE_CELLS = {("II", 15, 0.125): ("0.101562", "0.101563"),
 def kernel_branch(noise_kind, correlated, receiver, key):
     """A branch's t^0 amplitude [m, i, s^j] and its Gram coefficients
     {(P, m, i, n, j): value} in floats, from the numpy kernel on the
-    channel's pair terms (noise.pair_terms): W_m at the unit targets per
+    channel's pair terms (dense_oracle.pair_terms): W_m at the unit targets per
     Kraus triple, one pair of terms of one Kraus operator per party, and
     G at each power index P the sum of W^T W over the triples at P."""
-    ops, kraus, power, degree = noise.pair_terms(noise_kind, correlated)
+    ops, kraus, power, degree = pair_terms(noise_kind, correlated)
     first, second = np.nonzero(kraus[:, None] == kraus)
     order = power[first] * exact.S_ORDERS + degree[first] + degree[second]
     n = len(ops)

@@ -5,12 +5,12 @@ import pytest
 
 from hrsp import pipeline
 from hrsp.linalg import I2, kron
-from hrsp.noise import TraceDeficitWarning, pair_terms
+from hrsp.noise import TraceDeficitWarning
 from hrsp.pipeline import PipelineConfig, receiver_state
 from hrsp.states import TargetSpec, protocol_state
 
 from dense_oracle import (apply_channel, channel_trace, kraus_operators,
-                          party_kraus_stack, projector)
+                          pair_terms, party_kraus_stack, projector)
 
 ETA_GRID = [round(0.1 * i, 10) for i in range(11)]
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -118,8 +118,8 @@ class TestKrausOperators:
 
 
 class TestPairTerms:
-    """The receiver-pair stack as eta-free terms t^M s^d C, the package's only
-    form of the channel, against the oracle's per-eta stacks."""
+    """The receiver-pair stack as eta-free terms t^M s^d C, the form the
+    numpy kernel takes the channel in, against the oracle's per-eta stacks."""
 
     @pytest.mark.parametrize("kind,correlated,count", [
         ("ad", True, 4), ("pd", True, 3), ("ad", False, 8), ("pd", False, 9)])

@@ -21,9 +21,9 @@ from hrsp.states import (IDENTITY_STACK, TargetSpec, branch_amplitudes,
 from dense_oracle import (apply_channel, build_measurement_operator,
                           channel_trace, corrected_fidelity,
                           einsum_branch_amplitudes, kraus_operators,
-                          partial_trace, party_kraus_stack, projector,
-                          receiver_block, rule_of, scenario_for,
-                          uhlmann_fidelity)
+                          partial_trace, party_kraus_stack,
+                          phase_aligned_distance, projector, receiver_block,
+                          rule_of, scenario_for, uhlmann_fidelity)
 from reference_data import BOB_LIMIT, CURVES, ETA_GRID
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
@@ -742,7 +742,7 @@ class TestTableEvaluation:
         # configs, sweeps and receiver_state read a derived row's branch from
         # the table map and its correction from the branch itself: the
         # package's noisy side cannot reach the search, and makes none
-        oracle = (protocol.oracle_find_correction, protocol.branch_vector,
+        oracle = (protocol.oracle_find_correction, protocol.branch_matrix,
                   protocol.derive_receiver_table, protocol.verify_table,
                   protocol.noiseless_fidelity, protocol)
         assert not [name for name, value in vars(pipeline).items()
@@ -785,7 +785,7 @@ class TestDerivedCorrection:
             u = a / np.linalg.norm(a[0])
             rule = (protocol.oracle_find_correction(receiver, *key)
                     if table == "oracle" else CORRECTION_TABLES[table][row - 1])
-            distance = protocol.phase_aligned_distance(rule.unitary()[[0, 3]], u)
+            distance = phase_aligned_distance(rule.unitary()[[0, 3]], u)
             if table == "oracle":
                 assert distance < 1e-15
             elif distance >= 1e-15:

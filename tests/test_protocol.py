@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,15 +11,16 @@ from hrsp import pipeline, protocol
 from hrsp.linalg import kron
 from hrsp.pipeline import PipelineConfig
 from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, TOKENS,
-                           branch_vector, correction_unitary,
+                           branch_matrix, correction_unitary,
                            derive_receiver_table,
                            format_table_report, noiseless_fidelity,
                            oracle_find_correction, parse_gate_string,
-                           phase_aligned_distance, verify_table)
+                           real_product, verify_table)
 from hrsp.states import TargetSpec, basis_ket, branch_amplitudes, target_state
 
-from dense_oracle import (MeasurementScenario, build_measurement_operator,
-                          complex_oracle_search, projector, scenario_for)
+from dense_oracle import (FIDELITY_TOL, MeasurementScenario,
+                          build_measurement_operator, complex_oracle_search,
+                          phase_aligned_distance, projector, scenario_for)
 
 BALANCED = TargetSpec(1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -199,22 +201,53 @@ class TestOracle:
             assert noiseless_fidelity(rule, spec) > 1 - 1e-10
 
     def test_real_search_equals_complex_reference(self):
-        # the search steps with iY for Y; the complex search with the true Y
-        # finds the same first sequence on every branch, 27 of them with Y,
-        # and the rule's true unitary, complex where it has a Y, corrects its
-        # branch
+        # the table steps with iY for Y in integers; the complex search with
+        # the true Y, on float branch vectors at two points, finds the same
+        # first sequence on all 72 branches, Bob's 8, Charlie's 32 and
+        # David's 32, 27 of them with Y, and the rule's true unitary, complex
+        # where it has a Y, corrects its branch
+        keys = [(receiver, key) for receiver, branches in protocol.BRANCHES.items()
+                for key in branches]
+        assert len(keys) == 72
         with_y = 0
-        for receiver, branches in protocol.BRANCHES.items():
-            for key in branches:
-                rule = oracle_find_correction(receiver, *key)
-                assert rule.gates == complex_oracle_search(receiver, *key)
-                uses_y = any(g[0] == "Y" for g in rule.gates)
-                assert (rule.unitary().dtype == np.complex128) == uses_y
-                with_y += uses_y
-                for spec in ORACLE_POINTS:
-                    assert (noiseless_fidelity(rule, spec)
-                            >= 1 - protocol.FIDELITY_TOL)
+        for receiver, key in keys:
+            rule = oracle_find_correction(receiver, *key)
+            assert rule.gates == complex_oracle_search(receiver, *key)
+            uses_y = any(g[0] == "Y" for g in rule.gates)
+            assert (rule.unitary().dtype == np.complex128) == uses_y
+            with_y += uses_y
+            for spec in ORACLE_POINTS:
+                assert noiseless_fidelity(rule, spec) >= 1 - FIDELITY_TOL
         assert with_y == 27
+
+    def test_table_closes_at_144_states_by_depth_5(self):
+        # prepending any token to any stored sequence reaches a stored P:
+        # the table gains no state past its longest sequences, of 5 tokens
+        table = protocol._oracle_table()
+        assert len(table) == 144
+        assert max(map(len, table.values())) == 5
+
+        def ray(gates):
+            r, _, _ = real_product(gates)
+            return protocol._ray(r[0] + r[3])
+
+        for key, gates in table.items():
+            assert ray(gates) == key
+            for token in protocol.ORACLE_VOCABULARY:
+                assert ray((token, *gates)) in table
+
+    def test_table_holds_the_first_sequence_of_each_state(self):
+        # every sequence of up to 4 tokens in shortlex order, 11,110 of them:
+        # the first to reach each P is the table's entry, so dropping the
+        # sequences whose P an earlier one has lost no first hit
+        table = protocol._oracle_table()
+        first = {}
+        for depth in range(1, 5):
+            for gates in product(protocol.ORACLE_VOCABULARY, repeat=depth):
+                r, _, _ = real_product(gates)
+                first.setdefault(protocol._ray(r[0] + r[3]), gates)
+        assert first == {key: gates for key, gates in table.items()
+                         if len(gates) <= 4}
 
     def test_unknown_sender_outcome_rejected(self):
         # used to be read as zeta2 and returned a rule labelled zeta3; a
@@ -227,28 +260,16 @@ class TestOracle:
         assert after.misses == before.misses + 2
         assert after.currsize == before.currsize
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_blocked_search_equals_complex_reference(self, monkeypatch, block):
-        # these blocks split each depth at other prefixes than 256 do, so a
-        # hit past the first block is decoded with its block's offset
-        monkeypatch.setattr(protocol, "ORACLE_BLOCK", block)
-        oracle_find_correction.cache_clear()
-        try:
-            for receiver, branches in protocol.BRANCHES.items():
-                for key in branches:
-                    assert (oracle_find_correction(receiver, *key).gates
-                            == complex_oracle_search(receiver, *key))
-        finally:
-            oracle_find_correction.cache_clear()
-
     def test_depth_cap_raises_without_extending_past_it(self, monkeypatch):
         # the branch's rule has 4 gates; capped at depth 3, the search fails
-        # after testing depth 3 and builds no depth 4 sequences, whose
-        # (2, 1000, 4) vectors take 64 KB; a search that raises is not cached
+        # and is not cached. It reads the table built once per process, whose
+        # build peaks near 230 KB (tracemalloc), and builds nothing: the
+        # capped search allocates under 8 KB
         key = ("zeta1", ("++", "++"))
         assert len(oracle_find_correction("david", *key).gates) == 4
         monkeypatch.setattr(protocol, "ORACLE_MAX_DEPTH", 3)
         oracle_find_correction.cache_clear()
+        tables = protocol._oracle_table.cache_info()
         tracemalloc.start()
         try:
             with pytest.raises(protocol.OracleSearchError,
@@ -257,7 +278,8 @@ class TestOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 1000 * 4 * 8
+        assert peak < 8192
+        assert protocol._oracle_table.cache_info().misses == tables.misses
         searches = oracle_find_correction.cache_info()
         assert searches.misses == 1 and searches.currsize == 0
 
@@ -323,23 +345,34 @@ class TestTables:
                  for rv in verify_table(table) if rv.verdict == "mismatch"}
         assert found == MISMATCH_ROWS
 
+    @staticmethod
+    def probability(*branch, spec=BALANCED):
+        s, scale = branch_matrix(*branch)
+        su = np.array(s[:4]) * spec.alpha + np.array(s[4:]) * spec.beta
+        return su @ su / scale
+
     def test_branch_probabilities_uniform_at_zero_noise(self):
-        _, p = branch_vector("bob", "zeta1", ("01",), BALANCED)
-        assert np.isclose(p, 1 / 8)
-        _, p = branch_vector("david", "zeta1", ("++", "++"), BALANCED)
-        assert np.isclose(p, 1 / 32)
+        assert np.isclose(self.probability("bob", "zeta1", ("01",)), 1 / 8)
+        assert np.isclose(self.probability("david", "zeta1", ("++", "++")), 1 / 32)
+        # S u / sqrt(scale) is the numpy kernel's branch
+        for receiver in ("bob", "charlie", "david"):
+            for key in protocol.BRANCHES[receiver]:
+                s, scale = branch_matrix(receiver, *key)
+                w = branch_amplitudes(receiver, *key, (TargetSpec(1.0, 0.0),
+                                                       TargetSpec(0.0, 1.0)))
+                assert np.max(np.abs(np.reshape(s, (2, 4)) / np.sqrt(scale)
+                                     - w.reshape(2, 4))) < 1e-16
 
     def test_branch_floor_is_the_pipelines(self, monkeypatch):
         # one floor, one comparison: a branch at the floor is rejected
         assert protocol.BRANCH_PROBABILITY_FLOOR is pipeline.BRANCH_PROBABILITY_FLOOR
-        _, p = branch_vector("bob", "zeta1", ("01",), BALANCED)
+        rule = CORRECTION_TABLES["I"][0]
+        p = self.probability("bob", "zeta1", ("01",))
         monkeypatch.setattr(protocol, "BRANCH_PROBABILITY_FLOOR", p)
-        # the branch above is cached under the real floor
-        branch_vector.cache_clear()
         with pytest.raises(ValueError, match="vanishing probability"):
-            branch_vector("bob", "zeta1", ("01",), BALANCED)
+            noiseless_fidelity(rule, BALANCED)
         monkeypatch.setattr(protocol, "BRANCH_PROBABILITY_FLOOR", p * (1 - 1e-9))
-        branch_vector("bob", "zeta1", ("01",), BALANCED)
+        noiseless_fidelity(rule, BALANCED)
 
 
 class TestPhaseAlignedDistance:
@@ -486,30 +519,31 @@ class TestReport:
         # 1 header + 40 table rows + 1 charlie header + 32 charlie rows
         assert len(text.splitlines()) == 74
 
-    def test_each_branch_collapses_once_per_oracle_point(self, monkeypatch):
+    def test_each_branch_is_built_once(self, monkeypatch):
         # the oracle search, the row verdicts and the derived report lines
-        # read one cached collapse per branch and point, Bob's 8 and David's
-        # 32 branches x 2 points, and search each branch once; the derived
-        # rows are David's, so no Charlie branch is read; a second report
-        # reads the caches only
+        # read one cached integer branch each, Bob's 8 and David's 32 for
+        # every parameter point, search each branch once and build the
+        # oracle table at most once; the derived rows are David's, so no
+        # Charlie branch is read; a second report reads the caches only
         made = []
-        kernel = protocol.branch_amplitudes
+        check = protocol.check_outcome
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             made.append(args)
-            return kernel(*args, **kwargs)
+            return check(*args)
 
-        monkeypatch.setattr(protocol, "branch_amplitudes", counted)
-        branch_vector.cache_clear()
+        monkeypatch.setattr(protocol, "check_outcome", counted)
+        branch_matrix.cache_clear()
         oracle_find_correction.cache_clear()
+        tables = protocol._oracle_table.cache_info().misses
         for _ in range(2):
             format_table_report({t: verify_table(t) for t in CORRECTION_TABLES})
-            assert len(made) == len(set(made)) == 40 * len(ORACLE_POINTS)
+            assert len(made) == len(set(made)) == 40
             assert {args[0] for args in made} == {"bob", "david"}
             searches = oracle_find_correction.cache_info()
             assert searches.misses == searches.currsize == 40
-        # shared by every later caller
-        vector, _ = branch_vector("bob", "zeta1", ("01",), BALANCED)
-        with pytest.raises(ValueError, match="read-only"):
-            vector[0] = 0.0
-        assert len(made) == 40 * len(ORACLE_POINTS)
+            assert protocol._oracle_table.cache_info().misses <= tables + 1
+        # shared by every later caller, as immutable tuples
+        s, scale = branch_matrix("bob", "zeta1", ("01",))
+        assert type(s) is tuple and scale == 8
+        assert len(made) == 40

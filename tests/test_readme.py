@@ -3,7 +3,7 @@ import re
 from pathlib import Path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-#: a backticked dotted name such as `noise.pair_terms` or `hrsp.cli`
+#: a backticked dotted name such as `protocol.branch_matrix` or `hrsp.cli`
 DOTTED = re.compile(r"`((?:hrsp\.)?[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
 
 
@@ -20,7 +20,7 @@ def test_readme_prose_names_resolve():
     # every `module.name` outside the code blocks names something in hrsp
     prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
     names = DOTTED.findall(prose)
-    assert "noise.pair_terms" in names and "protocol.TOKENS" in names
+    assert "protocol.branch_matrix" in names and "protocol.TOKENS" in names
     for name in names:
         module, *attrs = name.removeprefix("hrsp.").split(".")
         obj = importlib.import_module(f"hrsp.{module}")

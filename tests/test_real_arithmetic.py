@@ -1,9 +1,11 @@
 """hrsp computes in real arithmetic from |Psi> to the fidelity: the states,
-the channel's pair terms, the branch store, the curve stacks, the correction
-search, the row verdicts and the table report are float64, and only the Y
-gate tokens, which no published table uses, are complex. Every gate product
-steps with iY in their place, equal to Y up to a global phase, and counts
-its Y tokens."""
+the channel's pair terms, the branch store and the curve stacks are
+float64, the correction search, the row verdicts and the table report are
+integers and float64, and only the Y gate tokens, which no published table
+uses, are complex. Every gate product steps with iY in their place, equal
+to Y up to a global phase, and counts its Y tokens."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ import pytest
 from hrsp import linalg, noise, pipeline, protocol, states
 from hrsp.states import IDENTITY_STACK, TargetSpec
 
-from dense_oracle import complex_correction_unitary, complex_verify_table
+from dense_oracle import (complex_correction_unitary, complex_verify_table,
+                          pair_terms)
 
 REAL = np.dtype(np.float64)
 #: real targets of both signs, balanced and not
@@ -34,7 +37,7 @@ def test_states_are_real():
 def test_branch_amplitudes_are_real(kind, correlated):
     # noiseless and through the channel's pair terms, every branch of every
     # receiver at once per target set
-    ops = noise.pair_terms(kind, correlated)[0]
+    ops = pair_terms(kind, correlated)[0]
     assert ops.dtype == REAL
     for receiver, branches in protocol.BRANCHES.items():
         for key in branches:
@@ -46,7 +49,7 @@ def test_branch_amplitudes_are_real(kind, correlated):
 @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
 @pytest.mark.parametrize("correlated", [True, False])
 def test_branch_store_and_stacks_are_real(kind, correlated):
-    assert noise.pair_terms(kind, correlated)[0].dtype == REAL
+    assert pair_terms(kind, correlated)[0].dtype == REAL
     assert pipeline._trace(kind, correlated).dtype == REAL
     for receiver in ("bob", "david"):
         for key in protocol.BRANCHES[receiver]:
@@ -80,11 +83,6 @@ def test_only_the_y_tokens_are_complex():
             assert rule.unitary().dtype == REAL
 
 
-def test_the_oracle_search_is_real():
-    # iY stands in for Y1/Y2, so every candidate, probe and overlap is real
-    assert protocol._ORACLE_STEP.dtype == REAL
-
-
 def test_table_verification_is_real(monkeypatch):
     # the row verdicts and the report, the derived rows with a Y included,
     # come out the same with the complex Y tokens made unreadable
@@ -99,14 +97,24 @@ def test_table_verification_is_real(monkeypatch):
     for name in ("Y1", "Y2"):
         monkeypatch.setitem(protocol.TOKENS, name, poison)
     protocol.oracle_find_correction.cache_clear()
-    protocol.branch_vector.cache_clear()
+    protocol.branch_matrix.cache_clear()
+    protocol._oracle_table.cache_clear()
     assert run() == expected
 
 
 def test_verdicts_equal_complex_reference():
-    # every field of every row, fidelities and matrix distance included
+    # every field of every row, fidelities and matrix distance included: the
+    # package's from integers, the reference's from complex products on
+    # float branch vectors, so the floats agree to rounding and print alike
     for table in protocol.CORRECTION_TABLES:
-        assert protocol.verify_table(table) == complex_verify_table(table)
+        got, want = protocol.verify_table(table), complex_verify_table(table)
+        assert [rv.line() for rv in got] == [rv.line() for rv in want]
+        for a, b in zip(got, want, strict=True):
+            assert (replace(a, published_fidelities=b.published_fidelities,
+                            matrix_distance=b.matrix_distance) == b)
+            assert np.max(np.abs(np.subtract(a.published_fidelities,
+                                             b.published_fidelities))) < 1e-15
+            assert abs(a.matrix_distance - b.matrix_distance) < 1e-15
 
 
 def test_correction_unitary_equals_complex_chain():
