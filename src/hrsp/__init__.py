@@ -3,9 +3,10 @@ entangled state over a seven-qubit Brown-state channel, with correlated
 amplitude- and phase-damping noise.
 
 The exports are lazy (PEP 562): each name imports its submodule on first
-access, so `import hrsp` alone imports no numpy. Of the CLI, only a sweep
-longer than cli.EXACT_SWEEP_POINTS imports it: a shorter one reads the
-numpy-free hrsp.exact, and the verify commands hrsp.protocol (see there)."""
+access, so `import hrsp` alone imports no numpy, and neither does any
+CLI command: a sweep reads the numpy-free hrsp.exact, and the verify
+commands hrsp.protocol (see there). The library's sweep is
+hrsp.pipeline's, with numpy."""
 
 import importlib
 

@@ -9,11 +9,10 @@ sweep                  fidelity vs noise, CSV output
 Exit codes follow the documented contract: 0 success, 1 for a failed check
 or unwritable output, 2 for bad parameters.
 
-Only a sweep of more than EXACT_SWEEP_POINTS grid points imports numpy: a
-shorter sweep runs hrsp.exact.sweep (see hrsp.exact), and the verify
-commands run the integer oracle, verdicts and reassembly of hrsp.protocol.
-Either way a sweep's fidelities print through hrsp.exact.fidelity_texts, so
-the CSV does not depend on the path.
+No command imports numpy: a sweep, on any grid, runs hrsp.exact.sweep
+(see hrsp.exact) and prints through hrsp.exact.fidelity_texts, and the
+verify commands run the integer oracle, verdicts and reassembly of
+hrsp.protocol.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ from . import __version__, exact
 from .exact import TargetSpec, default_config
 
 RESIDUAL_GATE = 1e-12
-#: the longest grid a sweep evaluates in pure Python (hrsp.exact): past
-#: about 10,000 to 16,000 points, by row, numpy's evaluation saves more than
-#: its import costs (fresh processes, uncorrelated AD being the widest row)
-EXACT_SWEEP_POINTS = 10_001
 
 
 def _target_spec(alpha: float, beta: float) -> TargetSpec:
@@ -84,14 +79,7 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    # the exact path imports no numpy; the library's streams long grids
-    if len(config.eta_grid) <= EXACT_SWEEP_POINTS:
-        sweep = exact.sweep
-    else:
-        from . import pipeline
-
-        sweep = pipeline.sweep
-    result = sweep(config)
+    result = exact.sweep(config)
     texts = exact.fidelity_texts(result)
     rows = ["noise,receiver,table,row,eta,fidelity"]
     for s, text in zip(result.samples, texts):

@@ -26,28 +26,32 @@ channel, where the numpy kernel contracts every triple of pair terms. A_x
 depends on the channel and the outcome label alone (_factor), so a branch
 takes 0.2 to 0.4 ms, and a CLI sweep builds one. The stores are
 lru_caches on finite keys: _channel (4 channels), _factor (8 labels under
-each), _terms (4: Bob or David, by sender outcome), _branch (Bob's and
-David's 160 branches) and _curves (288 rows under the four channels).
+each), _terms (4: Bob or David, by sender outcome), branch_matrix (Bob's
+8 and David's 32 noiseless branches), _branch (Bob's and David's 160
+branches) and _curves (288 rows under the four channels).
+
+What a table row means is read here alone: _correction is the one reader
+of a row's integer correction (v, q), which _curves and hrsp.pipeline's
+stacks both take, and _curves holds the row's eta = 1 folds, which sweep()
+and the tie decision both read.
 
 Which evaluation runs: `hrsp sweep` and `python -m hrsp.cli sweep` call
-sweep() here when their grid has at most cli.EXACT_SWEEP_POINTS points,
-so a default CLI sweep never imports numpy, whose import is most of such
-a process's time and memory. A longer grid, and every library caller of
-hrsp.sweep, runs hrsp.pipeline.sweep: its numpy evaluation of a
-100,001-point grid takes about 0.2 s where this one takes 1.5 s
-(uncorrelated AD, the widest row), and a scan of many rows shares its
-table evaluations. In fresh processes this one is the faster up to about
-10,000 to 16,000 points, by row. Each evaluation is the other's test
-oracle. Either way the CLI prints through fidelity_texts, which decides
+sweep() here on every grid, so no CLI sweep imports numpy, whose import is
+most of a short sweep's time and memory. Every library caller of
+hrsp.sweep runs hrsp.pipeline.sweep, whose numpy evaluation a scan of
+many rows shares. This one costs one Python pass per eta: in a fresh
+process the uncorrelated AD David sweep, the widest row, takes about
+0.3 s at 20,001 points and 1.2 s at 100,001. Each evaluation is the
+other's test oracle. The CLI prints through fidelity_texts, which decides
 a fidelity within float noise of a printed 6-decimal tie from the row's
 integer curves, so the printed digit does not depend on the evaluation.
 
 The module also holds what both paths read and what a CLI sweep touches
 without numpy: the targets, the sweep's config and results, the grid, the
-raw correction tables and branch keys, the gate tokens as integer
-matrices, the Kraus templates and the trace-deficit warning. hrsp.states,
-hrsp.noise, hrsp.protocol and hrsp.pipeline re-export each under its old
-name.
+raw correction tables and branch keys, the noiseless branches, the gate
+tokens as integer matrices, the Kraus templates and the trace-deficit
+warning. hrsp.states, hrsp.noise, hrsp.protocol and hrsp.pipeline
+re-export each under its old name.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, product, repeat
-from operator import gt, lt, mul, sub
+from operator import add, gt, lt, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -312,9 +316,10 @@ class PipelineConfig:
     protocol.derive_receiver_table()[r - 1] on David's branch r. Charlie
     has no published table, and Charlie's curves on the derived table are
     David's, as Charlie's branch r equals David's. A config names its
-    branch and correction only through (table, row): the sweeps read a
-    published row's rule from its table and a derived row's correction off
-    its branch, so no config runs the oracle search."""
+    branch and correction only through (table, row): both sweeps read the
+    row's correction from _correction, a published row's off its rule and a
+    derived row's off its noiseless branch, so no config runs the oracle
+    search."""
 
     noise_kind: str
     receiver: str
@@ -508,6 +513,26 @@ def _terms(receiver: str, sender_outcome: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def branch_matrix(receiver: str, sender_outcome: str,
+                  collaborator_outcomes: tuple[str, ...]) -> tuple:
+    """(S, scale): the receiver's noiseless branch of one outcome is
+    S u / sqrt(scale) at u = (alpha, beta), its probability ||S u||^2 / scale.
+    S is an integer 4x2 matrix as 8 entries, column by column: S[4 m + i]
+    sums c x[X] y[Y] over the Brown terms (_terms) at unit target m and
+    receiver basis state i, with x and y the integer outcome kets of the
+    collaborators (_ket); scale is 8 |x|^2 |y|^2. Cached: the oracle, the
+    verdicts, the report (hrsp.protocol) and the derived rows' corrections
+    (_correction) read Bob's 8 and David's 32."""
+    check_outcome(receiver, sender_outcome, collaborator_outcomes)
+    labels = collaborator_outcomes * 2 if receiver == "bob" else collaborator_outcomes
+    x, y = map(_ket, labels)
+    s = [0] * 8
+    for c, m, bx, by, r in _terms(receiver, sender_outcome):
+        s[4 * m + r] += c * x[bx] * y[by]
+    return tuple(s), 8 * sum(map(mul, x, x)) * sum(map(mul, y, y))
+
+
+@lru_cache(maxsize=None)
 def _factor(noise_kind: str, correlated: bool, label: str) -> tuple:
     """A collaborator's outcome under one channel: A_x(X, X') by (X, X'),
     <x|K for the operator K with no t, and |x|^2, with x the integer ket."""
@@ -560,14 +585,19 @@ def _branch(noise_kind: str, correlated: bool, receiver: str,
                         for poly in a_m) for a_m in amplitude))
 
 
-def _correction(table: str, row: int, amplitude: tuple) -> tuple:
-    """(v, q): u = O^T xi = alpha v_0 + beta v_1 over sqrt(q), with v_0, v_1
-    and q integers. A published row's v are rows 0 and 3 of its rule's
-    integer gate product and q = 2^h; a derived row's are the branch's t^0
-    amplitude at s = 1 and q = ||v_0||^2 (see hrsp.pipeline)."""
+def _correction(table: str, row: int) -> tuple:
+    """(v, q): the correction u = O^T xi of a table row is alpha v_0 + beta
+    v_1 over sqrt(q), with v_0, v_1 and q integers; every sweep reads it
+    here. A published row's v are rows 0 and 3 of its rule's integer gate
+    product, the ones that xi = (alpha, 0, 0, beta) weighs, and q = 2^h. A
+    derived row needs no oracle search: any correction O that takes the
+    noiseless branch S u onto the target has O S_m = c e_m for the columns
+    S_m of S (branch_matrix), so u = (alpha S_0 + beta S_1) / c, and |c| =
+    ||S_0||, up to a global phase."""
+    receivers, keys = _TABLES[table]
     if table == "oracle":
-        v = tuple(tuple(sum(c for _, c in poly) for poly in a_m) for a_m in amplitude)
-        return v, sum(map(mul, v[0], v[0]))
+        s, _ = branch_matrix(receivers[-1], *keys[row - 1])
+        return (s[:4], s[4:]), sum(map(mul, s[:4], s[:4]))
     o, h, _ = real_product(parse_gate_string(PUBLISHED_TABLES[table][1][row - 1][2]))
     return (o[0], o[3]), 2 ** h
 
@@ -575,14 +605,17 @@ def _correction(table: str, row: int, amplitude: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _curves(noise_kind: str, correlated: bool, table: str, row: int) -> tuple:
     """One row's exact curves, read-only: (scale, q, numerator, probability,
-    amplitude), ||W u||^2 times scale q, by power index, as its coefficients
-    of alpha^4, alpha^3 beta, ..., beta^4; p times scale, of alpha^2,
-    alpha beta, beta^2; and the t^0 amplitude W u times sqrt(scale q), by
-    power of s, of alpha^2, alpha beta, beta^2."""
+    amplitude, folds), ||W u||^2 times scale q, by power index, as its
+    coefficients of alpha^4, alpha^3 beta, ..., beta^4; p times scale, of
+    alpha^2, alpha beta, beta^2; the t^0 amplitude W u times sqrt(scale q),
+    by power of s, of alpha^2, alpha beta, beta^2; and the eta = 1 folds,
+    per power j of s the pair (numerator, probability) summed over the
+    powers eta^M s^j, whose lowest j with p nonzero, j0, gives the exact
+    limit where the branch dies at eta = 1 (see hrsp.pipeline)."""
     receivers, keys = _TABLES[table]
     scale, gram, amplitude = _branch(noise_kind, correlated, receivers[-1],
                                      *keys[row - 1])
-    v, q = _correction(table, row, amplitude)
+    v, q = _correction(table, row)
     numerator: dict = {}
     probability: dict = {}
     # a coefficient g of G[P, m, i, n, j] adds g v_a,i v_b,j to the monomial
@@ -598,8 +631,14 @@ def _curves(noise_kind: str, correlated: bool, table: str, row: int) -> tuple:
     for m, a, i in product(range(2), range(2), range(4)):
         for j, c in amplitude[m][i]:
             wu.setdefault(j, [0] * 3)[m + a] += c * v[a][i]
+    folds = [([0] * 5, [0] * 3) for _ in range(S_ORDERS)]
+    for at, curve in enumerate((numerator, probability)):
+        for p, coefficients in curve.items():
+            fold = folds[p % S_ORDERS][at]
+            fold[:] = map(add, fold, coefficients)
     return (scale, q, *(MappingProxyType({key: tuple(c) for key, c in curve.items()})
-                        for curve in (numerator, probability, wu)))
+                        for curve in (numerator, probability, wu)),
+            tuple((tuple(n), tuple(d)) for n, d in folds))
 
 
 def _side(config: PipelineConfig, sample: FidelitySample, k: int) -> int:
@@ -609,27 +648,25 @@ def _side(config: PipelineConfig, sample: FidelitySample, k: int) -> int:
     powers of s = sqrt(r), r = 1 - eta, so N - tie^2 q P = x + y sqrt(r)
     with x and y rational. At a boundary-extended sample N and P are the
     eta = 1 folds at j0, as in sweep."""
-    _, q, numerator, probability, _ = _curves(config.noise_kind, config.correlated,
-                                              config.table, config.row)
+    _, q, numerator, probability, _, folds = _curves(
+        config.noise_kind, config.correlated, config.table, config.row)
     from fractions import Fraction     # 2 ms of import, for the rare tie
 
     tie = Fraction(2 * k + 1, 2 * 10**6)
     a, b = Fraction(config.spec.alpha), Fraction(config.spec.beta)
     eta = Fraction(sample.eta)
     r = 1 - eta
-    weighed = ((numerator, (a**4, a**3 * b, a * a * b * b, a * b**3, b**4), 1),
-               (probability, (a * a, a * b, b * b), -tie * tie * q))
+    quadratic = a * a, a * b, b * b
+    weighed = (((a**4, a**3 * b, a * a * b * b, a * b**3, b**4), 1),
+               (quadratic, -tie * tie * q))
     x = y = 0
     if sample.boundary_extended:
-        folds = [[0, 0] for _ in range(S_ORDERS)]
-        for at, (curve, monomials, weight) in enumerate(weighed):
-            for p, coefficients in curve.items():
-                folds[p % S_ORDERS][at] += weight * sum(map(mul, coefficients,
-                                                            monomials))
         # j0: the lowest power of s at which P is nonzero
-        x = sum(next(fold for fold in folds if fold[1]))
+        fold = next(fold for fold in folds if sum(map(mul, fold[1], quadratic)))
+        x = sum(weight * sum(map(mul, coefficients, monomials))
+                for coefficients, (monomials, weight) in zip(fold, weighed))
     else:
-        for curve, monomials, weight in weighed:
+        for curve, (monomials, weight) in zip((numerator, probability), weighed):
             for p, coefficients in curve.items():
                 m, j = divmod(p, S_ORDERS)
                 value = weight * sum(map(mul, coefficients, monomials)) * eta**m * r**(j // 2)
@@ -675,12 +712,13 @@ def fidelity_texts(result: SweepResult) -> tuple[str, ...]:
 def sweep(config: PipelineConfig) -> SweepResult:
     """pipeline.sweep's samples, from the row's exact curves evaluated in
     floats at each grid value, where the branch dies at eta = 1 the exact
-    limit, with the same TraceDeficitWarning check. Meant for short grids:
-    each eta costs one pass over the row's powers in Python."""
+    limit, with the same TraceDeficitWarning check. Every CLI sweep runs
+    it, on any grid: each eta costs one pass over the row's powers in
+    Python."""
     noise_kind, correlated, table, row = (config.noise_kind, config.correlated,
                                           config.table, config.row)
-    scale, q, numerator, probability, wu = _curves(noise_kind, correlated,
-                                                   table, row)
+    scale, q, numerator, probability, wu, folds = _curves(noise_kind, correlated,
+                                                          table, row)
     trace = _channel(noise_kind, correlated)[3]
     a, b = config.spec.alpha, config.spec.beta
     quartic = a**4, a**3 * b, a**2 * b**2, a * b**3, b**4
@@ -716,13 +754,9 @@ def sweep(config: PipelineConfig) -> SweepResult:
         fidelity.append(math.sqrt(max(wu2, 0.0) / (q * p)) if p > 0.0 else math.nan)
         branch_probability.append(p / scale)
     warn_trace_deficit(1.0 - low)
-    # the eta = 1 fold: ||W u||^2 and p at eta = 1 by power of s, at its
-    # lowest power j0 with p nonzero; a branch dies at eta = 1 where j0 > 0
-    folds = [[0] * 5 for _ in range(S_ORDERS)], [[0] * 3 for _ in range(S_ORDERS)]
-    for fold, curve in zip(folds, (numerator, probability)):
-        for p, coefficients in curve.items():
-            fold[p % S_ORDERS] = list(map(sum, zip(fold[p % S_ORDERS], coefficients)))
-    lives = [j for j in range(S_ORDERS) if at(folds[1][j], quadratic) != 0.0]
+    # the eta = 1 folds at their lowest power j0 of s with p nonzero; a
+    # branch dies at eta = 1 where j0 > 0
+    lives = [j for j, (_, fold) in enumerate(folds) if at(fold, quadratic) != 0.0]
     if not lives:
         receivers = _TABLES[table][0]
         raise BranchProbabilityError(
@@ -731,8 +765,8 @@ def sweep(config: PipelineConfig) -> SweepResult:
     j0 = lives[0]
     ends = j0 > 0 and config.eta_grid[-1] == 1.0
     if ends:
-        fidelity[-1] = math.sqrt(max(at(folds[0][j0], quartic), 0.0)
-                                 / (q * at(folds[1][j0], quadratic)))
+        wu2, p = folds[j0]
+        fidelity[-1] = math.sqrt(max(at(wu2, quartic), 0.0) / (q * at(p, quadratic)))
     grid = config.eta_grid
     # tuple.__new__ on each sample's fields: the NamedTuple's own __new__ is
     # a Python function

@@ -12,17 +12,15 @@ the receiver's state; the dense 128x128 chain (channel, measurement
 operator, partial trace) and the Uhlmann fidelity that the tests hold it
 against live in tests/dense_oracle.py.
 
-Two entry points sweep a row, both from the Grams that hrsp.exact builds
-in integers. sweep() here serves every library caller (hrsp.sweep) and a
-CLI sweep of more than cli.EXACT_SWEEP_POINTS points: it evaluates a whole
-table per grid chunk with numpy, which a scan of many rows shares and
-which streams a 100,001-point grid in about 0.2 s. A shorter CLI sweep,
-the default grid's 11 points included, runs hrsp.exact.sweep instead: it
-evaluates its one row in plain floats, so the process never imports
-numpy, whose import was most of its time and memory, and it takes longer
-than numpy only past about 10,000 points. The two evaluations agree to
-1e-12 on every row, and each is the other's test oracle; the numpy kernel
-states.branch_amplitudes is the Grams' (tests/test_exact.py).
+Two evaluations sweep a row, both from the Grams that hrsp.exact builds
+in integers and the corrections it reads (hrsp.exact._correction).
+sweep() here is the library's (hrsp.sweep): it evaluates a whole table per
+grid chunk with numpy, which a scan of many rows shares and which streams
+a 100,001-point grid in about 0.2 s. Every CLI sweep runs hrsp.exact.sweep
+instead: it evaluates its one row in plain floats, so no CLI process
+imports numpy. The two evaluations agree to 1e-12 on every row, and each
+is the other's test oracle; the numpy kernel states.branch_amplitudes is
+the Grams' (tests/test_exact.py).
 
 The state has one cached form per outcome branch, its Gram matrix
 G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^T G u and
@@ -84,11 +82,10 @@ eta = 1, by power of s. Its columns are the table's column set, read off
 the blocks it stores: the powers at which some row of some block, a curve,
 an eta = 1 fold, the t^0 amplitude or the trace, is nonzero; David's
 tables II and III have the same one under every channel. So a table's
-blocks are one read-only (rows, 20, K) array. A published row's u is read
-off its rule's unitary. The derived table needs no oracle search: any
-correction that maps the noiseless branch a_0 alpha + a_1 beta onto the
-target has u = (a_0 alpha + a_1 beta) / ||a_0|| up to a global phase, and
-a_m is the branch's t^0 amplitude at s = 1.
+blocks are one read-only (rows, 20, K) array. Each row's u = alpha v_0 +
+beta v_1 is hrsp.exact._correction's integers v over sqrt(q): rows 0 and 3
+of a published rule's gate product, or for a derived row, which needs no
+oracle search, the columns of its noiseless branch S over ||S_0||.
 
 _stack folds one row at a time: it bincounts the row's curves over all 91
 powers, 14.6 KB, folds them there, and writes them into the table's one
@@ -154,14 +151,13 @@ from itertools import repeat
 import numpy as np
 
 from . import exact
-# the config, its grid, the samples and their error live in hrsp.exact, which
-# a CLI sweep reads without numpy
-from .exact import (ETA_ORDERS, MAX_GRID_POINTS, S_ORDERS, _TABLES,
-                    BranchProbabilityError, FidelitySample, PipelineConfig,
-                    SweepResult, default_config, default_grid)
-from .noise import warn_trace_deficit
-from .protocol import CORRECTION_TABLES
-from .states import BRANCH_PROBABILITY_FLOOR, TargetSpec
+# the config, its grid, the samples and their error, the target, the
+# probability floor and the trace-deficit warning live in hrsp.exact, which a
+# CLI sweep reads without numpy
+from .exact import (BRANCH_PROBABILITY_FLOOR, ETA_ORDERS, MAX_GRID_POINTS,
+                    S_ORDERS, _TABLES, BranchProbabilityError, FidelitySample,
+                    PipelineConfig, SweepResult, TargetSpec, default_config,
+                    default_grid, warn_trace_deficit)
 
 #: the power eta^M s^j has the index M * S_ORDERS + j, below _POWERS
 _POWERS = ETA_ORDERS * S_ORDERS
@@ -234,16 +230,8 @@ def _stack(noise_kind: str, correlated: bool,
     (span,) = np.nonzero(reached)
     stack = np.zeros((len(keys), 20, len(span)))
     for row, (amplitude, gram, (power, m, i, n, j)) in enumerate(branches):
-        if table == "oracle":
-            # a correction O that takes the noiseless branch a_0 alpha + a_1
-            # beta onto the target has O a_m = c e_m, so u = O^T xi = alpha
-            # v_0 + beta v_1 with v_m = a_m / ||a_0||, up to a global phase;
-            # a_m is the t^0 amplitude at s = 1, eta = 0
-            v = amplitude.sum(axis=-1)
-            v /= np.linalg.norm(v[:1], axis=-1, keepdims=True)
-        else:
-            # rows 0 and 3 of O, the ones that xi = (alpha, 0, 0, beta) weighs
-            v = CORRECTION_TABLES[table][row].unitary()[[0, 3]]
+        v, q = exact._correction(table, row + 1)
+        v = np.array(v) / np.sqrt(q)
         # u = O^T xi = alpha v_0 + beta v_1, and ||W u||^2 = u^T G u: a
         # coefficient g of G[P, m, i, n, j] adds g v_p,i v_q,j, p, q = 0, 1,
         # to the monomial m + n + p + q of ||W u||^2 at power P, and g where

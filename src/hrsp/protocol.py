@@ -22,9 +22,10 @@ Conventions, each validated by the oracle below:
   rows that this one confirms, so it is rejected.
 
 The oracle. Every noiseless branch is S u / sqrt(scale), u = (alpha, beta),
-with S an integer 4x2 matrix (branch_matrix), and a sequence corrects it,
-taking it onto the target (alpha, 0, 0, beta) at every u, exactly when S is
-proportional to P = R^T (e0, e3), rows 0 and 3 of R. Prepending a token g
+with S an integer 4x2 matrix (branch_matrix, built in hrsp.exact from the
+eight Brown terms), and a sequence corrects it, taking it onto the target
+(alpha, 0, 0, beta) at every u, exactly when S is proportional to
+P = R^T (e0, e3), rows 0 and 3 of R. Prepending a token g
 to a sequence maps its P to g^T P. So one table, shared by every branch,
 holds the first sequence of each P up to scale: the sequences grow by
 prepending, one length at a time, each length in order of (first token,
@@ -37,8 +38,8 @@ S: the first sequence, shortest first and lexicographic within a length,
 that corrects it. It is the authority whenever a published rule disagrees
 with it. It steps with iY for Y, a phase that no correction sees, and the
 rules it returns keep Y. Each branch's S and rule are cached, frozen. The
-noisy sweeps never search: hrsp.pipeline reads a derived row's correction
-off its branch.
+noisy sweeps never search: hrsp.exact._correction reads a derived row's
+correction off the same S.
 
 The row verdicts compare integer products exactly. The published
 factorizations are reassembled in plain floats, in the order of the numpy
@@ -54,11 +55,12 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, floordiv, itemgetter, mul
 
-# the raw tables, the branch keys, the integer gates, the notation parser and
-# the Brown terms live in hrsp.exact, which a CLI sweep reads as well
+# the raw tables, the branch keys, the noiseless branches, the integer gates,
+# the notation parser and the Brown terms live in hrsp.exact, which a CLI
+# sweep reads as well
 from .exact import (BRANCH_PROBABILITY_FLOOR, BRANCHES, BROWN_TERMS, GATES,
                     PUBLISHED_TABLES, SENDER_OUTCOMES, Y_TOKENS, TargetSpec,
-                    _ket, _terms, check_outcome, parse_gate_string, real_product)
+                    branch_matrix, parse_gate_string, real_product)
 
 #: parameter points every verdict and derived rule reports its fidelity at
 ORACLE_POINTS = (TargetSpec(1 / math.sqrt(2), 1 / math.sqrt(2)), TargetSpec(0.6, 0.8))
@@ -138,25 +140,6 @@ CORRECTION_TABLES = {
                                 gates=parse_gate_string(rule), source="published")
                  for sender, outcomes, rule in rows)
     for table, (receiver, rows) in PUBLISHED_TABLES.items()}
-
-
-@lru_cache(maxsize=None)
-def branch_matrix(receiver: str, sender_outcome: str,
-                  collaborator_outcomes: tuple[str, ...]) -> tuple:
-    """(S, scale): the receiver's noiseless branch of one outcome is
-    S u / sqrt(scale) at u = (alpha, beta), its probability ||S u||^2 / scale.
-    S is an integer 4x2 matrix as 8 entries, column by column: S[4 m + i]
-    sums c x[X] y[Y] over the Brown terms (hrsp.exact._terms) at unit target
-    m and receiver basis state i, with x and y the integer outcome kets of
-    the collaborators (hrsp.exact._ket); scale is 8 |x|^2 |y|^2. Cached:
-    the oracle, the verdicts and the report read Bob's 8 and David's 32."""
-    check_outcome(receiver, sender_outcome, collaborator_outcomes)
-    labels = collaborator_outcomes * 2 if receiver == "bob" else collaborator_outcomes
-    x, y = map(_ket, labels)
-    s = [0] * 8
-    for c, m, bx, by, r in _terms(receiver, sender_outcome):
-        s[4 * m + r] += c * x[bx] * y[by]
-    return tuple(s), 8 * sum(map(mul, x, x)) * sum(map(mul, y, y))
 
 
 def noiseless_fidelity(rule: CorrectionRule, spec: TargetSpec) -> float:

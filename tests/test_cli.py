@@ -323,11 +323,11 @@ def run_python(argv, cwd):
 
 class TestImports:
     # np.unique, np.union1d and np.isin import numpy.ma on their first call,
-    # 12-89 ms, more than a whole sweep; no command needs it. A sweep of at
-    # most cli.EXACT_SWEEP_POINTS points (every receiver, noise kind and
-    # channel mode at the default grid), the verify commands and --version
-    # import no numpy at all; only a 20,001-point sweep does. The David
-    # factorization reports its misprinted lines with exit status 1
+    # 12-89 ms, more than a whole sweep; no command needs it. No command
+    # imports numpy at all: a sweep (every receiver, noise kind and channel
+    # mode at the default grid, and a 20,001-point grid), the verify
+    # commands and --version. The David factorization reports its
+    # misprinted lines with exit status 1
     @pytest.mark.parametrize("argv", [
         ["sweep", "--receiver", "bob"], ["sweep", "--receiver", "charlie"],
         ["sweep", "--receiver", "david"], ["verify-tables"],
@@ -339,12 +339,24 @@ class TestImports:
         ["verify-factorization", "--variant", "david", "--alpha", "0.6",
          "--beta", "-0.8"]])
     def test_command_leaves_numpy_ma_unimported(self, argv, tmp_path):
-        numpy = "--step" in argv
         code = int(argv[0] == "verify-factorization" and "david" in argv)
         if argv[0] == "sweep":
             argv = argv + ["--out", str(tmp_path / "sweep.csv")]
         out = run_python(["-c", IMPORT_CHECK, *argv], tmp_path)
-        assert out.splitlines()[-1] == f"{code} {numpy}"
+        assert out.splitlines()[-1] == f"{code} False"
+
+    def test_pipeline_loads_only_the_exact_module(self, tmp_path):
+        # the library's sweeps read their configs, target, floor, warning,
+        # Grams and corrections from hrsp.exact: no module of the oracle,
+        # the states or the channel model, for a published or a derived row
+        out = run_python(["-c", (
+            "import sys, hrsp.pipeline as p; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hrsp')); "
+            "[p.sweep(p.default_config(receiver=r)) for r in ('bob', 'charlie')]; "
+            "p.receiver_state(p.default_config(receiver='david'), 0.5); "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'hrsp'))")],
+            tmp_path)
+        assert out == "hrsp hrsp.exact hrsp.pipeline\n" * 2
 
     def test_protocol_imports_numpy_only_for_its_arrays(self, tmp_path):
         # the oracle, the verdicts, the report and the factorization check

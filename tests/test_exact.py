@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrsp import cli, exact, noise, pipeline, protocol, states
+from hrsp import exact, noise, pipeline, protocol, states
 from hrsp.cli import main
 
 from dense_oracle import pair_terms
@@ -90,10 +90,12 @@ def test_moved_names_are_reexported_unchanged():
                       "COLLABORATOR_LABELS"),
              noise: ("NOISE_KINDS", "TraceDeficitWarning", "warn_trace_deficit",
                      "TRACE_DEFICIT_WARN"),
-             protocol: ("BRANCHES", "SENDER_OUTCOMES", "parse_gate_string"),
+             protocol: ("BRANCHES", "SENDER_OUTCOMES", "parse_gate_string",
+                        "branch_matrix"),
              pipeline: ("PipelineConfig", "FidelitySample", "SweepResult",
                         "BranchProbabilityError", "default_grid",
-                        "default_config", "MAX_GRID_POINTS")}
+                        "default_config", "MAX_GRID_POINTS", "TargetSpec",
+                        "BRANCH_PROBABILITY_FLOOR", "warn_trace_deficit")}
     for module, names in moved.items():
         for name in names:
             assert getattr(module, name) is getattr(exact, name), name
@@ -130,6 +132,20 @@ class TestExactGrams:
                                 values.tolist())) == want
                 count += 1
         assert count == 160
+
+    @pytest.mark.parametrize("noise_kind", ["ad", "pd"])
+    @pytest.mark.parametrize("correlated", [True, False])
+    def test_derived_corrections_are_the_noiseless_amplitudes(self, noise_kind,
+                                                              correlated):
+        # a derived row's v, read off its noiseless branch S, is its Gram
+        # build's t^0 amplitude summed at s = 1, in integers: at eta = 0 the
+        # operator with no t is the identity under every channel
+        for row, key in enumerate(protocol.BRANCHES["david"], start=1):
+            _, _, amplitude = exact._branch(noise_kind, correlated, "david", *key)
+            v = tuple(tuple(sum(c for _, c in poly) for poly in a_m)
+                      for a_m in amplitude)
+            assert exact._correction("oracle", row) == (
+                v, sum(x * x for x in v[0]))
 
 
 class TestExactSweep:
@@ -186,7 +202,8 @@ class TestExactSweep:
                 [(exact.TraceDeficitWarning, __file__)] if correlated else [])
 
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(exact, "_curves", lambda *key: (8, 1, {}, {}, {}))
+        folds = (((0,) * 5, (0,) * 3),) * exact.S_ORDERS
+        monkeypatch.setattr(exact, "_curves", lambda *key: (8, 1, {}, {}, {}, folds))
         with pytest.raises(exact.BranchProbabilityError,
                            match="ad bob table I row 1: the branch probability "
                                  "vanishes at every eta"):
@@ -216,8 +233,12 @@ class TestFidelityTexts:
         # powers, and at a boundary-extended eta = 1 from the fold at j0 = 1
         k = round(fidelity * 128)
         power = 1 if ends else 0
+        numerator, probability = (k * k, 0, 0, 0, 0), (128 * 128, 0, 0)
+        # the eta = 1 folds: the curves' one power is eta^0 s^power
+        folds = tuple((numerator, probability) if j == power
+                      else ((0,) * 5, (0,) * 3) for j in range(exact.S_ORDERS))
         monkeypatch.setattr(exact, "_curves", lambda *key: (
-            8, 1, {power: (k * k, 0, 0, 0, 0)}, {power: (128 * 128, 0, 0)}, {}))
+            8, 1, {power: numerator}, {power: probability}, {}, folds))
         config = exact.default_config(spec=exact.TargetSpec(1.0, 0.0))
         sample = exact.FidelitySample(1.0 if ends else 0.5, fidelity, 0.0, ends)
         result = exact.SweepResult(config, (sample,))
@@ -239,9 +260,9 @@ def csv_lines(config, result):
 
 
 class TestCliPathSelection:
-    """A CLI sweep of at most cli.EXACT_SWEEP_POINTS points runs exact.sweep,
-    a longer one pipeline.sweep, and both print through fidelity_texts: the
-    CSV does not depend on the path."""
+    """Every CLI sweep runs exact.sweep, on any grid up to MAX_GRID_POINTS,
+    and prints through fidelity_texts the CSV of the library's
+    pipeline.sweep."""
 
     @staticmethod
     def run(argv, monkeypatch):
@@ -259,6 +280,18 @@ class TestCliPathSelection:
         monkeypatch.setattr(pipeline, "sweep", spy("library"))
         return main(argv), calls
 
+    def check(self, argv, points, tmp_path, monkeypatch):
+        """The CLI's CSV of argv is the library's at the config exact.sweep ran."""
+        out, library = tmp_path / "sweep.csv", pipeline.sweep
+        code, calls = self.run(argv + ["--out", str(out)], monkeypatch)
+        assert code == 0
+        ((taken, config),) = calls
+        assert taken == "exact"
+        assert len(config.eta_grid) == points
+        printed = out.read_text().splitlines()
+        assert printed[0] == "noise,receiver,table,row,eta,fidelity"
+        assert printed[1:] == csv_lines(config, library(config))
+
     @pytest.mark.parametrize("receiver", ["bob", "charlie", "david"])
     @pytest.mark.parametrize("noise_kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
@@ -266,30 +299,13 @@ class TestCliPathSelection:
                                              (0.0009765625, 1025)])
     def test_csv_matches_the_other_path(self, receiver, noise_kind, correlated,
                                         step, points, tmp_path, monkeypatch):
-        # the selection moved to 1024 points, so that the 1025-point grid,
-        # which holds the tie eta = 0.375, takes the library path
-        monkeypatch.setattr(cli, "EXACT_SWEEP_POINTS", 1024)
-        out = tmp_path / "sweep.csv"
+        # the 1025-point grid holds the tie eta = 0.375
         argv = ["sweep", "--noise", noise_kind, "--receiver", receiver,
-                "--step", repr(step), "--out", str(out)]
-        code, calls = self.run(
-            argv + ([] if correlated else ["--uncorrelated-noise"]), monkeypatch)
-        assert code == 0
-        ((taken, config),) = calls
-        assert taken == ("exact" if points <= 1024 else "library")
-        assert len(config.eta_grid) == points
-        other = {"exact": pipeline, "library": exact}[taken]
-        printed = out.read_text().splitlines()
-        assert printed[0] == "noise,receiver,table,row,eta,fidelity"
-        assert printed[1:] == csv_lines(config, other.sweep(config))
+                "--step", repr(step)]
+        self.check(argv + ([] if correlated else ["--uncorrelated-noise"]),
+                   points, tmp_path, monkeypatch)
 
-    @pytest.mark.parametrize("step,taken", [(1e-4, "exact"),
-                                            (1 / 10_001, "library")])
-    def test_selection_at_the_measured_crossover(self, step, taken, tmp_path,
-                                                 monkeypatch):
-        code, calls = self.run(["sweep", "--step", repr(step), "--out",
-                                str(tmp_path / "sweep.csv")], monkeypatch)
-        assert code == 0
-        assert [(name, len(config.eta_grid)) for name, config in calls] == [
-            (taken, round(1 / step) + 1)]
-        assert cli.EXACT_SWEEP_POINTS == 10_001
+    def test_long_grid_csv_matches_the_other_path(self, tmp_path, monkeypatch):
+        # 20,001 points: the library streams the grid through 20 chunks
+        self.check(["sweep", "--receiver", "charlie", "--step", "0.00005"],
+                   20_001, tmp_path, monkeypatch)

@@ -798,7 +798,8 @@ class TestDerivedCorrection:
     def test_verified_rows_sweep_as_the_derived_rows(self, noise, correlated):
         # so a verified rule's curve depends only on its branch: each David
         # row of tables II and III but the mismatches gives the curve of the
-        # derived row on its branch, which is also Charlie's
+        # derived row on its branch, which is also Charlie's, to the last
+        # bit, as both corrections are read as integers (exact._correction)
         keys = protocol.BRANCHES["david"]
         differ = set()
         for spec in (BALANCED, TargetSpec(0.6, 0.8), TargetSpec(-0.6, 0.8)):
@@ -809,9 +810,8 @@ class TestDerivedCorrection:
                                             correlated=correlated)
                     derived = replace(config, receiver="charlie", table="oracle",
                                       row=keys.index(rule.outcomes) + 1)
-                    gap = np.subtract(sweep(config).fidelities(),
-                                      sweep(derived).fidelities())
-                    if np.max(np.abs(gap)) > 1e-13:
+                    if not np.array_equal(sweep(config).fidelities(),
+                                          sweep(derived).fidelities()):
                         differ.add(f"{table}-{row}")
         assert differ == {"II-15", "III-6", "III-14", "III-16"}
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrsp import pipeline, protocol
+from hrsp import exact, pipeline, protocol
 from hrsp.linalg import kron
 from hrsp.pipeline import PipelineConfig
 from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, TOKENS,
@@ -526,13 +526,14 @@ class TestReport:
         # oracle table at most once; the derived rows are David's, so no
         # Charlie branch is read; a second report reads the caches only
         made = []
-        check = protocol.check_outcome
+        check = exact.check_outcome
 
         def counted(*args):
             made.append(args)
             return check(*args)
 
-        monkeypatch.setattr(protocol, "check_outcome", counted)
+        # branch_matrix checks its outcome once per build, in hrsp.exact
+        monkeypatch.setattr(exact, "check_outcome", counted)
         branch_matrix.cache_clear()
         oracle_find_correction.cache_clear()
         tables = protocol._oracle_table.cache_info().misses
