@@ -52,15 +52,20 @@ raw correction tables and branch keys, the noiseless branches, the gate
 tokens as integer matrices, the Kraus templates and the trace-deficit
 warning. hrsp.states, hrsp.noise, hrsp.protocol and hrsp.pipeline
 re-export each under its old name.
+
+The records are typing.NamedTuples, immutable and hashable as tuples of
+their fields: TargetSpec and PipelineConfig validate in __new__ (each
+subclasses a NamedTuple of its fields), and so in _replace, which copies a
+record validated again, and _make; FidelitySample and SweepResult are
+plain. Nothing here imports dataclasses: its import, with inspect's, would
+be most of a CLI process's own import time.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count, product, repeat
 from operator import add, gt, lt, mul, sub
@@ -274,30 +279,52 @@ class BranchProbabilityError(ValueError):
     """Conditioning on an outcome whose probability is numerically zero."""
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+def _validated_replace(self, **changes):
+    """A copy with CHANGES, validated again: NamedTuple's own _replace and
+    _make build a record with tuple.__new__, which skips the checks."""
+    return type(self)(**{**self._asdict(), **changes})
+
+
+def _validated_make(cls, fields):
+    return cls(*fields)
+
+
+class _TargetFields(NamedTuple):
+    alpha: float
+    beta: float
+
+
+class TargetSpec(_TargetFields):
     """Real amplitudes of the two-qubit target alpha|00> + beta|11>.
 
     Complex amplitudes are rejected: the sender's measurement basis is
     orthonormal only for real values. So are NaN and infinite ones, which
-    would pass the norm check (a NaN compares unequal to everything).
+    would pass the norm check (a NaN compares unequal to everything), and
+    ones whose squares overflow, whose norm is then infinite.
     """
 
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            value = complex(getattr(self, name))
+    def __new__(cls, alpha: float, beta: float):
+        values = []
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            value = complex(value)
             if value.imag != 0.0:
                 raise ValueError(f"{name} = {value} is not real; the sender's "
                                  "measurement basis needs real amplitudes")
             if not math.isfinite(value.real):
                 raise ValueError(f"{name} = {value.real} is not finite")
-            object.__setattr__(self, name, value.real)
-        n = self.alpha ** 2 + self.beta ** 2
+            values.append(value.real)
+        a, b = values
+        # products, not ** 2: a float's square overflows to inf, which fails
+        # the check, where a power raises OverflowError
+        n = a * a + b * b
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {n:.12f}, expected 1")
+        return tuple.__new__(cls, values)
+
+    _replace = _validated_replace
+    _make = classmethod(_validated_make)
 
 
 def _is_numpy_bool(value) -> bool:
@@ -306,21 +333,7 @@ def _is_numpy_bool(value) -> bool:
     return numpy is not None and isinstance(value, numpy.bool_)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """One sweep: noise kind, receiver row, target parameters, eta grid.
-
-    Validated on construction. The row is an int in 1..rows of its table:
-    a published table of CORRECTION_TABLES, for its receiver, or "oracle",
-    the derived table, for charlie or david, whose row r is
-    protocol.derive_receiver_table()[r - 1] on David's branch r. Charlie
-    has no published table, and Charlie's curves on the derived table are
-    David's, as Charlie's branch r equals David's. A config names its
-    branch and correction only through (table, row): both sweeps read the
-    row's correction from _correction, a published row's off its rule and a
-    derived row's off its noiseless branch, so no config runs the oracle
-    search."""
-
+class _ConfigFields(NamedTuple):
     noise_kind: str
     receiver: str
     table: str
@@ -329,21 +342,39 @@ class PipelineConfig:
     eta_grid: tuple[float, ...]
     correlated: bool = True
 
-    def __post_init__(self):
-        if self.noise_kind not in NOISE_KINDS:
+
+class PipelineConfig(_ConfigFields):
+    """One sweep: noise kind, receiver row, target parameters, eta grid.
+
+    Validated on construction and by _replace. The row is an int in
+    1..rows of its table: a published table of CORRECTION_TABLES, for its
+    receiver, or "oracle", the derived table, for charlie or david, whose
+    row r is protocol.derive_receiver_table()[r - 1] on David's branch r.
+    Charlie has no published table, and Charlie's curves on the derived
+    table are David's, as Charlie's branch r equals David's. A config names
+    its branch and correction only through (table, row): both sweeps read
+    the row's correction from _correction, a published row's off its rule
+    and a derived row's off its noiseless branch, so no config runs the
+    oracle search."""
+
+    __slots__ = ()
+
+    def __new__(cls, noise_kind: str, receiver: str, table: str, row: int,
+                spec: TargetSpec, eta_grid: tuple[float, ...],
+                correlated: bool = True):
+        if noise_kind not in NOISE_KINDS:
             raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
         # any other truthy value would pick the correlated channel
-        if type(self.correlated) is not bool and not _is_numpy_bool(self.correlated):
-            raise ValueError(f"correlated must be a bool, got {self.correlated!r}")
-        if not isinstance(self.spec, TargetSpec):
-            raise ValueError(f"spec must be a TargetSpec, got {self.spec!r}")
-        if len(self.eta_grid) > MAX_GRID_POINTS:
-            raise ValueError(f"eta grid has {len(self.eta_grid)} points, more "
+        if type(correlated) is not bool and not _is_numpy_bool(correlated):
+            raise ValueError(f"correlated must be a bool, got {correlated!r}")
+        if not isinstance(spec, TargetSpec):
+            raise ValueError(f"spec must be a TargetSpec, got {spec!r}")
+        if len(eta_grid) > MAX_GRID_POINTS:
+            raise ValueError(f"eta grid has {len(eta_grid)} points, more "
                              f"than MAX_GRID_POINTS = {MAX_GRID_POINTS}")
         # stored as a tuple of floats: an array or a list is accepted, and
         # the config stays hashable and immutable
-        grid = tuple(map(float, self.eta_grid))
-        object.__setattr__(self, "eta_grid", grid)
+        grid = tuple(map(float, eta_grid))
         # one pass: an increasing grid lies within its endpoints, and a <
         # chain fails on NaN
         if not grid:
@@ -352,23 +383,29 @@ class PipelineConfig:
             raise ValueError("eta grid values must lie in [0, 1]")
         if not all(map(lt, grid, grid[1:])):
             raise ValueError("eta grid must be strictly increasing")
-        if self.table not in _TABLES:
-            raise ValueError(f"unknown table {self.table!r}, expected one of "
+        if table not in _TABLES:
+            raise ValueError(f"unknown table {table!r}, expected one of "
                              f"{tuple(_TABLES)}")
         # a plain int and bool key the caches: True must not find row 1; an
-        # int skips the ABC check, which costs more than the rest
-        row, rows = self.row, len(_TABLES[self.table][1])
-        if type(row) is not int and (isinstance(row, bool)
-                                     or not isinstance(row, numbers.Integral)):
-            raise ValueError(f"row must be an integer, got {row!r}")
+        # int skips the ABC check, which costs more than the rest, and the
+        # import of numbers
+        rows = len(_TABLES[table][1])
+        if type(row) is not int:
+            import numbers
+            if isinstance(row, bool) or not isinstance(row, numbers.Integral):
+                raise ValueError(f"row must be an integer, got {row!r}")
         if not 1 <= row <= rows:
-            raise ValueError(f"table {self.table} has rows 1..{rows}, got {row}")
-        object.__setattr__(self, "row", int(row))
-        object.__setattr__(self, "correlated", bool(self.correlated))
-        receivers = _TABLES[self.table][0]
-        if self.receiver not in receivers:
-            raise ValueError(f"table {self.table} row {self.row} corrects "
-                             f"{' or '.join(receivers)}, not {self.receiver}")
+            raise ValueError(f"table {table} has rows 1..{rows}, got {row}")
+        row = int(row)
+        receivers = _TABLES[table][0]
+        if receiver not in receivers:
+            raise ValueError(f"table {table} row {row} corrects "
+                             f"{' or '.join(receivers)}, not {receiver}")
+        return tuple.__new__(cls, (noise_kind, receiver, table, row, spec, grid,
+                                   bool(correlated)))
+
+    _replace = _validated_replace
+    _make = classmethod(_validated_make)
 
 
 class FidelitySample(NamedTuple):
@@ -378,8 +415,7 @@ class FidelitySample(NamedTuple):
     boundary_extended: bool     # branch dies at eta: fidelity is the exact limit
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     config: PipelineConfig
     samples: tuple[FidelitySample, ...]
 
@@ -391,7 +427,9 @@ class SweepResult:
 def default_grid(step: float = 0.1) -> tuple[float, ...]:
     """0, step, ..., 1.0; step must divide 1 into a whole number of cells.
     The last grid is cached: the configs of a row scan do not rebuild it."""
-    n = round(1.0 / step) if step > 0 else 0
+    # a subnormal step has an infinite inverse, which round() cannot take
+    inverse = 1.0 / step if step > 0 else 0.0
+    n = round(inverse) if inverse < math.inf else 0
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide [0, 1] evenly")
     if n + 1 > MAX_GRID_POINTS:

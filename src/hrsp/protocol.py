@@ -45,15 +45,18 @@ The row verdicts compare integer products exactly. The published
 factorizations are reassembled in plain floats, in the order of the numpy
 reassembly of tests/dense_oracle.py, so each residual is that float to the
 last bit, noise-level residuals included.
+
+The records, CorrectionRule, RowVerdict, LineReport and FactorizationReport,
+are plain typing.NamedTuples: immutable, hashable, copied with _replace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, floordiv, itemgetter, mul
+from typing import NamedTuple
 
 # the raw tables, the branch keys, the noiseless branches, the integer gates,
 # the notation parser and the Brown terms live in hrsp.exact, which a CLI
@@ -109,8 +112,7 @@ def correction_unitary(gates):
     return (-1j) ** k * r if k else r
 
 
-@dataclass(frozen=True)
-class CorrectionRule:
+class CorrectionRule(NamedTuple):
     """Conditional local correction for one measurement outcome."""
 
     receiver: str
@@ -259,8 +261,7 @@ def _phase_distance(a: tuple, b: tuple) -> float:
     return math.sqrt(max(min(max(a - b * c for a, b in lines) for c in cuts), 0.0))
 
 
-@dataclass(frozen=True)
-class RowVerdict:
+class RowVerdict(NamedTuple):
     table: str
     row: int
     sender_outcome: str
@@ -442,8 +443,7 @@ def _combo(parts, spec: TargetSpec, ket) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class LineReport:
+class LineReport(NamedTuple):
     """Comparison of one published expansion line against the true branch."""
 
     sender_outcome: str
@@ -456,8 +456,7 @@ class LineReport:
         return self.max_diff > 1e-9
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     variant: str
     spec: TargetSpec
     residual: float

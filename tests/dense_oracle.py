@@ -34,7 +34,7 @@ factorization against the numpy protocol state and branch kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -263,8 +263,8 @@ def rule_of(config):
     the dense route collapses Charlie's own qubits, an independent check of
     the swap symmetry the package relies on."""
     if config.table == "oracle":
-        return replace(derive_receiver_table()[config.row - 1],
-                       receiver=config.receiver)
+        return derive_receiver_table()[config.row - 1]._replace(
+            receiver=config.receiver)
     return CORRECTION_TABLES[config.table][config.row - 1]
 
 

@@ -111,6 +111,21 @@ class TestVerifyFactorization:
         assert captured.err.count("\n") == 1 and "not finite" in captured.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alpha", "1e200", "--beta", "1e200"],
+        ["verify-factorization", "--alpha", "1e200", "--beta", "1"]])
+    def test_overflowing_parameters_exit_two(self, argv, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(out_path)]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: |alpha|^2 + |beta|^2 = inf, expected 1\n"
+        assert not out_path.exists()
+
     def test_custom_point_passes(self, capsys):
         code, out, _ = run_cli(["verify-factorization", "--variant", "bob",
                                 "--alpha", "0.6", "--beta", "0.8"], capsys)
@@ -177,7 +192,8 @@ class TestSweep:
         assert code == 2
         assert "does not divide" in err
 
-    @pytest.mark.parametrize("step", ["0", "nan"])
+    # 1e-320 is subnormal: its inverse is infinite
+    @pytest.mark.parametrize("step", ["0", "nan", "1e-320"])
     def test_zero_or_nan_step_exits_two(self, step, tmp_path, capsys):
         code, _, err = run_cli(["sweep", "--step", step, "--out",
                                 str(tmp_path / "x.csv")], capsys)
@@ -305,7 +321,8 @@ try:
     runpy.run_module("hrsp.cli", run_name="__main__")
 except SystemExit as exit:
     code = exit.code
-assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+for name in ("numpy.ma", "dataclasses", "inspect"):
+    assert name not in sys.modules, f"{name} was imported"
 print(code, "numpy" in sys.modules)
 """
 
@@ -324,7 +341,8 @@ def run_python(argv, cwd):
 class TestImports:
     # np.unique, np.union1d and np.isin import numpy.ma on their first call,
     # 12-89 ms, more than a whole sweep; no command needs it. No command
-    # imports numpy at all: a sweep (every receiver, noise kind and channel
+    # imports numpy at all, nor dataclasses or inspect (about 10 ms of a
+    # 55 ms process): a sweep (every receiver, noise kind and channel
     # mode at the default grid, and a 20,001-point grid), the verify
     # commands and --version. The David factorization reports its
     # misprinted lines with exit status 1

@@ -1,7 +1,6 @@
 import itertools
 import tracemalloc
 import warnings
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -548,8 +547,8 @@ class TestKernelCalls:
         read = "david" if table == "oracle" else receiver
         assert calls == [(read, *key) for key in pipeline._TABLES[table][1]]
         assert len(calls) == cold
-        sweep(replace(config, spec=TargetSpec(0.6, -0.8),
-                      eta_grid=default_grid(0.001)))
+        sweep(config._replace(spec=TargetSpec(0.6, -0.8),
+                              eta_grid=default_grid(0.001)))
         receiver_state(config, 0.5)
         assert len(calls) == cold
 
@@ -584,7 +583,7 @@ class TestKernelCalls:
         sweep(config)
         small = len(calls)
         clear_noisy_caches()
-        sweep(replace(config, eta_grid=default_grid(1e-5)))
+        sweep(config._replace(eta_grid=default_grid(1e-5)))
         assert len(calls) - small <= small
 
     def test_cache_bounds_match_the_docs(self):
@@ -808,8 +807,8 @@ class TestDerivedCorrection:
                     config = default_config(noise, "david", spec, step=0.01,
                                             table=table, row=row,
                                             correlated=correlated)
-                    derived = replace(config, receiver="charlie", table="oracle",
-                                      row=keys.index(rule.outcomes) + 1)
+                    derived = config._replace(receiver="charlie", table="oracle",
+                                              row=keys.index(rule.outcomes) + 1)
                     if not np.array_equal(sweep(config).fidelities(),
                                           sweep(derived).fidelities()):
                         differ.add(f"{table}-{row}")
@@ -828,7 +827,7 @@ def assert_samples_match_points(config, indices):
     samples = sweep(config).samples
     for i in indices:
         got = samples[i]
-        want = sweep(replace(config, eta_grid=(config.eta_grid[i],))).samples[0]
+        want = sweep(config._replace(eta_grid=(config.eta_grid[i],))).samples[0]
         assert (got.eta, got.boundary_extended) == (want.eta, want.boundary_extended)
         for field in ("fidelity", "branch_probability"):
             assert abs(getattr(got, field) - getattr(want, field)) < 1e-12
@@ -905,7 +904,9 @@ class TestConfig:
         # every call is checked, whatever the cache holds
         for step, match in ((0.0, "does not divide"), (float("nan"), "does not divide"),
                             (0.3, "does not divide"), (1e-6, "MAX_GRID_POINTS"),
-                            (-0.1, "does not divide"), (float("inf"), "does not divide")):
+                            (-0.1, "does not divide"), (float("inf"), "does not divide"),
+            # subnormal: 1 / step is infinite
+            (1e-320, "does not divide")):
             for _ in range(2):
                 default_grid(0.1)
                 with pytest.raises(ValueError, match=match):
@@ -935,7 +936,7 @@ class TestConfig:
             config = PipelineConfig("ad", "bob", "I", 1, BALANCED, given)
             assert type(config.eta_grid) is tuple
             assert config.eta_grid == tuple(float(eta) for eta in given)
-            assert hash(config) == hash(replace(config))
+            assert hash(config) == hash(config._replace())
             samples = sweep(config).samples
             assert all(type(s.eta) is float for s in samples)
             assert [s.eta for s in samples] == list(config.eta_grid)
@@ -944,6 +945,41 @@ class TestConfig:
         assert config.eta_grid == (0.0, 0.5, 1.0)
         with pytest.raises(ValueError, match="strictly increasing"):
             PipelineConfig("ad", "bob", "I", 1, BALANCED, np.zeros(3))
+
+    def test_replace_validates_again(self):
+        # NamedTuple's own _replace and _make skip __new__: both validating
+        # records override them, and a copy is normalized as a new record is
+        config, spec = row1_config(), BALANCED
+        with pytest.raises(ValueError, match="has rows 1..8, got 99"):
+            config._replace(row=99)
+        with pytest.raises(ValueError, match="expected 1"):
+            spec._replace(alpha=2.0)
+        with pytest.raises(TypeError):
+            config._replace(rows=2)
+        with pytest.raises(ValueError, match="has rows 1..8, got 99"):
+            PipelineConfig._make((*config[:3], 99, *config[4:]))
+        with pytest.raises(ValueError, match="expected 1"):
+            TargetSpec._make((2.0, 0.0))
+        other = config._replace(eta_grid=np.array([0.0, 1.0]), row=np.int64(2))
+        assert type(other) is PipelineConfig and other.eta_grid == (0.0, 1.0)
+        assert type(other.row) is int and other.row == 2
+        assert spec._replace(alpha=0.6, beta=0.8) == TargetSpec(0.6, 0.8)
+
+    def test_every_record_is_immutable(self):
+        config = row1_config()
+        factorization = protocol.verify_factorization("bob", BALANCED)
+        records = [(config.spec, "alpha"), (config, "row"),
+                   (sweep(config), "samples"),
+                   (CORRECTION_TABLES["I"][0], "gates"),
+                   (protocol.verify_table("I")[0], "verdict"),
+                   (factorization, "residual"),
+                   (factorization.lines[0], "max_diff")]
+        assert len({type(record) for record, _ in records}) == 7
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                record.extra = None
 
     def test_receiver_table_mismatch(self):
         with pytest.raises(ValueError):
@@ -989,9 +1025,9 @@ class TestConfig:
     def test_numpy_integer_row_accepted(self, table, receiver):
         config = PipelineConfig("ad", receiver, table, np.int64(2), BALANCED,
                                 (0.0, 1.0))
-        assert config == replace(config, row=2)
+        assert config == config._replace(row=2)
         assert type(config.row) is int
-        assert sweep(config).samples == sweep(replace(config, row=2)).samples
+        assert sweep(config).samples == sweep(config._replace(row=2)).samples
 
     @pytest.mark.parametrize("correlated", ["False", "", 0, 1, None, 1.0])
     def test_non_bool_correlated_rejected(self, correlated):
@@ -1024,7 +1060,7 @@ class TestChannelBlockCache:
 
     def test_cached_uncorrelated_sweep_does_not_warn(self):
         config = default_config(step=0.25, correlated=False)
-        sweep(replace(config, correlated=True))   # same row, lossy channel
+        sweep(config._replace(correlated=True))   # same row, lossy channel
         sweep(config)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TraceDeficitWarning)
@@ -1036,7 +1072,7 @@ class TestChannelBlockCache:
         # sweep or receiver_state would move that line into pipeline.py
         config = default_config(step=0.25)
         for run in (lambda: sweep(config), lambda: receiver_state(config, 0.5),
-                    lambda: sweep(replace(config, eta_grid=default_grid(0.0002)))):
+                    lambda: sweep(config._replace(eta_grid=default_grid(0.0002)))):
             with pytest.warns(TraceDeficitWarning) as record:
                 run()
             assert [w.filename for w in record] == [__file__]

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -333,7 +332,7 @@ class TestTables:
         rules = [(f"{table}-{i}", rule)
                  for table, rows in CORRECTION_TABLES.items()
                  for i, rule in enumerate(rows, start=1)]
-        rules += [(f"oracle-{i}-{receiver}", replace(rule, receiver=receiver))
+        rules += [(f"oracle-{i}-{receiver}", rule._replace(receiver=receiver))
                   for i, rule in enumerate(derive_receiver_table(), start=1)
                   for receiver in ("charlie", "david")]
         failing = [name for name, rule in rules
@@ -468,7 +467,7 @@ class TestCharlieTable:
             assert rule.source == "oracle"
             for spec in ORACLE_POINTS:
                 for receiver in ("charlie", "david"):
-                    assert noiseless_fidelity(replace(rule, receiver=receiver),
+                    assert noiseless_fidelity(rule._replace(receiver=receiver),
                                               spec) > 1 - 1e-10
         assert len(per_outcome["zeta1"]) == 16
         assert len(per_outcome["zeta2"]) == 16

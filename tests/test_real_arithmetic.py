@@ -5,7 +5,6 @@ integers and float64, and only the Y gate tokens, which no published table
 uses, are complex. Every gate product steps with iY in their place, equal
 to Y up to a global phase, and counts its Y tokens."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,8 +109,8 @@ def test_verdicts_equal_complex_reference():
         got, want = protocol.verify_table(table), complex_verify_table(table)
         assert [rv.line() for rv in got] == [rv.line() for rv in want]
         for a, b in zip(got, want, strict=True):
-            assert (replace(a, published_fidelities=b.published_fidelities,
-                            matrix_distance=b.matrix_distance) == b)
+            assert (a._replace(published_fidelities=b.published_fidelities,
+                               matrix_distance=b.matrix_distance) == b)
             assert np.max(np.abs(np.subtract(a.published_fidelities,
                                              b.published_fidelities))) < 1e-15
             assert abs(a.matrix_distance - b.matrix_distance) < 1e-15

@@ -134,6 +134,14 @@ class TestTargetState:
         with pytest.raises(ValueError, match="not finite"):
             TargetSpec(alpha, beta)
 
+    @pytest.mark.parametrize("alpha,beta", [(1e200, 1e200), (1e200, 1.0),
+                                            (0.0, -1e155)])
+    def test_rejects_overflowing_amplitudes(self, alpha, beta):
+        # finite, but the squares overflow: the norm is inf, not an
+        # OverflowError
+        with pytest.raises(ValueError, match=r"\|beta\|\^2 = inf, expected 1"):
+            TargetSpec(alpha, beta)
+
     def test_stores_real_floats(self):
         spec = TargetSpec(0.6 + 0j, np.float64(0.8))
         assert (spec.alpha, spec.beta) == (0.6, 0.8)
