@@ -8,9 +8,11 @@ and every single-qubit Kraus operator is t^m (F + s D), with t = sqrt(eta),
 s = sqrt(1 - eta), m in {0, 1} and 0/1 matrices F and D (KRAUS_TEMPLATES).
 So this module builds a branch's Gram G(eta) (see hrsp.pipeline) as integer
 coefficients over one power of two, reads the row's correction u exactly,
-and only then turns to floats, to evaluate the row's curves on the grid.
-It is the one Gram builder: hrsp.pipeline's store holds these Grams as
-arrays, and the numpy kernel is their test oracle (tests/test_exact.py).
+derives the row's curves from both in integers (_curves), and only then
+turns to floats, to evaluate them on the grid. It is the one Gram builder
+and the one derivation of a row's curves: hrsp.pipeline's stacks are
+_curves laid out as arrays, its receiver_state reads _branch, and the
+numpy kernel is the Grams' test oracle (tests/test_exact.py).
 
 The Gram is read off the terms in pairs. With tau, tau' two Brown terms,
 c their sender coefficients and X, Y, R the basis states they give the two
@@ -28,12 +30,15 @@ takes 0.2 to 0.4 ms, and a CLI sweep builds one. The stores are
 lru_caches on finite keys: _channel (4 channels), _factor (8 labels under
 each), _terms (4: Bob or David, by sender outcome), branch_matrix (Bob's
 8 and David's 32 noiseless branches), _branch (Bob's and David's 160
-branches) and _curves (288 rows under the four channels).
+branches, the one store per branch: every table and hrsp.pipeline's
+receiver_state read it) and _curves (288 rows under the four channels;
+hrsp.pipeline's stacks call its uncached build, so a library process does
+not keep the integer curves beside the arrays).
 
 What a table row means is read here alone: _correction is the one reader
-of a row's integer correction (v, q), which _curves and hrsp.pipeline's
-stacks both take, and _curves holds the row's eta = 1 folds, which sweep()
-and the tie decision both read.
+of a row's integer correction (v, q), which _curves takes, and _curves
+holds the row's curves and eta = 1 folds, which sweep(), the tie decision
+and the library's stacks read.
 
 Which evaluation runs: `hrsp sweep` and `python -m hrsp.cli sweep` call
 sweep() here on every grid, so no CLI sweep imports numpy, whose import is
@@ -80,8 +85,9 @@ NOISE_KINDS = ("ad", "pd")
 MAX_GRID_POINTS = 100_001   # step 1e-5; bounds the samples a sweep holds
 #: how near a printed boundary (k + 1/2) 10^-6, in units of 10^-6, a
 #: fidelity's float must lie for fidelity_texts to decide its digit exactly:
-#: 1e-12, the bound to which the two sweeps' floats agree. A wider margin
-#: only sends more cells down the exact path by chance, at about 4 ms each
+#: 1e-12, above the 5.6e-16 to which the two sweeps' floats agree on every
+#: row at steps 0.1 and 0.001. A wider margin only sends more cells down the
+#: exact path by chance, at about 4 ms each
 TIE_MARGIN = 1e-6
 #: a curve's coefficients: powers eta^0..eta^6 times s^0..s^12; the power
 #: eta^M s^j has the index M * S_ORDERS + j
@@ -433,7 +439,9 @@ def default_grid(step: float = 0.1) -> tuple[float, ...]:
     if n < 1 or abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step {step} does not divide [0, 1] evenly")
     if n + 1 > MAX_GRID_POINTS:
-        raise ValueError(f"step {step} gives {n + 1} grid points, more than "
+        # the exact count while it is short: a step of 1e-300 gives 301 digits
+        points = n + 1 if n < 10**12 else f"about {n + 1:.0e}"
+        raise ValueError(f"step {step} gives {points} grid points, more than "
                          f"MAX_GRID_POINTS = {MAX_GRID_POINTS}")
     return tuple(round(i * step, 10) for i in range(n + 1))
 
@@ -589,7 +597,7 @@ def _branch(noise_kind: str, correlated: bool, receiver: str,
             sender_outcome: str, collaborator_outcomes: tuple) -> tuple:
     """One outcome branch under one channel, exactly: (scale, gram,
     amplitude), with gram the nonzero coefficients of G[P, m, i, n, j]
-    (hrsp.pipeline._branch) times scale, as ((P, m, i, n, j), int) pairs,
+    (see hrsp.pipeline) times scale, as ((P, m, i, n, j), int) pairs,
     and amplitude[m][i] the t^0 amplitude of W_m at receiver basis state i
     times sqrt(scale), as (power of s, int) pairs. scale is 8 |x|^2 |y|^2,
     |x| and |y| the norms of the integer collaborator kets."""
@@ -658,13 +666,20 @@ def _curves(noise_kind: str, correlated: bool, table: str, row: int) -> tuple:
     probability: dict = {}
     # a coefficient g of G[P, m, i, n, j] adds g v_a,i v_b,j to the monomial
     # m + n + a + b of ||W u||^2 at P, and g where i = j to the monomial
-    # m + n of p
+    # m + n of p: the pair (i, j) weighs g by the sums over a + b = 0, 1, 2,
+    # computed once per row
+    v0, v1 = v
+    pairs = [[(v0[i] * v0[j], v0[i] * v1[j] + v1[i] * v0[j], v1[i] * v1[j])
+              for j in range(4)] for i in range(4)]
     for (p, m, i, n, j), g in gram:
         quartic = numerator.setdefault(p, [0] * 5)
-        for a, b in product(range(2), repeat=2):
-            quartic[m + n + a + b] += g * v[a][i] * v[b][j]
+        w0, w1, w2 = pairs[i][j]
+        k = m + n
+        quartic[k] += g * w0
+        quartic[k + 1] += g * w1
+        quartic[k + 2] += g * w2
         if i == j:
-            probability.setdefault(p, [0] * 3)[m + n] += g
+            probability.setdefault(p, [0] * 3)[k] += g
     wu: dict = {}
     for m, a, i in product(range(2), range(2), range(4)):
         for j, c in amplitude[m][i]:

@@ -12,15 +12,17 @@ the receiver's state; the dense 128x128 chain (channel, measurement
 operator, partial trace) and the Uhlmann fidelity that the tests hold it
 against live in tests/dense_oracle.py.
 
-Two evaluations sweep a row, both from the Grams that hrsp.exact builds
-in integers and the corrections it reads (hrsp.exact._correction).
-sweep() here is the library's (hrsp.sweep): it evaluates a whole table per
-grid chunk with numpy, which a scan of many rows shares and which streams
-a 100,001-point grid in about 0.2 s. Every CLI sweep runs hrsp.exact.sweep
-instead: it evaluates its one row in plain floats, so no CLI process
-imports numpy. The two evaluations agree to 1e-12 on every row, and each
-is the other's test oracle; the numpy kernel states.branch_amplitudes is
-the Grams' (tests/test_exact.py).
+Two evaluations sweep a row, both of the one derivation of its curves,
+hrsp.exact._curves: integers from the Gram that hrsp.exact builds and the
+correction it reads (hrsp.exact._correction). sweep() here is the
+library's (hrsp.sweep): it evaluates a whole table per grid chunk with
+numpy, which a scan of many rows shares and which streams a 100,001-point
+grid in about 0.2 s. Every CLI sweep runs hrsp.exact.sweep instead: it
+evaluates its one row in plain floats, so no CLI process imports numpy.
+They read the same integers and differ only in their float arithmetic:
+on every row at steps 0.1 and 0.001 they agree to 5.6e-16 in F and 1.1e-16
+in p, and each is the other's test oracle; the numpy kernel states.branch_amplitudes is the Grams'
+(tests/test_exact.py).
 
 The state has one cached form per outcome branch, its Gram matrix
 G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^T G u and
@@ -37,37 +39,34 @@ David's 32 again, for both Hadamard receivers: |Psi> is symmetric under
 swapping Charlie and David, so Charlie's branches are David's, bitwise,
 and no sweep builds one of Charlie's.
 
-The noisy side has three stores, lru_caches filled on first use, all
+The noisy side reads two stores, lru_caches filled on first use, both
 read-only:
 
-- _trace, one entry per (noise kind, channel mode): the channel's trace
-  on |Psi><Psi| by power, 0.73 KB. Every table of the channel and
-  receiver_state read it.
-- _branch, one entry per (noise kind, channel mode, receiver, outcome
-  branch), the receiver being Bob or David: one exact build
-  (hrsp.exact._branch, 0.2 to 0.4 ms; its own cache is left empty), as
-  arrays. It keeps the t^0 amplitude of W_0 and W_1 by power of s, and
-  the nonzero Gram coefficients, exact dyadic values, with the five
-  coordinates (P, m, i, n, j) of each in one uint8 array. Every table that
-  reads the branch shares the entry, Charlie and David included, and so
-  does receiver_state.
+- hrsp.exact._branch, one entry per (noise kind, channel mode, receiver,
+  outcome branch), the receiver being Bob or David: the branch's exact
+  build, 0.2 to 0.4 ms, its t^0 amplitude of W_0 and W_1 by power of s
+  and its nonzero Gram coefficients, each with its five coordinates
+  (P, m, i, n, j), as integers over a power of two. Every table that reads
+  the branch shares the entry, Charlie and David included, and so does
+  receiver_state.
 - _stack, one entry per (noise kind, channel mode, table): the table's
-  curve stack and its column set (below), folded from its rows' _branch
-  entries and corrections.
+  curve stack and its column set (below), laid out from its rows'
+  hrsp.exact._curves. It calls their uncached build, so the process keeps
+  the arrays alone, not the integer curves beside them.
 
 So each branch is built once per process, whichever tables read it: a
 process that sweeps rows II-1, III-1 and oracle-1 makes 32 builds.
-The key spaces are finite: 2 x 2 x (8 + 32) = 160 branches, which take
-0.9 to 4.2 KB each and 0.41 MB in all, and 2 x 2 x 4 = 16 tables, whose
+The key spaces are finite: 2 x 2 x (8 + 32) = 160 branches, of 4 to 256
+Gram coefficients each, 21026 in all, and 2 x 2 x 4 = 16 tables, whose
 stacks take 10.2 to 225.3 KB and 0.98 MB in all, so no cache needs a size
 limit. A scan of all 72 rows under both noise kinds and the correlated
-channel fills 80 branches, 0.14 MB, and 8 stacks, 0.34 MB.
+channel fills 80 branches, of 5526 Gram coefficients (0.70 MB traced, with
+the channel's factors they read), and 8 stacks, 0.34 MB.
 
 Every curve coefficient has one index, that of its power eta^M s^j,
 M * S_ORDERS + j (0 to 90): in the Grams, in the channel's trace curve and
-in the rows of an evaluation's grid side. A table is the only store of its
-rows' curves: _stack derives each row's curves from its branch's G and its
-correction u = O^T xi:
+in the rows of an evaluation's grid side. A row's curves follow from its
+branch's G and its correction u = O^T xi (hrsp.exact._curves):
 
     p = sum_M eta^M D_M(s),    ||W u||^2 = sum_M eta^M N_M(s),
 
@@ -82,20 +81,22 @@ eta = 1, by power of s. Its columns are the table's column set, read off
 the blocks it stores: the powers at which some row of some block, a curve,
 an eta = 1 fold, the t^0 amplitude or the trace, is nonzero; David's
 tables II and III have the same one under every channel. So a table's
-blocks are one read-only (rows, 20, K) array. Each row's u = alpha v_0 +
-beta v_1 is hrsp.exact._correction's integers v over sqrt(q): rows 0 and 3
-of a published rule's gate product, or for a derived row, which needs no
-oracle search, the columns of its noiseless branch S over ||S_0||.
+blocks are one read-only (rows, 20, K) array.
 
-_stack folds one row at a time: it bincounts the row's curves over all 91
-powers, 14.6 KB, folds them there, and writes them into the table's one
-stack, allocated up front on its span: the powers its rows' Grams and the
-trace reach, and eta^0 s^0..s^12. The column set is then read off that
-stack. So a cold build's transient, its traced peak less the traced bytes
-still held after it (the entry, and the trace and branch entries it
-filled), is one branch's work and the span-wide stack, most of it for a
-32-row table: 0.04 to 0.26 MB over the 16 entries (tracemalloc, numpy
-2.4).
+_stack lays out each row's exact curves, integers with u = alpha v_0 +
+beta v_1 and hrsp.exact._correction's integers v over sqrt(q), over their
+denominators: the numerator ||W u||^2 at the powers eta^M s^j with
+M >= 1 over scale q, the probability over scale, the t^0 amplitude over
+sqrt(scale q), the channel's trace over 8 and the eta = 1 folds over
+scale q and scale, with scale the branch's power of two. So each stored
+float is one division of an exact integer. It builds its rows' curves
+first, then the table's one stack on its span: the powers its rows'
+numerators and the trace reach, and eta^0 s^0..s^12. The column set is
+then read off that stack. So a cold build's transient, its traced peak
+less the traced bytes still held after it (the entry, and the branch
+entries it filled), is the rows' integer curves and the span-wide stack,
+most of it for a 32-row table: 0.04 to 0.34 MB over the 16 entries
+(tracemalloc, numpy 2.4, Python 3.11).
 
 _evaluate samples every row of a table's stack at one target on one grid
 chunk of GRID_CHUNK = 1024 etas. It multiplies the stack by the target's
@@ -127,13 +128,14 @@ whole table, 8 to 32 rows, once per chunk. The slot holds at most 32 rows
 x GRID_CHUNK etas x 2 floats, 0.52 MB, read-only, as every sweep at its
 key shares it. Every sweep still makes the TraceDeficitWarning check.
 
-receiver_state reads its row's _branch entry, the Gram the row's curves
-come from, and the channel's trace curve. It weighs each Gram coefficient
-by its power eta^M s^j at its one eta and by the target's alpha^2,
-alpha beta or beta^2, and returns rho = G^T / p. It builds no table: a
-cold call makes one build, for its own branch, and a warm one none.
-It evaluates all 91 powers at its one eta, for the Gram and the trace
-curve, with the same _monomials as an evaluation.
+receiver_state reads its row's hrsp.exact._branch entry, the Gram the
+row's curves come from, and the channel's trace curve
+(hrsp.exact._channel). It weighs each Gram coefficient by its power
+eta^M s^j at its one eta and by the target's alpha^2, alpha beta or
+beta^2, and returns rho = G^T / p. It builds no table: a cold call makes
+one build, for its own branch, and a warm one none. It evaluates all 91
+powers at its one eta, for the Gram and the trace curve, with the same
+_monomials as an evaluation.
 
 Where a Bob outcome's probability vanishes at eta = 1 (every damping path
 annihilates it), that grid point takes the exact limit eta -> 1: with j0 the
@@ -145,6 +147,7 @@ boundary_extended = True and branch probability 0.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import repeat
 
@@ -166,50 +169,12 @@ GRID_CHUNK = 1024
 
 
 @lru_cache(maxsize=None)
-def _trace(noise_kind: str, correlated: bool) -> np.ndarray:
-    """The channel's trace on |Psi><Psi| by power index, read-only, from
-    hrsp.exact's integers (8 times the trace)."""
-    trace = np.zeros(_POWERS)
-    for power, value in exact._channel(noise_kind, correlated)[3].items():
-        trace[power] = value / 8
-    trace.setflags(write=False)
-    return trace
-
-
-@lru_cache(maxsize=None)
-def _branch(noise_kind: str, correlated: bool, receiver: str,
-            sender_outcome: str, collaborator_outcomes: tuple) -> tuple:
-    """One of Bob's or David's outcome branches under one channel, read-only,
-    as arrays of hrsp.exact's integer build: its t^0 amplitude [m, i, s^j]
-    of W_m at the unit targets (m = 0 for alpha, 1 for beta), and the
-    nonzero coefficients of its Gram G[P, m, i, n, j] = sum_k W_m,ki W_n,kj,
-    with the (P, m, i, n, j) of each as the rows of one uint8 array. The
-    Gram is exact: integers over 8 |x|^2 |y|^2, a power of two."""
-    # the uncached build: this store keeps the branch, as arrays
-    scale, gram, amplitude = exact._branch.__wrapped__(
-        noise_kind, correlated, receiver, sender_outcome, collaborator_outcomes)
-    # a power index, below _POWERS, fits a byte
-    coordinates = np.array([key for key, _ in gram], dtype=np.uint8).T
-    gram = np.array([value for _, value in gram], dtype=float) / scale
-    t0 = np.zeros((2, 4, S_ORDERS))
-    for m, a_m in enumerate(amplitude):
-        for i, poly in enumerate(a_m):
-            for j, value in poly:
-                t0[m, i, j] = value
-    t0 /= np.sqrt(scale)
-    for array in (t0, gram, coordinates):
-        array.setflags(write=False)
-    return t0, gram, coordinates
-
-
-@lru_cache(maxsize=None)
 def _stack(noise_kind: str, correlated: bool,
            table: str) -> tuple[np.ndarray, np.ndarray]:
-    """What the sweeps read of one table under one channel, both read-only,
-    folded from its rows' _branch entries and corrections:
+    """What the sweeps read of one table under one channel, both read-only:
+    its rows' hrsp.exact._curves laid out as arrays over their denominators.
 
-    - the stack, every row's exact curves from its branch's Gram and its
-      correction: (rows, 20, K) blocks in row order, whose rows go with the
+    - the stack, (rows, 20, K) blocks in row order, whose rows go with the
       columns of _target_monomials: the coefficients of ||W u||^2 (without
       its eta^0 part) for alpha^4, alpha^3 beta, ..., beta^4, then those of
       p and of the t^0 amplitude W u, each for alpha^2, alpha beta, beta^2,
@@ -217,43 +182,34 @@ def _stack(noise_kind: str, correlated: bool,
       s in the columns of the powers eta^0 s^j;
     - the columns, the power index of each of the K columns: the powers at
       which some row of some block is nonzero."""
-    receivers, keys = _TABLES[table]
-    trace = _trace(noise_kind, correlated)
-    branches = [_branch(noise_kind, correlated, receivers[-1], *key)
-                for key in keys]
-    # the span: the powers the rows' Grams and the trace reach, and eta^0
-    # s^0..s^12, where the amplitude and the eta = 1 folds lie
-    reached = trace != 0.0
-    reached[:S_ORDERS] = True
-    for _, _, coordinates in branches:
-        reached[coordinates[0]] = True
-    (span,) = np.nonzero(reached)
-    stack = np.zeros((len(keys), 20, len(span)))
-    for row, (amplitude, gram, (power, m, i, n, j)) in enumerate(branches):
-        v, q = exact._correction(table, row + 1)
-        v = np.array(v) / np.sqrt(q)
-        # u = O^T xi = alpha v_0 + beta v_1, and ||W u||^2 = u^T G u: a
-        # coefficient g of G[P, m, i, n, j] adds g v_p,i v_q,j, p, q = 0, 1,
-        # to the monomial m + n + p + q of ||W u||^2 at power P, and g where
-        # i = j (0 elsewhere) to its monomial 5 + m + n, that of p: rows 0 to
-        # 7 of the row's block, over all _POWERS powers until it is cut to
-        # the span
-        weight = np.concatenate([(gram * v[:, i][:, None] * v[:, j]).reshape(4, -1),
-                                 [gram * (i == j)]])
-        at = (m + n + np.array([[0], [1], [1], [2], [5]])) * _POWERS + power
-        curves = np.bincount(at.reshape(-1), weight.reshape(-1),
-                             20 * _POWERS).reshape(20, _POWERS)
-        # the eta = 1 fold reads the whole numerator; the curve keeps its t^0
-        # part, all of it at eta = 0, as the square of its amplitude: a
-        # fidelity of 0 there stays 0, not the root of the ~1e-18 rounding
-        # left where squared coefficients cancel. The powers eta^0 s^j are
-        # the first S_ORDERS columns, of the span and of the column set
-        curves[12:, :S_ORDERS] = curves[:8].reshape(8, ETA_ORDERS, S_ORDERS).sum(1)
-        curves[:5, :S_ORDERS] = 0.0
-        y = v @ amplitude       # [m, p, j]: v_p . a_m at s^j
-        curves[8:11, :S_ORDERS] = y[0, 0], y[0, 1] + y[1, 0], y[1, 1]
-        curves[11] = trace
-        stack[row] = curves[:, span]
+    count = len(_TABLES[table][1])
+    trace = exact._channel(noise_kind, correlated)[3]
+    # the uncached build: this store keeps the curves, as arrays
+    curves = [exact._curves.__wrapped__(noise_kind, correlated, table, row)
+              for row in range(1, count + 1)]
+    # the span: the powers the rows' numerators and the trace reach, and
+    # eta^0 s^0..s^12, where the amplitude and the eta = 1 folds lie, its
+    # first S_ORDERS columns
+    span = np.array(sorted(set(range(S_ORDERS)).union(
+        trace, *(numerator for _, _, numerator, *_ in curves))))
+    # the integers first, the numerator, probability and amplitude (items 2
+    # to 4 of a row's curves) in block rows 0-4, 5-7 and 8-10, the trace in
+    # row 11 and the folds in rows 12-19; then each over its denominator
+    stack = np.zeros((count, 20, len(span)))
+    for item, block in ((2, slice(0, 5)), (3, slice(5, 8)), (4, slice(8, 11))):
+        rows, powers = np.array([(row, power) for row, curve in enumerate(curves)
+                                 for power in curve[item]]).T
+        stack[rows, block, span.searchsorted(powers)] = [
+            coefficients for curve in curves for coefficients in curve[item].values()]
+    stack[:, 11, span.searchsorted(list(trace))] = list(trace.values())
+    stack[:, 12:, :S_ORDERS] = np.array([[n + p for n, p in folds]
+                                         for *_, folds in curves]).transpose(0, 2, 1)
+    # the curve keeps the t^0 part of ||W u||^2, all of it at eta = 0, as the
+    # square of its amplitude: a fidelity of 0 there stays 0, not the root of
+    # the ~1e-18 rounding left where squared coefficients cancel
+    stack[:, :5, :S_ORDERS] = 0.0
+    stack /= np.repeat([(scale * q, scale, math.sqrt(scale * q), 8, scale * q, scale)
+                        for scale, q, *_ in curves], (5, 3, 3, 1, 5, 3), axis=1)[..., None]
     # the columns: the powers that some block reaches; an index below
     # _POWERS fits a byte
     (columns,) = np.nonzero(stack.any(axis=(0, 1)))
@@ -297,15 +253,18 @@ def receiver_state(config: PipelineConfig, eta: float) -> tuple[np.ndarray, floa
     exact build, for the branch alone, if it is cold."""
     if not 0.0 <= eta <= 1.0:   # False for NaN
         raise ValueError(f"noise parameter must be in [0, 1], got {eta}")
-    monomials = _monomials(np.array([eta]))[:, 0]
-    trace = _trace(config.noise_kind, config.correlated)
-    warn_trace_deficit(1.0 - float(trace @ monomials))
+    monomials = _monomials(np.array([eta]))[:, 0].tolist()
+    trace = exact._channel(config.noise_kind, config.correlated)[3]
+    warn_trace_deficit(1.0 - sum(value * monomials[power]
+                                 for power, value in trace.items()) / 8)
     receivers, keys = _TABLES[config.table]
-    _, gram, (power, m, i, n, j) = _branch(config.noise_kind, config.correlated,
-                                           receivers[-1], *keys[config.row - 1])
-    target = np.array([config.spec.alpha, config.spec.beta])
-    g = np.bincount(i * 4 + j, gram * monomials[power] * target[m]
-                    * target[n], 16).reshape(4, 4)
+    scale, gram, _ = exact._branch(config.noise_kind, config.correlated,
+                                   receivers[-1], *keys[config.row - 1])
+    target = config.spec
+    g = [0.0] * 16
+    for (power, m, i, n, j), value in gram:
+        g[i * 4 + j] += value / scale * monomials[power] * target[m] * target[n]
+    g = np.array(g).reshape(4, 4)
     p = float(np.trace(g))
     if p <= BRANCH_PROBABILITY_FLOOR:
         raise BranchProbabilityError(

@@ -208,6 +208,14 @@ class TestSweep:
         assert "1000001 grid points, more than MAX_GRID_POINTS = 100001" in err
         assert not out_path.exists()
 
+    def test_huge_grid_count_is_not_printed_in_full(self, tmp_path, capsys):
+        # the count of a step of 1e-300 has 301 digits
+        code, _, err = run_cli(["sweep", "--step", "1e-300", "--out",
+                                str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert "gives about 1e+300 grid points, more than MAX_GRID_POINTS" in err
+        assert len(err) < 200
+
     @pytest.mark.parametrize("row", ["0", "33"])
     def test_oracle_row_out_of_range_exits_two(self, row, tmp_path, capsys):
         code, _, err = run_cli(["sweep", "--receiver", "charlie", "--table",

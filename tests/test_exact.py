@@ -105,8 +105,7 @@ class TestExactGrams:
     def test_numpy_kernel_matches_the_exact_rationals(self):
         # all 160 branches: 2 noise kinds x 2 modes x (Bob's 8 + David's 32);
         # where the exact coefficient is 0 the kernel's is a rounding
-        # residue. The library's store is the exact build, divided by its
-        # power-of-two scale
+        # residue
         count = 0
         for noise_kind, correlated, receiver in itertools.product(
                 ("ad", "pd"), (True, False), ("bob", "david")):
@@ -126,10 +125,6 @@ class TestExactGrams:
                     for j, value in enumerate(kernel_amplitude[m, i].tolist()):
                         assert abs(value - exact_row.get(j, 0)
                                    / math.sqrt(scale)) <= 1e-15
-                _, values, coordinates = pipeline._branch(noise_kind, correlated,
-                                                          receiver, *key)
-                assert dict(zip(map(tuple, coordinates.T.tolist()),
-                                values.tolist())) == want
                 count += 1
         assert count == 160
 
@@ -163,9 +158,12 @@ class TestExactSweep:
             assert got.config == config
             assert [(s.eta, s.boundary_extended) for s in got.samples] == \
                 [(s.eta, s.boundary_extended) for s in want.samples]
+            # the same integer curves on both paths: only the order of their
+            # float sums differs (at most 5.6e-16 in F, 1.1e-16 in p, measured
+            # at steps 0.1 and 0.001)
             for g, w in zip(got.samples, want.samples):
-                assert abs(g.fidelity - w.fidelity) <= 1e-12
-                assert abs(g.branch_probability - w.branch_probability) <= 1e-12
+                assert abs(g.fidelity - w.fidelity) <= 1e-15
+                assert abs(g.branch_probability - w.branch_probability) <= 5e-16
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(row=st.sampled_from(ALL_ROWS), noise_kind=st.sampled_from(["ad", "pd"]),
@@ -178,7 +176,11 @@ class TestExactSweep:
              theta=math.pi / 2, grid=[0.999, 1.0])
     def test_any_target_and_grid_matches_the_library_path(
             self, row, noise_kind, correlated, theta, grid):
-        # on the axes too, where the lowest order of p at eta = 1 changes
+        # on the axes too, where the lowest order of p at eta = 1 changes.
+        # F^2 is compared: where F tends to 0, as eta -> 1 on some rows, the
+        # root turns F^2's rounding into that over 2F (F differs by 8.7e-10
+        # at eta = 1 - 2^-53 on uncorrelated AD II-2 at alpha = beta, whose
+        # F^2 differs by 1e-17; F^2 by at most 1.1e-15 on any grid tried)
         table, number, receiver = row
         config = exact.PipelineConfig(
             noise_kind, receiver, table, number,
@@ -187,8 +189,8 @@ class TestExactSweep:
         assert [s.boundary_extended for s in got.samples] == \
             [s.boundary_extended for s in want.samples]
         for g, w in zip(got.samples, want.samples):
-            assert abs(g.fidelity - w.fidelity) <= 1e-12
-            assert abs(g.branch_probability - w.branch_probability) <= 1e-12
+            assert abs(g.fidelity ** 2 - w.fidelity ** 2) <= 2.5e-15
+            assert abs(g.branch_probability - w.branch_probability) <= 5e-16
 
     @pytest.mark.parametrize("correlated", [True, False])
     def test_warns_as_the_library_path_at_the_callers_line(self, correlated):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hrsp import pipeline
+from hrsp import exact, pipeline
 from hrsp.linalg import I2, kron
 from hrsp.noise import TraceDeficitWarning
 from hrsp.pipeline import PipelineConfig, receiver_state
@@ -230,9 +230,10 @@ class TestChannelTrace:
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_matches_dense_channel(self, kind, correlated):
-        # one curve per channel, its _trace entry
-        trace = pipeline._trace(kind, correlated)
-        curve = trace @ pipeline._monomials(np.array(self.ETAS))
+        # one curve per channel, 8 times its integer trace in hrsp.exact
+        monomials = pipeline._monomials(np.array(self.ETAS))
+        curve = sum(value / 8 * monomials[power] for power, value
+                    in exact._channel(kind, correlated)[3].items())
         stacks = party_kraus_stack(kraus_operators(kind, self.ETAS), correlated)
         rho = protocol_rho()
         for eta, stack, got, oracle in zip(self.ETAS, stacks, curve,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -456,30 +457,46 @@ class TestExactCurve:
                 assert abs(sample.fidelity - f) < 1e-12
                 assert abs(sample.branch_probability - p) < 1e-15
 
-    def test_every_block_lies_on_its_lattice(self):
-        """Every coefficient of every _stack block is a small multiple of a
-        dyadic step: the squared rows (||W u||^2, p, the trace, the eta = 1
-        folds) of 2^-9, the t^0 amplitude rows of 2^-4 / sqrt(2); so is every
-        coefficient of each of the 160 branch Grams, of 2^-9. This checks the
-        kernel against its own structure; an exact derivation of the blocks
-        that shares no code with it is still open."""
-        squared = np.r_[0:8, 11:20]
-        blocks = [pipeline._stack(noise, correlated, table)[0][row - 1]
-                  for noise, correlated, (table, row, _) in itertools.product(
-                      ["ad", "pd"], [True, False], ALL_ROWS)]
-        grams = [pipeline._branch(noise, correlated, receiver, *key)[1]
-                 for noise, correlated, receiver in itertools.product(
-                     ["ad", "pd"], [True, False], ["bob", "david"])
-                 for key in protocol.BRANCHES[receiver]]
-        assert len(grams) == 160
-
-        def worst(arrays, scale):
-            return max(np.max(np.abs(a * scale - np.round(a * scale)))
-                       for a in arrays)
-
-        assert worst([block[squared] for block in blocks], 2**9) < 1e-11
-        assert worst([block[8:11] for block in blocks], 2**4 * np.sqrt(2)) < 1e-13
-        assert worst(grams, 2**9) < 1e-11
+    def test_every_stack_is_its_rows_curves_laid_out(self):
+        """Each of the 16 stacks is its rows' exact integer curves
+        (hrsp.exact._curves) over their denominators, bitwise, each
+        coefficient one float division of an exact integer: per power P, the
+        numerator over scale q at P = eta^M s^j with M >= 1, the probability
+        over scale, the t^0 amplitude over sqrt(scale q), the channel's
+        trace over 8 and the eta = 1 folds over scale q and scale, at
+        P = eta^0 s^j. The columns are exactly the powers at which some of
+        it is nonzero. Laid out here one float at a time."""
+        for noise, correlated, table in itertools.product(
+                ("ad", "pd"), (True, False), pipeline._TABLES):
+            trace = exact._channel(noise, correlated)[3]
+            want = []
+            for row in range(1, len(pipeline._TABLES[table][1]) + 1):
+                scale, q, numerator, probability, amplitude, folds = (
+                    exact._curves(noise, correlated, table, row))
+                block = [[0.0] * pipeline._POWERS for _ in range(20)]
+                for power in range(pipeline._POWERS):
+                    eta_free = power < pipeline.S_ORDERS
+                    for k in range(5):
+                        if power in numerator and not eta_free:
+                            block[k][power] = numerator[power][k] / (scale * q)
+                        if eta_free:
+                            block[12 + k][power] = folds[power][0][k] / (scale * q)
+                    for k in range(3):
+                        if power in probability:
+                            block[5 + k][power] = probability[power][k] / scale
+                        if power in amplitude:
+                            block[8 + k][power] = (amplitude[power][k]
+                                                   / math.sqrt(scale * q))
+                        if eta_free:
+                            block[17 + k][power] = folds[power][1][k] / scale
+                    block[11][power] = trace.get(power, 0) / 8
+                want.append(block)
+            want = np.array(want)
+            stack, columns = pipeline._stack(noise, correlated, table)
+            assert columns.tolist() == np.nonzero(want.any(axis=(0, 1)))[0].tolist()
+            assert np.array_equal(stack.view(np.uint64),
+                                  want[..., columns].view(np.uint64)), (
+                noise, correlated, table)
 
     def test_branch_that_never_lives_is_rejected(self, monkeypatch):
         stack, *rest = pipeline._stack("ad", True, "I")
@@ -493,29 +510,20 @@ class TestExactCurve:
 
 
 def clear_noisy_caches():
-    for cache in (pipeline._trace, pipeline._branch, pipeline._stack,
-                  pipeline._evaluate):
+    for cache in (exact._branch, pipeline._stack, pipeline._evaluate):
         cache.cache_clear()
 
 
 class TestKernelCalls:
     """Each outcome branch costs one exact build per process, whatever the
     grid, the target, the rule or the table that reads it: the tables and
-    receiver_state share one _branch entry per branch. The builds of
-    hrsp.exact that _branch makes are counted, no timing."""
+    receiver_state share one hrsp.exact._branch entry per branch. The
+    builds are its cache's misses, no timing."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        made = []
-        build = exact._branch.__wrapped__
-
-        def counted(*args):
-            made.append(args[2:])
-            return build(*args)
-
-        monkeypatch.setattr(exact._branch, "__wrapped__", counted)
+    def builds(self):
         clear_noisy_caches()
-        yield made
+        yield lambda: exact._branch.cache_info().misses
         clear_noisy_caches()
 
     def test_tables_partition_the_branches(self):
@@ -536,94 +544,96 @@ class TestKernelCalls:
         ("ad", "bob", "I", 1), ("ad", "david", "II", 1),
         ("pd", "david", "III", 6), ("ad", "charlie", "oracle", 20),
         ("pd", "david", "oracle", 20)])
-    def test_cold_then_warm_sweep(self, calls, noise, receiver, table, row):
-        # a cold sweep builds the branches of its table's rows once, in row
-        # order: 8 for table I, 16 for II and for III, 32 for the derived
-        # table, David's for either receiver
+    def test_cold_then_warm_sweep(self, builds, noise, receiver, table, row):
+        # a cold sweep builds the branches of its table's rows once: 8 for
+        # table I, 16 for II and for III, 32 for the derived table, David's
+        # for either receiver
         config = PipelineConfig(noise, receiver, table, row, BALANCED,
                                 default_grid(0.1))
         sweep(config)
         cold = {"I": 8, "II": 16, "III": 16, "oracle": 32}[table]
         read = "david" if table == "oracle" else receiver
-        assert calls == [(read, *key) for key in pipeline._TABLES[table][1]]
-        assert len(calls) == cold
+        assert builds() == exact._branch.cache_info().currsize == cold
+        for key in pipeline._TABLES[table][1]:
+            exact._branch(noise, True, read, *key)
+        assert builds() == cold
         sweep(config._replace(spec=TargetSpec(0.6, -0.8),
                               eta_grid=default_grid(0.001)))
         receiver_state(config, 0.5)
-        assert len(calls) == cold
+        assert builds() == cold
 
-    def test_receiver_state_reads_the_sweeps_branches(self, calls):
+    def test_receiver_state_reads_the_sweeps_branches(self, builds):
         # a cold receiver_state builds its own row's branch and no
         # table
         receiver_state(default_config("ad", "bob", row=3), 0.3)
-        assert calls == [("bob", *pipeline._TABLES["I"][1][2])]
+        assert builds() == 1
+        exact._branch("ad", True, "bob", *pipeline._TABLES["I"][1][2])
+        assert builds() == 1
         assert pipeline._stack.cache_info().currsize == 0
         clear_noisy_caches()
-        calls.clear()
         # tables II and III read David's 32 branches between them, and the
         # derived table reads them again, for either receiver; no other
-        # sweep or receiver_state on those tables makes a call
+        # sweep or receiver_state on those tables makes a build
         sweep(default_config("ad", "david", row=1))
-        assert len(calls) == 16
+        assert builds() == 16
         sweep(default_config("ad", "david", table="III", row=1))
-        assert len(calls) == 32
+        assert builds() == 32
         sweep(default_config("ad", "charlie", row=1))
-        assert len(calls) == 32
+        assert builds() == 32
         for receiver, table, row in (("david", "II", 2), ("david", "III", 16),
                                      ("charlie", "oracle", 5),
                                      ("david", "oracle", 32)):
             receiver_state(default_config("ad", receiver, TargetSpec(0.6, 0.8),
                                           table=table, row=row), 0.3)
-        assert len(calls) == len(set(calls)) == 32
+        assert builds() == exact._branch.cache_info().currsize == 32
         assert pipeline._stack.cache_info().currsize == 3
-        assert pipeline._branch.cache_info().currsize == 32
 
-    def test_grid_size_does_not_add_calls(self, calls):
+    def test_grid_size_does_not_add_calls(self, builds):
         config = default_config("pd", "bob", step=0.1)
         sweep(config)
-        small = len(calls)
+        small = builds()
         clear_noisy_caches()
         sweep(config._replace(eta_grid=default_grid(1e-5)))
-        assert len(calls) - small <= small
+        assert builds() <= small
 
     def test_cache_bounds_match_the_docs(self):
         # the worst case of each cache, computed, is the figure that the
-        # pipeline docstring quotes: a channel's trace, the branches (in all and
-        # for a correlated scan) and the stacks (likewise), the evaluation
-        # slot at its largest table, the grid side of a chunk at the largest
-        # column set, and a row's curves on all 91 powers. The 16 tables
-        # read all 160 branches
+        # pipeline docstring quotes: the Gram coefficients of hrsp.exact's
+        # branches and the bytes of the stacks (in all and for a correlated
+        # scan), the evaluation slot at its largest table and the grid side
+        # of a chunk at the largest column set. The 16 tables read all 160
+        # branches
         clear_noisy_caches()
         channels = [(noise, correlated) for noise in ("ad", "pd")
                     for correlated in (True, False)]
         entries = {(noise, correlated, table): pipeline._stack(
                        noise, correlated, table)
                    for noise, correlated in channels for table in pipeline._TABLES}
-        branches = {(noise, correlated, receiver, key): pipeline._branch(
-                        noise, correlated, receiver, *key)
+        assert len(entries) == pipeline._stack.cache_info().currsize == 16
+        assert exact._branch.cache_info().currsize == 160
+        branches = {(noise, correlated, receiver, key): len(exact._branch(
+                        noise, correlated, receiver, *key)[1])
                     for noise, correlated in channels
                     for receiver in ("bob", "david")
                     for key in protocol.BRANCHES[receiver]}
-        assert len(entries) == pipeline._stack.cache_info().currsize == 16
-        assert len(branches) == pipeline._branch.cache_info().currsize == 160
         chunk = max(len(columns) for _, columns in entries.values()) * (
             pipeline.GRID_CHUNK * 8)
         # fidelity and branch probability of each row at each eta of a chunk
         slot = max(len(rows) for _, rows in pipeline._TABLES.values()) * (
             pipeline.GRID_CHUNK * 2 * 8)
-        curves = 20 * pipeline._POWERS * 8
-        trace = pipeline._trace(*channels[0]).nbytes
-        figures = [f"{chunk / 1e6:.2f} MB", f"{slot / 1e6:.2f} MB",
-                   f"{curves / 1e3:.1f} KB", f"{trace / 1e3:.2f} KB"]
-        for sizes in ({key: sum(a.nbytes for a in entry)
-                       for key, entry in branches.items()},
-                      {key: entry[0].nbytes for key, entry in entries.items()}):
-            scan = sum(size for (_, correlated, *_), size in sizes.items()
-                       if correlated)
-            figures += [f"{min(sizes.values()) / 1e3:.1f} to "
-                        f"{max(sizes.values()) / 1e3:.1f} KB",
-                        f"{sum(sizes.values()) / 1e6:.2f} MB",
-                        f"{scan / 1e6:.2f} MB"]
+        figures = [f"{chunk / 1e6:.2f} MB", f"{slot / 1e6:.2f} MB"]
+        scan = sum(size for (_, correlated, *_), size in branches.items()
+                   if correlated)
+        figures += [f"{min(branches.values())} to {max(branches.values())} "
+                    f"Gram coefficients", f"{sum(branches.values())} in all",
+                    f"{scan} Gram coefficients"]
+        sizes = {key: entry[0].nbytes for key, entry in entries.items()}
+        scan = sum(size for (_, correlated, *_), size in sizes.items()
+                   if correlated)
+        figures += [f"{min(sizes.values()) / 1e3:.1f} to "
+                    f"{max(sizes.values()) / 1e3:.1f} KB",
+                    f"{sum(sizes.values()) / 1e6:.2f} MB",
+                    f"{scan / 1e6:.2f} MB"]
         doc = " ".join(pipeline.__doc__.split())
         for figure in figures:
             assert figure in doc
@@ -652,9 +662,9 @@ class TestKernelCalls:
 
     def test_build_transient_does_not_grow_with_the_rows(self):
         # a cold build's transient, its traced peak less the traced bytes
-        # still held after it (the entry and the trace and branch entries
-        # it filled), is one branch's work and the table's stack on its
-        # span: at most 0.4 MB for each of the 16 entries, of 8 to 32 rows.
+        # still held after it (the entry and the branch entries it filled),
+        # is its rows' integer curves and the table's stack on its span: at
+        # most 0.4 MB for each of the 16 entries, of 8 to 32 rows.
         # Each entry is built once first, so that no first-use allocation
         # is counted
         for key in itertools.product(("ad", "pd"), (True, False),
@@ -1081,28 +1091,26 @@ class TestChannelBlockCache:
     @pytest.mark.parametrize("correlated", [True, False])
     def test_block_is_read_only(self, noise, correlated):
         # the cached coefficients are shared by every later sweep of the
-        # table, the branches' by every table and receiver_state call, and
-        # the channel's by every branch and table
+        # table, and the branches' by every table and receiver_state call:
+        # the arrays are read-only, the exact branch is tuples of integers
         entry = pipeline._stack(noise, correlated, "II")
         assert entry is pipeline._stack(noise, correlated, "II")
         stack, columns = entry
         key = CORRECTION_TABLES["II"][0].outcomes
-        branch = pipeline._branch(noise, correlated, "david", *key)
-        assert branch is pipeline._branch(noise, correlated, "david", *key)
-        trace = pipeline._trace(noise, correlated)
-        assert trace is pipeline._trace(noise, correlated)
+        branch = exact._branch(noise, correlated, "david", *key)
+        assert branch is exact._branch(noise, correlated, "david", *key)
+        assert type(branch) is tuple and all(type(part) in (int, tuple)
+                                             for part in branch)
         target = pipeline._target_monomials(0.6, 0.8)
-        for coef in (stack, stack[2], columns, target, *branch, trace):
+        for coef in (stack, stack[2], columns, target):
             with pytest.raises(ValueError, match="read-only"):
                 coef[...] = 0
-        # the trace curve, indexed M * S_ORDERS + j, against the oracle's
-        # channel_trace of one-eta stacks
+        # the trace row, indexed by the columns' powers M * S_ORDERS + j,
+        # against the oracle's channel_trace of one-eta stacks
         etas = np.linspace(0.0, 1.0, 9)
         stacks = party_kraus_stack(kraus_operators(noise, etas), correlated)
-        got = np.einsum("em,mj,ej->e",
-                        etas[:, None] ** np.arange(pipeline.ETA_ORDERS),
-                        trace.reshape(pipeline.ETA_ORDERS, pipeline.S_ORDERS),
-                        np.sqrt(1 - etas)[:, None] ** np.arange(pipeline.S_ORDERS))
+        m, j = np.divmod(columns, pipeline.S_ORDERS)
+        got = stack[0, 11] @ (etas ** m[:, None] * np.sqrt(1 - etas) ** j[:, None])
         assert np.max(np.abs(got - channel_trace(stacks))) < 1e-14
 
     @pytest.mark.parametrize("noise", ["ad", "pd"])

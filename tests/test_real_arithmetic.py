@@ -1,6 +1,6 @@
 """hrsp computes in real arithmetic from |Psi> to the fidelity: the states,
-the channel's pair terms, the branch store and the curve stacks are
-float64, the correction search, the row verdicts and the table report are
+the channel's pair terms and the curve stacks are float64, the branch store
+holds integers, the correction search, the row verdicts and the table report are
 integers and float64, and only the Y gate tokens, which no published table
 uses, are complex. Every gate product steps with iY in their place, equal
 to Y up to a global phase, and counts its Y tokens."""
@@ -9,7 +9,7 @@ to Y up to a global phase, and counts its Y tokens."""
 import numpy as np
 import pytest
 
-from hrsp import linalg, noise, pipeline, protocol, states
+from hrsp import exact, linalg, noise, pipeline, protocol, states
 from hrsp.states import IDENTITY_STACK, TargetSpec
 
 from dense_oracle import (complex_correction_unitary, complex_verify_table,
@@ -48,14 +48,17 @@ def test_branch_amplitudes_are_real(kind, correlated):
 @pytest.mark.parametrize("kind", noise.NOISE_KINDS)
 @pytest.mark.parametrize("correlated", [True, False])
 def test_branch_store_and_stacks_are_real(kind, correlated):
+    # the one branch store, hrsp.exact's, holds integers; the stacks are its
+    # rows' integer curves as float64
     assert pair_terms(kind, correlated)[0].dtype == REAL
-    assert pipeline._trace(kind, correlated).dtype == REAL
     for receiver in ("bob", "david"):
         for key in protocol.BRANCHES[receiver]:
-            amplitude, gram, coordinates = pipeline._branch(
-                kind, correlated, receiver, *key)
-            assert amplitude.dtype == gram.dtype == REAL
-            assert coordinates.dtype.kind == "u"
+            scale, gram, amplitude = exact._branch(kind, correlated, receiver,
+                                                   *key)
+            values = [scale, *(value for _, value in gram),
+                      *(value for a_m in amplitude for poly in a_m
+                        for _, value in poly)]
+            assert {type(value) for value in values} == {int}
     for table in pipeline._TABLES:
         stack, columns = pipeline._stack(kind, correlated, table)
         assert stack.dtype == REAL
