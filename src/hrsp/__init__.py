@@ -2,11 +2,11 @@
 entangled state over a seven-qubit Brown-state channel, with correlated
 amplitude- and phase-damping noise.
 
-The exports are lazy (PEP 562): each name imports its submodule on first
-access, so `import hrsp` alone imports no numpy, and neither does any
-CLI command: a sweep reads the numpy-free hrsp.exact, and the verify
-commands hrsp.protocol (see there). The library's sweep is
-hrsp.pipeline's, with numpy."""
+The exports and the submodules are lazy (PEP 562): each name imports its
+submodule on first access, so `import hrsp` alone imports no numpy, and
+neither does any CLI command: a sweep reads the numpy-free hrsp.exact, and
+the verify commands hrsp.protocol (see there). numpy serves the library's
+sweep (hrsp.pipeline) and the resource-state vectors (hrsp.states)."""
 
 import importlib
 
@@ -19,15 +19,14 @@ _EXPORTS = {
                      "SweepResult", "TargetSpec", "default_config",
                      "default_grid"), "exact"),
     **dict.fromkeys(("receiver_state", "sweep"), "pipeline"),
-    **dict.fromkeys(("CORRECTION_TABLES", "TOKENS", "CorrectionRule",
-                     "correction_unitary", "derive_receiver_table",
+    **dict.fromkeys(("CORRECTION_TABLES", "CorrectionRule", "derive_receiver_table",
                      "format_table_report", "noiseless_fidelity",
                      "oracle_find_correction", "parse_gate_string",
                      "verify_factorization", "verify_table"), "protocol"),
-    **dict.fromkeys(("branch_amplitudes", "brown_state", "extend_with_ancillas",
-                     "protocol_state", "target_state", "zeta_basis"), "states"),
+    **dict.fromkeys(("brown_state", "extend_with_ancillas", "protocol_state",
+                     "target_state", "zeta_basis"), "states"),
 }
-_SUBMODULES = ("linalg", "noise", "pipeline", "protocol", "states")
+_SUBMODULES = ("cli", "exact", "linalg", "noise", "pipeline", "protocol", "states")
 
 __all__ = sorted([*_EXPORTS, *_SUBMODULES])
 

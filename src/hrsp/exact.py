@@ -12,7 +12,7 @@ derives the row's curves from both in integers (_curves), and only then
 turns to floats, to evaluate them on the grid. It is the one Gram builder
 and the one derivation of a row's curves: hrsp.pipeline's stacks are
 _curves laid out as arrays, its receiver_state reads _branch, and the
-numpy kernel is the Grams' test oracle (tests/test_exact.py).
+numpy kernel of tests/dense_oracle.py is the Grams' test oracle.
 
 The Gram is read off the terms in pairs. With tau, tau' two Brown terms,
 c their sender coefficients and X, Y, R the basis states they give the two
@@ -73,7 +73,7 @@ import sys
 import warnings
 from functools import lru_cache
 from itertools import compress, count, product, repeat
-from operator import add, gt, lt, mul, sub
+from operator import add, gt, lt, mul, sub, truediv
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -207,7 +207,8 @@ Y_TOKENS = ("Y1", "Y2")
 
 
 def parse_gate_string(text: str) -> tuple[str, ...]:
-    """Split table notation like "-iY2 X1,2 CX2-1" into TOKENS keys.
+    """Split table notation like "-iY2 X1,2 CX2-1" into tokens, keys of
+    GATES or Y_TOKENS.
 
     O1 / O2 target one qubit, O1,2 expands to O on both, and O1-2 / O2-1
     give control-target for CX/RCX. An empty string is the identity. Any
@@ -740,7 +741,8 @@ def fidelity_texts(result: SweepResult) -> tuple[str, ...]:
     """Each sample's fidelity as hrsp sweep prints it, to 6 decimals: the
     exact fidelity at the floats the sweep holds (alpha, beta and the
     sample's eta), correctly rounded, a true tie half to even, as Python
-    prints a float. A float within TIE_MARGIN of a boundary (k + 1/2) 10^-6
+    prints a float. A float within TIE_MARGIN of a boundary (k + 1/2) 10^-6,
+    or within a wider window where F is small and its float error larger,
     has its digit decided from the row's integer curves (_side); any other
     prints as itself. So the text depends on the inputs alone, not on which
     sweep computed the floats or on their last bits. At the CLI's default
@@ -752,9 +754,15 @@ def fidelity_texts(result: SweepResult) -> tuple[str, ...]:
     # each float's distance from its nearest boundary, in units of 10^-6,
     # in C loops: a Python loop per sample doubled the cost of the text at
     # 100,001 points. NaN, the fidelity of a branch with p = 0, is never near
-    gaps = map(abs, map(sub, map(math.fmod, map(mul, fidelities, repeat(1e6)),
-                                 repeat(1.0)), repeat(0.5)))
-    for at in compress(count(), map(gt, repeat(TIE_MARGIN), gaps)):
+    scaled = list(map(mul, fidelities, repeat(1e6)))
+    gaps = map(abs, map(sub, map(math.fmod, scaled, repeat(1.0)), repeat(0.5)))
+    # F = sqrt(F^2) turns an error e in F^2 into about e / (F + tie), which
+    # passes TIE_MARGIN where F is small: so each window widens by 1e-3 / (F
+    # 10^6 + 1/2) units, e = 1e-15, over 30 times the 2.8e-17 measured at
+    # oracle row 18 under AD at eta = 0.99999
+    windows = map(add, repeat(TIE_MARGIN),
+                  map(truediv, repeat(1e-3), map(add, scaled, repeat(0.5))))
+    for at in compress(count(), map(gt, windows, gaps)):
         k = math.floor(fidelities[at] * 1e6)
         side = _side(result.config, result.samples[at], k)
         k += side > 0 or (side == 0 and k % 2 == 1)

@@ -13,7 +13,7 @@ model and does not reproduce the reference fidelity curves.
 Every single-qubit Kraus operator of both kinds is t^m (A + s B), with
 t = sqrt(eta), s = sqrt(1 - eta), m in {0, 1} and constant A, B: one template
 per noise kind (hrsp.exact.KRAUS_TEMPLATES). hrsp.exact builds every
-receiver state from these templates in integers. The tests hold it to the
+receiver state from these templates in integers. The tests hold it to their
 numpy kernel on the same operators written as eta-free pair terms, to the
 per-eta single-qubit operators and to the dense 128x128 channel, all in
 tests/dense_oracle.py.

@@ -21,8 +21,8 @@ grid in about 0.2 s. Every CLI sweep runs hrsp.exact.sweep instead: it
 evaluates its one row in plain floats, so no CLI process imports numpy.
 They read the same integers and differ only in their float arithmetic:
 on every row at steps 0.1 and 0.001 they agree to 5.6e-16 in F and 1.1e-16
-in p, and each is the other's test oracle; the numpy kernel states.branch_amplitudes is the Grams'
-(tests/test_exact.py).
+in p, and each is the other's test oracle; the numpy kernel of
+tests/dense_oracle.py is the Grams' (tests/test_exact.py).
 
 The state has one cached form per outcome branch, its Gram matrix
 G(eta) = sum_k W_k^T W_k, with p = tr G, ||W u||^2 = u^T G u and

@@ -6,17 +6,17 @@ Conventions, each validated by the oracle below:
 * Gate strings read left to right in application order: in "X2 CX2-1" the X
   on qubit 2 acts first, so the composite matrix is CX(2->1) @ (I (x) X).
 * Subscripts name the receiver's local qubits 1 and 2; for CX/RCX the pair
-  is control-target. A token is its canonical notation, a TOKENS key: no
-  other spelling ("X01", "X+1") parses.
+  is control-target. A token is its canonical notation, a key of
+  hrsp.exact.GATES or one of hrsp.exact.Y_TOKENS: no other spelling ("X01",
+  "X+1") parses.
 * iY is the real matrix [[0, 1], [-1, 0]]; the i and any -1 are global
   phases and drop out under density-matrix conjugation.
 * Every gate product is real: a sequence's unitary is (-i)^k R / sqrt(2)^h,
   with R the integer product in which iY stands for Y (Y = -i iY), h its
   count of Hadamards and k its count of Y tokens (real_product). The
   oracle, the row verdicts, their matrix distances and the report read R,
-  h and k only. TOKENS and the unitary() of a rule are numpy arrays, the
-  complex Y among them, for callers; they import numpy on first use, and
-  nothing else here does.
+  h and k only, so nothing here forms a complex matrix or imports numpy;
+  a rule's matrix is real_product(rule.gates).
 * RCX is the zero-controlled CNOT: it flips the target when the control is
   |0>. The alternative reading (control/target swap) fails several table
   rows that this one confirms, so it is rejected.
@@ -75,50 +75,13 @@ ORACLE_VOCABULARY = ("H1", "H2", "X1", "X2", "Y1", "Y2", "Z1", "Z2",
                      "CX1-2", "CX2-1")
 
 
-@lru_cache(maxsize=1)
-def _tokens() -> dict:
-    import numpy as np
-
-    from .linalg import I2, Y, kron
-
-    tokens = {**{name: np.array(m) / np.sqrt(2) ** h for name, (m, h) in GATES.items()},
-              "Y1": kron(Y, I2), "Y2": kron(I2, Y)}
-    for m in tokens.values():
-        m.setflags(write=False)
-    return tokens
-
-
-def __getattr__(name: str):
-    # TOKENS: every gate token, keyed by its table notation, as its read-only
-    # 4x4 matrix on the receiver register (local qubit 1 is the high bit):
-    # the integer matrices of hrsp.exact.GATES over sqrt(2)^h, real, and Y1
-    # and Y2; built on first use, with numpy
-    if name == "TOKENS":
-        return _tokens()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def correction_unitary(gates):
-    """Composite unitary of a gate sequence, first token applied first, as a
-    numpy array: the product of the real TOKENS, iY for each Y, times (-i)^k
-    only where the sequence has k > 0 Y tokens."""
-    import numpy as np
-
-    tokens = _tokens()
-    r = np.eye(4)
-    for tok in gates:
-        r = tokens["i" + tok if tok in Y_TOKENS else tok] @ r
-    k = sum(tok in Y_TOKENS for tok in gates)
-    return (-1j) ** k * r if k else r
-
-
 class CorrectionRule(NamedTuple):
     """Conditional local correction for one measurement outcome."""
 
     receiver: str
     sender_outcome: str
     collaborator_outcomes: tuple[str, ...]
-    gates: tuple[str, ...]  # TOKENS keys, in application order
+    gates: tuple[str, ...]  # parse_gate_string tokens, in application order
     source: str  # "published" or "oracle"
 
     @property
@@ -130,9 +93,6 @@ class CorrectionRule(NamedTuple):
         """(sender outcome, collaborator outcomes): the branch it corrects,
         one of BRANCHES[receiver]."""
         return self.sender_outcome, self.collaborator_outcomes
-
-    def unitary(self):
-        return correction_unitary(self.gates)
 
 
 #: the published correction tables, read from hrsp.exact.PUBLISHED_TABLES
@@ -211,7 +171,7 @@ def oracle_find_correction(receiver: str, sender_outcome: str,
     branch to the target at every (alpha, beta): the oracle table's entry at
     the branch's S, if it has at most ORACLE_MAX_DEPTH tokens. Y1/Y2 step
     as iY, which differs from Y by the global phase -i, and the returned
-    rule names them as the true complex TOKENS.
+    rule names them Y1/Y2.
 
     Deterministic, so cached: each branch is looked up once per process, and
     every caller shares its frozen rule; the tables and the report read
@@ -415,7 +375,7 @@ DAVID_EXPANSION = {
 
 
 _SQRT2 = math.sqrt(2)
-#: |+> and |->, and |0> and |1>, in the floats of hrsp.states
+#: |+> and |->, and |0> and |1>, in the floats of the numpy reassembly
 _SIGN_KETS = {"+": (1 / _SQRT2, 1 / _SQRT2), "-": (1 / _SQRT2, -1 / _SQRT2)}
 _BASIS_KETS = {label: tuple(float(i == int(label, 2)) for i in range(4))
                for label in ("00", "01", "10", "11")}

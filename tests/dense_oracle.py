@@ -1,35 +1,37 @@
-"""Dense 128x128 reference route to the receiver's state, for the tests.
+"""Numpy reference routes to the receiver's state, for the tests.
 
-The package computes the receiver's state in exact integers (hrsp.exact),
-and its numpy kernel, one pure-state contraction
-(hrsp.states.branch_amplitudes), takes the channel in one eta-free form
-(pair_terms, here). This module reaches the same state the long way:
-the single-qubit Kraus operators at each eta, written out entry by entry
-(kraus_operators), the noise channel on the full seven-qubit density matrix
-(apply_channel), the tensor-product measurement operator U of one outcome
-(scenario_for, build_measurement_operator), and the partial trace onto the
-receiver's qubits (partial_trace). It shares only the outcome states with the
-package, so the tests can hold one against the other. party_kraus_stack and
-channel_trace give the per-eta receiver-pair stack and its output trace, and
-einsum_branch_amplitudes is the contraction itself, written as einsums over
-named qubit-pair axes instead of matrix products.
+The package computes the receiver's state in exact integers (hrsp.exact).
+This module holds its numpy oracles. branch_amplitudes is the one
+pure-state contraction: the receiver's amplitudes W of one outcome branch,
+through an (n, 4, 4) stack of operators on every receiver pair, in matrix
+products. With the channel's eta-free pair terms (pair_terms) it is the
+oracle of hrsp.exact's Grams; with the per-eta pair Kraus operators
+(kraus_operators, party_kraus_stack) it feeds the dense chain. That chain
+reaches the same state the long way: the noise channel on the full
+seven-qubit density matrix (apply_channel), the tensor-product measurement
+operator U of one outcome (scenario_for, build_measurement_operator), and
+the partial trace onto the receiver's qubits (partial_trace). channel_trace
+gives a stack's output trace.
 
 The package scores the pure target by its overlap with the branch amplitudes.
 This module scores it with the general Uhlmann fidelity
 Tr sqrt( sqrt(rho0) rho_n sqrt(rho0) ) (uhlmann_fidelity, via psd_sqrt), which
 equals that overlap only because the target is pure.
 
-complex_oracle_search is the correction search in complex arithmetic, on
-normalized float branch vectors (branch_vector): the true complex Y tokens
-in its step matrix, conjugated targets and |overlap|^2 at two parameter
-points, every sequence of a length at once. The package's integer table,
-which steps with iY, must return the same gates.
-complex_correction_unitary, complex_noiseless_fidelity and
-complex_verify_table multiply the true complex tokens as well, with the
-complex phase_aligned_distance, where the package carries an integer product
-and its counts of Hadamard and Y tokens; the row verdicts must come out
-equal. dense_verify_factorization is the numpy reassembly of a published
-factorization against the numpy protocol state and branch kernel.
+TOKENS holds every gate token as its numpy matrix, built from the integer
+hrsp.exact.GATES and the complex hrsp.linalg.Y, and
+complex_correction_unitary multiplies them: a rule's true complex unitary,
+where the package carries the integer product real_product, its count of
+Hadamards and its count of Y tokens. complex_oracle_search is the
+correction search in complex arithmetic, on normalized float branch vectors
+(branch_vector): the true complex Y tokens in its step matrix, conjugated
+targets and |overlap|^2 at two parameter points, every sequence of a length
+at once. The package's integer table, which steps with iY, must return the
+same gates. complex_noiseless_fidelity and complex_verify_table multiply the
+true complex tokens as well, with the complex phase_aligned_distance; the
+row verdicts must come out equal. dense_verify_factorization is the numpy
+reassembly of a published factorization against the numpy protocol state
+and branch kernel.
 """
 
 from __future__ import annotations
@@ -38,16 +40,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hrsp.exact import KRAUS_TEMPLATES, NOISE_KINDS
-from hrsp.linalg import I2, kron
+from hrsp.exact import GATES, KRAUS_TEMPLATES, NOISE_KINDS, check_outcome
+from hrsp.linalg import I2, Y, kron
 from hrsp.noise import warn_trace_deficit
 from hrsp.protocol import (BOB_EXPANSION, CORRECTION_TABLES, DAVID_EXPANSION,
                            ORACLE_MAX_DEPTH, ORACLE_POINTS, ORACLE_VOCABULARY,
-                           TOKENS, BRANCH_PROBABILITY_FLOOR, FactorizationReport,
+                           BRANCH_PROBABILITY_FLOOR, FactorizationReport,
                            LineReport, RowVerdict, derive_receiver_table,
                            oracle_find_correction)
-from hrsp.states import (TargetSpec, basis_ket, branch_amplitudes, hadamard_ket,
-                         outcome_kets, protocol_state, target_state, zeta_basis)
+from hrsp.states import TargetSpec, protocol_state, target_state, zeta_basis
 
 #: a sequence corrects a branch at a parameter point when its fidelity is at
 #: least 1 - FIDELITY_TOL there
@@ -97,6 +98,85 @@ def partial_trace(rho: np.ndarray, traced_qubits) -> np.ndarray:
     dk, dt = 2 ** len(keep), 2 ** len(traced)
     t = t.reshape(dk, dt, dk, dt)
     return np.einsum("abcb->ac", t)
+
+
+# --------------------------------------------------------------------------
+# The branch kernel.
+def basis_ket(bits: str) -> np.ndarray:
+    """Computational basis vector |bits>, big-endian."""
+    v = np.zeros(2 ** len(bits))
+    v[int(bits, 2)] = 1.0
+    return v
+
+
+_SIGN_KETS = {"+": np.array([1.0, 1.0]) / np.sqrt(2),
+              "-": np.array([1.0, -1.0]) / np.sqrt(2)}
+
+
+def hadamard_ket(labels: str) -> np.ndarray:
+    """Two-qubit |+>/|-> product, e.g. '+-' -> |+>(x)|->."""
+    return kron(*(_SIGN_KETS[c] for c in labels))
+
+
+def outcome_kets(receiver: str, sender_outcome: str,
+                 collaborator_outcomes: tuple[str, ...], spec: TargetSpec):
+    """The sender's zeta vector and {collaborator: ket}, in qubit order: the
+    states one outcome projects the non-receiver parties onto."""
+    check_outcome(receiver, sender_outcome, collaborator_outcomes)
+    zvec = zeta_basis(spec)[sender_outcome]
+    if receiver == "bob":
+        (shared,) = collaborator_outcomes
+        return zvec, {"charlie": basis_ket(shared), "david": basis_ket(shared)}
+    # the other two receivers, in qubit order, measured in the Hadamard basis
+    others = (p for p in ("bob", "charlie", "david") if p != receiver)
+    return zvec, dict(zip(others, map(hadamard_ket, collaborator_outcomes)))
+
+
+#: per receiver, the transpose of <zeta|Psi> from its (spec, bob, charlie,
+#: david) axes to the kernel's (spec, x, y, R): the collaborators in qubit
+#: order, then the receiver
+_AXES = {"bob": (0, 2, 3, 1), "charlie": (0, 1, 3, 2), "david": (0, 1, 2, 3)}
+
+#: the noiseless channel as a one-operator stack on every receiver pair
+IDENTITY_STACK = np.eye(4)[None]
+IDENTITY_STACK.setflags(write=False)
+
+
+def branch_amplitudes(receiver: str, sender_outcome: str,
+                      collaborator_outcomes: tuple[str, ...],
+                      spec: TargetSpec | tuple[TargetSpec, ...],
+                      kraus: np.ndarray = IDENTITY_STACK) -> np.ndarray:
+    """Unnormalized receiver amplitudes of one outcome, after the channel.
+
+    kraus is an (n, 4, 4) stack of operators on every receiver pair: the
+    default IDENTITY_STACK for no noise, the channel's eta-free pair terms
+    (pair_terms), or one eta's pair Kraus operators (party_kraus_stack).
+    For collaborators projected onto |x>, |y> and receiver R,
+    W[k_X, k_Y, k_R, :] = (<zeta| (x) <x|S[k_X] (x) S[k_R] (x) <y|S[k_Y]) |Psi>,
+    so rho = W^T W (W as (-1, 4)) with trace the branch probability when S
+    is the pair Kraus operators. spec is a TargetSpec, or a sequence of
+    them: W then gains a leading axis, one entry per spec.
+
+    The contraction is matrix products: <zeta| meets |Psi> once, in one
+    matmul on |Psi> as (2, 64) whose result is transposed to the (x, y, R)
+    axes, the collaborator bras meet the stack as <x|S[k], and two batched
+    matmuls fold in the collaborators' and then the receiver's operators.
+    """
+    if kraus.ndim != 3 or kraus.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (n, 4, 4) stack, got shape {kraus.shape}")
+    specs = [spec] if isinstance(spec, TargetSpec) else spec
+    kets = [outcome_kets(receiver, sender_outcome, collaborator_outcomes, s)
+            for s in specs]
+    zbras = np.array([zvec for zvec, _ in kets])
+    bx, by = kets[0][1].values()
+    n = len(kraus)
+    phi = (zbras @ protocol_state().reshape(2, 64)).reshape(-1, 4, 4, 4)
+    phi = phi.transpose(_AXES[receiver]).reshape(-1, 4, 16)   # [x, yR]
+    fx, fy = bx @ kraus, by @ kraus                     # (n, 4): <x|S[k]
+    t = (fx @ phi).reshape(-1, n, 4, 4)                 # [k, y, r]
+    w = (fy @ t).reshape(-1, n * n, 4)                  # [kl, r]
+    w = (w @ kraus.reshape(n * 4, 4).T).reshape(-1, n, n, n, 4)    # [kl, mR]
+    return w[0] if isinstance(spec, TargetSpec) else w
 
 
 # --------------------------------------------------------------------------
@@ -193,20 +273,6 @@ def apply_channel(rho: np.ndarray, kraus: np.ndarray,
     if correlated:
         warn_trace_deficit(float(np.trace(rho).real - np.trace(out).real))
     return out
-
-
-def einsum_branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
-                             spec, kraus):
-    """states.branch_amplitudes as three einsums over named qubit-pair axes:
-    the reference for its matrix products."""
-    zvec, collab = outcome_kets(receiver, sender_outcome,
-                                collaborator_outcomes, spec)
-    r, x, y = {"bob": "bcd", "charlie": "cbd", "david": "dbc"}[receiver]
-    bx, by = (ket.conj() for ket in collab.values())
-    psi = protocol_state().reshape(2, 4, 4, 4)
-    fx, fy = (np.einsum("o,...koi->...ki", bra, kraus) for bra in (bx, by))
-    w = np.einsum(f"a,...k{x},...l{y},abcd->...kl{r}", zvec.conj(), fx, fy, psi)
-    return np.einsum("...klr,...mRr->...klmR", w, kraus)
 
 
 # --------------------------------------------------------------------------
@@ -317,7 +383,7 @@ def uhlmann_fidelity(rho0: np.ndarray, rho_n: np.ndarray) -> float | np.ndarray:
 def corrected_fidelity(block: np.ndarray, rule, spec: TargetSpec) -> float:
     """Uhlmann fidelity against the target of the rule's correction O applied
     to a receiver_block: uhlmann_fidelity(|xi><xi|, O rho O^dag / p)."""
-    o = rule.unitary()
+    o = complex_correction_unitary(rule.gates)
     rho_n = o @ block @ o.conj().T / np.trace(block).real
     return float(uhlmann_fidelity(projector(target_state(spec)), rho_n))
 
@@ -327,8 +393,7 @@ def corrected_fidelity(block: np.ndarray, rule, spec: TargetSpec) -> float:
 def branch_vector(receiver: str, sender_outcome: str,
                   collaborator_outcomes: tuple[str, ...], spec: TargetSpec):
     """Receiver's collapsed two-qubit state, normalized, and its probability,
-    from the numpy kernel states.branch_amplitudes. A vanishing branch
-    raises."""
+    from the numpy kernel branch_amplitudes. A vanishing branch raises."""
     v = branch_amplitudes(receiver, sender_outcome, collaborator_outcomes,
                           spec).reshape(4)
     prob = float(np.linalg.norm(v) ** 2)
@@ -395,6 +460,15 @@ def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
     re = ar - cos[:, None] * br + sin[:, None] * bi
     im = ai - cos[:, None] * bi - sin[:, None] * br
     return float(np.sqrt(re * re + im * im).max(axis=1).min())
+
+
+#: every gate token, keyed by its notation, as its read-only 4x4 matrix on the
+#: receiver register (local qubit 1 is the high bit): the integer matrices of
+#: hrsp.exact.GATES over sqrt(2)^h, real, and the complex Y1 and Y2
+TOKENS = {**{name: np.array(m) / np.sqrt(2) ** h for name, (m, h) in GATES.items()},
+          "Y1": kron(Y, I2), "Y2": kron(I2, Y)}
+for _token in TOKENS.values():
+    _token.setflags(write=False)
 
 
 def complex_correction_unitary(gates) -> np.ndarray:

@@ -10,8 +10,9 @@ import pytest
 from hrsp.pipeline import PipelineConfig, default_config, sweep
 from hrsp.protocol import (CORRECTION_TABLES, CorrectionRule,
                            derive_receiver_table, noiseless_fidelity,
-                           parse_gate_string, verify_table)
-from hrsp.states import TargetSpec, protocol_state, verify_factorization
+                           parse_gate_string, verify_factorization,
+                           verify_table)
+from hrsp.states import TargetSpec, protocol_state
 
 from dense_oracle import (apply_channel, corrected_fidelity, kraus_operators,
                           projector, receiver_block, rule_of)

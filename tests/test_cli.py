@@ -384,22 +384,35 @@ class TestImports:
             tmp_path)
         assert out == "hrsp hrsp.exact hrsp.pipeline\n" * 2
 
-    def test_protocol_imports_numpy_only_for_its_arrays(self, tmp_path):
+    def test_protocol_imports_no_numpy(self, tmp_path):
         # the oracle, the verdicts, the report and the factorization check
-        # are integer and float code; TOKENS and a rule's unitary() are
-        # numpy arrays, built on first use
+        # are integer and float code, and the module holds no numpy matrix:
+        # a rule's matrix is its integer real_product
         out = run_python(["-c", (
             "import sys; from hrsp import protocol as p; "
             "p.format_table_report({t: p.verify_table(t) for t in p.CORRECTION_TABLES}); "
             "p.verify_factorization('david', p.ORACLE_POINTS[1]); "
-            "print('numpy' in sys.modules); p.TOKENS['Y1']; "
-            "print('numpy' in sys.modules)")], tmp_path)
-        assert out == "False\nTrue\n"
+            "print('numpy' in sys.modules, hasattr(p, 'TOKENS'), "
+            "hasattr(p, 'correction_unitary'), hasattr(p.CorrectionRule, 'unitary'))")],
+            tmp_path)
+        assert out == "False False False False\n"
 
     def test_bare_import_leaves_numpy_unimported(self, tmp_path):
         out = run_python(["-c", "import hrsp, sys; print('numpy' in sys.modules)"],
                          tmp_path)
         assert out == "False\n"
+
+    def test_every_submodule_resolves_from_a_bare_import(self, tmp_path):
+        # hrsp.exact and hrsp.cli included, each listed by dir(hrsp), and
+        # neither imports numpy
+        out = run_python(["-c", (
+            "import sys, hrsp; "
+            "print(hrsp.exact.__name__, hrsp.cli.__name__, 'numpy' in sys.modules); "
+            "print(all(m in dir(hrsp) and getattr(hrsp, m).__name__ == 'hrsp.' + m "
+            "for m in hrsp._SUBMODULES), sorted(hrsp._SUBMODULES))")], tmp_path)
+        assert out == ("hrsp.exact hrsp.cli False\n"
+                       "True ['cli', 'exact', 'linalg', 'noise', 'pipeline', "
+                       "'protocol', 'states']\n")
 
     def test_every_export_resolves(self):
         namespace = {}

@@ -1,6 +1,6 @@
 """hrsp.exact, the numpy-free sweep path, against the numpy library path of
 hrsp.pipeline: each is the other's oracle. Every Gram coefficient of the
-numpy kernel states.branch_amplitudes is held to its exact rational, and
+numpy kernel dense_oracle.branch_amplitudes is held to its exact rational, and
 every row's sweep to the library's, at three targets under all four
 channels."""
 
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hrsp import exact, noise, pipeline, protocol, states
 from hrsp.cli import main
 
-from dense_oracle import pair_terms
+from dense_oracle import branch_amplitudes, pair_terms
 
 #: (table, row, receiver) of every published row and Charlie's derived rows
 ALL_ROWS = [(table, row, receivers[0])
@@ -61,7 +61,7 @@ def kernel_branch(noise_kind, correlated, receiver, key):
 
     powers = triples(order, order, order)
     first, second = (triples(x * n * n, x * n, x) for x in (first, second))
-    w = states.branch_amplitudes(
+    w = branch_amplitudes(
         receiver, *key, (states.TargetSpec(1.0, 0.0), states.TargetSpec(0.0, 1.0)),
         ops).transpose(1, 2, 3, 0, 4).reshape(-1, 8)
     gram = {}
@@ -86,8 +86,7 @@ def test_exact_imports_only_the_standard_library():
 
 
 def test_moved_names_are_reexported_unchanged():
-    moved = {states: ("TargetSpec", "NORM_TOL", "BROWN_TERMS",
-                      "COLLABORATOR_LABELS"),
+    moved = {states: ("TargetSpec", "BROWN_TERMS"),
              noise: ("NOISE_KINDS", "TraceDeficitWarning", "warn_trace_deficit",
                      "TRACE_DEFICIT_WARN"),
              protocol: ("BRANCHES", "SENDER_OUTCOMES", "parse_gate_string",
@@ -253,6 +252,19 @@ class TestFidelityTexts:
                         ((0.0, 1.0), (0.5, 0.84406249), (1.0, math.nan)))
         result = exact.SweepResult(exact.default_config(), samples)
         assert exact.fidelity_texts(result) == ("1.000000", "0.844062", "nan")
+
+    def test_small_fidelity_window_covers_its_float_error(self):
+        # AD oracle row 18 at eta = 0.99999: exact.sweep's F is 1.96e-12 below
+        # the true 7.082310484e-6 (mpmath, 60 digits), past TIE_MARGIN's
+        # 1e-12. A float off by that much from the boundary 7.5e-6 still has
+        # its digit decided exactly: the true F lies below it
+        config = exact.default_config(
+            "ad", "charlie", exact.TargetSpec(ABOVE, BELOW), step=0.00001,
+            table="oracle", row=18)
+        sample = exact.FidelitySample(0.99999, 7.5e-6 + 1.96e-12, 0.5, False)
+        assert f"{sample.fidelity:.6f}" == "0.000008"
+        result = exact.SweepResult(config, (sample,))
+        assert exact.fidelity_texts(result) == ("0.000007",)
 
 
 def csv_lines(config, result):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hrsp.linalg import I2, X, kron
-from hrsp.states import basis_ket, protocol_state
+from hrsp.states import protocol_state
 
-from dense_oracle import PARTY_QUBITS, partial_trace, projector, psd_sqrt
+from dense_oracle import PARTY_QUBITS, basis_ket, partial_trace, projector, psd_sqrt
 
 
 def random_complex(shape, rng):

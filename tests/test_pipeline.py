@@ -15,13 +15,12 @@ from hrsp.pipeline import (BRANCH_PROBABILITY_FLOOR, MAX_GRID_POINTS,
                            BranchProbabilityError, PipelineConfig,
                            default_config, default_grid, receiver_state, sweep)
 from hrsp.protocol import CORRECTION_TABLES
-from hrsp.states import (IDENTITY_STACK, TargetSpec, branch_amplitudes,
-                         protocol_state, target_state)
+from hrsp.states import TargetSpec, protocol_state, target_state
 
-from dense_oracle import (apply_channel, build_measurement_operator,
-                          channel_trace, corrected_fidelity,
-                          einsum_branch_amplitudes, kraus_operators,
-                          partial_trace, party_kraus_stack,
+from dense_oracle import (IDENTITY_STACK, apply_channel, branch_amplitudes,
+                          build_measurement_operator, channel_trace,
+                          complex_correction_unitary, corrected_fidelity,
+                          kraus_operators, partial_trace, party_kraus_stack,
                           phase_aligned_distance, projector, receiver_block,
                           rule_of, scenario_for, uhlmann_fidelity)
 from reference_data import BOB_LIMIT, CURVES, ETA_GRID
@@ -122,7 +121,7 @@ class TestReduce:
     def test_noiseless_reduction_is_rotated_target(self):
         # inverting the correction on the reduced state recovers the branch
         reduced, _ = receiver_state(row1_config(), 0.0)
-        o = CORRECTION_TABLES["I"][0].unitary()
+        o = complex_correction_unitary(CORRECTION_TABLES["I"][0].gates)
         rho0 = projector(target_state(BALANCED))
         assert np.max(np.abs(reduced - o.conj().T @ rho0 @ o)) < 1e-10
 
@@ -137,14 +136,14 @@ class TestCorrectionStage:
         for row, rule in enumerate(CORRECTION_TABLES["I"], start=1):
             config = PipelineConfig("ad", "bob", "I", row, BALANCED, (0.0,))
             rho, _ = receiver_state(config, 0.0)
-            got = corrected(rho, rule.unitary())
+            got = corrected(rho, complex_correction_unitary(rule.gates))
             assert np.max(np.abs(got - rho0)) < 1e-10
 
     def test_phase_related_rules_agree(self):
-        from hrsp.protocol import parse_gate_string, correction_unitary
+        from hrsp.protocol import parse_gate_string
         rho, _ = receiver_state(row1_config(), 0.0)
-        a = correction_unitary(parse_gate_string("iY1 X1 CX2-1"))
-        b = correction_unitary(parse_gate_string("-iY1 X1 CX2-1"))
+        a = complex_correction_unitary(parse_gate_string("iY1 X1 CX2-1"))
+        b = complex_correction_unitary(parse_gate_string("-iY1 X1 CX2-1"))
         assert np.max(np.abs(corrected(rho, a) - corrected(rho, b))) < 1e-14
 
 
@@ -217,7 +216,7 @@ class TestKernelContracts:
         assert np.linalg.eigvalsh(rho)[0] >= -1e-12
         assert np.trace(rho).real <= channel_trace(stack) + 1e-12
         if eta == 0.0:
-            v = einsum_branch_amplitudes(*branch, IDENTITY_STACK).reshape(4)
+            v = branch_amplitudes(*branch, IDENTITY_STACK).reshape(4)
             assert np.max(np.abs(rho - projector(v))) < 1e-14
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -358,7 +357,7 @@ class TestSweep:
 
 def kernel_point(config, eta):
     """F = ||W u|| / ||W|| and p = ||W||^2 at one eta, straight from
-    states.branch_amplitudes with the oracle's per-eta stack, independent of
+    the numpy kernel with the oracle's per-eta stack, independent of
     the sweep's curves and of the pair terms."""
     rule = rule_of(config)
     stack = party_kraus_stack(kraus_operators(config.noise_kind, [eta])[0],
@@ -366,7 +365,7 @@ def kernel_point(config, eta):
     w = branch_amplitudes(config.receiver, rule.sender_outcome,
                           rule.collaborator_outcomes, config.spec,
                           stack).reshape(-1, 4)
-    u = rule.unitary().T @ target_state(config.spec).conj()
+    u = complex_correction_unitary(rule.gates).T @ target_state(config.spec).conj()
     norm = np.linalg.norm(w)
     return np.linalg.norm(w @ u) / norm, norm ** 2
 
@@ -794,7 +793,8 @@ class TestDerivedCorrection:
             u = a / np.linalg.norm(a[0])
             rule = (protocol.oracle_find_correction(receiver, *key)
                     if table == "oracle" else CORRECTION_TABLES[table][row - 1])
-            distance = phase_aligned_distance(rule.unitary()[[0, 3]], u)
+            o = complex_correction_unitary(rule.gates)
+            distance = phase_aligned_distance(o[[0, 3]], u)
             if table == "oracle":
                 assert distance < 1e-15
             elif distance >= 1e-15:

@@ -20,7 +20,7 @@ def test_readme_prose_names_resolve():
     # every `module.name` outside the code blocks names something in hrsp
     prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
     names = DOTTED.findall(prose)
-    assert "protocol.branch_matrix" in names and "protocol.TOKENS" in names
+    assert "protocol.branch_matrix" in names and "exact.GATES" in names
     for name in names:
         module, *attrs = name.removeprefix("hrsp.").split(".")
         obj = importlib.import_module(f"hrsp.{module}")

@@ -1,19 +1,24 @@
 """hrsp computes in real arithmetic from |Psi> to the fidelity: the states,
 the channel's pair terms and the curve stacks are float64, the branch store
-holds integers, the correction search, the row verdicts and the table report are
-integers and float64, and only the Y gate tokens, which no published table
-uses, are complex. Every gate product steps with iY in their place, equal
-to Y up to a global phase, and counts its Y tokens."""
+holds integers, and the correction search, the row verdicts and the table
+report are integers and floats, without numpy. Every gate product steps with
+iY in place of Y, equal to Y up to a global phase, and counts its Y tokens;
+only the Y tokens, which no published table uses, are complex, and only the
+tests' numpy reference (dense_oracle.TOKENS) forms them."""
 
+import ast
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hrsp import exact, linalg, noise, pipeline, protocol, states
-from hrsp.states import IDENTITY_STACK, TargetSpec
+from hrsp.states import TargetSpec
 
-from dense_oracle import (complex_correction_unitary, complex_verify_table,
-                          pair_terms)
+from dense_oracle import (IDENTITY_STACK, TOKENS, basis_ket, branch_amplitudes,
+                          complex_correction_unitary, complex_verify_table,
+                          hadamard_ket, pair_terms)
 
 REAL = np.dtype(np.float64)
 #: real targets of both signs, balanced and not
@@ -25,8 +30,8 @@ def test_states_are_real():
     spec = TARGETS[2]
     brown = states.brown_state()
     for array in (states.protocol_state(), brown,
-                  states.extend_with_ancillas(brown), states.basis_ket("0110"),
-                  states.hadamard_ket("+-"), states.target_state(spec),
+                  states.extend_with_ancillas(brown), basis_ket("0110"),
+                  hadamard_ket("+-"), states.target_state(spec),
                   *states.zeta_basis(spec).values()):
         assert array.dtype == REAL
 
@@ -41,7 +46,7 @@ def test_branch_amplitudes_are_real(kind, correlated):
     for receiver, branches in protocol.BRANCHES.items():
         for key in branches:
             for kraus in (IDENTITY_STACK, ops):
-                w = states.branch_amplitudes(receiver, *key, TARGETS, kraus)
+                w = branch_amplitudes(receiver, *key, TARGETS, kraus)
                 assert w.dtype == REAL
 
 
@@ -67,41 +72,37 @@ def test_branch_store_and_stacks_are_real(kind, correlated):
 
 def test_kron_keeps_its_factors_dtype():
     assert linalg.kron(linalg.X, linalg.H, linalg.Z).dtype == REAL
-    assert linalg.kron(states.KET0, states.PLUS).dtype == REAL
+    assert linalg.kron(basis_ket("0"), hadamard_ket("+-")).dtype == REAL
     for factors in ((linalg.Y, linalg.I2), (linalg.I2, linalg.X, linalg.Y)):
         out = linalg.kron(*factors)
         assert out.dtype == np.complex128 and out.imag.any()
 
 
 def test_only_the_y_tokens_are_complex():
-    complex_tokens = {name for name, m in protocol.TOKENS.items()
-                      if m.dtype != REAL}
+    complex_tokens = {name for name, m in TOKENS.items() if m.dtype != REAL}
     assert complex_tokens == {"Y1", "Y2"}
     for name in complex_tokens:
-        assert protocol.TOKENS[name].dtype == np.complex128
+        assert TOKENS[name].dtype == np.complex128
     # so every published correction is a real matrix
     for rules in protocol.CORRECTION_TABLES.values():
         for rule in rules:
-            assert rule.unitary().dtype == REAL
+            assert complex_correction_unitary(rule.gates).dtype == REAL
 
 
-def test_table_verification_is_real(monkeypatch):
+def test_table_verification_is_real():
     # the row verdicts and the report, the derived rows with a Y included,
-    # come out the same with the complex Y tokens made unreadable
-    def run():
-        verdicts = {table: protocol.verify_table(table)
-                    for table in protocol.CORRECTION_TABLES}
-        return verdicts, protocol.format_table_report(verdicts)
-
-    expected = run()
-    poison = np.full((4, 4), np.nan, dtype=np.complex128)
-    poison.setflags(write=False)
-    for name in ("Y1", "Y2"):
-        monkeypatch.setitem(protocol.TOKENS, name, poison)
-    protocol.oracle_find_correction.cache_clear()
-    protocol.branch_matrix.cache_clear()
-    protocol._oracle_table.cache_clear()
-    assert run() == expected
+    # are integer and float code: hrsp.protocol imports the standard library
+    # and hrsp.exact alone, so no numpy array, complex or real, enters them
+    tree = ast.parse(Path(protocol.__file__).read_text())
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert modules - set(sys.stdlib_module_names) == {".exact"}, modules
+    verdicts = [rv for table in protocol.CORRECTION_TABLES
+                for rv in protocol.verify_table(table)]
+    assert {type(value) for rv in verdicts
+            for value in (*rv.published_fidelities, rv.matrix_distance)} == {float}
 
 
 def test_verdicts_equal_complex_reference():
@@ -119,9 +120,10 @@ def test_verdicts_equal_complex_reference():
             assert abs(a.matrix_distance - b.matrix_distance) < 1e-15
 
 
-def test_correction_unitary_equals_complex_chain():
-    # (-i)^k R is the product of the true tokens, entry by entry, for every
-    # published rule and every rule of the search, 27 of them with a Y
+def test_real_product_equals_complex_chain():
+    # (-i)^k R / sqrt(2)^h is the product of the true tokens, to rounding,
+    # for every published rule and every rule of the search, 27 of them
+    # with a Y
     rules = [rule for rules in protocol.CORRECTION_TABLES.values()
              for rule in rules]
     rules += [protocol.oracle_find_correction(receiver, *key)
@@ -130,9 +132,10 @@ def test_correction_unitary_equals_complex_chain():
     assert len(rules) == 40 + 72
     with_y = 0
     for rule in rules:
-        u = protocol.correction_unitary(rule.gates)
+        r, h, k = exact.real_product(rule.gates)
         reference = complex_correction_unitary(rule.gates)
-        assert u.dtype == reference.dtype
-        assert np.array_equal(u, reference), rule.gate_string
-        with_y += u.dtype == np.complex128
+        assert (reference.dtype == np.complex128) == (k > 0)
+        assert np.max(np.abs((-1j) ** k * np.array(r) / np.sqrt(2) ** h
+                             - reference)) < 1e-15, rule.gate_string
+        with_y += k > 0
     assert with_y == 27

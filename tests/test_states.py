@@ -1,21 +1,22 @@
 import itertools
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrsp import protocol, states
+from hrsp import exact
 from hrsp.linalg import kron
 from hrsp.protocol import (BOB_EXPANSION, BRANCHES, CORRECTION_TABLES,
                            oracle_find_correction, verify_factorization)
-from hrsp.states import (IDENTITY_STACK, TargetSpec, basis_ket,
-                         branch_amplitudes, brown_state, extend_with_ancillas,
+from hrsp.states import (TargetSpec, brown_state, extend_with_ancillas,
                          protocol_state, target_state, zeta_basis)
 
-from dense_oracle import (dense_verify_factorization, einsum_branch_amplitudes,
-                          kraus_operators, pair_terms, party_kraus_stack)
+from dense_oracle import (basis_ket, branch_amplitudes,
+                          dense_verify_factorization, kraus_operators,
+                          party_kraus_stack)
 
 INV_2RT2 = 1 / (2 * np.sqrt(2))
 
@@ -229,14 +230,6 @@ class TestFactorization:
                                         want.outcome_labels, want.mismatched)
             assert abs(got.max_diff - want.max_diff) < 1e-15
 
-    def test_states_resolves_the_moved_names(self):
-        # the factorization data and check live in hrsp.protocol; hrsp.states
-        # reads them from there on first use
-        for name in states._MOVED:
-            assert getattr(states, name) is getattr(protocol, name)
-        with pytest.raises(AttributeError, match="has no attribute 'LINES'"):
-            states.LINES
-
 
 class TestSwapSymmetry:
     """|Psi> is symmetric under swapping Charlie and David, so the derived
@@ -251,36 +244,17 @@ class TestSwapSymmetry:
                              ids=["noiseless", "ad-correlated", "ad-product",
                                   "pd-correlated", "pd-product"])
     def test_charlie_branches_equal_davids_bitwise(self, channel):
-        # the unit targets the stacks are built at, and one other
-        stack = IDENTITY_STACK if channel is None else pair_terms(*channel)[0]
-        specs = (TargetSpec(1.0, 0.0), TargetSpec(0.0, 1.0),
-                 TargetSpec(0.6, -0.8))
+        # in integers, on all 32 branches: the noiseless (S, scale), and under
+        # each channel the exact build's scale, Gram coefficients and t^0
+        # amplitude; the uncached builds, so the stores stay Bob's and David's
         assert BRANCHES["charlie"] == BRANCHES["david"]
+        build = (exact.branch_matrix.__wrapped__ if channel is None
+                 else partial(exact._branch.__wrapped__, *channel))
         for key in BRANCHES["david"]:
-            assert np.array_equal(branch_amplitudes("charlie", *key, specs, stack),
-                                  branch_amplitudes("david", *key, specs, stack))
+            assert build("charlie", *key) == build("david", *key)
 
 
 class TestBranchAmplitudes:
-    @pytest.mark.parametrize("kind", ["ad", "pd"])
-    @pytest.mark.parametrize("correlated", [True, False])
-    def test_matches_einsum_reference(self, kind, correlated):
-        # the kernel takes one (n, 4, 4) stack: one call per eta, against
-        # the reference's contraction of all of them at once
-        etas = [0.0, 0.25, 0.6, 1 - 1e-9, 1.0]
-        stacks = party_kraus_stack(kraus_operators(kind, etas), correlated)
-        for i, key in enumerate(BRANCH_KEYS):
-            theta = 0.37 * i
-            spec = TargetSpec(np.cos(theta), np.sin(theta))
-            branch = (*key, spec)
-            want = einsum_branch_amplitudes(*branch, stacks)
-            noiseless = einsum_branch_amplitudes(*branch, IDENTITY_STACK)
-            pairs = [(branch_amplitudes(*branch, stack), ref)
-                     for stack, ref in zip(stacks, want)]
-            for got, ref in pairs + [(branch_amplitudes(*branch), noiseless)]:
-                assert got.shape == ref.shape
-                assert np.max(np.abs(got - ref)) < 1e-15
-
     @pytest.mark.parametrize("kind", ["ad", "pd"])
     @pytest.mark.parametrize("correlated", [True, False])
     def test_target_sequence_adds_a_leading_axis(self, kind, correlated):
