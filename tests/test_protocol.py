@@ -14,7 +14,7 @@ from hrsp.protocol import (CORRECTION_TABLES, ORACLE_POINTS, branch_matrix,
                            format_table_report, noiseless_fidelity,
                            oracle_find_correction, parse_gate_string,
                            real_product, verify_table)
-from hrsp.states import TargetSpec, target_state
+from hrsp.states import TargetSpec
 
 from dense_oracle import (FIDELITY_TOL, TOKENS, MeasurementScenario, basis_ket,
                           branch_amplitudes, build_measurement_operator,
